@@ -1,15 +1,17 @@
 """Exact (maximal) densest-subset computation over an instance set.
 
 Given an :class:`~repro.instances.InstanceSet` (h-cliques or any pattern),
-these routines compute the subgraph maximising the instance density
-``|Psi(S)| / |S|`` *exactly*, via Dinkelbach-style iteration over the
-``DeriveCompact`` flow network: at a guess ``rho`` the network's maximal
-min-cut source side is the largest maximiser of ``|Psi(S)| - rho |S|``;
-if it is denser than ``rho`` the guess increases, otherwise the current
-maximiser is the (unique) maximal densest subgraph.
+:func:`maximal_densest_subset` computes the subgraph maximising the
+instance density ``|Psi(S)| / |S|`` *exactly* by Dinkelbach iteration.
+Each step solves the ``DeriveCompact`` network of
+:func:`repro.flow.network.solve_compact_network` at a guess ``rho``; its
+maximal min-cut source side is the largest maximiser of
+``|Psi(S)| - rho |S|``.  If that set is denser than ``rho`` the guess rises
+to its density, otherwise it is the (unique) maximal densest subgraph.
 
-A constrained variant (force a seed set onto the source side) supports the
-diminishingly-dense decomposition in :mod:`repro.lhcds.exact`.
+A seed set can be forced into every step (the builder's ``forced``
+vertices); the diminishingly-dense decomposition in :mod:`repro.lhcds.exact`
+uses it to maximise the *marginal* density beyond an inner shell.
 """
 
 from __future__ import annotations
@@ -18,47 +20,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Set, Tuple
 
 from ..errors import AlgorithmError
-from ..flow.network import SINK, SOURCE, FractionalArcCollector, instance_node, vertex_node
+from ..flow.network import solve_compact_network
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
-
-
-def _best_response(
-    instances: InstanceSet,
-    universe: Set[Vertex],
-    rho: Fraction,
-    forced: Set[Vertex],
-    kernel: Optional[str] = None,
-) -> Set[Vertex]:
-    """Return the largest ``S`` (with ``forced`` ⊆ S) maximising |Psi(S)| - rho|S|.
-
-    ``forced`` vertices are pinned to the source side with infinite-capacity
-    source arcs (implemented as a capacity larger than any possible cut).
-    """
-    h = instances.h
-    collector = FractionalArcCollector()
-    total_degree = Fraction(0)
-    raw_degrees = instances.degrees()
-    degrees = {v: Fraction(raw_degrees.get(v, 0)) for v in universe}
-    for v in universe:
-        total_degree += degrees[v]
-    # An arc larger than the sum of every finite capacity acts as infinity.
-    infinite = total_degree + rho * h * len(universe) + len(universe) + 1
-
-    for idx, inst in enumerate(instances.instances):
-        node = instance_node(idx)
-        for v in inst:
-            collector.add(vertex_node(v), node, Fraction(1))
-            collector.add(node, vertex_node(v), Fraction(h - 1))
-    for v in universe:
-        cap = infinite if v in forced else degrees[v]
-        collector.add(SOURCE, vertex_node(v), cap)
-        collector.add(vertex_node(v), SINK, rho * h)
-
-    network, _ = collector.build(kernel)
-    network.solve(SOURCE, SINK)
-    cut = network.min_cut_source_side(SOURCE, maximal=True)
-    return {node[1] for node in cut if isinstance(node, tuple) and node[0] == "v"}
 
 
 def maximal_densest_subset(
@@ -113,8 +77,9 @@ def maximal_densest_subset(
     rho = marginal_density(best_set)
 
     while True:
-        candidate = _best_response(working, universe, rho, forced, kernel)
-        candidate |= forced
+        candidate = solve_compact_network(
+            working, rho, vertices=universe, forced=forced, kernel=kernel
+        )
         if len(candidate) <= len(forced):
             # Nothing beats the current guess; the previous best is optimal.
             return best_set, rho

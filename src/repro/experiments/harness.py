@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -18,7 +19,13 @@ class Measurement:
 
 
 def measure(fn: Callable[[], Any], *, track_memory: bool = False) -> Measurement:
-    """Run ``fn`` once, returning its result with timing (and optional memory)."""
+    """Run ``fn`` once, returning its result with timing (and optional memory).
+
+    A full garbage collection runs first, so a collection owed to earlier
+    work is not charged to ``fn``: in a long-lived process one can cost more
+    than a small experiment itself.
+    """
+    gc.collect()
     if track_memory:
         tracemalloc.start()
     start = time.perf_counter()

@@ -1,26 +1,20 @@
 """Exact max-flow / min-cut machinery used by the verification algorithms."""
 
 from .dinic import FlatFlowNetwork, MaxFlowNetwork
-from .legacy import LegacyMaxFlowNetwork
 from .network import (
     SINK,
     SOURCE,
     FractionalArcCollector,
-    build_compact_network,
     scaled_capacity,
     solve_compact_network,
-    vertex_node,
 )
 
 __all__ = [
     "FlatFlowNetwork",
     "MaxFlowNetwork",
-    "LegacyMaxFlowNetwork",
     "SINK",
     "SOURCE",
     "FractionalArcCollector",
-    "build_compact_network",
     "scaled_capacity",
     "solve_compact_network",
-    "vertex_node",
 ]

@@ -5,20 +5,22 @@ Two layers live here:
 * :class:`FlatFlowNetwork` — the kernel-facing storage: nodes are dense
   integer ids, arcs live in flat paired buffers (arc ``e`` and its residual
   ``e ^ 1`` are adjacent, ``arc_to[e ^ 1]`` recovers ``e``'s tail), and the
-  per-node arc lists are a CSR index built lazily by counting sort.  The
-  actual BFS/DFS work is delegated to the kernel backend selected via
-  :func:`repro.kernels.resolve_kernel` (``stdlib`` by default, ``numpy``
-  optionally, ``REPRO_KERNEL`` in between).
-* :class:`MaxFlowNetwork` — the public hashable-node API used throughout the
-  package and the tests: it interns nodes to ids and forwards to a
+  per-node arc lists are a CSR index, handed over by the builder or built
+  lazily by a stable sort.  The actual BFS/DFS work is delegated to the
+  kernel backend selected via :func:`repro.kernels.resolve_kernel`
+  (``stdlib`` by default, ``numpy`` optionally, ``REPRO_KERNEL`` in
+  between).  Every flow the solvers compute runs on one of these, built by
+  :func:`repro.flow.network.solve_compact_network`.
+* :class:`MaxFlowNetwork` — a hashable-node wrapper for small general
+  networks: it interns nodes to ids and forwards to a
   :class:`FlatFlowNetwork`.
 
-All flow networks built by this package scale their rational capacities to
-integers first (see :mod:`repro.flow.network`), so the max-flow value and the
-min-cut membership are exact.  Capacities are stored in ``array('q')``
-buffers; if a capacity overflows the signed-64-bit range (huge ``Fraction``
-denominators can do that) the buffer transparently falls back to a plain
-Python list of unbounded ints — the kernels are container-agnostic.
+Capacities are integers (the builders scale rational capacities first, see
+:mod:`repro.flow.network`), so the max-flow value and the min-cut membership
+are exact.  A builder may hand over plain lists of unbounded ints; buffers
+grown arc by arc are ``array('q')`` and, if a capacity overflows the
+signed-64-bit range (huge ``Fraction`` denominators can do that), fall back
+to a plain Python list — the kernels are container-agnostic.
 
 Min-cut queries are sound under any kernel: Dinic may find *different*
 maximum flows depending on augmentation order, but the minimal source side

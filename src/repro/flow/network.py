@@ -1,68 +1,61 @@
-"""Flow-network builders for densest / compact subgraph derivation.
+"""The ``DeriveCompact`` flow network (Figures 6 and 7) on flat CSR buffers.
 
-Two constructions from the paper live here:
+:func:`solve_compact_network` is the one flow-network builder of the
+solvers.  IPPV's ``IsDensest`` and maximal-compactness checks
+(:mod:`repro.lhcds.verify`) call it once per check, and every Dinkelbach
+step of :func:`repro.densest.exact.maximal_densest_subset` calls it once,
+so the ``exact`` solver, IPPV's exact splits, LDSflow and LTDS all run on
+the same network.
 
-* :func:`build_compact_network` — the ``DeriveCompact`` network (Figures 6
-  and 7).  Its minimum s-t cut identifies the largest vertex set ``A``
-  maximising ``|Psi(A)| - rho * |A|``; with ``rho`` slightly below a target
-  compactness this is the union of all maximal h-clique rho-compact
-  subgraphs (Theorem 5), and with ``rho`` slightly above a subgraph's own
-  density it decides the *self-densest* test (``IsDensest``).
+For a vertex universe ``U``, the instances ``Psi`` inside it, a threshold
+``rho`` and a forced set ``F`` within ``U``, the network has a source
+``s``, a sink ``t``, one node per instance and one node per vertex that
+lies in an instance:
 
-* :class:`FractionalArcCollector` — a tiny helper that accepts exact
-  :class:`fractions.Fraction` capacities and rescales every arc to integers
-  before handing the network to Dinic, keeping all decisions exact.
+* ``v -> psi`` (capacity 1) and ``psi -> v`` (capacity ``h - 1``) for every
+  member ``v`` of instance ``psi``;
+* ``s -> v`` with the instance degree of ``v``, or, when ``v`` is forced, a
+  capacity larger than the sum of all finite capacities, so that no minimum
+  cut separates ``v`` from the source;
+* ``v -> t`` with capacity ``rho * h``.
 
-:func:`solve_compact_network` is the hot path (every IPPV verification runs
-through it), so it skips the hashable-node layer entirely: the
-``DeriveCompact`` capacities follow a fixed pattern (``1`` and ``h - 1`` per
-instance arc, ``degree`` and ``rho * h`` per vertex), so the arc buffers are
-assembled directly over dense integer ids — interned instance-set ids for
-the vertices, then instance / boundary / terminal ids — and handed to a
-:class:`~repro.flow.dinic.FlatFlowNetwork` computed by the selected kernel
-backend.  :func:`build_compact_network` keeps the node-labelled construction
-for callers that inspect the network itself; both describe the same network
-and therefore the same (unique) minimal/maximal min-cut sides.
+For a vertex set ``A`` containing ``F`` on the source side the cut value is
+``h * |Psi| - h * (|Psi(A)| - rho * |A|)``, so the maximal source side of a
+minimum cut is the largest such ``A`` maximising ``|Psi(A)| - rho * |A|``.
+With ``rho`` just below a target compactness that is the union of all
+maximal h-clique rho-compact subgraphs (Theorem 5); with ``rho`` just above
+a subgraph's own density it decides ``IsDensest``.
 
-The cut structure (for reference, derived in the tests as well): for a vertex
-set ``A`` on the source side the cut value equals
-``h * |Psi(G)| - h * (|Psi(A)| - rho * |A|)``, so minimising the cut maximises
-``|Psi(A)| - rho|A|``.
+A vertex of ``U`` that lies in no instance gets no node.  Its only arcs
+would be ``s -> v`` (capacity 0, or unbounded when forced) and ``v -> t``;
+they touch no other node, so the vertex is on the maximal source side
+exactly when it is forced or ``rho`` is 0, and it moves no other vertex's
+side.
+
+Every capacity is scaled by the denominator of ``rho * h``, so the cut is
+exact, and the kernel backend named by ``kernel`` runs Dinic on the
+resulting :class:`~repro.flow.dinic.FlatFlowNetwork`.  The maximal source
+side of a minimum cut is unique, so neither the kernel nor the arc order
+can change the result.
+
+:class:`FractionalArcCollector` is a small general-purpose helper that turns
+arcs with exact :class:`fractions.Fraction` capacities between hashable
+nodes into an integer :class:`~repro.flow.dinic.MaxFlowNetwork`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..errors import FlowError
 from ..graph.graph import Vertex
-from ..instances import Instance, InstanceSet
+from ..instances import InstanceSet
 from .dinic import FlatFlowNetwork, MaxFlowNetwork
 
 SOURCE = "__source__"
 SINK = "__sink__"
-
-# Node wrappers keep vertex ids, inner instance ids and boundary instance ids
-# from colliding inside one network.
-VertexNode = Tuple[str, Vertex]
-InstanceNode = Tuple[str, int]
-
-
-def vertex_node(v: Vertex) -> VertexNode:
-    """Wrap a graph vertex as a flow-network node."""
-    return ("v", v)
-
-
-def instance_node(idx: int) -> InstanceNode:
-    """Wrap an inner instance index as a flow-network node."""
-    return ("psi", idx)
-
-
-def boundary_node(idx: int) -> InstanceNode:
-    """Wrap a boundary (peripheral) instance index as a flow-network node."""
-    return ("p", idx)
 
 
 def scaled_capacity(cap: Fraction, scale: int) -> int:
@@ -99,194 +92,79 @@ class FractionalArcCollector:
         return network, scale
 
 
-def build_compact_network(
-    instances: InstanceSet,
-    rho: Fraction,
-    *,
-    vertices: Optional[Iterable[Vertex]] = None,
-    boundary: Sequence[Tuple[Instance, int]] = (),
-    kernel: Optional[str] = None,
-) -> Tuple[MaxFlowNetwork, int]:
-    """Build the ``DeriveCompact`` flow network.
-
-    Parameters
-    ----------
-    instances:
-        The pattern instances fully contained in the working graph ``G[T]``.
-    rho:
-        The compactness threshold (exact rational).
-    vertices:
-        The vertex universe of the working graph; defaults to the vertices
-        covered by ``instances``.  Vertices with zero instance degree still
-        get their ``s -> v`` / ``v -> t`` arcs (with zero / ``rho*h``
-        capacity) so they can never sit on the source side when ``rho > 0``.
-    boundary:
-        Peripheral instances (the set ``P`` of Algorithm 5): pairs
-        ``(instance, cnt)`` where ``cnt`` is the number of the instance's
-        vertices inside the working graph.  Each contributes arcs with
-        capacity ``h / cnt`` from its inner vertices, exactly as in Figure 7.
-    kernel:
-        Kernel backend name for the resulting network (None = resolve from
-        ``REPRO_KERNEL`` / default).
-
-    Returns
-    -------
-    (network, scale):
-        The integer network (solve with ``network.solve(SOURCE, SINK)``) and
-        the integer scale factor applied to every capacity.
-    """
-    h = instances.h
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-
-    # Effective instance degree of each vertex; boundary instances add h/cnt.
-    raw_degrees = instances.degrees()
-    degrees: Dict[Vertex, Fraction] = {
-        v: Fraction(raw_degrees.get(v, 0)) for v in universe
-    }
-
-    collector = FractionalArcCollector()
-
-    for idx, inst in enumerate(instances.instances):
-        node = instance_node(idx)
-        for v in inst:
-            collector.add(vertex_node(v), node, Fraction(1))
-            collector.add(node, vertex_node(v), Fraction(h - 1))
-
-    for b_idx, (inst, cnt) in enumerate(boundary):
-        if cnt <= 0:
-            raise FlowError(f"boundary instance {inst!r} has non-positive inner count {cnt}")
-        node = boundary_node(b_idx)
-        inner = [v for v in inst if v in universe]
-        if len(inner) != cnt:
-            # The caller computed cnt while walking the BFS frontier; trust the
-            # explicit count but only wire arcs for vertices actually present.
-            inner = inner[:cnt] if len(inner) > cnt else inner
-        weight = Fraction(h, cnt)
-        for v in inner:
-            collector.add(vertex_node(v), node, weight)
-            collector.add(node, vertex_node(v), Fraction(h - 1))
-            degrees[v] = degrees.get(v, Fraction(0)) + weight
-
-    for v in universe:
-        collector.add(SOURCE, vertex_node(v), degrees.get(v, Fraction(0)))
-        collector.add(vertex_node(v), SINK, rho * h)
-
-    return collector.build(kernel)
-
-
-def _append_arc(arc_to: List[int], cap: List[int], u: int, v: int, capacity: int) -> None:
-    """Append one forward/residual pair to the flat buffers."""
-    arc_to.append(v)
-    arc_to.append(u)
-    cap.append(capacity)
-    cap.append(0)
-
-
 def solve_compact_network(
     instances: InstanceSet,
     rho: Fraction,
     *,
     vertices: Optional[Iterable[Vertex]] = None,
-    boundary: Sequence[Tuple[Instance, int]] = (),
-    maximal: bool = True,
+    forced: Iterable[Vertex] = (),
     kernel: Optional[str] = None,
 ) -> Set[Vertex]:
-    """Solve the ``DeriveCompact`` network and return the selected vertex set.
+    """Return the largest ``A`` maximising ``|Psi(A)| - rho * |A|``.
 
-    The returned set is the (maximal, by default) maximiser of
-    ``|Psi(A)| - rho * |A|`` over subsets of the working graph's vertices.
-    An empty set means the maximiser is the empty set (no subgraph beats the
-    threshold).
-
-    Builds the network directly over dense integer ids (see the module
-    docstring); the arc multiset is identical to
-    :func:`build_compact_network`'s, so the unique min-cut sides — and
-    therefore the result — match the node-labelled construction exactly.
+    ``A`` ranges over the sets with ``forced ⊆ A ⊆ vertices``.  The universe
+    ``vertices`` defaults to the vertices covered by ``instances`` and must
+    contain every instance.  With nothing forced, an empty result means no
+    non-empty set beats the threshold.  The module docstring describes the
+    network.
     """
     h = instances.h
-    flat = instances.flat_ids
+    n_cov = instances.num_interned
     n_inst = instances.num_instances
-    n_covered = instances.num_interned
-    indptr = instances.incidence_indptr
+    vertex_id = instances.vertex_id
 
-    # --- node-id layout: interned vertices, extra universe vertices,
-    # instance nodes, boundary nodes, source, sink. -----------------------
-    if vertices is None:
-        universe = instances.vertices()
-        extra_vertices: List[Vertex] = []
-        in_universe = None  # every interned vertex is in the universe
-    else:
-        universe = set(vertices)
-        extra_vertices = sorted(
-            (v for v in universe if instances.vertex_id(v) is None), key=repr
-        )
-        in_universe = bytearray(n_covered)
-        for vid in range(n_covered):
-            if instances.vertex_at(vid) in universe:
-                in_universe[vid] = 1
-    n_u = n_covered + len(extra_vertices)
-    extra_id_of = {v: n_u - len(extra_vertices) + i for i, v in enumerate(extra_vertices)}
-    psi_base = n_u
-    bnd_base = psi_base + n_inst
-    s_id = bnd_base + len(boundary)
+    universe = instances.vertices() if vertices is None else set(vertices)
+    free = {v for v in universe if vertex_id(v) is None}
+    if len(universe) - len(free) != n_cov:
+        raise FlowError("the vertex universe must contain every instance")
+    # Instance-free vertices get no node: they join the maximal source side
+    # exactly when forced or when rho is 0 (see the module docstring).
+    result: Set[Vertex] = free if rho == 0 else set()
+    forced_ids: List[int] = []
+    for v in forced:
+        if v not in universe:
+            raise FlowError(f"forced vertex {v!r} is outside the vertex universe")
+        vid = vertex_id(v)
+        if vid is None:
+            result.add(v)
+        else:
+            forced_ids.append(vid)
+
+    # --- node ids: covered vertices (their interned ids), instances, s, t -
+    psi_base = n_cov
+    s_id = psi_base + n_inst
     t_id = s_id + 1
 
-    # --- one common scale for every capacity ------------------------------
+    # --- integer capacities, all scaled by rho * h's denominator ----------
     rho_h = rho * h
-    weights: List[Fraction] = []
-    for inst, cnt in boundary:
-        if cnt <= 0:
-            raise FlowError(f"boundary instance {inst!r} has non-positive inner count {cnt}")
-        weights.append(Fraction(h, cnt))
-    scale = lcm(rho_h.denominator, *(w.denominator for w in weights))
-    cap_vp = scale  # v -> psi carries 1
-    cap_pv = (h - 1) * scale  # psi -> v carries h - 1
-    cap_vt = scaled_capacity(rho_h, scale)
-
-    # Per-vertex source capacity: instance degree plus boundary weights.
-    src_cap = [0] * n_u
-    for vid in range(n_covered):
-        src_cap[vid] = (indptr[vid + 1] - indptr[vid]) * scale
-    boundary_arcs: List[Tuple[int, int, int]] = []  # (vertex id, node, capacity)
-    for b_idx, (inst, cnt) in enumerate(boundary):
-        node = bnd_base + b_idx
-        inner = [v for v in inst if v in universe]
-        if len(inner) > cnt:
-            inner = inner[:cnt]
-        w_cap = scaled_capacity(weights[b_idx], scale)
-        for v in inner:
-            vid = instances.vertex_id(v)
-            if vid is None:
-                vid = extra_id_of[v]
-            boundary_arcs.append((vid, node, w_cap))
-            src_cap[vid] += w_cap
+    scale = rho_h.denominator
+    cap_vt = rho_h.numerator
+    cap_pv = (h - 1) * scale
+    L = n_inst * h
+    indptr = instances.incidence_indptr
+    src_cap = [(indptr[vid + 1] - indptr[vid]) * scale for vid in range(n_cov)]
+    if forced_ids:
+        # Above the sum of every finite capacity: the instance arcs carry
+        # h * scale per slot, the degree arcs scale per slot, plus v -> t.
+        unbounded = (h + 1) * L * scale + n_cov * cap_vt + 1
+        for vid in forced_ids:
+            src_cap[vid] = unbounded
 
     # --- flat paired-arc buffers ------------------------------------------
-    # The instance arcs follow a fixed pattern per (instance, member) slot:
-    # v->psi (cap 1), its residual, psi->v (cap h-1), its residual — so the
-    # capacity buffer is one repeated 4-tuple and only arc_to needs a pass.
-    # Everything is built as plain lists: the stdlib kernel computes on
-    # lists without copying, and plain Python ints hold any magnitude the
-    # huge-denominator scales can produce.
-    L = n_inst * h
+    # Slot ``fi`` of the flat instance array owns arc ids 4*fi .. 4*fi+3:
+    # v->psi (cap 1), its residual, psi->v (cap h-1), its residual.  The
+    # capacity buffer is one repeated 4-tuple and arc_to four strided
+    # copies.  Everything is built as plain lists: the stdlib kernel
+    # computes on lists without copying, and plain Python ints hold any
+    # magnitude the huge-denominator scales can produce.
+    flat = instances.flat_ids
+    slot_psi = [p for p in range(psi_base, s_id) for _ in range(h)]
     arc_to = [0] * (4 * L)
-    pos = 0
-    fi = 0
-    for i in range(n_inst):
-        p = psi_base + i
-        for _ in range(h):
-            v = flat[fi]
-            fi += 1
-            arc_to[pos] = p
-            arc_to[pos + 1] = v
-            arc_to[pos + 2] = v
-            arc_to[pos + 3] = p
-            pos += 4
-    cap = [cap_vp, 0, cap_pv, 0] * L
-
-    for vid, node, w_cap in boundary_arcs:
-        _append_arc(arc_to, cap, vid, node, w_cap)
-        _append_arc(arc_to, cap, node, vid, cap_pv)
+    arc_to[0::4] = slot_psi
+    arc_to[1::4] = flat
+    arc_to[2::4] = flat
+    arc_to[3::4] = slot_psi
+    cap = [scale, 0, cap_pv, 0] * L
 
     # Terminal arcs are emitted pre-saturated: pushing
     # ``f = min(src_cap, cap_vt)`` along every direct ``s -> v -> t`` path is
@@ -294,58 +172,31 @@ def solve_compact_network(
     # (and largest) blocking-flow phase.  The kernel then only routes the
     # rebalancing flow through the instance nodes; the final residual network
     # is that of *a* maximum flow, so the unique min-cut sides — all this
-    # function reads — are unchanged.
-    term_j = [-1] * n_u
-    n_term = 0
-
-    def _terminal_arcs(vid: int) -> None:
-        nonlocal n_term
-        term_j[vid] = n_term
-        n_term += 1
+    # function reads — are unchanged.  Vertex ``vid`` owns arc ids
+    # ``T + 4*vid`` (s -> v) and ``T + 4*vid + 2`` (v -> t).
+    T = 4 * L
+    for vid in range(n_cov):
         sc = src_cap[vid]
         f = sc if sc < cap_vt else cap_vt
-        _append_arc(arc_to, cap, s_id, vid, sc - f)
-        cap[-1] = f
-        _append_arc(arc_to, cap, vid, t_id, cap_vt - f)
-        cap[-1] = f
-
-    for vid in range(n_covered):
-        if in_universe is None or in_universe[vid]:
-            _terminal_arcs(vid)
-    for v in extra_vertices:
-        _terminal_arcs(extra_id_of[v])
+        arc_to += (vid, s_id, t_id, vid)
+        cap += (sc - f, f, cap_vt - f, f)
 
     # --- CSR index, assembled directly from the known arc layout ----------
-    # Slot ``fi`` of the flat buffers owns arc ids ``4*fi .. 4*fi+3``; the
-    # boundary pairs start at ``B`` and the terminal pairs at ``T``.  Each
-    # vertex row leads with its terminal arcs so the kernel's DFS reaches
-    # ``v -> t`` without scanning the incidence arcs first; per-node arc
-    # order is otherwise free (the min-cut sides are order-independent).
-    B = 4 * L
-    T = B + 4 * len(boundary_arcs)
+    # Each vertex row leads with its terminal arcs so the kernel's DFS
+    # reaches ``v -> t`` without scanning the incidence arcs first; per-node
+    # arc order is otherwise free (the min-cut sides are order-independent).
     indptr_csr = [0] * (t_id + 2)
     arcs_csr: List[int] = []
     append = arcs_csr.append
-    inc_ptr = instances.incidence_indptr
     inc_pos = list(instances.incidence_positions)
-    bnd_of_vid: Dict[int, List[int]] = {}
-    for b, (vid, _node, _w) in enumerate(boundary_arcs):
-        bnd_of_vid.setdefault(vid, []).append(b)
-    for vid in range(n_u):
-        j = term_j[vid]
-        if j >= 0:
-            base = T + 4 * j
-            append(base + 1)  # residual of s -> v
-            append(base + 2)  # v -> t
-        if vid < n_covered:
-            for p in inc_pos[inc_ptr[vid] : inc_ptr[vid + 1]]:
-                q = 4 * p
-                append(q)  # v -> psi
-                append(q + 3)  # residual of psi -> v
-        for b in bnd_of_vid.get(vid, ()):
-            base = B + 4 * b
-            append(base)  # v -> boundary
-            append(base + 3)  # residual of boundary -> v
+    for vid in range(n_cov):
+        base = T + 4 * vid
+        append(base + 1)  # residual of s -> v
+        append(base + 2)  # v -> t
+        for p in inc_pos[indptr[vid] : indptr[vid + 1]]:
+            q = 4 * p
+            append(q)  # v -> psi
+            append(q + 3)  # residual of psi -> v
         indptr_csr[vid + 1] = len(arcs_csr)
     # Instance rows: slot fi holds the psi-tailed pair (4*fi+1, 4*fi+2), and
     # instance i's h slots are consecutive — pure strided ranges.
@@ -353,39 +204,19 @@ def solve_compact_network(
     psi_block[0::2] = range(1, 4 * L, 4)  # residuals of v -> psi
     psi_block[1::2] = range(2, 4 * L, 4)  # psi -> v
     arcs_csr.extend(psi_block)
-    indptr_csr[psi_base + 1 : psi_base + 1 + n_inst] = range(
-        indptr_csr[psi_base] + 2 * h, indptr_csr[psi_base] + 2 * h * n_inst + 1, 2 * h
+    indptr_csr[psi_base + 1 : s_id + 1] = range(
+        indptr_csr[psi_base] + 2 * h, indptr_csr[psi_base] + 2 * L + 1, 2 * h
     )
-    for b, (_vid, node, _w) in enumerate(boundary_arcs):
-        base = B + 4 * b
-        append(base + 1)  # residual of v -> boundary
-        append(base + 2)  # boundary -> v
-        indptr_csr[node + 1] = len(arcs_csr)
-    for bi in range(len(boundary)):
-        # Boundary nodes with no surviving inner vertex keep an empty row.
-        node = bnd_base + bi
-        if indptr_csr[node + 1] < indptr_csr[node]:
-            indptr_csr[node + 1] = indptr_csr[node]
-    arcs_csr.extend(range(T, T + 4 * n_term, 4))  # s -> v arcs
+    arcs_csr.extend(range(T, T + 4 * n_cov, 4))  # s -> v arcs
     indptr_csr[s_id + 1] = len(arcs_csr)
-    arcs_csr.extend(range(T + 3, T + 4 * n_term, 4))  # residuals of v -> t
+    arcs_csr.extend(range(T + 3, T + 4 * n_cov, 4))  # residuals of v -> t
     indptr_csr[t_id + 1] = len(arcs_csr)
 
-    # --- solve and map the cut back to vertices ---------------------------
+    # --- solve and read the maximal source side ---------------------------
     network = FlatFlowNetwork(
         t_id + 1, kernel, arc_to=arc_to, cap=cap, indptr=indptr_csr, arcs=arcs_csr
     )
     network.max_flow(s_id, t_id)
-    if maximal:
-        mask = network.reaching_mask(t_id)
-        selected = [vid for vid in range(n_u) if not mask[vid]]
-    else:
-        mask = network.reachable_mask(s_id)
-        selected = [vid for vid in range(n_u) if mask[vid]]
-    result: Set[Vertex] = set()
-    for vid in selected:
-        if vid < n_covered:
-            result.add(instances.vertex_at(vid))
-        else:
-            result.add(extra_vertices[vid - n_covered])
+    mask = network.reaching_mask(t_id)
+    result.update(instances.vertex_at(vid) for vid in range(n_cov) if not mask[vid])
     return result

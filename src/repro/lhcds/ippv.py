@@ -587,9 +587,12 @@ class IPPV:
         assert self._bounds is not None
         uppers = [self._bounds.upper_of(v) for v in candidate]
         # initialize_bounds populates every candidate vertex, so an
-        # unbounded (None) upper cannot occur here; an unbounded vertex
-        # would have no finite priority to heap on.
-        assert all(upper is not None for upper in uppers)
+        # unbounded (None) upper means the bounds are broken: such a vertex
+        # has no finite priority to heap on.
+        if any(upper is None for upper in uppers):
+            raise AlgorithmError(
+                "candidate has a vertex without a finite compact-number upper bound"
+            )
         priority = max(uppers)
         heapq.heappush(heap, (-priority, counter, candidate, depth))
         return counter + 1

@@ -79,9 +79,7 @@ def is_densest(
     # denser subset exists iff the maximiser of |Psi(A)| - rho'|A| is
     # non-empty.
     rho_prime = rho + Fraction(1, 2 * n * n)
-    denser = solve_compact_network(
-        local, rho_prime, vertices=subset, maximal=True, kernel=kernel
-    )
+    denser = solve_compact_network(local, rho_prime, vertices=subset, kernel=kernel)
     return len(denser) == 0
 
 
@@ -106,9 +104,7 @@ def derive_compact_subgraphs(
     if target < 0:
         target = Fraction(0)
     working = instances.restrict(universe)
-    return solve_compact_network(
-        working, target, vertices=universe, maximal=True, kernel=kernel
-    )
+    return solve_compact_network(working, target, vertices=universe, kernel=kernel)
 
 
 def _is_component_of(graph: Graph, candidate: Set[Vertex], region: Set[Vertex]) -> bool:

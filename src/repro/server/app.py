@@ -171,7 +171,15 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # The body cannot be framed, so the connection cannot be reused.
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length is not an integer: {header!r}", code="invalid_body"
+            ) from None
         if length <= 0:
             raise ServiceError("request body must be a JSON object")
         if length > MAX_BODY_BYTES:
@@ -193,7 +201,8 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
             status, payload = handler()
         except ServiceError as exc:
             self._send_v1_error(exc.status, exc.code, str(exc), exc.detail)
-        except Exception as exc:  # pragma: no cover - defensive 500
+        except Exception as exc:  # defensive 500: the server keeps serving
+            self.service.record_internal_error()
             self._send_v1_error(500, "internal_error", f"internal error: {exc}", None)
         else:
             self._send_json(status, {"ok": True, "data": payload})
@@ -221,7 +230,8 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
             status, payload = handler()
         except ServiceError as exc:
             self._send_json(exc.status, {"error": str(exc)}, headers=headers)
-        except Exception as exc:  # pragma: no cover - defensive 500
+        except Exception as exc:  # defensive 500: the server keeps serving
+            self.service.record_internal_error()
             self._send_json(500, {"error": f"internal error: {exc}"}, headers=headers)
         else:
             self._send_json(status, payload, headers=headers)

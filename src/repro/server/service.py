@@ -530,6 +530,11 @@ class SolveService:
         """Dataset abbreviations accepted by the ``dataset`` selector."""
         return list(dataset_abbreviations())
 
+    def record_internal_error(self) -> None:
+        """Count a request that failed unexpectedly (an HTTP 500)."""
+        with self._registry_lock:
+            self._counters["errors"] += 1
+
     def stats(self) -> Dict[str, Any]:
         """Service counters plus the cache ledger summary."""
         with self._registry_lock:

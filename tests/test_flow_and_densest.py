@@ -1,5 +1,6 @@
 """Tests for the max-flow machinery and the exact/greedy densest subgraph code."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,12 +10,7 @@ from repro.cliques import clique_instances
 from repro.densest import greedy_densest_subset, greedy_peel_order, maximal_densest_subset
 from repro.densest.exact import densest_subgraph_density
 from repro.errors import AlgorithmError, FlowError
-from repro.flow import (
-    FractionalArcCollector,
-    MaxFlowNetwork,
-    build_compact_network,
-    solve_compact_network,
-)
+from repro.flow import FractionalArcCollector, MaxFlowNetwork, solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.instances import InstanceSet
 
@@ -102,18 +98,46 @@ class TestFractionalArcCollector:
             collector.add("a", "b", Fraction(-1, 2))
 
 
-def brute_force_max_gain(instances: InstanceSet, vertices, rho: Fraction):
-    """max over subsets A of |Psi(A)| - rho * |A| plus its maximal argmax."""
-    best_value = Fraction(0)
-    best_set = set()
-    vs = list(vertices)
-    for r in range(1, len(vs) + 1):
-        for subset in combinations(vs, r):
-            value = instances.count_within(subset) - rho * r
-            if value > best_value or (value == best_value and len(subset) > len(best_set)):
-                best_value = value
-                best_set = set(subset)
+def brute_force_max_gain(instances: InstanceSet, vertices, rho: Fraction, forced=()):
+    """max of |Psi(A)| - rho * |A| over forced ⊆ A ⊆ vertices, plus its largest argmax."""
+    forced = set(forced)
+    rest = [v for v in vertices if v not in forced]
+    best_value, best_set = None, None
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            subset = forced | set(extra)
+            value = instances.count_within(subset) - rho * len(subset)
+            if best_value is None or (value, len(subset)) > (best_value, len(best_set)):
+                best_value, best_set = value, subset
     return best_value, best_set
+
+
+def brute_force_marginal_density(instances: InstanceSet, vertices, seed):
+    """Highest (|Psi(A)| - |Psi(seed)|) / (|A| - |seed|) over seed ⊊ A ⊆ vertices,
+    plus the largest A attaining it."""
+    base = instances.count_within(seed)
+    rest = [v for v in vertices if v not in seed]
+    best_density, best_set = None, None
+    for r in range(1, len(rest) + 1):
+        for extra in combinations(rest, r):
+            subset = set(seed) | set(extra)
+            density = Fraction(instances.count_within(subset) - base, r)
+            if best_density is None or (density, r) > (best_density, len(best_set) - len(seed)):
+                best_density, best_set = density, subset
+    return best_density, best_set
+
+
+def graph_with_instance_free_vertices(seed: int):
+    """A random graph on at most 8 vertices plus one or two vertices in no triangle."""
+    g = random_graph(4 + seed % 5, 0.6, seed)
+    g.add_edge(0, 100)  # a pendant vertex
+    if seed % 2:
+        g.add_vertex(101)  # an isolated vertex
+    return g
+
+
+#: A threshold whose scaled capacities overflow int64.
+HUGE_DENOMINATOR_RHO = Fraction(2**70 + 1, 2**71)
 
 
 class TestCompactNetwork:
@@ -124,11 +148,38 @@ class TestCompactNetwork:
             if inst.num_instances == 0:
                 continue
             rho = Fraction(1, 2)
-            chosen = solve_compact_network(inst, rho, vertices=g.vertices(), maximal=True)
+            chosen = solve_compact_network(inst, rho, vertices=g.vertices())
             value = inst.count_within(chosen) - rho * len(chosen)
             best_value, best_set = brute_force_max_gain(inst, g.vertices(), rho)
             assert value == best_value
             assert chosen == best_set
+
+    @pytest.mark.parametrize(
+        "rho", [Fraction(0), Fraction(1, 2), HUGE_DENOMINATOR_RHO], ids=["zero", "half", "huge"]
+    )
+    def test_forced_matches_brute_force_maximiser(self, rho):
+        # Forced sets mix triangle vertices with the instance-free ones,
+        # which get no node in the network.
+        for seed in range(8):
+            g = graph_with_instance_free_vertices(seed)
+            inst = clique_instances(g, 3)
+            universe = sorted(g.vertices())
+            rng = random.Random(seed)
+            for trial in range(4):
+                forced = set(rng.sample(universe, rng.randint(0, 3)))
+                if trial == 3:
+                    forced.add(100)
+                chosen = solve_compact_network(inst, rho, vertices=universe, forced=forced)
+                _, best_set = brute_force_max_gain(inst, universe, rho, forced)
+                assert chosen == best_set, (seed, sorted(forced))
+
+    def test_forced_and_instances_must_lie_in_the_universe(self):
+        g = complete_graph(4)
+        inst = clique_instances(g, 3)
+        with pytest.raises(FlowError, match="outside the vertex universe"):
+            solve_compact_network(inst, Fraction(1), vertices=g.vertices(), forced={99})
+        with pytest.raises(FlowError, match="contain every instance"):
+            solve_compact_network(inst, Fraction(1), vertices=[0, 1, 2])
 
     def test_zero_rho_selects_everything_covered(self):
         g = complete_graph(4)
@@ -141,23 +192,6 @@ class TestCompactNetwork:
         inst = clique_instances(g, 3)
         chosen = solve_compact_network(inst, Fraction(100), vertices=g.vertices())
         assert chosen == set()
-
-    def test_boundary_instances_add_weight(self):
-        g = complete_graph(3)
-        inst = clique_instances(g, 3)
-        boundary = [((0, 1, 99), 2)]
-        net, _ = build_compact_network(
-            inst, Fraction(1, 3), vertices=g.vertices(), boundary=boundary
-        )
-        assert net.num_nodes > 0
-
-    def test_boundary_bad_count_rejected(self):
-        g = complete_graph(3)
-        inst = clique_instances(g, 3)
-        with pytest.raises(FlowError):
-            build_compact_network(
-                inst, Fraction(1, 3), vertices=g.vertices(), boundary=[((0, 1, 2), 0)]
-            )
 
 
 class TestExactDensest:
@@ -202,6 +236,20 @@ class TestExactDensest:
         subset, marginal = maximal_densest_subset(inst, g.vertices(), seed=set(range(5)))
         assert subset >= set(range(5))
         assert marginal == Fraction(1, 3)
+
+    def test_seeded_matches_brute_force_marginal_density(self):
+        for seed in range(8):
+            g = graph_with_instance_free_vertices(seed)
+            inst = clique_instances(g, 3)
+            universe = sorted(g.vertices())
+            rng = random.Random(100 + seed)
+            for size in (0, 1, 2, 3):
+                seed_set = set(rng.sample(universe, size))
+                if size == 3:
+                    seed_set.add(100)
+                result = maximal_densest_subset(inst, universe, seed=seed_set)
+                expected = brute_force_marginal_density(inst, universe, seed_set)
+                assert result == (expected[1], expected[0]), (seed, sorted(seed_set))
 
     def test_seed_validation(self):
         g = complete_graph(3)

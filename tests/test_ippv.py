@@ -221,6 +221,18 @@ class TestExactEarlyStop:
         assert isinstance(priority, Fraction)
         assert priority == -(Fraction(1, 3) + self.EPS)
 
+    def test_push_rejects_an_unbounded_vertex(self):
+        # A raise, not an assert: the check must survive ``python -O``.
+        graph = self._two_triangles()
+        ippv = IPPV(graph, 3)
+        uppers = {v: Fraction(1, 3) for v in graph.vertices()}
+        uppers[1] = None
+        ippv._bounds = self._bounds_with(uppers)
+        heap = []
+        with pytest.raises(AlgorithmError, match="upper bound"):
+            ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
+        assert heap == []
+
     def test_no_stop_while_a_remaining_bound_exceeds_kth(self):
         # Both triangles have exact density 1/3.  The sound upper bounds
         # differ by ~1e-15 — far inside the old 1e-12 tolerance — so the

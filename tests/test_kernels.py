@@ -1,5 +1,5 @@
 """Tests for the pluggable kernel backends: registry + env resolution,
-flow-kernel equivalence against the legacy object-graph Dinic, arc
+flow-kernel equivalence against exhaustive s-t cut enumeration, arc
 normalisation regressions, capacity-scaling edge cases (zero capacities,
 beyond-int64 denominators), and stdlib-vs-numpy bit-identity from the raw
 kernels up through the engine."""
@@ -24,7 +24,6 @@ from repro.engine import SolveRequest, solve
 from repro.errors import EngineError, FlowError, KernelError
 from repro.flow import (
     FractionalArcCollector,
-    LegacyMaxFlowNetwork,
     MaxFlowNetwork,
     scaled_capacity,
     solve_compact_network,
@@ -60,13 +59,18 @@ def random_flow_arcs(n_nodes, n_arcs, seed, max_cap=20):
     return arcs
 
 
-def build_both(arcs, kernel):
-    new = MaxFlowNetwork(kernel)
-    old = LegacyMaxFlowNetwork()
-    for u, v, c in arcs:
-        new.add_edge(u, v, c)
-        old.add_edge(u, v, c)
-    return new, old
+def enumerate_min_cuts(arcs, n_nodes, s, t):
+    """Minimum s-t cut value plus the minimal and maximal min-cut source
+    sides, by enumerating every s-t cut of the network."""
+    others = [v for v in range(n_nodes) if v not in (s, t)]
+    cuts = []
+    for r in range(len(others) + 1):
+        for extra in combinations(others, r):
+            side = {s, *extra}
+            cuts.append((sum(c for u, v, c in arcs if u in side and v not in side), side))
+    best = min(value for value, _ in cuts)
+    sides = [side for value, side in cuts if value == best]
+    return best, set.intersection(*sides), set.union(*sides)
 
 
 class TestRegistry:
@@ -150,24 +154,26 @@ class TestRegistry:
 
 
 class TestFlowKernelEquivalence:
-    """The kernel Dinic against the seed object-graph Dinic.
+    """The kernel Dinic against exhaustive s-t cut enumeration.
 
-    Max-flow values must match exactly; so must both min-cut sides (they are
-    unique for the network, independent of which max flow was found)."""
+    The max-flow value must equal the minimum cut value.  The minimal source
+    side is the intersection of all minimum-cut source sides and the maximal
+    side their union; both are unique for the network, independent of which
+    max flow was found."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_random_networks_match_legacy(self, kernel):
+    def test_random_networks_match_cut_enumeration(self, kernel):
         for seed in range(12):
             arcs = random_flow_arcs(n_nodes=8, n_arcs=24, seed=seed)
-            new, old = build_both(arcs, kernel)
-            s, t = 0, 7
-            new.add_node(s), new.add_node(t)
-            old.add_node(s), old.add_node(t)
-            assert new.max_flow(s, t) == old.max_flow(s, t)
-            assert new.min_cut_source_side(s) == old.min_cut_source_side(s)
-            assert new.min_cut_source_side(s, maximal=True) == old.min_cut_source_side(
-                s, maximal=True
-            )
+            net = MaxFlowNetwork(kernel)
+            for u, v, c in arcs:
+                net.add_edge(u, v, c)
+            for node in range(8):
+                net.add_node(node)
+            value, minimal, maximal = enumerate_min_cuts(arcs, 8, 0, 7)
+            assert net.max_flow(0, 7) == value
+            assert net.min_cut_source_side(0) == minimal
+            assert net.min_cut_source_side(0, maximal=True) == maximal
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_min_cut_value_equals_flow(self, kernel):
@@ -336,7 +342,7 @@ class TestCapacityScaling:
         if inst.num_instances == 0:
             pytest.skip("no triangles in this seed")
         rho = Fraction(2**70 + 1, 2**71)
-        chosen = solve_compact_network(inst, rho, vertices=g.vertices(), maximal=True)
+        chosen = solve_compact_network(inst, rho, vertices=g.vertices())
         best_value, best_set = None, set()
         vs = list(g.vertices())
         for r in range(len(vs) + 1):

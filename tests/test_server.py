@@ -9,6 +9,7 @@ fields excluded)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -323,6 +324,51 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+
+def _raw_post(base, path, content_length, body=b""):
+    """POST ``body`` with a hand-written ``Content-Length`` header."""
+    host, port = base.split("//", 1)[1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+class TestBadInputOverHTTP:
+    def test_non_numeric_content_length_is_400(self, http_server):
+        base, service = http_server
+        status, body = _raw_post(base, "/v1/solve", "twelve")
+        assert status == 400
+        assert body["error"]["code"] == "invalid_body"
+        assert "Content-Length" in body["error"]["message"]
+        status, body = _raw_post(base, "/solve", "1e3")
+        assert status == 400 and "Content-Length" in body["error"]
+        # A client error, not an internal one.
+        assert service.stats()["counters"]["errors"] == 0
+
+    def test_internal_error_is_500_and_counted(self, http_server, monkeypatch):
+        base, service = http_server
+
+        def broken_solve(payload):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(service, "solve", broken_solve)
+        payload = b'{"graph": "g"}'
+        status, body = _raw_post(base, "/v1/solve", str(len(payload)), payload)
+        assert status == 500
+        assert body["error"]["code"] == "internal_error"
+        status, body = _raw_post(base, "/solve", str(len(payload)), payload)
+        assert status == 500 and "solver exploded" in body["error"]
+        status, body = _request(base, "GET", "/v1/stats")
+        assert status == 200
+        assert body["data"]["counters"]["errors"] == 2
 
 
 class TestServerMain:
