@@ -142,51 +142,35 @@ def test_parallel_engine_identical_on_benchmark_graph():
         assert _signature(serial.subgraphs) == _signature(parallel.subgraphs)
 
 
-def test_ippv_verification_fanout_identical_and_timed(bench_metrics):
-    """The third parallel axis: IPPV's verification stage fanned out across
-    executor workers on a dominant component.  Output and verification
-    statistics must be bit-identical to the serial pop-verify loop; the
-    per-stage timings feed the BENCH trend (serial vs parallel
-    verification wall-clock)."""
+def test_ippv_verification_stage_timed(bench_metrics):
+    """IPPV's in-process verification stage (IsDensest plus the
+    maximal-compactness check) on one component, best of three, for the
+    BENCH trend."""
     graph, _ = planted_communities_graph(
         [12, 10, 9], p_in=0.95, p_out=0.04, seed=21, background=12
     )
+    best = None
+    for _ in range(3):
+        report = solve(graph=graph, pattern=H, k=K, solver="ippv", jobs=1, executor="serial")
+        if best is None or report.timings.verification < best.timings.verification:
+            best = report
+    assert best.verification.is_densest_calls == best.candidates_examined
 
-    def best_report(**kwargs):
-        best = None
-        for _ in range(3):
-            report = solve(graph=graph, pattern=H, k=K, solver="ippv", **kwargs)
-            if best is None or report.timings.verification < best.timings.verification:
-                best = report
-        return best
-
-    serial = best_report(jobs=1, executor="serial", verify_batch=1)
-    fanned = best_report(jobs=4, executor="process", verify_batch=8)
-    assert _signature(fanned.subgraphs) == _signature(serial.subgraphs)
-    assert fanned.verification == serial.verification
-    assert fanned.verify_batch_used == 8
-
-    bench_metrics["engine.ippv_verify_serial_s"] = serial.timings.verification
-    bench_metrics["engine.ippv_verify_fanout4_s"] = fanned.timings.verification
+    bench_metrics["engine.ippv_verify_serial_s"] = best.timings.verification
     print()
-    print(
-        f"ippv verification stage: serial {serial.timings.verification:.4f}s  "
-        f"fanout(process, jobs=4, window=8) {fanned.timings.verification:.4f}s"
-    )
+    print(f"ippv verification stage: serial {best.timings.verification:.4f}s")
 
 
 def test_executor_backends_identical_and_timed(bench_metrics):
-    """Every execution backend on the benchmark graph: identical output,
-    per-backend wall-clock recorded for the BENCH trajectory.  The sharded
-    exact path rides along (``shards=4``) so the trend data covers it."""
+    """Both execution backends on the benchmark graph: identical output,
+    per-backend wall-clock recorded for the BENCH trajectory."""
     graph = _multi_component_graph()
-    reference = solve(graph=graph, pattern=H, k=K, solver="exact", jobs=1, shards=1)
+    reference = solve(graph=graph, pattern=H, k=K, solver="exact", jobs=1)
     timings = {}
-    for executor in ("serial", "thread", "process", "queue"):
+    for executor in ("serial", "process"):
         tick = time.perf_counter()
         report = solve(
-            graph=graph, pattern=H, k=K, solver="exact",
-            jobs=4, executor=executor, shards=4,
+            graph=graph, pattern=H, k=K, solver="exact", jobs=4, executor=executor
         )
         timings[executor] = time.perf_counter() - tick
         assert _signature(report.subgraphs) == _signature(reference.subgraphs)
@@ -195,4 +179,4 @@ def test_executor_backends_identical_and_timed(bench_metrics):
         bench_metrics[f"engine.executor_{executor}_s"] = timings[executor]
     print()
     for executor, seconds in timings.items():
-        print(f"exact sharded(4) via {executor:8} {seconds:.4f}s")
+        print(f"exact jobs=4 via {executor:8} {seconds:.4f}s")

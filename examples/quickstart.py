@@ -21,11 +21,11 @@ def main() -> None:
     # 2. Solve through the engine.  `pattern` is the clique size h (or any
     #    registered pattern), `k` the number of subgraphs, `solver` one of
     #    repro.engine.available_solvers().  `executor` picks the execution
-    #    backend (serial/thread/process/queue — see available_executors());
-    #    output is bit-identical on every backend, so the choice is purely
-    #    about where the work runs.
+    #    backend (serial/process — see available_executors()); output is
+    #    bit-identical on both, so the choice is purely about where the
+    #    components run.
     for h in (3, 4):
-        report = solve(graph=graph, pattern=h, k=2, solver="ippv", executor="thread", jobs=2)
+        report = solve(graph=graph, pattern=h, k=2, solver="ippv", executor="process", jobs=2)
         print(f"\ntop-2 locally {h}-clique densest subgraphs:")
         for rank, subgraph in enumerate(report.subgraphs, start=1):
             print(

@@ -2,13 +2,13 @@
 """CI smoke test for the persistent solve service.
 
 Boots ``python -m repro.server`` as a real subprocess on an ephemeral port,
-registers a synthetic graph over HTTP, issues the same ``/solve`` request
-twice, and asserts:
+registers a synthetic graph over HTTP, issues the same ``/v1/solve``
+request twice, and asserts:
 
 * the second response reports a preprocess-cache hit,
 * both responses carry bit-identical solve output (subgraphs, counters,
   preprocessing stats — wall-clock and cache bookkeeping excluded),
-* ``/stats`` reflects the two solves and the cache's one store + one hit.
+* ``/v1/stats`` reflects the two solves and the cache's one store + one hit.
 
 Usage::
 
@@ -39,14 +39,17 @@ STARTUP_TIMEOUT_S = 30
 
 
 def _request(base: str, method: str, path: str, payload=None):
+    """Send one request and return the ``data`` of its v1 success envelope."""
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(base + path, data=data, method=method)
     with urllib.request.urlopen(request, timeout=60) as response:
-        return json.loads(response.read().decode("utf-8"))
+        body = json.loads(response.read().decode("utf-8"))
+    assert body.get("ok") is True, f"expected ok envelope: {body}"
+    return body["data"]
 
 
 def _bit_identical_part(response: dict) -> dict:
-    """Everything in a /solve response that must match across repeat calls."""
+    """Everything in a /v1/solve response that must match across repeat calls."""
     return {
         "solver": response["solver"],
         "pattern": response["pattern"],
@@ -93,7 +96,7 @@ def main() -> int:
             return 1
         print(f"server up at {base}")
 
-        assert _request(base, "GET", "/health") == {"status": "ok"}
+        assert _request(base, "GET", "/v1/health") == {"status": "ok"}
 
         graph, _ = planted_communities_graph(
             [10, 8, 7], p_in=0.9, p_out=0.05, seed=11, background=10
@@ -101,14 +104,14 @@ def main() -> int:
         record = _request(
             base,
             "POST",
-            "/graphs",
+            "/v1/graphs",
             {"name": "smoke", "edges": [[u, v] for u, v in graph.edges()]},
         )
         print(f"registered: {record['vertices']} vertices, {record['edges']} edges")
 
         payload = {"graph": "smoke", "h": 3, "k": 3, "solver": "ippv"}
-        first = _request(base, "POST", "/solve", payload)
-        second = _request(base, "POST", "/solve", payload)
+        first = _request(base, "POST", "/v1/solve", payload)
+        second = _request(base, "POST", "/v1/solve", payload)
 
         if first["cache"]["state"] != "miss":
             print(f"FAIL: first solve should miss, got {first['cache']['state']!r}")
@@ -128,7 +131,7 @@ def main() -> int:
             print("FAIL: solve returned no subgraphs")
             return 1
 
-        stats = _request(base, "GET", "/stats")
+        stats = _request(base, "GET", "/v1/stats")
         if stats["counters"]["solves"] != 2:
             print(f"FAIL: expected 2 solves, stats say {stats['counters']}")
             return 1

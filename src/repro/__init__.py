@@ -5,8 +5,7 @@ Densest Subgraph Discovery".  The public API re-exports the most commonly
 used entry points; see the subpackages for the full toolkit:
 
 * :mod:`repro.engine` — unified solver engine (registry, shared
-  preprocessing, pluggable execution backends: serial / thread /
-  process / file-backed queue with standalone workers)
+  preprocessing, components solved on the serial or process backend)
 * :mod:`repro.graph` — graph substrate
 * :mod:`repro.cliques` / :mod:`repro.patterns` — instance enumeration
 * :mod:`repro.lhcds` — the IPPV algorithm and its components

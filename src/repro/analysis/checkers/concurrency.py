@@ -18,11 +18,11 @@ conventions.
   as a guard in the manifest: a lock that guards nothing declared is a
   lock nobody can audit.
 
-**CC02** polices the executor boundary (``engine/executors/`` and the
-file-queue worker): task callables cross thread and process boundaries, so
-the bit-identity guarantee assumes they are self-contained.  Mutating a
-module global from inside a function, or mutating closed-over state from a
-nested function or lambda, is a finding.  The one sanctioned pattern is
+**CC02** polices the executor boundary (``engine/executors/``): task
+callables cross process boundaries, so the bit-identity guarantee assumes
+they are self-contained.  Mutating a module global from inside a function,
+or mutating closed-over state from a nested function or lambda, is a
+finding.  The one sanctioned pattern is
 registration — functions named ``register_*``/``unregister_*`` exist to
 mutate their module registry and are carved out.
 """
@@ -230,10 +230,7 @@ class ExecutorCaptureChecker(Checker):
         "the only sanctioned global mutation is registry insertion inside "
         "register_*/unregister_* functions"
     )
-    scope: ClassVar[Tuple[str, ...]] = (
-        "repro/engine/executors/",
-        "repro/engine/worker.py",
-    )
+    scope: ClassVar[Tuple[str, ...]] = ("repro/engine/executors/",)
 
     def run(self, tree: ast.AST, context: CheckContext) -> List[Finding]:
         self.findings = []

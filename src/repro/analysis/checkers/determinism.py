@@ -1,10 +1,10 @@
 """DT01 — determinism: solver output must not depend on iteration accidents.
 
 The engine guarantees bit-identical output across every executor backend ×
-jobs × shards × verify-batch combination, and queue workers are separate
-processes with their *own* ``PYTHONHASHSEED`` — so any result ordering that
-leaks from set/dict hash order, ``hash()``/``id()`` values, or ambient
-randomness silently breaks the guarantee for string-labelled graphs.  This
+jobs combination, and process-pool workers are separate processes with
+their *own* ``PYTHONHASHSEED`` — so any result ordering that leaks from
+set/dict hash order, ``hash()``/``id()`` values, or ambient randomness
+silently breaks the guarantee for string-labelled graphs.  This
 rule flags, in solver-path modules:
 
 * iteration over an unordered set that feeds an ordered result — a ``for``

@@ -1,12 +1,12 @@
 """PK01 — pickle-safety: task envelopes must survive process boundaries.
 
-Everything the engine ships to a worker — tasks, results, verdicts, failure
-envelopes, reports — crosses a pickle boundary on the ``process`` and
-``queue`` backends.  Pickle resolves classes by module-level name and
-serialises instance state, so an envelope class defined inside a function,
-or one whose instances hold a lambda, generator, or open file handle, works
-on the ``serial``/``thread`` backends and then fails (or silently diverges)
-the moment the executor matrix reaches a pickling backend.
+Everything the engine ships to a worker — tasks, results, failure
+envelopes, reports — crosses a pickle boundary on the ``process`` backend.
+Pickle resolves classes by module-level name and serialises instance
+state, so an envelope class defined inside a function, or one whose
+instances hold a lambda, generator, or open file handle, works on the
+``serial`` backend and then fails (or silently diverges) the moment the
+executor matrix reaches the pickling backend.
 
 The rule applies to classes whose names end in one of the envelope suffixes
 (``Task``, ``Batch``, ``Result``, ``Verdict``, ``Outcome``, ``Failure``,
@@ -55,7 +55,7 @@ class PickleSafetyChecker(Checker):
         "task/result envelopes are module-level with picklable state only"
     )
     description: ClassVar[str] = (
-        "envelope classes cross process and file-queue boundaries; pickle "
+        "envelope classes cross process boundaries; pickle "
         "needs module-level names and lambda/generator/handle-free state"
     )
     scope: ClassVar[Tuple[str, ...]] = ("repro/",)

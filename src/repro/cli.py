@@ -19,17 +19,13 @@ Pick a solver, a pattern, parallel workers, or machine-readable output::
 
 Choose an execution backend (output is bit-identical on every backend)::
 
-    repro-lhcds topk --dataset CM --jobs 4 --executor thread
-    repro-lhcds topk --dataset CM --jobs 4 --executor queue --queue-dir /tmp/q
+    repro-lhcds topk --dataset CM --jobs 4 --executor process
+    repro-lhcds executors
 
 Choose a compute kernel backend (output is bit-identical on every kernel)::
 
     repro-lhcds topk --dataset HA --kernel numpy
     repro-lhcds kernels
-
-Run standalone workers against a shared queue directory::
-
-    repro-lhcds workers --queue-dir /tmp/q --jobs 2
 
 Reuse preprocessing across solves (warm artifact cache), inspect it, or
 run the persistent solve service::
@@ -65,8 +61,6 @@ from .engine import (
     solve,
 )
 from .graph.delta import GraphDelta
-from .engine.executors.filequeue import spawn_worker, worker_loop
-from .engine.worker import DEFAULT_POLL_SECONDS
 from .errors import ReproError
 from .server import app as server_app
 from .kernels import available_kernels, describe_kernel
@@ -118,25 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compute kernel backend (default: $REPRO_KERNEL, then stdlib; "
         "output is bit-identical on every kernel)",
-    )
-    topk.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="intra-component sub-tasks for the dominant component "
-        "(0 = auto, 1 = off; exact solver only)",
-    )
-    topk.add_argument(
-        "--verify-batch",
-        type=int,
-        default=0,
-        help="verification fan-out window for the ippv solver "
-        "(0 = auto, 1 = off, n >= 2 forces a window of n)",
-    )
-    topk.add_argument(
-        "--queue-dir",
-        default=None,
-        help="backing directory for --executor queue (default: private tempdir)",
     )
     topk.add_argument(
         "--cache-dir",
@@ -240,32 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("executors", help="list the registered execution backends")
     sub.add_parser("kernels", help="list the registered compute kernel backends")
 
-    workers = sub.add_parser(
-        "workers", help="run queue workers against a shared queue directory"
-    )
-    workers.add_argument("--queue-dir", required=True, help="queue directory to drain")
-    workers.add_argument(
-        "--jobs", type=int, default=1, help="number of worker processes (default 1)"
-    )
-    workers.add_argument(
-        "--poll",
-        type=float,
-        default=DEFAULT_POLL_SECONDS,
-        help="seconds each worker sleeps when the queue is empty "
-        f"(default {DEFAULT_POLL_SECONDS})",
-    )
-    workers.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="stop each worker after this many tasks (default: unbounded)",
-    )
-    workers.add_argument(
-        "--exit-when-empty",
-        action="store_true",
-        help="stop workers as soon as no pending task is available",
-    )
-
     cache = sub.add_parser(
         "cache", help="inspect or clear a warm preprocessed-index cache"
     )
@@ -343,9 +292,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             executor=args.executor,
             kernel=args.kernel,
-            shards=args.shards,
-            verify_batch=args.verify_batch,
-            queue_dir=args.queue_dir,
             cache_dir=args.cache_dir,
             iterations=args.iterations,
             verification=args.verification,
@@ -375,15 +321,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     print(f"# total {timings.total:.3f}s "
           f"(propose {timings.seq_kclist + timings.decomposition:.3f}s, "
           f"prune {timings.prune:.3f}s, verify {timings.verification:.3f}s)")
-    sharded = f", {report.shards_used} shard(s)" if report.shards_used else ""
-    fanned = (
-        f", verify fan-out x{report.verify_batch_used}"
-        if report.verify_batch_used
-        else ""
-    )
     print(f"# engine: {pre.num_active_components}/{pre.num_components} components "
           f"solvable, {pre.num_skipped_components} skipped by bounds, "
-          f"{report.jobs_used} worker(s) via {report.executor}{sharded}{fanned}")
+          f"{report.jobs_used} worker(s) via {report.executor}")
     if pre.cache_state != "off":
         print(f"# cache: {pre.cache_state} ({pre.cache_seconds:.3f}s) "
               f"key={pre.cache_key[:16]}…")
@@ -632,43 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return server_app.main(argv)
 
 
-def _cmd_workers(args: argparse.Namespace) -> int:
-    """Run queue workers (in-process for one, subprocesses for several)."""
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
-    if args.jobs == 1:
-        try:
-            completed = worker_loop(
-                args.queue_dir,
-                poll_seconds=args.poll,
-                max_tasks=args.max_tasks,
-                exit_when_empty=args.exit_when_empty,
-            )
-        except KeyboardInterrupt:
-            return 0
-        print(f"completed {completed} task(s)", file=sys.stderr)
-        return 0
-    procs = [
-        spawn_worker(
-            args.queue_dir,
-            poll_seconds=args.poll,
-            exit_when_empty=args.exit_when_empty,
-            max_tasks=args.max_tasks,
-        )
-        for _ in range(args.jobs)
-    ]
-    try:
-        for proc in procs:
-            proc.wait()
-    except KeyboardInterrupt:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait()
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
@@ -691,8 +594,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_executors()
         if args.command == "kernels":
             return _cmd_kernels()
-        if args.command == "workers":
-            return _cmd_workers(args)
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "serve":

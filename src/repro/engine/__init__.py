@@ -12,13 +12,10 @@ Greedy / LDSflow / LTDS baselines — runs through this engine::
 The engine enumerates pattern instances once, splits the graph into
 connected components, bounds each component with the clique-core rules,
 skips components that provably cannot reach the top-k, and solves the rest
-on a pluggable execution backend — ``serial``, ``thread``, ``process``, or
-the file-backed ``queue`` drained by independent workers
-(``python -m repro.engine.worker``) — before merging through a
-deterministic global ordering.  When one component dominates the run,
-solvers with sharding support (``exact``) additionally split its candidate
-space into sub-tasks.  Output is bit-identical across every backend, jobs
-value, and shard count.
+as independent tasks on a pluggable execution backend — ``serial`` or a
+local ``process`` pool — before merging through a deterministic global
+ordering.  Output is bit-identical across both backends and every jobs
+value.
 """
 
 from .executors import (
@@ -46,7 +43,6 @@ from .request import (
     merge_key,
 )
 from .runtime import prepare_request, solve, solve_prepared
-from .sharding import ShardHooks
 from .solvers import (
     SolverSpec,
     available_solvers,
@@ -76,7 +72,6 @@ __all__ = [
     "solve",
     "solve_prepared",
     "SolverSpec",
-    "ShardHooks",
     "available_solvers",
     "get_solver",
     "register_solver",

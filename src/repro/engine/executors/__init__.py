@@ -2,9 +2,9 @@
 
 Mirrors the solver registry: backends register a subclass of
 :class:`~repro.engine.executors.base.Executor`, callers resolve them by
-name (``serial``, ``thread``, ``process``, ``queue``), and the runtime
-guarantees bit-identical output whichever backend runs the components —
-the CI executor matrix enforces that guarantee on every change.
+name (``serial`` or ``process``), and the runtime guarantees bit-identical
+output whichever backend runs the components — the CI executor matrix
+enforces that guarantee on every change.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .base import (
     execute_task,
     run_task_enveloped,
 )
-from .filequeue import QueueExecutor, worker_loop
 from .process import ProcessExecutor
 from .serial import SerialExecutor
-from .thread import ThreadExecutor
 
 _REGISTRY: Dict[str, Type[Executor]] = {}
 
@@ -66,9 +64,7 @@ def describe_executor(name: str) -> str:
 
 
 register_executor(SerialExecutor)
-register_executor(ThreadExecutor)
 register_executor(ProcessExecutor)
-register_executor(QueueExecutor)
 
 __all__ = [
     "EngineTask",
@@ -79,13 +75,10 @@ __all__ = [
     "TaskFailure",
     "execute_task",
     "run_task_enveloped",
-    "worker_loop",
     "register_executor",
     "get_executor",
     "available_executors",
     "describe_executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "QueueExecutor",
 ]

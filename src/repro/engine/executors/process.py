@@ -17,10 +17,11 @@ two-channel contract:
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .base import (
-    POOL_INFRA_EXCEPTIONS,
     ExecutionOutcome,
     Executor,
     ExecutorUnavailable,
@@ -43,7 +44,7 @@ class ProcessExecutor(Executor):
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 # map() yields in submission order: deterministic downstream.
                 envelopes = list(pool.map(run_task_enveloped, batch.tasks))
-        except POOL_INFRA_EXCEPTIONS as exc:
+        except (OSError, BrokenProcessPool, pickle.PicklingError) as exc:
             raise ExecutorUnavailable(
                 f"process pool unavailable ({type(exc).__name__}: {exc})"
             ) from exc

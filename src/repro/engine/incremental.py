@@ -72,16 +72,13 @@ from .runtime import prepare_request, solve_prepared
 
 
 #: Report keys excluded from :func:`report_signature`: work *placement*
-#: (results are bit-identical across executors, jobs, shards, verification
-#: fan-out, and kernels by the engine's matrix guarantee) plus wall-clock
-#: timings.  Everything else is covered by the incremental-equals-cold
-#: contract.
+#: (results are bit-identical across executors, jobs, and kernels by the
+#: engine's matrix guarantee) plus wall-clock timings.  Everything else is
+#: covered by the incremental-equals-cold contract.
 _PLACEMENT_REPORT_KEYS = (
     "jobs",
     "executor",
     "fallback_reason",
-    "shards",
-    "verify_batch",
     "kernel",
     "timings",
 )
@@ -190,8 +187,8 @@ class _ComponentState:
 
 
 #: Solver options that change per-component results; everything else
-#: (executor, jobs, shards, kernel, verification fan-out) only moves work
-#: and is bit-identical by the engine's matrix guarantee.
+#: (executor, jobs, kernel) only moves work and is bit-identical by the
+#: engine's matrix guarantee.
 _ConfigKey = Tuple[str, Optional[int], int, str, bool, str]
 
 

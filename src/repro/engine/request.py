@@ -46,24 +46,11 @@ class SolveRequest:
         the serial run for every value.
     executor:
         Name of a registered execution backend (see
-        :func:`repro.engine.available_executors`): ``serial``, ``thread``,
-        ``process``, or ``queue``.  ``None`` (default) resolves the
-        ``REPRO_EXECUTOR`` environment variable, then auto-selects
-        (``process`` when ``jobs`` and the component count both exceed one,
-        ``serial`` otherwise).  Output is bit-identical for every backend.
-    shards:
-        Intra-component parallelism for solvers that support it (currently
-        ``exact``): split the most expensive component's candidate space
-        into deterministic sub-tasks.  ``0`` (default) auto-shards into
-        ``jobs`` sub-tasks when that component's estimated cost dominates
-        the rest and ``jobs > 1``; ``1`` disables sharding; ``n >= 2``
-        forces ``n`` sub-tasks.  Sharded output is bit-identical to the
-        unsharded run.
-    queue_dir:
-        Directory backing the ``queue`` executor's task files.  ``None``
-        (default) uses a private temporary directory; point it at a shared
-        directory to let externally started workers
-        (``python -m repro.engine.worker --queue DIR``) claim tasks.
+        :func:`repro.engine.available_executors`): ``serial`` or
+        ``process``.  ``None`` (default) resolves the ``REPRO_EXECUTOR``
+        environment variable, then auto-selects (``process`` when ``jobs``
+        and the component count both exceed one, ``serial`` otherwise).
+        Output is bit-identical for every backend.
     cache_dir:
         Directory backing the warm preprocessed-index cache (see
         :mod:`repro.engine.cache`).  ``None`` (default) resolves the
@@ -71,23 +58,6 @@ class SolveRequest:
         directory, every solve preprocesses cold.  Cache-hit solves are
         bit-identical to cold solves — the cache only moves where the
         prepared components come from.
-    verify_batch:
-        Verification fan-out window for solvers that support it (currently
-        ``ippv``): the driver verifies up to this many priority-queue
-        candidates per dispatched batch instead of one at a time.  ``0``
-        (default) auto-enables a window of 8 on the dominant component
-        when ``jobs > 1``; ``1`` disables the fan-out; ``n >= 2`` forces a
-        window of ``n`` on every component.  Output — and the verification
-        statistics — are bit-identical for every window.
-    verify_executor / verify_jobs:
-        Backend name and worker count for the verification batches.  The
-        defaults (``None`` / ``0``) inherit the run's resolved executor
-        and ``jobs`` — except ``queue``, whose verification batches
-        default to the local ``process`` pool (dispatching them back into
-        the queue could starve when every worker is busy solving); set
-        ``verify_executor="queue"`` explicitly to ship batches to queue
-        workers.  Both can be overridden to, say, verify on threads while
-        components run in processes.
     kernel:
         Name of a registered kernel backend (see
         :func:`repro.kernels.available_kernels`): ``stdlib`` or ``numpy``.
@@ -113,12 +83,7 @@ class SolveRequest:
     solver: str = "ippv"
     jobs: int = 1
     executor: Optional[str] = None
-    shards: int = 0
-    queue_dir: Optional[str] = None
     cache_dir: Optional[str] = None
-    verify_batch: int = 0
-    verify_executor: Optional[str] = None
-    verify_jobs: int = 0
     kernel: Optional[str] = None
     iterations: int = 20
     verification: str = "fast"
@@ -132,16 +97,6 @@ class SolveRequest:
             raise EngineError(f"k must be positive (or None for all), got {self.k}")
         if self.jobs < 0:
             raise EngineError(f"jobs must be >= 0 (0 = one per CPU), got {self.jobs}")
-        if self.shards < 0:
-            raise EngineError(f"shards must be >= 0 (0 = auto, 1 = off), got {self.shards}")
-        if self.verify_batch < 0:
-            raise EngineError(
-                f"verify_batch must be >= 0 (0 = auto, 1 = off), got {self.verify_batch}"
-            )
-        if self.verify_jobs < 0:
-            raise EngineError(
-                f"verify_jobs must be >= 0 (0 = inherit jobs), got {self.verify_jobs}"
-            )
         if self.verification not in {"fast", "basic"}:
             raise EngineError(
                 f"verification must be 'fast' or 'basic', got {self.verification!r}"
@@ -161,21 +116,8 @@ class SolveRequest:
         return self.pattern.size
 
     def for_component(self, subgraph: Graph) -> "SolveRequest":
-        """A copy of the request scoped to one component (always serial).
-
-        The verification fan-out fields are reset to "off"; the runtime's
-        fan-out plan re-enables them — with the resolved backend and worker
-        count — on exactly the components it selects.
-        """
-        return dataclasses.replace(
-            self,
-            graph=subgraph,
-            jobs=1,
-            executor=None,
-            verify_batch=1,
-            verify_executor=None,
-            verify_jobs=1,
-        )
+        """A copy of the request scoped to one component (always serial)."""
+        return dataclasses.replace(self, graph=subgraph, jobs=1, executor=None)
 
 
 @dataclass
@@ -258,12 +200,6 @@ class SolveReport(LhCDSResult):
     #: spawn processes) the runtime falls back to ``serial``; this records
     #: why, so the fallback is never silent.  ``None`` means no fallback.
     fallback_reason: Optional[str] = None
-    #: Intra-component sub-tasks the dominant component was split into
-    #: (0 = the sharded path was not taken).
-    shards_used: int = 0
-    #: Verification fan-out window actually applied to IPPV components
-    #: (0 = the fan-out was off).
-    verify_batch_used: int = 0
     #: Kernel backend that ran the numeric inner loops.
     kernel: str = "stdlib"
     preprocessing: PreprocessStats = field(default_factory=PreprocessStats)
@@ -280,8 +216,6 @@ class SolveReport(LhCDSResult):
             "jobs": self.jobs_used,
             "executor": self.executor,
             "fallback_reason": self.fallback_reason,
-            "shards": self.shards_used,
-            "verify_batch": self.verify_batch_used,
             "kernel": self.kernel,
             "subgraphs": [
                 {

@@ -22,12 +22,9 @@ from .seq_kclist import WeightState, seq_kclist_plus_plus
 from .stable_groups import StableGroup, derive_stable_groups
 from .verify import (
     VerificationStats,
-    VerificationTask,
-    VerificationVerdict,
     compact_closure,
     derive_compact_subgraphs,
     is_densest,
-    make_verification_task,
     merge_verification_stats,
     verify_basic,
     verify_fast,
@@ -56,12 +53,9 @@ __all__ = [
     "StableGroup",
     "derive_stable_groups",
     "VerificationStats",
-    "VerificationTask",
-    "VerificationVerdict",
     "compact_closure",
     "derive_compact_subgraphs",
     "is_densest",
-    "make_verification_task",
     "merge_verification_stats",
     "verify_basic",
     "verify_fast",

@@ -79,23 +79,20 @@ def lhcds_at_level(
     graph: Graph,
     phi: Dict[Vertex, Fraction],
     rho: Fraction,
-) -> Iterator[Tuple[int, Set[Vertex]]]:
-    """Yield ``(discovery index, vertices)`` of every LhCDS at density ``rho``.
+) -> Iterator[Set[Vertex]]:
+    """Yield the vertices of every LhCDS at density ``rho``.
 
     A connected component of the level set ``{v : phi(v) = rho}`` is an
     LhCDS iff no member has a neighbour with a strictly larger compact
-    number.  The discovery index counts *all* components of the level (in
-    :func:`connected_components` order), so callers that partition levels
-    across workers can reconstruct this exact enumeration order — the one
-    shared definition both the direct path below and the engine's sharded
-    path (:mod:`repro.engine.sharding`) rely on for bit-identical output.
+    number.  Components come in :func:`connected_components` order, which
+    follows the graph's vertex order, so the enumeration is deterministic.
     """
     # A list, not a set: induced_subgraph canonicalises vertex order to the
     # parent graph's insertion order either way, but the level set never
     # needs to be unordered, and keeping dict order here makes the
     # enumeration order visibly independent of per-process hashing.
     level = [v for v, value in phi.items() if value == rho]
-    for seq, component in enumerate(connected_components(graph.induced_subgraph(level))):
+    for component in connected_components(graph.induced_subgraph(level)):
         touches_denser = any(
             phi.get(u, Fraction(0)) > rho
             for v in component
@@ -103,7 +100,7 @@ def lhcds_at_level(
             if u not in component
         )
         if not touches_denser:
-            yield seq, component
+            yield component
 
 
 def lhcds_from_compact_numbers(
@@ -132,7 +129,7 @@ def lhcds_from_compact_numbers(
     results: List[Tuple[Set[Vertex], Fraction]] = []
     values = sorted({v for v in phi.values() if v > 0}, reverse=True)
     for rho in values:
-        for _, component in lhcds_at_level(graph, phi, rho):
+        for component in lhcds_at_level(graph, phi, rho):
             results.append((component, rho))
     results.sort(key=lambda item: (-item[1], -len(item[0])))
     return results

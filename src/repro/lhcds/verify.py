@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..errors import AlgorithmError
 from ..flow.network import solve_compact_network
@@ -91,7 +91,7 @@ def derive_compact_subgraphs(
 ) -> Set[Vertex]:
     """Return the union of all maximal ``rho``-compact subgraphs (Theorem 5).
 
-    Implemented as ``DeriveCompact(G, rho - epsilon, âˆ…)`` with an epsilon
+    Implemented as ``DeriveCompact(G, rho - epsilon, ∅)`` with an epsilon
     small enough (``1/(2 n^2)``) that no subgraph of compactness < ``rho``
     can sneak into the maximiser.
     """
@@ -231,117 +231,3 @@ def verify_fast(
     if stats is not None:
         stats.flow_verifications += 1
     return _is_component_of(graph, subset, region)
-
-
-# ----------------------------------------------------------------------
-# self-contained verification tasks (the IPPV fan-out payload)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class VerificationVerdict:
-    """The outcome of one candidate's verification, plus its work counters.
-
-    ``stats`` is a *delta*: exactly the counters the serial driver would
-    have accumulated while examining this candidate.  The driver merges a
-    verdict's delta only when the verdict is actually consumed, so
-    speculative work never shows up in the reported statistics.
-    """
-
-    candidate: FrozenSet[Vertex]
-    densest: bool
-    verified: bool
-    stats: VerificationStats
-
-
-@dataclass(frozen=True)
-class VerificationTask:
-    """A picklable, self-contained verification of one candidate.
-
-    The task carries its own slice of the world: the subgraph induced on
-    the candidate's compact closure (the whole component for the ``basic``
-    verifier), the instance set restricted to that region, and the
-    compact-number bounds of the region's vertices.  Because ``IsDensest``
-    and both maximal-compactness verifiers only ever inspect the closure,
-    running them against the slice returns *exactly* the verdict — and
-    exactly the stats — the serial driver computes against the full
-    component, while the payload stays small enough to ship to a process
-    pool or a file-backed queue worker.
-    """
-
-    candidate: FrozenSet[Vertex]
-    graph: Graph
-    instances: InstanceSet
-    bounds: CompactBounds
-    mode: str = "fast"
-    #: Kernel backend *name* (picklable — resolved inside the worker), or
-    #: None for the worker's environment default.
-    kernel: Optional[str] = None
-
-    def run(self) -> VerificationVerdict:
-        """Execute the verification; mirrors one serial driver iteration."""
-        stats = VerificationStats()
-        stats.is_densest_calls += 1
-        densest = is_densest(self.instances, self.candidate, self.kernel)
-        verified = False
-        if densest:
-            if self.mode == "basic":
-                verified = verify_basic(
-                    self.graph,
-                    self.instances,
-                    self.candidate,
-                    stats=stats,
-                    kernel=self.kernel,
-                )
-            else:
-                verified = verify_fast(
-                    self.graph,
-                    self.instances,
-                    self.candidate,
-                    self.bounds,
-                    stats=stats,
-                    kernel=self.kernel,
-                )
-        return VerificationVerdict(
-            candidate=self.candidate, densest=densest, verified=verified, stats=stats
-        )
-
-
-def make_verification_task(
-    graph: Graph,
-    instances: InstanceSet,
-    bounds: CompactBounds,
-    candidate: Iterable[Vertex],
-    mode: str = "fast",
-    kernel: Optional[str] = None,
-) -> VerificationTask:
-    """Slice out everything one candidate's verification needs.
-
-    For the ``fast`` verifier the slice is the candidate's compact closure:
-    every vertex any stage of :func:`verify_fast` can touch lies inside it
-    (the short-circuit only rejects on neighbours ``u`` with
-    ``lower_of(u) > rho``, and such vertices satisfy ``upper_of(u) >= rho``,
-    so they are in the closure), and the closure is BFS-closed, so
-    recomputing it inside the slice reproduces the same set.  For the
-    ``basic`` verifier the slice is the whole (component) graph.
-    """
-    subset = frozenset(candidate)
-    if not subset:
-        raise AlgorithmError("cannot build a verification task for the empty candidate")
-    rho = Fraction(instances.count_within(subset), len(subset))
-    if mode == "basic":
-        region = set(graph.vertices())
-        region_graph = graph
-    else:
-        region = compact_closure(graph, bounds, set(subset), rho)
-        region_graph = graph.induced_subgraph(region)
-    sliced = CompactBounds(
-        lower={v: bounds.lower[v] for v in region if v in bounds.lower},
-        upper={v: bounds.upper[v] for v in region if v in bounds.upper},
-    )
-    return VerificationTask(
-        candidate=subset,
-        graph=region_graph,
-        instances=instances.restrict(region),
-        bounds=sliced,
-        mode=mode,
-        kernel=kernel,
-    )

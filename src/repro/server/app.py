@@ -24,13 +24,9 @@ Every ``/v1`` response is JSON in a uniform envelope: ``{"ok": true,
 "detail"}}`` on failure (4xx for client errors, 500 for internal failures
 — which never take the server down).  The accepted body keys for each
 POST route are served by ``GET /v1/spec`` and enumerated in the error
-detail when an unknown key is rejected.
-
-The unversioned routes of earlier releases (``/health``, ``/solve``, ...)
-remain as deprecated aliases: same bare (envelope-free) payloads as
-before, plus a ``Deprecation: true`` header and a ``Link`` header naming
-the ``/v1`` successor.  The delta/session endpoints exist only under
-``/v1``.
+detail when an unknown key is rejected.  ``GET /`` answers as
+``/v1/health``; any other path outside the table gets a 404 ``not_found``
+envelope.
 
 The server is a ``ThreadingHTTPServer``: introspection endpoints answer
 concurrently while the service serializes solves and delta applications
@@ -65,8 +61,7 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: API version segment for the current route namespace.
 API_VERSION = "v1"
 
-#: Introspection routes shared by ``/v1/<name>`` and the deprecated
-#: ``/<name>`` aliases: name -> (service) -> payload.
+#: Introspection routes ``GET /v1/<name>``: name -> (service) -> payload.
 _GET_ROUTES: Dict[str, Callable[[SolveService], Any]] = {
     "health": lambda service: {"status": "ok"},
     "solvers": lambda service: service.solvers(),
@@ -116,9 +111,6 @@ def api_spec() -> Dict[str, Any]:
         ]
     )
     routes.sort(key=lambda r: (r["path"], r["method"]))
-    deprecated = sorted(
-        [f"/{name}" for name in _GET_ROUTES] + ["/graphs", "/solve"]
-    )
     return {
         "api_version": API_VERSION,
         "envelope": {
@@ -129,10 +121,6 @@ def api_spec() -> Dict[str, Any]:
             },
         },
         "routes": routes,
-        "deprecated_aliases": [
-            {"path": path, "successor": f"/{API_VERSION}{path}"}
-            for path in deprecated
-        ],
     }
 
 
@@ -154,19 +142,11 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        payload: Any,
-        *,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _send_json(self, status: int, payload: Any) -> None:
         body = json.dumps(payload, indent=2, default=str).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -218,24 +198,6 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _dispatch_legacy(
-        self, successor: str, handler: Callable[[], Tuple[int, Any]]
-    ) -> None:
-        """Run a handler with the pre-v1 bare payloads and deprecation headers."""
-        headers = {
-            "Deprecation": "true",
-            "Link": f"<{successor}>; rel=\"successor-version\"",
-        }
-        try:
-            status, payload = handler()
-        except ServiceError as exc:
-            self._send_json(exc.status, {"error": str(exc)}, headers=headers)
-        except Exception as exc:  # defensive 500: the server keeps serving
-            self.service.record_internal_error()
-            self._send_json(500, {"error": f"internal error: {exc}"}, headers=headers)
-        else:
-            self._send_json(status, payload, headers=headers)
-
     @staticmethod
     def _segments(path: str) -> List[str]:
         """Decoded, non-empty path segments (query strings are not used)."""
@@ -244,54 +206,28 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
+    def _not_found(self) -> None:
+        self._send_v1_error(404, "not_found", f"unknown path {self.path!r}", None)
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        segments = self._segments(self.path)
-        if not segments:
-            segments = [API_VERSION, "health"]
-        if segments[0] == API_VERSION:
-            if len(segments) == 2 and segments[1] == "spec":
-                self._dispatch_v1(lambda: (200, api_spec()))
-                return
-            route = _GET_ROUTES.get(segments[1]) if len(segments) == 2 else None
-            if route is None:
-                self._send_v1_error(
-                    404, "not_found", f"unknown path {self.path!r}", None
-                )
-                return
+        segments = self._segments(self.path) or [API_VERSION, "health"]
+        if len(segments) != 2 or segments[0] != API_VERSION:
+            self._not_found()
+        elif segments[1] == "spec":
+            self._dispatch_v1(lambda: (200, api_spec()))
+        elif segments[1] in _GET_ROUTES:
+            route = _GET_ROUTES[segments[1]]
             self._dispatch_v1(lambda: (200, route(self.service)))
-            return
-        route = _GET_ROUTES.get(segments[0]) if len(segments) == 1 else None
-        if route is None:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._dispatch_legacy(
-            f"/{API_VERSION}/{segments[0]}",
-            lambda: (200, route(self.service)),
-        )
+        else:
+            self._not_found()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        segments = self._segments(self.path)
-        if segments and segments[0] == API_VERSION:
-            self._post_v1(segments[1:])
-            return
-        if segments == ["solve"]:
-            self._dispatch_legacy(
-                f"/{API_VERSION}/solve",
-                lambda: (200, self.service.solve(self._read_json_body())),
-            )
-        elif segments == ["graphs"]:
-            self._dispatch_legacy(
-                f"/{API_VERSION}/graphs",
-                lambda: (
-                    201,
-                    self.service.register_from_payload(self._read_json_body()),
-                ),
-            )
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
-
-    def _post_v1(self, segments: List[str]) -> None:
         service = self.service
+        segments = self._segments(self.path)
+        if not segments or segments[0] != API_VERSION:
+            self._not_found()
+            return
+        segments = segments[1:]
         if segments == ["solve"]:
             self._dispatch_v1(lambda: (200, service.solve(self._read_json_body())))
         elif segments == ["graphs"]:
@@ -309,7 +245,7 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
                 lambda: (200, service.solve_incremental(name, self._read_json_body()))
             )
         else:
-            self._send_v1_error(404, "not_found", f"unknown path {self.path!r}", None)
+            self._not_found()
 
 
 def create_server(

@@ -81,23 +81,22 @@ class ServiceError(ReproError):
         self.detail = detail
 
 
-#: Solve keys forwarded verbatim into :class:`SolveRequest`.
-_REQUEST_FIELDS = (
-    "k",
-    "solver",
-    "jobs",
-    "executor",
-    "shards",
-    "queue_dir",
-    "verify_batch",
-    "verify_executor",
-    "verify_jobs",
-    "kernel",
-    "iterations",
-    "verification",
-    "prune",
-    "prune_stats",
-)
+#: Solve keys forwarded verbatim into :class:`SolveRequest`, each with the
+#: JSON type its value must have and whether ``null`` is accepted too.
+_REQUEST_FIELDS: Dict[str, Tuple[type, bool]] = {
+    "k": (int, True),
+    "solver": (str, False),
+    "jobs": (int, False),
+    "executor": (str, True),
+    "kernel": (str, True),
+    "iterations": (int, False),
+    "verification": (str, False),
+    "prune": (bool, False),
+    "prune_stats": (bool, False),
+}
+
+#: How a type is named in a ``bad_solve_request`` message.
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 #: Every key ``POST /v1/solve`` understands.
 SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"graph", "dataset", "pattern", "h"}
@@ -109,9 +108,6 @@ SESSION_SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"pattern", "h"}
 DELTA_KEYS = frozenset(GraphDelta.json_keys())
 #: Every key ``POST /v1/graphs`` understands.
 REGISTER_KEYS = frozenset({"name", "dataset", "edges", "vertices", "replace"})
-
-#: Backwards-compatible alias (pre-v1 internal name).
-_SOLVE_KEYS = SOLVE_KEYS
 
 
 def validate_keys(payload: Any, accepted: frozenset, *, what: str = "request") -> None:
@@ -295,10 +291,30 @@ class SolveService:
 
     @staticmethod
     def _request_options(payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The :class:`SolveRequest` fields present in a validated payload."""
-        return {
-            field: payload[field] for field in _REQUEST_FIELDS if field in payload
-        }
+        """The :class:`SolveRequest` fields present in a validated payload.
+
+        Each value must have its field's JSON type (booleans are not
+        integers here), so a mistyped field is a 400 naming it rather than
+        an error deep inside the solve.
+        """
+        options = {}
+        for field, (expected, nullable) in _REQUEST_FIELDS.items():
+            if field not in payload:
+                continue
+            value = payload[field]
+            well_typed = isinstance(value, expected) and not (
+                expected is int and isinstance(value, bool)
+            )
+            if not well_typed and not (value is None and nullable):
+                allowed = _JSON_TYPE_NAMES[expected] + (" or null" if nullable else "")
+                raise ServiceError(
+                    f"bad solve request: {field!r} must be {allowed}, "
+                    f"got {type(value).__name__}",
+                    code="bad_solve_request",
+                    detail={"field": field},
+                )
+            options[field] = value
+        return options
 
     # ------------------------------------------------------------------
     # solving
@@ -506,8 +522,6 @@ class SolveService:
                     "exact": spec.exact,
                     "fixed_h": spec.fixed_h,
                     "requires_k": spec.requires_k,
-                    "verify_fanout": spec.verify_fanout,
-                    "sharding": spec.sharding is not None,
                 }
             )
         return rows

@@ -218,7 +218,7 @@ class TestBitIdentityColdVsWarm:
         "solver,h",
         [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matrix_cache_hit_identical_to_cold(self, tmp_path, solver, h, executor):
         root = str(tmp_path / "cache")
         graph = multi_component_graph()
@@ -241,18 +241,18 @@ class TestBitIdentityColdVsWarm:
         assert hit.fallback_reason is None
 
     @pytest.mark.parametrize("kernel", available_kernels())
-    def test_queue_backend_and_kernels_identical(self, tmp_path, kernel):
+    def test_process_backend_and_kernels_identical(self, tmp_path, kernel):
         root = str(tmp_path / "cache")
         graph = multi_component_graph()
         options = dict(pattern=3, k=4, solver="ippv", kernel=kernel)
         cold = solve(graph=graph, jobs=1, executor="serial", **options)
         solve(graph=graph, cache_dir=root, jobs=1, executor="serial", **options)
-        hit = solve(graph=graph, cache_dir=root, jobs=2, executor="queue", **options)
+        hit = solve(graph=graph, cache_dir=root, jobs=2, executor="process", **options)
         assert hit.preprocessing.cache_state in (STATE_HIT, STATE_HIT_MEMORY)
         assert signature(hit) == signature(cold)
         assert hit.verification == cold.verification
         assert hit.kernel == kernel
-        assert hit.executor == "queue"
+        assert hit.executor == "process"
 
     def test_disk_hit_across_cache_instances_identical(self, tmp_path):
         """A fresh process would load from disk: simulate with a new cache."""

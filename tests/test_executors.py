@@ -1,11 +1,10 @@
 """Tests for the pluggable execution backends: registry + env resolution,
-bit-identity across every backend (including the intra-component sharded
-path), the file-backed queue's claim/crash-retry protocol, the worker CLI,
-and the infrastructure-vs-solver failure split."""
+bit-identity across both backends, the removed backends and knobs, and the
+infrastructure-vs-solver failure split."""
 
 from __future__ import annotations
 
-import os
+import json
 import pickle
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from helpers import multi_component_graph, signature
 
 from repro.cli import main as cli_main
-from repro.datasets.synthetic import planted_communities_graph
 from repro.engine import (
     SolverSpec,
     available_executors,
@@ -23,35 +21,16 @@ from repro.engine import (
     solve,
     unregister_solver,
 )
-from repro.engine.executors import filequeue
-from repro.engine.executors.base import (
-    EngineTask,
-    ExecutorUnavailable,
-    TaskBatch,
-    run_task_enveloped,
-)
-from repro.engine.worker import main as worker_main
+from repro.engine.executors.base import EngineTask, run_task_enveloped
 from repro.errors import EngineError
 from repro.graph import complete_graph
 
-ALL_EXECUTORS = ("serial", "thread", "process", "queue")
-
-
-def _probe(task_id, payload):
-    return EngineTask(id=task_id, kind="probe", solver="", payload=(payload,))
-
-
-def _dominant_component_graph():
-    """One multi-level dense component that dwarfs everything else."""
-    graph, _ = planted_communities_graph(
-        [12, 10, 9], p_in=0.95, p_out=0.04, seed=21, background=12
-    )
-    return graph
+ALL_EXECUTORS = ("serial", "process")
 
 
 class TestRegistry:
-    def test_all_four_backends_registered(self):
-        assert available_executors() == ["process", "queue", "serial", "thread"]
+    def test_both_backends_registered(self):
+        assert available_executors() == ["process", "serial"]
         for name in available_executors():
             assert describe_executor(name)
             assert get_executor(name).name == name
@@ -62,10 +41,15 @@ class TestRegistry:
         with pytest.raises(EngineError, match="unknown executor"):
             solve(graph=complete_graph(4), pattern=3, k=1, executor="rocket")
 
+    @pytest.mark.parametrize("name", ["queue", "thread"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(EngineError, match="available: process, serial"):
+            solve(graph=complete_graph(4), pattern=3, k=1, executor=name)
+
     def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         report = solve(graph=complete_graph(4), pattern=3, k=1, solver="exact")
-        assert report.executor == "thread"
+        assert report.executor == "process"
 
     def test_invalid_env_variable_fails_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "not-a-backend")
@@ -73,15 +57,18 @@ class TestRegistry:
             solve(graph=complete_graph(4), pattern=3, k=1)
 
     def test_request_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         report = solve(
             graph=complete_graph(4), pattern=3, k=1, solver="exact", executor="serial"
         )
         assert report.executor == "serial"
 
-    def test_negative_shards_rejected(self):
-        with pytest.raises(EngineError, match="shards must be"):
-            solve(graph=complete_graph(4), pattern=3, k=1, shards=-1)
+    @pytest.mark.parametrize(
+        "knob", ["shards", "queue_dir", "verify_batch", "verify_executor", "verify_jobs"]
+    )
+    def test_removed_knobs_rejected(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            solve(graph=complete_graph(4), pattern=3, k=1, **{knob: 2})
 
 
 class TestBitIdentityAcrossBackends:
@@ -116,456 +103,6 @@ class TestBitIdentityAcrossBackends:
             graph=graph, pattern=3, k=None, solver="exact", jobs=2, executor=executor
         )
         assert signature(report) == signature(reference)
-
-
-class TestShardedPath:
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
-    @pytest.mark.parametrize("shards", [2, 3, 5])
-    def test_forced_sharding_bit_identical(self, executor, shards):
-        graph = _dominant_component_graph()
-        reference = solve(
-            graph=graph, pattern=3, k=5, solver="exact",
-            jobs=1, executor="serial", shards=1,
-        )
-        report = solve(
-            graph=graph, pattern=3, k=5, solver="exact",
-            jobs=2, executor=executor, shards=shards,
-        )
-        assert signature(report) == signature(reference)
-        assert report.executor == executor
-        assert report.shards_used >= 2
-
-    def test_auto_sharding_triggers_on_dominant_component(self):
-        graph = _dominant_component_graph()
-        serial = solve(graph=graph, pattern=3, k=5, solver="exact", jobs=1, shards=1)
-        auto = solve(
-            graph=graph, pattern=3, k=5, solver="exact", jobs=4, executor="process"
-        )
-        assert auto.shards_used > 0
-        assert signature(auto) == signature(serial)
-
-    def test_shards_one_disables(self):
-        graph = _dominant_component_graph()
-        report = solve(
-            graph=graph, pattern=3, k=5, solver="exact",
-            jobs=4, executor="process", shards=1,
-        )
-        assert report.shards_used == 0
-
-    def test_sharding_ignored_without_hooks(self):
-        graph = _dominant_component_graph()
-        report = solve(graph=graph, pattern=3, k=5, solver="ippv", jobs=2, shards=4)
-        assert report.shards_used == 0
-
-    def test_sharding_with_k_none(self):
-        graph = _dominant_component_graph()
-        reference = solve(graph=graph, pattern=3, k=None, solver="exact", shards=1)
-        report = solve(
-            graph=graph, pattern=3, k=None, solver="exact",
-            jobs=2, executor="thread", shards=3,
-        )
-        assert signature(report) == signature(reference)
-
-    def test_sharding_on_multi_component_graph(self):
-        # Sharding composes with component skipping and the global merge.
-        graph = multi_component_graph()
-        reference = solve(graph=graph, pattern=3, k=4, solver="exact", shards=1)
-        report = solve(
-            graph=graph, pattern=3, k=4, solver="exact",
-            jobs=2, executor="thread", shards=2,
-        )
-        assert signature(report) == signature(reference)
-
-
-class TestQueueProtocol:
-    def test_claim_is_exclusive_and_ordered(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        for index in range(3):
-            filequeue.write_task(root, _probe(f"t{index}", {"value": index}))
-        first = filequeue.claim_next(root, os.getpid())
-        assert first is not None and first[0].id == "t0"
-        second = filequeue.claim_next(root, os.getpid())
-        assert second is not None and second[0].id == "t1"
-
-    def test_worker_loop_drains_and_publishes(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        for index in range(4):
-            filequeue.write_task(root, _probe(f"t{index}", {"value": index * 10}))
-        completed = filequeue.worker_loop(root, exit_when_empty=True)
-        assert completed == 4
-        for index in range(4):
-            envelope = filequeue.try_load_result(root, f"t{index}")
-            assert envelope == ("ok", index * 10)
-
-    def test_reclaim_stale_requeues_dead_claims(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        task = _probe("t0", {"value": 1})
-        filequeue.write_task(root, task)
-        claimed = filequeue.claim_next(root, pid=2 ** 22 + 12345)  # surely dead
-        assert claimed is not None
-        assert filequeue.claim_next(root, os.getpid()) is None  # queue now empty
-        requeued = filequeue.reclaim_stale(root)
-        assert requeued == ["t0"]
-        reclaimed = filequeue.claim_next(root, os.getpid())
-        assert reclaimed is not None and reclaimed[0].id == "t0"
-
-    def test_reclaim_leaves_live_claims_alone(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("t0", {"value": 1}))
-        assert filequeue.claim_next(root, os.getpid()) is not None
-        assert filequeue.reclaim_stale(root) == []
-
-    def test_foreign_host_claims_reclaimed_by_lease_not_pid(self, tmp_path):
-        # A claim from another machine carries a pid that means nothing
-        # here: it must be left alone while its lease is fresh (even if the
-        # pid is dead locally) and requeued once the lease expires.
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("t0", {"value": 1}))
-        claim = os.path.join(root, "claimed", f"t0{filequeue.TASK_SUFFIX}.otherbox.99999999")
-        os.rename(os.path.join(root, "tasks", f"t0{filequeue.TASK_SUFFIX}"), claim)
-        assert filequeue.reclaim_stale(root, lease_seconds=60) == []
-        stale = os.path.getmtime(claim) - 120
-        os.utime(claim, (stale, stale))
-        assert filequeue.reclaim_stale(root, lease_seconds=60) == ["t0"]
-        reclaimed = filequeue.claim_next(root, os.getpid())
-        assert reclaimed is not None and reclaimed[0].id == "t0"
-
-    def test_spawn_disabled_leaves_tasks_to_external_workers(self, tmp_path, monkeypatch):
-        import threading
-
-        monkeypatch.setenv("REPRO_QUEUE_SPAWN", "0")
-        root = str(tmp_path / "queue")
-        filequeue.ensure_queue(root)
-        external = threading.Thread(
-            target=filequeue.worker_loop,
-            args=(root,),
-            kwargs={"poll_seconds": 0.02, "max_tasks": 2},
-            daemon=True,
-        )
-        external.start()
-        batch = TaskBatch(
-            tasks=[_probe("a", {"value": 1}), _probe("b", {"value": 2})],
-            jobs=3,
-            queue_dir=root,
-        )
-        outcome = get_executor("queue").run(batch)
-        external.join(timeout=10)
-        assert outcome.results == [1, 2]
-        # No coordinator-spawned worker ever started (they log to workers.log).
-        assert not os.path.exists(os.path.join(root, "workers.log"))
-
-    def test_invalid_queue_timeout_is_engine_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE_TIMEOUT", "5m")
-        batch = TaskBatch(
-            tasks=[_probe("t0", {"value": 1})], jobs=1, queue_dir=str(tmp_path / "q")
-        )
-        with pytest.raises(EngineError, match="REPRO_QUEUE_TIMEOUT"):
-            get_executor("queue").run(batch)
-
-    def test_crash_retry_end_to_end(self, tmp_path):
-        """A task that kills its first worker is requeued and succeeds."""
-        root = str(tmp_path / "queue")
-        marker = str(tmp_path / "crashed-once")
-        batch = TaskBatch(
-            tasks=[
-                _probe("crashy", {"crash_unless": marker, "value": "recovered"}),
-                _probe("steady", {"value": "fine"}),
-            ],
-            jobs=1,
-            queue_dir=root,
-        )
-        outcome = get_executor("queue").run(batch)
-        assert outcome.results == ["recovered", "fine"]
-        assert os.path.exists(marker)
-
-    def test_repeated_crashes_become_infrastructure_failure(self, tmp_path):
-        # With the retry budget lowered to one attempt, the first worker
-        # crash already exhausts it: the batch must fail as infrastructure
-        # (ExecutorUnavailable -> serial fallback in the runtime) instead of
-        # looping on respawned workers.
-        root = str(tmp_path / "queue")
-        executor = get_executor("queue")
-        executor.max_attempts = 1
-        marker = str(tmp_path / "crash-marker")
-        batch = TaskBatch(
-            tasks=[_probe("crashy", {"crash_unless": marker, "value": "x"})],
-            jobs=1,
-            queue_dir=root,
-        )
-        with pytest.raises(ExecutorUnavailable, match="crashed its worker"):
-            executor.run(batch)
-
-    def test_solver_error_crosses_the_queue(self, tmp_path):
-        batch = TaskBatch(
-            tasks=[_probe("boom", {"raise": "intentional kaboom"})],
-            jobs=1,
-            queue_dir=str(tmp_path / "queue"),
-        )
-        with pytest.raises(EngineError, match="intentional kaboom"):
-            get_executor("queue").run(batch)
-
-    def test_shared_directory_is_cleaned_up(self, tmp_path):
-        root = str(tmp_path / "queue")
-        graph = multi_component_graph()
-        report = solve(
-            graph=graph, pattern=3, k=4, solver="exact",
-            jobs=2, executor="queue", queue_dir=root,
-        )
-        assert report.executor == "queue"
-        for sub in ("tasks", "claimed", "results"):
-            assert os.listdir(os.path.join(root, sub)) == []
-
-    def test_worker_module_cli(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("t0", {"value": 7}))
-        assert worker_main(["--queue", root, "--exit-when-empty"]) == 0
-        assert filequeue.try_load_result(root, "t0") == ("ok", 7)
-
-    def test_workers_subcommand(self, tmp_path):
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        for index in range(3):
-            filequeue.write_task(root, _probe(f"t{index}", {"value": index}))
-        assert cli_main(["workers", "--queue-dir", root, "--exit-when-empty"]) == 0
-        for index in range(3):
-            assert filequeue.try_load_result(root, f"t{index}") == ("ok", index)
-
-    def test_workers_subcommand_creates_fresh_directory(self, tmp_path):
-        # Attaching multiple workers to a queue directory that does not
-        # exist yet must create it, not crash on the missing log file.
-        root = str(tmp_path / "fresh")
-        assert cli_main(
-            ["workers", "--queue-dir", root, "--jobs", "2", "--exit-when-empty"]
-        ) == 0
-        for sub in ("tasks", "claimed", "results"):
-            assert os.path.isdir(os.path.join(root, sub))
-
-
-class TestVerificationFanout:
-    """The IPPV verification fan-out: bit-identical output *and* identical
-    verification statistics for every backend x jobs x window combination
-    (the tentpole acceptance criterion)."""
-
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("window", [1, 8])
-    def test_ippv_fanout_bit_identical(self, executor, jobs, window):
-        graph = multi_component_graph()
-        reference = solve(
-            graph=graph, pattern=3, k=4, solver="ippv",
-            jobs=1, executor="serial", verify_batch=1,
-        )
-        report = solve(
-            graph=graph, pattern=3, k=4, solver="ippv",
-            jobs=jobs, executor=executor, verify_batch=window,
-        )
-        assert signature(report) == signature(reference)
-        assert report.executor == executor
-        assert report.fallback_reason is None
-        assert report.verify_batch_used == (window if window >= 2 else 0)
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_verification_stats_identical_serial_vs_fanout(self, executor):
-        # k=None keeps the serial run from early-stopping whole components,
-        # so both runs must do — and report — *exactly* the same
-        # verification work, in the same order.
-        graph = _dominant_component_graph()
-        reference = solve(
-            graph=graph, pattern=3, k=None, solver="ippv",
-            jobs=1, executor="serial", verify_batch=1,
-        )
-        fanned = solve(
-            graph=graph, pattern=3, k=None, solver="ippv",
-            jobs=4, executor=executor, verify_batch=8,
-        )
-        assert signature(fanned) == signature(reference)
-        assert fanned.verification == reference.verification
-        assert fanned.candidates_examined == reference.candidates_examined
-
-    def test_auto_fanout_triggers_on_dominant_component(self):
-        graph = _dominant_component_graph()
-        serial = solve(
-            graph=graph, pattern=3, k=5, solver="ippv", jobs=1, verify_batch=1
-        )
-        auto = solve(
-            graph=graph, pattern=3, k=5, solver="ippv", jobs=4, executor="process"
-        )
-        assert auto.verify_batch_used > 0
-        assert signature(auto) == signature(serial)
-
-    def test_fanout_not_planned_without_dominant_component(self):
-        # Component parallelism already covers this graph, so the auto
-        # plan must stay off (and the field must say so).
-        graph = multi_component_graph()
-        report = solve(graph=graph, pattern=3, k=4, solver="ippv", jobs=4)
-        assert report.verify_batch_used == 0
-
-    def test_fanout_ignored_by_solvers_without_support(self):
-        graph = multi_component_graph()
-        report = solve(
-            graph=graph, pattern=3, k=4, solver="exact", jobs=2, verify_batch=8
-        )
-        assert report.verify_batch_used == 0
-
-    def test_verify_executor_override(self):
-        # Components on the serial backend, verification batches on threads.
-        graph = _dominant_component_graph()
-        reference = solve(
-            graph=graph, pattern=3, k=5, solver="ippv", jobs=1, verify_batch=1
-        )
-        report = solve(
-            graph=graph, pattern=3, k=5, solver="ippv",
-            jobs=1, executor="serial",
-            verify_batch=4, verify_executor="thread", verify_jobs=2,
-        )
-        assert report.executor == "serial"
-        assert report.verify_batch_used == 4
-        assert signature(report) == signature(reference)
-
-    def test_invalid_verify_parameters_rejected(self):
-        with pytest.raises(EngineError, match="verify_batch must be"):
-            solve(graph=complete_graph(4), pattern=3, k=1, verify_batch=-1)
-        with pytest.raises(EngineError, match="verify_jobs must be"):
-            solve(graph=complete_graph(4), pattern=3, k=1, verify_jobs=-2)
-        with pytest.raises(EngineError, match="unknown verify executor"):
-            solve(
-                graph=complete_graph(4), pattern=3, k=1, solver="ippv",
-                verify_batch=2, verify_executor="rocket",
-            )
-
-    def test_json_report_carries_verify_batch(self):
-        graph = _dominant_component_graph()
-        report = solve(
-            graph=graph, pattern=3, k=5, solver="ippv",
-            jobs=2, executor="thread", verify_batch=2,
-        )
-        assert report.to_json_dict()["verify_batch"] == 2
-
-
-class TestLeaseRenewal:
-    """Queue lease renewal: a task outliving ``REPRO_QUEUE_LEASE`` keeps its
-    claim alive through the worker heartbeat, so it is never reclaimed —
-    and never executed twice — while its worker is healthy."""
-
-    def test_slow_task_with_short_lease_runs_exactly_once(self, tmp_path, monkeypatch):
-        # The acceptance scenario: REPRO_QUEUE_LEASE=2 and a task sleeping
-        # past the lease completes exactly once with renewal enabled.
-        import threading
-
-        monkeypatch.setenv("REPRO_QUEUE_LEASE", "2")
-        monkeypatch.setenv("REPRO_QUEUE_SPAWN", "0")
-        monkeypatch.delenv("REPRO_QUEUE_HEARTBEAT", raising=False)
-        root = str(tmp_path / "queue")
-        filequeue.ensure_queue(root)
-        marker = str(tmp_path / "executions")
-        # A foreign-host worker: its pid cannot be probed, so only the
-        # lease protects its claim — the exact scenario of the bug.
-        worker = threading.Thread(
-            target=filequeue.worker_loop,
-            args=(root,),
-            kwargs=dict(poll_seconds=0.02, max_tasks=1, hostname="otherbox"),
-            daemon=True,
-        )
-        worker.start()
-        batch = TaskBatch(
-            tasks=[_probe("slow", {"sleep": 3.0, "append_to": marker, "value": "done"})],
-            jobs=1,
-            queue_dir=root,
-        )
-        outcome = get_executor("queue").run(batch)
-        worker.join(timeout=15)
-        assert outcome.results == ["done"]
-        assert outcome.retries == 0  # attempts stayed at 1
-        with open(marker, encoding="utf-8") as handle:
-            assert len(handle.readlines()) == 1
-
-    def test_running_claim_reclaimed_without_heartbeat(self, tmp_path):
-        # The pre-renewal behaviour, pinned down: with the heartbeat
-        # disabled, a still-running task's claim expires mid-flight and the
-        # coordinator requeues it — the duplicate-execution bug.
-        import threading
-        import time
-
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("slow", {"sleep": 1.2, "value": 1}))
-        worker = threading.Thread(
-            target=filequeue.worker_loop,
-            args=(root,),
-            kwargs=dict(
-                poll_seconds=0.02, max_tasks=1, hostname="otherbox", heartbeat=0
-            ),
-            daemon=True,
-        )
-        worker.start()
-        time.sleep(0.5)
-        assert filequeue.reclaim_stale(root, lease_seconds=0.3) == ["slow"]
-        worker.join(timeout=10)
-
-    def test_heartbeat_keeps_running_claim_alive(self, tmp_path):
-        import threading
-        import time
-
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("slow", {"sleep": 1.2, "value": 1}))
-        worker = threading.Thread(
-            target=filequeue.worker_loop,
-            args=(root,),
-            kwargs=dict(
-                poll_seconds=0.02, max_tasks=1, hostname="otherbox", heartbeat=0.05
-            ),
-            daemon=True,
-        )
-        worker.start()
-        time.sleep(0.5)
-        # Same lease as above — but the claim's mtime is fresh, so the
-        # coordinator leaves the running task alone.
-        assert filequeue.reclaim_stale(root, lease_seconds=0.3) == []
-        worker.join(timeout=10)
-        assert filequeue.try_load_result(root, "slow") == ("ok", 1)
-
-    def test_freshly_claimed_backlogged_task_gets_a_fresh_lease(self, tmp_path):
-        # rename() preserves mtime, so without the claim-time stamp a task
-        # that waited in tasks/ longer than the lease looked stale the
-        # moment it was claimed — and was reclaimed (and re-run) before
-        # the worker's first heartbeat.
-        root = str(tmp_path)
-        filequeue.ensure_queue(root)
-        filequeue.write_task(root, _probe("t0", {"value": 1}))
-        task_path = os.path.join(root, "tasks", f"t0{filequeue.TASK_SUFFIX}")
-        backlogged = os.path.getmtime(task_path) - 600
-        os.utime(task_path, (backlogged, backlogged))
-        assert filequeue.claim_next(root, pid=99999999, hostname="otherbox") is not None
-        assert filequeue.reclaim_stale(root, lease_seconds=60) == []
-
-    def test_heartbeat_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE_LEASE", "8")
-        monkeypatch.delenv("REPRO_QUEUE_HEARTBEAT", raising=False)
-        assert filequeue.queue_heartbeat_seconds() == 2.0  # lease / 4
-        monkeypatch.setenv("REPRO_QUEUE_HEARTBEAT", "0")
-        assert filequeue.queue_heartbeat_seconds() == 0.0
-        monkeypatch.setenv("REPRO_QUEUE_HEARTBEAT", "")
-        assert filequeue.queue_heartbeat_seconds() == 2.0
-        # Explicit positives are floored (no spinning on a shared mount);
-        # negatives are rejected instead of silently disabling renewal.
-        monkeypatch.setenv("REPRO_QUEUE_HEARTBEAT", "0.001")
-        assert filequeue.queue_heartbeat_seconds() == filequeue.MIN_HEARTBEAT_SECONDS
-        monkeypatch.setenv("REPRO_QUEUE_HEARTBEAT", "-1")
-        with pytest.raises(EngineError, match="REPRO_QUEUE_HEARTBEAT"):
-            filequeue.queue_heartbeat_seconds()
-        monkeypatch.setenv("REPRO_QUEUE_HEARTBEAT", "fast")
-        with pytest.raises(EngineError, match="REPRO_QUEUE_HEARTBEAT"):
-            filequeue.queue_heartbeat_seconds()
-        monkeypatch.setenv("REPRO_QUEUE_LEASE", "never")
-        with pytest.raises(EngineError, match="REPRO_QUEUE_LEASE"):
-            filequeue.queue_lease_seconds()
 
 
 class TestFailureChannels:
@@ -620,7 +157,7 @@ class TestFailureChannels:
         assert report.executor == "serial"
         assert "PicklingError" in report.fallback_reason
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
     def test_solver_exception_raises_engine_error_not_silent_retry(self, executor):
         def exploding_solver(component, request):
             raise ValueError("solver bug 0xdead")
@@ -649,13 +186,13 @@ class TestFailureChannels:
             unregister_solver("never-registered")
 
     def test_task_failure_envelope_round_trips(self):
-        envelope = run_task_enveloped(_probe("t0", {"raise": "inner detail"}))
-        status, failure = envelope
+        task = EngineTask(id="t0", kind="solve", solver="no-such-solver", payload=(None, None))
+        status, failure = run_task_enveloped(task)
         assert status == "error"
         rebuilt = pickle.loads(pickle.dumps(failure))
-        assert rebuilt.error_type == "RuntimeError"
-        assert "inner detail" in rebuilt.message
-        with pytest.raises(EngineError, match="inner detail"):
+        assert rebuilt.error_type == "EngineError"
+        assert "no-such-solver" in rebuilt.message
+        with pytest.raises(EngineError, match="no-such-solver"):
             rebuilt.raise_as_engine_error()
 
 
@@ -663,37 +200,37 @@ class TestReportSurface:
     def test_report_records_backend_and_no_fallback(self):
         graph = multi_component_graph()
         report = solve(graph=graph, pattern=3, k=2, solver="exact", jobs=2,
-                       executor="thread", shards=1)
-        assert report.executor == "thread"
+                       executor="process")
+        assert report.executor == "process"
         assert report.fallback_reason is None
         payload = report.to_json_dict()
-        assert payload["executor"] == "thread"
+        assert payload["executor"] == "process"
         assert payload["fallback_reason"] is None
-        assert payload["shards"] == 0
+        assert "shards" not in payload and "verify_batch" not in payload
 
     def test_cli_executor_flag(self, capsys):
         assert cli_main(
-            ["topk", "--dataset", "HA", "--k", "2", "--executor", "thread",
+            ["topk", "--dataset", "HA", "--k", "2", "--executor", "process",
              "--jobs", "2", "--json"]
         ) == 0
-        import json
-
         payload = json.loads(capsys.readouterr().out)
-        assert payload["executor"] == "thread"
+        assert payload["executor"] == "process"
 
-    def test_cli_verify_batch_flag(self, capsys):
-        assert cli_main(
-            ["topk", "--dataset", "HA", "--k", "2", "--solver", "ippv",
-             "--executor", "thread", "--jobs", "2", "--verify-batch", "2", "--json"]
-        ) == 0
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verify_batch"] == 2
-        assert payload["executor"] == "thread"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topk", "--dataset", "HA", "--shards", "2"],
+            ["topk", "--dataset", "HA", "--verify-batch", "2"],
+            ["topk", "--dataset", "HA", "--queue-dir", "d"],
+            ["workers"],
+        ],
+    )
+    def test_cli_removed_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
 
     def test_cli_executors_subcommand(self, capsys):
         assert cli_main(["executors"]) == 0
-        out = capsys.readouterr().out
-        for name in ("serial", "thread", "process", "queue"):
-            assert name in out
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["process", "serial"]

@@ -134,7 +134,7 @@ class TestInducedSubgraph:
     def test_induced_subgraph_order_is_canonical(self):
         """The subgraph's vertex order follows the *parent* insertion order,
         whatever order (or container) the argument iterates in — component
-        enumeration and sharding discovery indices depend on it."""
+        enumeration depends on it."""
         g = Graph(edges=[("a", "b"), ("c", "d"), ("e", "f")])
         reference = g.induced_subgraph(["a", "b", "c", "d", "e"]).vertices()
         assert reference == ["a", "b", "c", "d", "e"]

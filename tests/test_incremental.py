@@ -127,7 +127,7 @@ class TestBitIdentityRandomized:
 
 
 class TestExecutorKernelMatrix:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("kernel", available_kernels())
     def test_matrix_bit_identity(self, executor, kernel):
         graph = multi_component_graph()

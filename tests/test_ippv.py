@@ -264,44 +264,3 @@ class TestExactEarlyStop:
         result = ippv.run(1)
         assert result.candidates_examined == 1
         assert sorted(result.subgraphs[0].vertices) == [10, 11, 12]
-
-
-class TestVerificationFanout:
-    """The driver-level fan-out (no engine): batched verification through an
-    execution backend is bit-identical to the serial pop-verify loop,
-    including the verification statistics."""
-
-    @pytest.mark.parametrize("mode", ["fast", "basic"])
-    def test_fanout_matches_serial(self, figure2, mode):
-        serial = IPPV(figure2, 3, IPPVConfig(verification=mode)).run(2)
-        config = IPPVConfig(
-            verification=mode, verify_executor="thread", verify_batch=4, verify_jobs=2
-        )
-        fanned = IPPV(figure2, 3, config).run(2)
-        assert [(frozenset(s.vertices), s.density) for s in fanned.subgraphs] == [
-            (frozenset(s.vertices), s.density) for s in serial.subgraphs
-        ]
-        assert fanned.verification == serial.verification
-        assert fanned.candidates_examined == serial.candidates_examined
-
-    def test_verification_task_is_picklable_and_self_contained(self, figure2):
-        import pickle
-
-        from repro.cliques import clique_instances
-        from repro.lhcds.bounds import initialize_bounds
-        from repro.lhcds.verify import is_densest, make_verification_task, verify_fast
-
-        instances = clique_instances(figure2, 3)
-        bounds, _ = initialize_bounds(instances, figure2.vertices())
-        candidate = frozenset(range(12, 18))
-        task = pickle.loads(
-            pickle.dumps(
-                make_verification_task(figure2, instances, bounds, candidate)
-            )
-        )
-        # The slice never exceeds the compact closure.
-        assert candidate <= set(task.graph.vertices())
-        verdict = task.run()
-        assert verdict.candidate == candidate
-        assert verdict.densest == is_densest(instances, candidate)
-        assert verdict.verified == verify_fast(figure2, instances, candidate, bounds)

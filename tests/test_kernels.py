@@ -7,7 +7,6 @@ kernels up through the engine."""
 from __future__ import annotations
 
 import importlib.util
-import pickle
 import random
 from array import array
 from fractions import Fraction
@@ -39,7 +38,6 @@ from repro.kernels import (
     resolve_kernel,
 )
 from repro.lhcds.seq_kclist import seq_kclist_plus_plus
-from repro.lhcds.verify import make_verification_task
 
 NUMPY = importlib.util.find_spec("numpy") is not None
 needs_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
@@ -414,7 +412,7 @@ class TestEngineKernelMatrix:
         reference = solve(graph=graph, pattern=3, k=4, solver="ippv", kernel="stdlib")
         report = solve(
             graph=graph, pattern=3, k=4, solver="ippv",
-            kernel="numpy", jobs=2, executor="process", verify_batch=4,
+            kernel="numpy", jobs=2, executor="process",
         )
         assert signature(report) == signature(reference)
         assert report.kernel == "numpy"
@@ -445,21 +443,6 @@ class TestEngineKernelMatrix:
             solver="exact", kernel="stdlib",
         )
         assert report.kernel == "stdlib"
-
-    def test_verification_task_pickles_with_kernel(self):
-        from repro.cliques import clique_instances
-        from repro.graph import complete_graph
-        from repro.lhcds.bounds import initialize_bounds
-
-        graph = complete_graph(5)
-        inst = clique_instances(graph, 3)
-        bounds, _ = initialize_bounds(inst, graph.vertices())
-        task = make_verification_task(
-            graph, inst, bounds, frozenset(graph.vertices()), kernel="stdlib"
-        )
-        rebuilt = pickle.loads(pickle.dumps(task))
-        assert rebuilt.kernel == "stdlib"
-        assert rebuilt.run() == task.run()
 
     def test_cli_kernels_subcommand(self, capsys):
         assert cli_main(["kernels"]) == 0

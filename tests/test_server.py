@@ -120,6 +120,55 @@ class TestSolveSurface:
         with pytest.raises(ServiceError, match="bad 'h'"):
             service.solve({"graph": "toy", "k": 1, "h": "three"})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("jobs", 1.5),
+            ("executor", 3),
+            ("kernel", 3),
+            ("solver", 3),
+            ("prune", "no"),
+            ("k", True),
+            ("iterations", "20"),
+            ("verification", None),
+            ("prune_stats", 1),
+        ],
+    )
+    def test_mistyped_fields_are_400_on_both_endpoints(self, service, field, value):
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        calls = (
+            lambda body: service.solve({"graph": "toy", **body}),
+            lambda body: service.solve_incremental("toy", body),
+        )
+        for call in calls:
+            with pytest.raises(ServiceError, match=repr(field)) as excinfo:
+                call({"k": 1, field: value})
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_solve_request"
+            assert excinfo.value.detail == {"field": field}
+        assert service.stats()["counters"]["errors"] == 0
+
+    def test_null_accepted_where_documented(self, service):
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        body = {"k": None, "executor": None, "kernel": None}
+        assert service.solve({"graph": "toy", **body})["subgraphs"]
+        assert service.solve_incremental("toy", body)["subgraphs"]
+
+    @pytest.mark.parametrize(
+        "key", ["shards", "queue_dir", "verify_batch", "verify_executor", "verify_jobs"]
+    )
+    def test_removed_parallel_knobs_are_unknown_keys(self, service, key):
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        for call in (
+            lambda: service.solve({"graph": "toy", "k": 1, key: 2}),
+            lambda: service.solve_incremental("toy", {"k": 1, key: 2}),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "unknown_key"
+            assert excinfo.value.detail["unknown"] == [key]
+
     def test_dataset_solve_lazily_registers(self, service):
         abbreviation = service.datasets()[0]
         response = service.solve({"dataset": abbreviation, "k": 2})
@@ -147,7 +196,7 @@ class TestSolveSurface:
         "solver,h",
         [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_served_solve_identical_to_cold(self, service, solver, h, executor):
         graph = multi_component_graph()
         service.register_graph("toy", edges=_edge_payload(graph))
@@ -243,45 +292,53 @@ def http_server(tmp_path):
 class TestHTTPServer:
     def test_health_and_introspection_routes(self, http_server):
         base, _service = http_server
-        status, body = _request(base, "GET", "/health")
-        assert (status, body) == (200, {"status": "ok"})
-        status, solvers = _request(base, "GET", "/solvers")
+        for path in ("/", "/v1/health"):
+            status, body = _request(base, "GET", path)
+            assert (status, body) == (200, {"ok": True, "data": {"status": "ok"}})
+        status, body = _request(base, "GET", "/v1/solvers")
         assert status == 200
-        assert {"ippv", "exact", "greedy"} <= {s["name"] for s in solvers}
-        status, executors = _request(base, "GET", "/executors")
-        assert {"serial", "thread", "process", "queue"} <= {
-            e["name"] for e in executors
-        }
-        status, kernels = _request(base, "GET", "/kernels")
-        assert "stdlib" in {k["name"] for k in kernels}
-        status, datasets = _request(base, "GET", "/datasets")
-        assert status == 200 and datasets
+        assert {"ippv", "exact", "greedy"} <= {s["name"] for s in body["data"]}
+        status, body = _request(base, "GET", "/v1/executors")
+        assert [e["name"] for e in body["data"]] == ["process", "serial"]
+        status, body = _request(base, "GET", "/v1/kernels")
+        assert "stdlib" in {k["name"] for k in body["data"]}
+        status, body = _request(base, "GET", "/v1/datasets")
+        assert status == 200 and body["data"]
 
     def test_unknown_paths_are_404(self, http_server):
         base, _service = http_server
-        assert _request(base, "GET", "/nope")[0] == 404
-        assert _request(base, "POST", "/nope", {})[0] == 404
+        for method, path, payload in (
+            ("GET", "/nope", None),
+            ("GET", "/health", None),
+            ("POST", "/nope", {}),
+            ("POST", "/graphs", {"name": "x", "edges": [[0, 1]]}),
+        ):
+            status, body = _request(base, method, path, payload)
+            assert status == 404
+            assert body["ok"] is False and body["error"]["code"] == "not_found"
 
     def test_register_solve_round_trip(self, http_server):
         base, _service = http_server
         graph = multi_component_graph()
-        status, record = _request(
-            base, "POST", "/graphs", {"name": "toy", "edges": _edge_payload(graph)}
+        status, body = _request(
+            base, "POST", "/v1/graphs", {"name": "toy", "edges": _edge_payload(graph)}
         )
         assert status == 201
-        assert record["vertices"] == graph.num_vertices
+        assert body["data"]["vertices"] == graph.num_vertices
 
         status, _body = _request(
-            base, "POST", "/graphs", {"name": "toy", "edges": [[0, 1]]}
+            base, "POST", "/v1/graphs", {"name": "toy", "edges": [[0, 1]]}
         )
         assert status == 409
 
         payload = {"graph": "toy", "k": 3, "solver": "ippv"}
-        status, first = _request(base, "POST", "/solve", payload)
+        status, body = _request(base, "POST", "/v1/solve", payload)
         assert status == 200
+        first = body["data"]
         assert first["cache"]["state"] == "miss"
-        status, second = _request(base, "POST", "/solve", payload)
+        status, body = _request(base, "POST", "/v1/solve", payload)
         assert status == 200
+        second = body["data"]
         assert second["cache"]["state"] in ("hit", "hit-memory")
 
         cold = solve(graph=graph, pattern=3, k=3, solver="ippv")
@@ -289,29 +346,39 @@ class TestHTTPServer:
         assert _served_signature(first) == reference
         assert _served_signature(second) == reference
 
-        status, graphs = _request(base, "GET", "/graphs")
-        assert graphs[0]["solves"] == 2
-        status, stats = _request(base, "GET", "/stats")
-        assert stats["counters"]["solves"] == 2
-        assert stats["cache"]["counters"]["hits"] == 1
+        status, body = _request(base, "GET", "/v1/graphs")
+        assert body["data"][0]["solves"] == 2
+        status, body = _request(base, "GET", "/v1/stats")
+        assert body["data"]["counters"]["solves"] == 2
+        assert body["data"]["cache"]["counters"]["hits"] == 1
 
     def test_error_envelopes(self, http_server):
         base, _service = http_server
-        status, body = _request(base, "POST", "/solve", {"graph": "nope", "k": 1})
-        assert status == 404 and "error" in body
-        status, body = _request(base, "POST", "/solve", {"k": 1})
-        assert status == 400 and "error" in body
-        status, body = _request(base, "POST", "/graphs", {"name": "x"})
-        assert status == 400 and "error" in body
+        status, body = _request(base, "POST", "/v1/solve", {"graph": "nope", "k": 1})
+        assert status == 404 and body["error"]["code"] == "not_found"
+        status, body = _request(base, "POST", "/v1/solve", {"k": 1})
+        assert status == 400 and body["error"]["code"] == "bad_request"
+        status, body = _request(base, "POST", "/v1/graphs", {"name": "x"})
+        assert status == 400 and body["ok"] is False
         status, body = _request(
-            base, "POST", "/graphs", {"name": "x", "edges": [[0, 1]], "bogus": 1}
+            base, "POST", "/v1/graphs", {"name": "x", "edges": [[0, 1]], "bogus": 1}
         )
-        assert status == 400 and "unknown register key" in body["error"]
+        assert status == 400
+        assert "unknown register key" in body["error"]["message"]
+
+    def test_mistyped_solve_field_is_400(self, http_server):
+        base, service = http_server
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        status, body = _request(base, "POST", "/v1/solve", {"graph": "toy", "jobs": 1.5})
+        assert status == 400
+        assert body["error"]["code"] == "bad_solve_request"
+        assert body["error"]["detail"] == {"field": "jobs"}
+        assert service.stats()["counters"]["errors"] == 0
 
     def test_malformed_body_is_400(self, http_server):
         base, _service = http_server
         request = urllib.request.Request(
-            base + "/solve",
+            base + "/v1/solve",
             data=b"{ not json",
             method="POST",
             headers={"Content-Type": "application/json"},
@@ -320,7 +387,7 @@ class TestHTTPServer:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         # Empty body is rejected, not a crash.
-        request = urllib.request.Request(base + "/solve", data=b"", method="POST")
+        request = urllib.request.Request(base + "/v1/solve", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
@@ -348,8 +415,8 @@ class TestBadInputOverHTTP:
         assert status == 400
         assert body["error"]["code"] == "invalid_body"
         assert "Content-Length" in body["error"]["message"]
-        status, body = _raw_post(base, "/solve", "1e3")
-        assert status == 400 and "Content-Length" in body["error"]
+        status, body = _raw_post(base, "/v1/graphs", "1e3")
+        assert status == 400 and body["error"]["code"] == "invalid_body"
         # A client error, not an internal one.
         assert service.stats()["counters"]["errors"] == 0
 
@@ -364,8 +431,8 @@ class TestBadInputOverHTTP:
         status, body = _raw_post(base, "/v1/solve", str(len(payload)), payload)
         assert status == 500
         assert body["error"]["code"] == "internal_error"
-        status, body = _raw_post(base, "/solve", str(len(payload)), payload)
-        assert status == 500 and "solver exploded" in body["error"]
+        status, body = _raw_post(base, "/v1/solve", str(len(payload)), payload)
+        assert status == 500 and "solver exploded" in body["error"]["message"]
         status, body = _request(base, "GET", "/v1/stats")
         assert status == 200
         assert body["data"]["counters"]["errors"] == 2
@@ -437,24 +504,13 @@ class TestV1Envelope:
         assert body["error"]["detail"]["unknown"] == ["bogus"]
         assert body["error"]["detail"]["accepted"] == sorted(SOLVE_KEYS)
 
-    def test_legacy_routes_emit_deprecation_headers(self, http_server):
+    def test_unversioned_solve_is_not_found(self, http_server):
         base, _service = http_server
-        status, headers, body = _request_with_headers(base, "GET", "/health")
-        assert status == 200
-        assert body == {"status": "ok"}  # bare payload, no envelope
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/health" in headers.get("Link", "")
-        # POST aliases too.
-        status, headers, body = _request_with_headers(
-            base, "POST", "/graphs", {"name": "dep", "edges": [[0, 1]]}
+        status, _headers, body = _request_with_headers(
+            base, "POST", "/solve", {"dataset": "HA", "k": 1}
         )
-        assert status == 201 and headers.get("Deprecation") == "true"
-        assert "/v1/graphs" in headers.get("Link", "")
-
-    def test_v1_routes_have_no_deprecation_header(self, http_server):
-        base, _service = http_server
-        _status, headers, _body = _request_with_headers(base, "GET", "/v1/health")
-        assert "Deprecation" not in headers
+        assert status == 404
+        assert body["ok"] is False and body["error"]["code"] == "not_found"
 
     def test_spec_lists_routes_and_keys(self, http_server):
         from repro.server.service import (
@@ -481,8 +537,7 @@ class TestV1Envelope:
             SESSION_SOLVE_KEYS
         )
         assert ("GET", "/v1/spec") in by_path
-        successors = {a["path"]: a["successor"] for a in spec["deprecated_aliases"]}
-        assert successors["/solve"] == "/v1/solve"
+        assert "deprecated_aliases" not in spec
 
     def test_session_solve_keys_mirror_solve_keys(self):
         from repro.server.service import SESSION_SOLVE_KEYS, SOLVE_KEYS
