@@ -1,5 +1,6 @@
 """Tests for the pluggable execution backends: registry + env resolution,
-bit-identity across both backends, the removed backends and knobs, and the
+bit-identity across both backends, the one-round component batch and its
+serial early stop, the removed backends and knobs, and the
 infrastructure-vs-solver failure split."""
 
 from __future__ import annotations
@@ -9,23 +10,60 @@ import pickle
 
 import pytest
 
-from helpers import multi_component_graph, signature
+from helpers import multi_component_graph, shifted, signature
 
+import repro.engine.runtime as runtime_module
 from repro.cli import main as cli_main
+from repro.datasets.synthetic import gnp_graph, planted_communities_graph
 from repro.engine import (
     SolverSpec,
     available_executors,
     describe_executor,
     get_executor,
     register_solver,
+    report_signature,
     solve,
     unregister_solver,
 )
-from repro.engine.executors.base import EngineTask, run_task_enveloped
+from repro.engine.executors.base import KIND_SOLVE, EngineTask, run_task_enveloped
 from repro.errors import EngineError
-from repro.graph import complete_graph
+from repro.graph import complete_graph, union_graph
 
 ALL_EXECUTORS = ("serial", "process")
+
+
+def _one_component_graph():
+    """One multi-level dense component plus three isolated vertices."""
+    graph, _ = planted_communities_graph(
+        [12, 10, 9], p_in=0.95, p_out=0.04, seed=21, background=12
+    )
+    return graph
+
+
+def _early_stop_graph():
+    """Four G(9, 0.55) components whose bounds overlap, so for k=1 the
+    serial early stop (not the bound-based skipping) drops the tail."""
+    return union_graph(*[shifted(gnp_graph(9, 0.55, seed=i), 100 * i) for i in range(4)])
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Record every :class:`TaskBatch` the runtime hands to a backend."""
+    seen = []
+    real_get_executor = runtime_module.get_executor
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def run(self, batch):
+            seen.append(batch)
+            return self.inner.run(batch)
+
+    monkeypatch.setattr(
+        runtime_module, "get_executor", lambda name: Recording(real_get_executor(name))
+    )
+    return seen
 
 
 class TestRegistry:
@@ -55,6 +93,29 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_EXECUTOR", "not-a-backend")
         with pytest.raises(EngineError, match="unknown executor"):
             solve(graph=complete_graph(4), pattern=3, k=1)
+
+    @pytest.mark.parametrize("name", ["queue", "thread"])
+    def test_removed_backend_in_env_fails_loudly(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_EXECUTOR", name)
+        with pytest.raises(EngineError, match="available: process, serial"):
+            solve(graph=complete_graph(4), pattern=3, k=1)
+
+    def test_auto_backend_is_serial_for_one_component(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        report = solve(
+            graph=_one_component_graph(), pattern=3, k=5, solver="exact", jobs=4
+        )
+        assert report.executor == "serial"
+        assert report.jobs_used == 1
+
+    def test_auto_backend_is_process_for_many_components(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        report = solve(
+            graph=multi_component_graph(), pattern=3, k=4, solver="ippv", jobs=2
+        )
+        assert report.executor == "process"
+        assert report.jobs_used == 2
+        assert report.fallback_reason is None
 
     def test_request_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
@@ -103,6 +164,110 @@ class TestBitIdentityAcrossBackends:
             graph=graph, pattern=3, k=None, solver="exact", jobs=2, executor=executor
         )
         assert signature(report) == signature(reference)
+
+    @pytest.mark.parametrize("jobs", [2, 5])
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    @pytest.mark.parametrize("solver", ["ippv", "exact"])
+    def test_one_component_identical_for_any_jobs(self, solver, executor, jobs):
+        # A graph with a single solvable component is one task: the work,
+        # and every statistic about it, must not depend on the parallelism.
+        graph = _one_component_graph()
+        reference = solve(
+            graph=graph, pattern=3, k=5, solver=solver, jobs=1, executor="serial"
+        )
+        report = solve(
+            graph=graph, pattern=3, k=5, solver=solver, jobs=jobs, executor=executor
+        )
+        assert report_signature(report) == report_signature(reference)
+        assert report.verification == reference.verification
+        assert report.refinements == reference.refinements
+        assert report.exact_splits == reference.exact_splits
+        assert report.executor == executor
+        assert report.fallback_reason is None
+        assert report.jobs_used == 1
+
+
+class TestComponentBatch:
+    """The runtime's single round: one task per component, one batch."""
+
+    @pytest.mark.parametrize(
+        "solver,h",
+        [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
+    )
+    def test_one_batch_with_one_task_per_component(self, batches, solver, h):
+        report = solve(
+            graph=multi_component_graph(), pattern=h, k=4, solver=solver,
+            jobs=2, executor="serial",
+        )
+        assert len(batches) == 1
+        (batch,) = batches
+        stats = report.preprocessing
+        assert len(batch.tasks) == (
+            stats.num_active_components - stats.num_skipped_components
+        )
+        assert {task.kind for task in batch.tasks} == {KIND_SOLVE}
+        indices = [task.payload[0].index for task in batch.tasks]
+        assert len(set(indices)) == len(indices)
+        assert batch.jobs == min(2, len(batch.tasks))
+
+    @pytest.mark.parametrize(
+        "solver,h,k,expected",
+        [
+            ("exact", 3, 2, 2),
+            ("ippv", 3, 2, 2),
+            ("ltds", 3, 2, 2),
+            ("ldsflow", 2, 2, 2),
+            ("exact", 3, None, None),
+            ("greedy", 3, 2, None),
+        ],
+    )
+    def test_early_stop_armed_for_exact_top_k(self, batches, solver, h, k, expected):
+        # jobs > 1 must not disarm the early stop on the serial backend.
+        solve(
+            graph=multi_component_graph(), pattern=h, k=k, solver=solver,
+            jobs=4, executor="serial",
+        )
+        (batch,) = batches
+        assert batch.early_stop_k == expected
+
+    def test_pool_capped_to_component_count(self, batches):
+        report = solve(
+            graph=_one_component_graph(), pattern=3, k=5, solver="exact",
+            jobs=4, executor="process",
+        )
+        (batch,) = batches
+        assert len(batch.tasks) == 1
+        assert batch.jobs == 1
+        assert report.executor == "process"
+        assert report.jobs_used == 1
+
+    @pytest.mark.parametrize("jobs", [2, 4, 8])
+    def test_serial_early_stop_independent_of_jobs(self, jobs):
+        graph = _early_stop_graph()
+        reference = solve(
+            graph=graph, pattern=3, k=1, solver="exact", jobs=1, executor="serial"
+        )
+        report = solve(
+            graph=graph, pattern=3, k=1, solver="exact", jobs=jobs, executor="serial"
+        )
+        assert reference.preprocessing.num_early_stopped_components > 0
+        assert report_signature(report) == report_signature(reference)
+        assert report.verification == reference.verification
+
+    def test_parallel_backend_solves_every_component(self):
+        # The process backend has no early stop: it solves the components
+        # the serial run skipped, and the merge discards their subgraphs.
+        graph = _early_stop_graph()
+        serial = solve(
+            graph=graph, pattern=3, k=1, solver="exact", jobs=1, executor="serial"
+        )
+        parallel = solve(
+            graph=graph, pattern=3, k=1, solver="exact", jobs=2, executor="process"
+        )
+        assert signature(parallel) == signature(serial)
+        assert serial.preprocessing.num_early_stopped_components > 0
+        assert parallel.preprocessing.num_early_stopped_components == 0
+        assert parallel.executor == "process"
 
 
 class TestFailureChannels:
@@ -229,6 +394,23 @@ class TestReportSurface:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("name", ["queue", "thread"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topk", "--dataset", "HA"],
+            ["deltas", "--dataset", "HA", "--deltas", "stream.jsonl"],
+        ],
+        ids=["topk", "deltas"],
+    )
+    def test_cli_removed_backends_are_usage_errors(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*argv, "--executor", name])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and name in err
+        assert "process" in err and "serial" in err
 
     def test_cli_executors_subcommand(self, capsys):
         assert cli_main(["executors"]) == 0

@@ -264,3 +264,74 @@ class TestExactEarlyStop:
         result = ippv.run(1)
         assert result.candidates_examined == 1
         assert sorted(result.subgraphs[0].vertices) == [10, 11, 12]
+
+
+class TestInlineVerification:
+    """Each popped candidate is verified in-process, inline in ``IPPV.run``:
+    ``is_densest`` first, then — for a self-densest candidate only — the
+    configured maximal-compactness check."""
+
+    @staticmethod
+    def _trace(monkeypatch):
+        import repro.lhcds.ippv as ippv_module
+
+        calls = []
+        real_is_densest = ippv_module.is_densest
+
+        def is_densest(instances, candidate, kernel=None):
+            verdict = real_is_densest(instances, candidate, kernel)
+            calls.append(("is_densest", candidate, verdict))
+            return verdict
+
+        def recording(name, real):
+            def verify(graph, instances, candidate, *args, **kwargs):
+                calls.append((name, candidate, kwargs))
+                return real(graph, instances, candidate, *args, **kwargs)
+
+            return verify
+
+        monkeypatch.setattr(ippv_module, "is_densest", is_densest)
+        for name in ("verify_fast", "verify_basic"):
+            monkeypatch.setattr(
+                ippv_module, name, recording(name, getattr(ippv_module, name))
+            )
+        return calls
+
+    @pytest.mark.parametrize("mode", ["fast", "basic"])
+    def test_is_densest_then_verify_per_candidate(self, monkeypatch, mode):
+        # One Frank-Wolfe iteration leaves a candidate that is not
+        # self-densest, so both outcomes of the first check occur.
+        graph = random_graph(16, 0.4, 200)
+        calls = self._trace(monkeypatch)
+        result = IPPV(graph, 3, IPPVConfig(iterations=1, verification=mode)).run()
+        checks = [call for call in calls if call[0] == "is_densest"]
+        assert {verdict for _, _, verdict in checks} == {True, False}
+        assert len(checks) == result.verification.is_densest_calls
+        assert len(checks) == result.candidates_examined
+        verifications = 0
+        for position, (name, candidate, _) in enumerate(calls):
+            if name == "is_densest":
+                continue
+            verifications += 1
+            assert name == f"verify_{mode}"
+            assert calls[position - 1] == ("is_densest", candidate, True)
+        assert verifications == sum(1 for call in checks if call[2])
+        assert as_set(result) == reference_set(
+            exact_top_k_lhcds(graph, clique_instances(graph, 3))
+        )
+
+    def test_verify_fast_receives_stats_by_keyword(self, monkeypatch, figure2):
+        calls = self._trace(monkeypatch)
+        result = IPPV(figure2, 3).run(2)
+        keywords = [kwargs for name, _, kwargs in calls if name == "verify_fast"]
+        assert keywords
+        for kwargs in keywords:
+            assert kwargs["stats"] is result.verification
+            assert "output_vertices" in kwargs
+
+    @pytest.mark.parametrize(
+        "field", ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir"]
+    )
+    def test_removed_fan_out_fields_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            IPPVConfig(**{field: 2})

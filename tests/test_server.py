@@ -132,6 +132,20 @@ class TestSolveSurface:
             ("iterations", "20"),
             ("verification", None),
             ("prune_stats", 1),
+            ("k", "3"),
+            ("k", 2.0),
+            ("jobs", True),
+            ("jobs", "2"),
+            ("jobs", None),
+            ("iterations", False),
+            ("iterations", None),
+            ("solver", None),
+            ("executor", ["serial"]),
+            ("kernel", False),
+            ("verification", 1),
+            ("prune", None),
+            ("prune", 0),
+            ("prune_stats", "true"),
         ],
     )
     def test_mistyped_fields_are_400_on_both_endpoints(self, service, field, value):
@@ -153,6 +167,35 @@ class TestSolveSurface:
         body = {"k": None, "executor": None, "kernel": None}
         assert service.solve({"graph": "toy", **body})["subgraphs"]
         assert service.solve_incremental("toy", body)["subgraphs"]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k", 2),
+            ("solver", "exact"),
+            ("jobs", 2),
+            ("executor", "serial"),
+            ("kernel", "stdlib"),
+            ("iterations", 5),
+            ("verification", "basic"),
+            ("prune", False),
+            ("prune_stats", True),
+        ],
+    )
+    def test_well_typed_fields_reach_the_solve(self, service, field, value):
+        # The type check must pass valid values through unchanged: each
+        # endpoint's report equals a cold in-process solve with the option.
+        from repro.engine import json_report_signature, report_signature
+        from repro.graph import Graph
+
+        service.register_graph("g", edges=TRIANGLE_PAIR)
+        body = {"k": 1, field: value}
+        cold = solve(graph=Graph(edges=TRIANGLE_PAIR), pattern=3, **body)
+        for response in (
+            service.solve({"graph": "g", **body}),
+            service.solve_incremental("g", body),
+        ):
+            assert json_report_signature(response) == report_signature(cold)
 
     @pytest.mark.parametrize(
         "key", ["shards", "queue_dir", "verify_batch", "verify_executor", "verify_jobs"]
@@ -375,6 +418,24 @@ class TestHTTPServer:
         assert body["error"]["detail"] == {"field": "jobs"}
         assert service.stats()["counters"]["errors"] == 0
 
+    def test_mistyped_session_solve_field_is_400(self, http_server):
+        base, service = http_server
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        status, body = _request(base, "POST", "/v1/graphs/toy/solve", {"executor": 3})
+        assert status == 400
+        assert body["error"]["code"] == "bad_solve_request"
+        assert body["error"]["detail"] == {"field": "executor"}
+        # Rejected before the session registry is touched.
+        assert service.sessions() == []
+        assert service.stats()["counters"]["errors"] == 0
+
+    def test_solvers_route_has_no_parallel_columns(self, http_server):
+        base, _service = http_server
+        status, body = _request(base, "GET", "/v1/solvers")
+        assert status == 200
+        for row in body["data"]:
+            assert set(row) == {"name", "description", "exact", "fixed_h", "requires_k"}
+
     def test_malformed_body_is_400(self, http_server):
         base, _service = http_server
         request = urllib.request.Request(
@@ -511,6 +572,53 @@ class TestV1Envelope:
         )
         assert status == 404
         assert body["ok"] is False and body["error"]["code"] == "not_found"
+
+    @pytest.mark.parametrize(
+        "method,path,payload",
+        [
+            ("GET", "/health", None),
+            ("GET", "/spec", None),
+            ("GET", "/solvers", None),
+            ("GET", "/executors", None),
+            ("GET", "/kernels", None),
+            ("GET", "/datasets", None),
+            ("GET", "/graphs", None),
+            ("GET", "/stats", None),
+            ("POST", "/solve", {"graph": "g", "k": 1}),
+            ("POST", "/graphs", {"name": "x", "edges": [[0, 1]]}),
+            ("POST", "/graphs/g/deltas", {"add_edges": [[13, 14]]}),
+            ("POST", "/graphs/g/solve", {"k": 1}),
+        ],
+    )
+    def test_former_bare_aliases_are_not_found(self, http_server, method, path, payload):
+        base, service = http_server
+        service.register_graph("g", edges=TRIANGLE_PAIR)
+        status, headers, body = _request_with_headers(base, method, path, payload)
+        assert status == 404
+        assert body == {
+            "ok": False,
+            "error": {
+                "code": "not_found",
+                "message": f"unknown path {path!r}",
+                "detail": None,
+            },
+        }
+        assert "Deprecation" not in headers and "Link" not in headers
+        # Nothing behind the old alias ran.
+        assert service.stats()["counters"] == {"solves": 0, "deltas": 0, "errors": 0}
+        assert [record["name"] for record in service.graphs()] == ["g"]
+        assert service.graphs()[0]["edges"] == len(TRIANGLE_PAIR)
+
+    def test_v1_routes_have_no_deprecation_header(self, http_server):
+        base, _service = http_server
+        _status, headers, _body = _request_with_headers(base, "GET", "/v1/health")
+        assert "Deprecation" not in headers
+
+    def test_spec_lists_only_versioned_routes(self, http_server):
+        base, _service = http_server
+        _status, _headers, body = _request_with_headers(base, "GET", "/v1/spec")
+        paths = [route["path"] for route in body["data"]["routes"]]
+        assert paths and all(path.startswith("/v1/") for path in paths)
 
     def test_spec_lists_routes_and_keys(self, http_server):
         from repro.server.service import (
