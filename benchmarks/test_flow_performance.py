@@ -6,26 +6,19 @@ times it on the two network shapes verification produces —
 ``DeriveCompact`` (rho below the working graph's density, non-trivial cut)
 and ``IsDensest`` (rho just above a candidate's density) — and records the
 result as ``flow.dinic_maxflow_s``.  The Frank--Wolfe kernel rides along as
-``fw.seq_kclist_s``.  When numpy is installed the same workloads are
-recorded under the numpy kernel (``*_numpy_s``) after asserting
-bit-identical results.
+``fw.seq_kclist_s``.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import time
 from fractions import Fraction
-
-import pytest
 
 from repro.cliques.kclist import clique_instances
 from repro.datasets.synthetic import planted_communities_graph
 from repro.flow import solve_compact_network
 from repro.graph.components import connected_components
 from repro.lhcds.seq_kclist import seq_kclist_plus_plus
-
-NUMPY = importlib.util.find_spec("numpy") is not None
 
 H = 3
 FW_ITERATIONS = 20
@@ -73,7 +66,7 @@ def test_flat_dinic_timed(bench_metrics):
 
     flat_s, _ = _best_of(
         lambda: [
-            solve_compact_network(inst, rho, vertices=universe, kernel="stdlib")
+            solve_compact_network(inst, rho, vertices=universe)
             for inst, rho, universe in workload
         ]
     )
@@ -93,7 +86,7 @@ def test_frank_wolfe_kernel_timed(bench_metrics):
     instances = clique_instances(graph, H)
 
     fw_s, state = _best_of(
-        lambda: seq_kclist_plus_plus(instances, FW_ITERATIONS, kernel="stdlib"),
+        lambda: seq_kclist_plus_plus(instances, FW_ITERATIONS),
         rounds=3,
     )
     assert state.check_feasible()
@@ -103,43 +96,4 @@ def test_frank_wolfe_kernel_timed(bench_metrics):
     print(
         f"SEQ-kClist++ T={FW_ITERATIONS} on |Psi{H}|={instances.num_instances}: "
         f"{fw_s * 1000:.2f}ms"
-    )
-
-
-@pytest.mark.skipif(not NUMPY, reason="numpy kernel not installed")
-def test_numpy_kernel_timed_and_identical(bench_metrics):
-    workload = _verification_workload()
-
-    stdlib_s, stdlib_result = _best_of(
-        lambda: [
-            solve_compact_network(inst, rho, vertices=universe, kernel="stdlib")
-            for inst, rho, universe in workload
-        ]
-    )
-    numpy_s, numpy_result = _best_of(
-        lambda: [
-            solve_compact_network(inst, rho, vertices=universe, kernel="numpy")
-            for inst, rho, universe in workload
-        ]
-    )
-    assert numpy_result == stdlib_result
-    bench_metrics["flow.dinic_maxflow_numpy_s"] = numpy_s
-
-    graph, _ = planted_communities_graph(
-        [14, 12, 10], p_in=0.9, p_out=0.05, seed=7, background=20
-    )
-    instances = clique_instances(graph, H)
-    fw_numpy_s, numpy_state = _best_of(
-        lambda: seq_kclist_plus_plus(instances, FW_ITERATIONS, kernel="numpy"),
-        rounds=3,
-    )
-    stdlib_state = seq_kclist_plus_plus(instances, FW_ITERATIONS, kernel="stdlib")
-    assert bytes(numpy_state.alpha) == bytes(stdlib_state.alpha)
-    assert numpy_state.r == stdlib_state.r
-    bench_metrics["fw.seq_kclist_numpy_s"] = fw_numpy_s
-
-    print()
-    print(
-        f"numpy kernel: flow {numpy_s * 1000:.2f}ms (stdlib {stdlib_s * 1000:.2f}ms)  "
-        f"fw {fw_numpy_s * 1000:.2f}ms"
     )

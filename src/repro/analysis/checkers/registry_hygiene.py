@@ -28,7 +28,6 @@ REGISTRABLE_BASES: Dict[str, Tuple[str, ...]] = {
     "Executor": ("name", "description"),
     "Pattern": ("name", "size"),
     "Checker": ("rule", "title"),
-    "KernelBackend": ("name", "description"),
 }
 
 

@@ -28,20 +28,18 @@ def greedy_topk_cds(
     k: int,
     *,
     instances: Optional[InstanceSet] = None,
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Return up to ``k`` greedily extracted h-clique dense subgraphs.
 
     ``instances`` may carry pre-enumerated pattern instances (the engine's
-    shared preprocessing); when omitted the h-cliques are enumerated here
-    on the selected kernel backend.
+    shared preprocessing); when omitted the h-cliques are enumerated here.
     """
     timings = StageTimings()
     start = time.perf_counter()
 
     if instances is None:
         tick = time.perf_counter()
-        instances = clique_instances(graph, h, kernel)
+        instances = clique_instances(graph, h)
         timings.enumeration += time.perf_counter() - tick
 
     remaining = set(graph.vertices())

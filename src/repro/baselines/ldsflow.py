@@ -38,7 +38,6 @@ def _topk_via_peeling(
     *,
     label: str,
     instances: Optional[InstanceSet] = None,
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Shared skeleton of the LDSflow / LTDS baselines.
 
@@ -53,7 +52,7 @@ def _topk_via_peeling(
 
     if instances is None:
         tick = time.perf_counter()
-        instances = clique_instances(graph, h, kernel)
+        instances = clique_instances(graph, h)
         timings.enumeration += time.perf_counter() - tick
 
     remaining = set(graph.vertices())
@@ -64,7 +63,7 @@ def _topk_via_peeling(
         working = instances.restrict(remaining)
         if working.num_instances == 0:
             break
-        dense, _ = maximal_densest_subset(working, remaining, kernel=kernel)
+        dense, _ = maximal_densest_subset(working, remaining)
         if not dense:
             break
         components = connected_components(graph.induced_subgraph(dense))
@@ -76,8 +75,8 @@ def _topk_via_peeling(
             density = Fraction(local.num_instances, len(component))
             tick = time.perf_counter()
             stats.is_densest_calls += 1
-            ok = is_densest(instances, component, kernel) and verify_basic(
-                graph, instances, component, stats=stats, kernel=kernel
+            ok = is_densest(instances, component) and verify_basic(
+                graph, instances, component, stats=stats
             )
             timings.verification += time.perf_counter() - tick
             if ok:
@@ -111,9 +110,6 @@ def lds_flow(
     k: Optional[int] = None,
     *,
     instances: Optional[InstanceSet] = None,
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Top-k locally densest subgraphs (h = 2) via the flow-heavy baseline."""
-    return _topk_via_peeling(
-        graph, 2, k, label="edge (LDSflow)", instances=instances, kernel=kernel
-    )
+    return _topk_via_peeling(graph, 2, k, label="edge (LDSflow)", instances=instances)

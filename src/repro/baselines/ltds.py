@@ -21,9 +21,6 @@ def ltds(
     k: Optional[int] = None,
     *,
     instances: Optional[InstanceSet] = None,
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Top-k locally triangle densest subgraphs via the flow-heavy baseline."""
-    return _topk_via_peeling(
-        graph, 3, k, label="triangle (LTDS)", instances=instances, kernel=kernel
-    )
+    return _topk_via_peeling(graph, 3, k, label="triangle (LTDS)", instances=instances)

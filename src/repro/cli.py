@@ -22,11 +22,6 @@ Choose an execution backend (output is bit-identical on every backend)::
     repro-lhcds topk --dataset CM --jobs 4 --executor process
     repro-lhcds executors
 
-Choose a compute kernel backend (output is bit-identical on every kernel)::
-
-    repro-lhcds topk --dataset HA --kernel numpy
-    repro-lhcds kernels
-
 Reuse preprocessing across solves (warm artifact cache), inspect it, or
 run the persistent solve service::
 
@@ -63,7 +58,6 @@ from .engine import (
 from .graph.delta import GraphDelta
 from .errors import ReproError
 from .server import app as server_app
-from .kernels import available_kernels, describe_kernel
 from .experiments.figures import ALL_EXPERIMENTS, run_experiment
 from .graph.io import read_edge_list
 from .patterns.clique import CliquePattern
@@ -105,13 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution backend (default: $REPRO_EXECUTOR, then automatic; "
         "output is bit-identical on every backend)",
-    )
-    topk.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help="compute kernel backend (default: $REPRO_KERNEL, then stdlib; "
-        "output is bit-identical on every kernel)",
     )
     topk.add_argument(
         "--cache-dir",
@@ -179,12 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend (output is bit-identical on every backend)",
     )
     deltas.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help="compute kernel backend (output is bit-identical on every kernel)",
-    )
-    deltas.add_argument(
         "--iterations", type=int, default=20, help="Frank-Wolfe iterations T"
     )
     deltas.add_argument(
@@ -213,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list the registered stand-in datasets")
     sub.add_parser("solvers", help="list the registered solvers")
     sub.add_parser("executors", help="list the registered execution backends")
-    sub.add_parser("kernels", help="list the registered compute kernel backends")
 
     cache = sub.add_parser(
         "cache", help="inspect or clear a warm preprocessed-index cache"
@@ -291,7 +271,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
             solver=args.solver,
             jobs=args.jobs,
             executor=args.executor,
-            kernel=args.kernel,
             cache_dir=args.cache_dir,
             iterations=args.iterations,
             verification=args.verification,
@@ -370,12 +349,11 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
         solver=args.solver,
         jobs=args.jobs,
         executor=args.executor,
-        kernel=args.kernel,
         iterations=args.iterations,
         verification=args.verification,
     )
 
-    session = IncrementalSession(graph, pattern, kernel=args.kernel)
+    session = IncrementalSession(graph, pattern)
     if not args.json:
         print(
             f"# replaying {len(stream)} delta(s) from {args.delta_file} over "
@@ -505,12 +483,6 @@ def _cmd_executors() -> int:
     return 0
 
 
-def _cmd_kernels() -> int:
-    for name in available_kernels():
-        print(f"{name:8} {describe_kernel(name)}")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (``ls`` / ``stats``) or ``clear`` a preprocess cache directory."""
     root = resolve_cache_dir(args.cache_dir)
@@ -592,8 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_solvers()
         if args.command == "executors":
             return _cmd_executors()
-        if args.command == "kernels":
-            return _cmd_kernels()
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "serve":

@@ -6,31 +6,25 @@ the recursion by the graph degeneracy.  This is the same enumeration strategy
 the paper relies on (its SEQ-kClist++ component and all |Psi_h| statistics in
 Table 2 are built on kClist).
 
-The recursion itself runs in the kernel layer (:mod:`repro.kernels`): this
+The recursion itself runs in :mod:`repro.kernels.kclist_stdlib`: this
 module builds the out-neighbour DAG once as a CSR over *rank space* (vertex
 ``order[i]`` becomes integer ``i``, neighbour lists ascending) and hands it to
-:meth:`~repro.kernels.base.KernelBackend.kclist_cliques`, which returns every
+:func:`~repro.kernels.kclist_stdlib.kclist_cliques`, which returns every
 clique as ``h`` consecutive rank ids in one flat buffer.  Rank ids map back
-through ``order``, so the emitted cliques — vertices in degeneracy order,
-cliques in the DAG's depth-first order — are identical for every backend.
+through ``order``, so the emitted cliques list their vertices in degeneracy
+order and follow the DAG's depth-first order.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import AlgorithmError
 from ..graph.graph import Graph, Vertex
 from ..graph.ordering import degeneracy_ordering
 from ..instances import InstanceSet, InstanceSetBuilder
-from ..kernels import KernelBackend, resolve_kernel
-
-KernelLike = Union[KernelBackend, str, None]
-
-
-def _resolve(kernel: KernelLike) -> KernelBackend:
-    return kernel if isinstance(kernel, KernelBackend) else resolve_kernel(kernel)
+from ..kernels.kclist_stdlib import kclist_cliques
 
 
 def _rank_csr(graph: Graph) -> Tuple[List[Vertex], array, array]:
@@ -51,26 +45,22 @@ def _rank_csr(graph: Graph) -> Tuple[List[Vertex], array, array]:
     return order, indptr, nbrs
 
 
-def _flat_cliques(graph: Graph, h: int, kernel: KernelLike) -> Tuple[List[Vertex], array]:
+def _flat_cliques(graph: Graph, h: int) -> Tuple[List[Vertex], array]:
     """Run the kernel recursion; cliques are ``h``-rank-id runs in the buffer."""
     order, indptr, nbrs = _rank_csr(graph)
-    flat = _resolve(kernel).kclist_cliques(len(order), indptr, nbrs, h)
-    return order, flat
+    return order, kclist_cliques(len(order), indptr, nbrs, h)
 
 
-def enumerate_cliques(
-    graph: Graph, h: int, kernel: KernelLike = None
-) -> Iterator[Tuple[Vertex, ...]]:
+def enumerate_cliques(graph: Graph, h: int) -> Iterator[Tuple[Vertex, ...]]:
     """Yield every h-clique of ``graph`` exactly once.
 
     For ``h == 1`` every vertex is a clique; for ``h == 2`` every edge is.
-    Larger ``h`` uses the degeneracy-oriented DAG recursion on the selected
-    kernel backend (the flat result buffer is materialised up front; the
-    iterator only wraps it tuple by tuple).
+    Larger ``h`` uses the degeneracy-oriented DAG recursion of the kClist
+    kernel (the flat result buffer is materialised up front; the iterator
+    only wraps it tuple by tuple).
 
     The order of vertices inside a yielded clique follows the degeneracy
-    ordering, so output is deterministic for a fixed graph and identical
-    across kernel backends.
+    ordering, so output is deterministic for a fixed graph.
     """
     if h < 1:
         raise AlgorithmError(f"h must be >= 1, got {h}")
@@ -91,40 +81,38 @@ def enumerate_cliques(
                 yield (v, u)
         return
 
-    order, flat = _flat_cliques(graph, h, kernel)
+    order, flat = _flat_cliques(graph, h)
     for base in range(0, len(flat), h):
         yield tuple(order[r] for r in flat[base : base + h])
 
 
-def list_cliques(
-    graph: Graph, h: int, kernel: KernelLike = None
-) -> List[Tuple[Vertex, ...]]:
+def list_cliques(graph: Graph, h: int) -> List[Tuple[Vertex, ...]]:
     """Return all h-cliques as a list (see :func:`enumerate_cliques`)."""
-    return list(enumerate_cliques(graph, h, kernel))
+    return list(enumerate_cliques(graph, h))
 
 
-def clique_instances(graph: Graph, h: int, kernel: KernelLike = None) -> InstanceSet:
+def clique_instances(graph: Graph, h: int) -> InstanceSet:
     """Return the h-cliques of ``graph`` packaged as an :class:`InstanceSet`.
 
     Cliques stream straight into the indexed builder — the enumerator
     guarantees arity and distinctness, so no per-instance validation is done.
-    Vertices are interned in emission order, which the kernel contract keeps
-    backend-independent.
+    Vertices are interned in emission order, which the kernel's ordering
+    contract fixes.
     """
     builder = InstanceSetBuilder(h)
-    builder.extend(enumerate_cliques(graph, h, kernel))
+    builder.extend(enumerate_cliques(graph, h))
     return builder.build()
 
 
-def count_cliques(graph: Graph, h: int, kernel: KernelLike = None) -> int:
+def count_cliques(graph: Graph, h: int) -> int:
     """Return the number of h-cliques (|Psi_h(G)| in the paper)."""
     if h >= 3 and graph.num_vertices > 0:
-        _, flat = _flat_cliques(graph, h, kernel)
+        _, flat = _flat_cliques(graph, h)
         return len(flat) // h
-    return sum(1 for _ in enumerate_cliques(graph, h, kernel))
+    return sum(1 for _ in enumerate_cliques(graph, h))
 
 
-def clique_degrees(graph: Graph, h: int, kernel: KernelLike = None) -> Dict[Vertex, int]:
+def clique_degrees(graph: Graph, h: int) -> Dict[Vertex, int]:
     """Return ``deg_G(v, psi_h)`` for every vertex of the graph.
 
     Vertices contained in no h-clique get degree 0 (they still matter for
@@ -133,24 +121,24 @@ def clique_degrees(graph: Graph, h: int, kernel: KernelLike = None) -> Dict[Vert
     degrees: Dict[Vertex, int] = {v: 0 for v in graph}
     if h >= 3 and graph.num_vertices > 0:
         # Count straight off the flat rank-id buffer — no tuple building.
-        order, flat = _flat_cliques(graph, h, kernel)
+        order, flat = _flat_cliques(graph, h)
         by_rank = [0] * len(order)
         for r in flat:
             by_rank[r] += 1
         for rv, v in enumerate(order):
             degrees[v] = by_rank[rv]
         return degrees
-    for clique in enumerate_cliques(graph, h, kernel):
+    for clique in enumerate_cliques(graph, h):
         for v in clique:
             degrees[v] += 1
     return degrees
 
 
-def clique_density(graph: Graph, h: int, kernel: KernelLike = None):
+def clique_density(graph: Graph, h: int):
     """Return the exact h-clique density ``|Psi_h(G)| / |V|`` as a Fraction."""
     from fractions import Fraction
 
     n = graph.num_vertices
     if n == 0:
         raise AlgorithmError("clique density of an empty graph is undefined")
-    return Fraction(count_cliques(graph, h, kernel), n)
+    return Fraction(count_cliques(graph, h), n)

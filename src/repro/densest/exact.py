@@ -30,7 +30,6 @@ def maximal_densest_subset(
     vertices: Optional[Iterable[Vertex]] = None,
     *,
     seed: Optional[Iterable[Vertex]] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[Set[Vertex], Fraction]:
     """Return the maximal densest vertex set and its exact density.
 
@@ -77,9 +76,7 @@ def maximal_densest_subset(
     rho = marginal_density(best_set)
 
     while True:
-        candidate = solve_compact_network(
-            working, rho, vertices=universe, forced=forced, kernel=kernel
-        )
+        candidate = solve_compact_network(working, rho, vertices=universe, forced=forced)
         if len(candidate) <= len(forced):
             # Nothing beats the current guess; the previous best is optimal.
             return best_set, rho
@@ -98,8 +95,6 @@ def maximal_densest_subset(
 def densest_subgraph_density(
     instances: InstanceSet,
     vertices: Optional[Iterable[Vertex]] = None,
-    *,
-    kernel: Optional[str] = None,
 ) -> Fraction:
     """Return only the maximum instance density (see :func:`maximal_densest_subset`)."""
-    return maximal_densest_subset(instances, vertices, kernel=kernel)[1]
+    return maximal_densest_subset(instances, vertices)[1]

@@ -143,8 +143,7 @@ def cache_key(
     ``bounds_stage`` / ``prune_stage`` are the *effective* pipeline flags
     (whether the clique-core bounds and the diagnostic Algorithm-3 pruning
     pass actually run); they change the artifact's content, so they are
-    part of the key.  The kernel backend is deliberately absent: every
-    kernel enumerates bit-identical instance sets.
+    part of the key.
     """
     digest = hashlib.sha256()
     digest.update(ARTIFACT_SCHEMA.encode("ascii"))

@@ -21,7 +21,7 @@ keeps that preprocessing alive between calls and maintains it under
   the same scheduling decisions as a cold run.
 
 **Correctness contract** — the same style CI enforces across the
-executor × kernel matrix: after *any* delta sequence, a session solve
+executor matrix: after *any* delta sequence, a session solve
 returns a :class:`SolveReport` bit-identical — result *and* stats-relevant
 fields — to a cold solve of the final graph.  The contract rests on two
 structural facts:
@@ -60,7 +60,6 @@ from ..graph.components import connected_components
 from ..graph.delta import GraphDelta
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-from ..kernels import resolve_kernel
 from ..lhcds.bounds import CompactBounds, initialize_bounds
 from ..lhcds.ippv import LhCDSResult
 from ..lhcds.prune import prune_invalid_vertices
@@ -72,9 +71,9 @@ from .runtime import prepare_request, solve_prepared
 
 
 #: Report keys excluded from :func:`report_signature`: work *placement*
-#: (results are bit-identical across executors, jobs, and kernels by the
-#: engine's matrix guarantee) plus wall-clock timings.  Everything else is
-#: covered by the incremental-equals-cold contract.
+#: (results are bit-identical across executors and jobs by the engine's
+#: matrix guarantee), the constant ``kernel`` key, and wall-clock timings.
+#: Everything else is covered by the incremental-equals-cold contract.
 _PLACEMENT_REPORT_KEYS = (
     "jobs",
     "executor",
@@ -187,8 +186,8 @@ class _ComponentState:
 
 
 #: Solver options that change per-component results; everything else
-#: (executor, jobs, kernel) only moves work and is bit-identical by the
-#: engine's matrix guarantee.
+#: (executor, jobs) only moves work and is bit-identical by the engine's
+#: matrix guarantee.
 _ConfigKey = Tuple[str, Optional[int], int, str, bool, str]
 
 
@@ -237,10 +236,6 @@ class IncrementalSession:
     pattern:
         A :class:`~repro.patterns.base.Pattern` or an integer ``h``
         (h-clique), pinned for the session's lifetime.
-    kernel:
-        Kernel backend used for the session's own enumeration (``None``
-        resolves ``REPRO_KERNEL`` then the stdlib default).  All kernels
-        are bit-identical, so solves may still request any kernel.
     """
 
     GUARDED_BY = {
@@ -261,7 +256,6 @@ class IncrementalSession:
         graph: Graph,
         pattern: Pattern | int = 3,
         *,
-        kernel: Optional[str] = None,
         copy_graph: bool = False,
     ) -> None:
         if graph.num_vertices == 0:
@@ -270,7 +264,6 @@ class IncrementalSession:
             pattern = CliquePattern(pattern)
         self._graph = graph.copy() if copy_graph else graph
         self._pattern = pattern
-        self._kernel = resolve_kernel(kernel).name
         # Reentrant so a future composite operation can nest apply/solve.
         self._lock = threading.RLock()
         self._states: Dict[FrozenSet[Vertex], _ComponentState] = {}
@@ -282,7 +275,7 @@ class IncrementalSession:
         self._solved_once = False
 
         tick = time.perf_counter()
-        self._instances = pattern.instances(self._graph, kernel=self._kernel)
+        self._instances = pattern.instances(self._graph)
         self._components: List[Set[Vertex]] = connected_components(self._graph)
         for comp in self._components:
             local = self._instances.restrict(comp)
@@ -378,7 +371,7 @@ class IncrementalSession:
                     continue
                 reenumerated += 1
                 subgraph = self._graph.induced_subgraph(comp)
-                local = self._pattern.instances(subgraph, kernel=self._kernel)
+                local = self._pattern.instances(subgraph)
                 for idx in local.indices_incident(touched):
                     new_rows.append(local.instances[idx])
                 if local.num_instances:

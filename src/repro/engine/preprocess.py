@@ -132,7 +132,7 @@ def cold_preprocess(
     )
 
     tick = time.perf_counter()
-    instances = request.pattern.instances(graph, kernel=request.kernel)
+    instances = request.pattern.instances(graph)
     stats.enumeration_seconds = time.perf_counter() - tick
     stats.num_instances = instances.num_instances
 

@@ -18,11 +18,23 @@ from typing import Any, Dict, FrozenSet, Optional
 from ..errors import EngineError
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-from ..kernels import available_kernels
 from ..lhcds.bounds import CompactBounds
 from ..lhcds.ippv import LhCDSResult, subgraph_sort_key
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
+
+
+def check_kernel(kernel: Any) -> Optional[str]:
+    """Return the canonical ``kernel`` option: ``None`` or ``"stdlib"``.
+
+    ``stdlib`` is the one compute kernel; case and surrounding whitespace
+    are ignored.  Anything else raises :class:`~repro.errors.EngineError`.
+    """
+    if kernel is None:
+        return None
+    if isinstance(kernel, str) and kernel.strip().lower() == "stdlib":
+        return "stdlib"
+    raise EngineError(f"unknown kernel {kernel!r}; available: stdlib")
 
 
 @dataclass(frozen=True)
@@ -59,12 +71,9 @@ class SolveRequest:
         bit-identical to cold solves — the cache only moves where the
         prepared components come from.
     kernel:
-        Name of a registered kernel backend (see
-        :func:`repro.kernels.available_kernels`): ``stdlib`` or ``numpy``.
-        ``None`` (default) resolves the ``REPRO_KERNEL`` environment
-        variable, then falls back to ``stdlib``.  The kernel runs the
-        numeric inner loops (max-flow, Frank–Wolfe, clique listing);
-        results and statistics are bit-identical for every backend.
+        ``None`` (default) or ``"stdlib"``, checked by
+        :func:`check_kernel`.  Accepted so existing clients that name the
+        kernel keep working; it selects nothing.
     iterations / verification / prune:
         Solver options (consumed by the solvers that understand them; the
         names match :class:`~repro.lhcds.ippv.IPPVConfig`).
@@ -101,14 +110,7 @@ class SolveRequest:
             raise EngineError(
                 f"verification must be 'fast' or 'basic', got {self.verification!r}"
             )
-        if self.kernel is not None:
-            key = self.kernel.strip().lower()
-            if key not in available_kernels():
-                raise EngineError(
-                    f"unknown kernel {self.kernel!r}; available: "
-                    f"{', '.join(available_kernels())}"
-                )
-            object.__setattr__(self, "kernel", key)
+        object.__setattr__(self, "kernel", check_kernel(self.kernel))
 
     @property
     def h(self) -> int:
@@ -200,7 +202,7 @@ class SolveReport(LhCDSResult):
     #: spawn processes) the runtime falls back to ``serial``; this records
     #: why, so the fallback is never silent.  ``None`` means no fallback.
     fallback_reason: Optional[str] = None
-    #: Kernel backend that ran the numeric inner loops.
+    #: The compute kernel; always ``stdlib`` (kept for JSON clients).
     kernel: str = "stdlib"
     preprocessing: PreprocessStats = field(default_factory=PreprocessStats)
     #: Wall-clock seconds spent solving components (sum lives in ``timings``).

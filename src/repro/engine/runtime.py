@@ -31,7 +31,6 @@ import time
 from typing import List, Optional, Tuple
 
 from ..errors import EngineError
-from ..kernels import resolve_kernel
 from ..lhcds.ippv import DenseSubgraph, LhCDSResult, StageTimings
 from ..lhcds.verify import VerificationStats, merge_verification_stats
 from .executors import (
@@ -121,17 +120,11 @@ def _run_batch(
 def prepare_request(
     request: Optional[SolveRequest] = None, **options
 ) -> Tuple[SolveRequest, SolverSpec]:
-    """Normalise a request: build/replace, validate, and pin the kernel.
+    """Normalise a request: build/replace and validate it.
 
     Accepts either a prebuilt :class:`SolveRequest` or its keyword
-    arguments.  The kernel backend is resolved once (explicit request, then
-    ``REPRO_KERNEL``, then the stdlib default — same model as the executor)
-    and the concrete name pinned on the request: component tasks shipped to
-    process workers then compute on this kernel regardless of the
-    worker's own environment.  Every backend is bit-identical, so this only
-    keeps the report honest about what ran.  Idempotent, and shared by
-    :func:`solve` and the incremental session (which must pin the kernel
-    *before* its own enumeration).
+    arguments.  Idempotent, and shared by :func:`solve`,
+    :func:`solve_prepared` and the incremental session.
     """
     if request is None:
         request = SolveRequest(**options)
@@ -141,9 +134,6 @@ def prepare_request(
         raise EngineError("cannot solve an empty graph")
     spec = get_solver(request.solver)
     spec.validate(request)
-    kernel_used = resolve_kernel(request.kernel).name
-    if request.kernel != kernel_used:
-        request = dataclasses.replace(request, kernel=kernel_used)
     return request, spec
 
 
@@ -296,7 +286,6 @@ def solve_prepared(
         jobs_used=jobs_used,
         executor=executor_used,
         fallback_reason=fallback_reason,
-        kernel=request.kernel,
         preprocessing=stats,
         solve_seconds=solve_seconds,
     )

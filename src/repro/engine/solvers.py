@@ -103,7 +103,6 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
         iterations=request.iterations,
         verification=request.verification,
         prune=request.prune,
-        kernel=request.kernel,
     )
     solver = IPPV(
         component.subgraph,
@@ -117,9 +116,7 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
 
 def _solve_exact(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
     start = time.perf_counter()
-    pairs = exact_top_k_lhcds(
-        component.subgraph, component.instances, request.k, kernel=request.kernel
-    )
+    pairs = exact_top_k_lhcds(component.subgraph, component.instances, request.k)
     subgraphs = [
         DenseSubgraph(
             vertices=frozenset(vertices),
@@ -142,24 +139,16 @@ def _solve_exact(component: PreparedComponent, request: SolveRequest) -> LhCDSRe
 def _solve_greedy(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
     assert request.k is not None  # enforced by SolverSpec.validate
     return greedy_topk_cds(
-        component.subgraph,
-        request.h,
-        request.k,
-        instances=component.instances,
-        kernel=request.kernel,
+        component.subgraph, request.h, request.k, instances=component.instances
     )
 
 
 def _solve_ldsflow(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
-    return lds_flow(
-        component.subgraph, request.k, instances=component.instances, kernel=request.kernel
-    )
+    return lds_flow(component.subgraph, request.k, instances=component.instances)
 
 
 def _solve_ltds(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
-    return ltds(
-        component.subgraph, request.k, instances=component.instances, kernel=request.kernel
-    )
+    return ltds(component.subgraph, request.k, instances=component.instances)
 
 
 register_solver(

@@ -38,6 +38,3 @@ class DatasetError(ReproError):
 class EngineError(ReproError):
     """Raised for invalid solve requests (unknown solver, bad h/k/jobs)."""
 
-
-class KernelError(ReproError):
-    """Raised for unknown kernel backends or missing optional dependencies."""

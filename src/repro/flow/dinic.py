@@ -1,4 +1,4 @@
-"""Flow networks on flat CSR buffers, computed by pluggable kernels.
+"""Flow networks on flat CSR buffers, computed by the Dinic kernel.
 
 Two layers live here:
 
@@ -6,11 +6,9 @@ Two layers live here:
   integer ids, arcs live in flat paired buffers (arc ``e`` and its residual
   ``e ^ 1`` are adjacent, ``arc_to[e ^ 1]`` recovers ``e``'s tail), and the
   per-node arc lists are a CSR index, handed over by the builder or built
-  lazily by a stable sort.  The actual BFS/DFS work is delegated to the
-  kernel backend selected via :func:`repro.kernels.resolve_kernel`
-  (``stdlib`` by default, ``numpy`` optionally, ``REPRO_KERNEL`` in
-  between).  Every flow the solvers compute runs on one of these, built by
-  :func:`repro.flow.network.solve_compact_network`.
+  lazily by a stable sort.  The BFS/DFS work runs in
+  :mod:`repro.kernels.flow_stdlib`.  Every flow the solvers compute runs on
+  one of these, built by :func:`repro.flow.network.solve_compact_network`.
 * :class:`MaxFlowNetwork` — a hashable-node wrapper for small general
   networks: it interns nodes to ids and forwards to a
   :class:`FlatFlowNetwork`.
@@ -20,9 +18,9 @@ Capacities are integers (the builders scale rational capacities first, see
 are exact.  A builder may hand over plain lists of unbounded ints; buffers
 grown arc by arc are ``array('q')`` and, if a capacity overflows the
 signed-64-bit range (huge ``Fraction`` denominators can do that), fall back
-to a plain Python list — the kernels are container-agnostic.
+to a plain Python list — the kernel is container-agnostic.
 
-Min-cut queries are sound under any kernel: Dinic may find *different*
+Min-cut queries are sound whatever the arc order: Dinic may find *different*
 maximum flows depending on augmentation order, but the minimal source side
 (residual-reachable from ``s``) and the maximal source side (complement of
 the residual-reaching-``t`` set) of a minimum cut are unique properties of
@@ -36,7 +34,7 @@ from collections import Counter
 from typing import Dict, Hashable, List, Optional, Set, Union
 
 from ..errors import FlowError
-from ..kernels import KernelBackend, resolve_kernel
+from ..kernels import flow_stdlib
 
 Node = Hashable
 
@@ -54,12 +52,11 @@ class FlatFlowNetwork:
     capacity.
     """
 
-    __slots__ = ("_num_nodes", "_kernel", "_arc_to", "_cap", "_indptr", "_arcs")
+    __slots__ = ("_num_nodes", "_arc_to", "_cap", "_indptr", "_arcs")
 
     def __init__(
         self,
         num_nodes: int = 0,
-        kernel: Union[KernelBackend, str, None] = None,
         *,
         arc_to: Union[array, List[int], None] = None,
         cap: Union[array, List[int], None] = None,
@@ -67,7 +64,6 @@ class FlatFlowNetwork:
         arcs: Union[array, List[int], None] = None,
     ) -> None:
         self._num_nodes = num_nodes
-        self._kernel = kernel if isinstance(kernel, KernelBackend) else resolve_kernel(kernel)
         # ``arc_to``/``cap`` let builders hand over pre-filled paired buffers
         # (even ids forward, odd ids zero-capacity residuals) in one move.
         # ``indptr``/``arcs`` optionally hand over the matching CSR index as
@@ -88,11 +84,6 @@ class FlatFlowNetwork:
     def num_arcs(self) -> int:
         """Number of forward arcs (residual pairs are not counted)."""
         return len(self._arc_to) // 2
-
-    @property
-    def kernel(self) -> KernelBackend:
-        """The kernel backend computing on this network."""
-        return self._kernel
 
     def ensure_nodes(self, count: int) -> None:
         """Grow the node-id space to at least ``count`` ids."""
@@ -162,21 +153,21 @@ class FlatFlowNetwork:
     def max_flow(self, s: int, t: int) -> int:
         """Exact max flow from ``s`` to ``t``; leaves residual capacities."""
         self._ensure_csr()
-        return self._kernel.max_flow(
+        return flow_stdlib.max_flow(
             self._num_nodes, self._indptr, self._arcs, self._arc_to, self._cap, s, t
         )
 
     def reachable_mask(self, s: int) -> bytearray:
         """Mask of ids residual-reachable from ``s`` (minimal source side)."""
         self._ensure_csr()
-        return self._kernel.residual_reachable(
+        return flow_stdlib.residual_reachable(
             self._num_nodes, self._indptr, self._arcs, self._arc_to, self._cap, s
         )
 
     def reaching_mask(self, t: int) -> bytearray:
         """Mask of ids residual-reaching ``t`` (complement: maximal side)."""
         self._ensure_csr()
-        return self._kernel.residual_reaching(
+        return flow_stdlib.residual_reaching(
             self._num_nodes, self._indptr, self._arcs, self._arc_to, self._cap, t
         )
 
@@ -185,8 +176,7 @@ class MaxFlowNetwork:
     """A directed flow network supporting max-flow and min-cut queries.
 
     Nodes are arbitrary hashable objects, interned to dense integer ids; the
-    numeric work happens on a :class:`FlatFlowNetwork` through the selected
-    kernel backend.
+    numeric work happens on a :class:`FlatFlowNetwork`.
 
     Arc normalisation (documented behaviour, covered by regression tests):
 
@@ -199,10 +189,10 @@ class MaxFlowNetwork:
       ordered pairs.
     """
 
-    def __init__(self, kernel: Union[KernelBackend, str, None] = None) -> None:
+    def __init__(self) -> None:
         self._ids: Dict[Node, int] = {}
         self._nodes: List[Node] = []
-        self._flat = FlatFlowNetwork(0, kernel)
+        self._flat = FlatFlowNetwork()
         self._arc_of: Dict[tuple, int] = {}
         self._last_sink: Optional[Node] = None
 
@@ -279,7 +269,7 @@ class MaxFlowNetwork:
         of the nodes that can still reach the sink in the residual graph);
         the paper's ``DeriveCompact`` needs the maximal variant because it
         looks for maximal compact subgraphs.  Both sides are unique for the
-        network regardless of which maximum flow the kernel found.
+        network regardless of which maximum flow Dinic found.
         """
         if source not in self._ids:
             raise FlowError("source missing from the network")

@@ -33,10 +33,9 @@ exactly when it is forced or ``rho`` is 0, and it moves no other vertex's
 side.
 
 Every capacity is scaled by the denominator of ``rho * h``, so the cut is
-exact, and the kernel backend named by ``kernel`` runs Dinic on the
-resulting :class:`~repro.flow.dinic.FlatFlowNetwork`.  The maximal source
-side of a minimum cut is unique, so neither the kernel nor the arc order
-can change the result.
+exact, and Dinic runs on the resulting
+:class:`~repro.flow.dinic.FlatFlowNetwork`.  The maximal source side of a
+minimum cut is unique, so the arc order cannot change the result.
 
 :class:`FractionalArcCollector` is a small general-purpose helper that turns
 arcs with exact :class:`fractions.Fraction` capacities between hashable
@@ -80,11 +79,11 @@ class FractionalArcCollector:
             raise FlowError(f"negative capacity on arc {src!r} -> {dst!r}")
         self._arcs.append((src, dst, cap))
 
-    def build(self, kernel: Optional[str] = None) -> Tuple[MaxFlowNetwork, int]:
+    def build(self) -> Tuple[MaxFlowNetwork, int]:
         """Return the integer-scaled network and the scaling factor used."""
         denominators = [cap.denominator for _, _, cap in self._arcs] or [1]
         scale = lcm(*denominators)
-        network = MaxFlowNetwork(kernel)
+        network = MaxFlowNetwork()
         network.add_node(SOURCE)
         network.add_node(SINK)
         for src, dst, cap in self._arcs:
@@ -98,7 +97,6 @@ def solve_compact_network(
     *,
     vertices: Optional[Iterable[Vertex]] = None,
     forced: Iterable[Vertex] = (),
-    kernel: Optional[str] = None,
 ) -> Set[Vertex]:
     """Return the largest ``A`` maximising ``|Psi(A)| - rho * |A|``.
 
@@ -154,7 +152,7 @@ def solve_compact_network(
     # Slot ``fi`` of the flat instance array owns arc ids 4*fi .. 4*fi+3:
     # v->psi (cap 1), its residual, psi->v (cap h-1), its residual.  The
     # capacity buffer is one repeated 4-tuple and arc_to four strided
-    # copies.  Everything is built as plain lists: the stdlib kernel
+    # copies.  Everything is built as plain lists: the Dinic kernel
     # computes on lists without copying, and plain Python ints hold any
     # magnitude the huge-denominator scales can produce.
     flat = instances.flat_ids
@@ -214,7 +212,7 @@ def solve_compact_network(
 
     # --- solve and read the maximal source side ---------------------------
     network = FlatFlowNetwork(
-        t_id + 1, kernel, arc_to=arc_to, cap=cap, indptr=indptr_csr, arcs=arcs_csr
+        t_id + 1, arc_to=arc_to, cap=cap, indptr=indptr_csr, arcs=arcs_csr
     )
     network.max_flow(s_id, t_id)
     mask = network.reaching_mask(t_id)

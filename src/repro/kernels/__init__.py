@@ -1,98 +1,15 @@
-"""Kernel backends for the numeric hot loops, behind one registry.
+"""Flat-buffer compute kernels for the pipeline's three numeric cores.
 
-Mirrors the solver/executor registries: backends subclass
-:class:`~repro.kernels.base.KernelBackend`, register by name, and callers
-resolve them with :func:`resolve_kernel` — explicit request first, then the
-``REPRO_KERNEL`` environment variable, then the ``stdlib`` default.  The
-CI kernel matrix enforces that every backend's exposed results are
-bit-identical to ``stdlib``'s, so the choice only moves compute.
+* :mod:`~repro.kernels.flow_stdlib` — Dinic max-flow and residual
+  reachability, behind :class:`repro.flow.dinic.FlatFlowNetwork`;
+* :mod:`~repro.kernels.fw_stdlib` — the SEQ-kClist++ Frank–Wolfe rounds,
+  behind :func:`repro.lhcds.seq_kclist.seq_kclist_plus_plus`;
+* :mod:`~repro.kernels.kclist_stdlib` — the kClist h-clique recursion,
+  behind :mod:`repro.cliques.kclist`.
+
+They are plain functions over flat integer buffers (``array`` or list),
+with no dependency beyond the standard library.  Every CSR argument follows
+one convention: ``indptr`` is a row pointer of length ``n + 1`` and the
+companion index buffer's slice ``[indptr[v]:indptr[v + 1]]`` is row ``v``.
+Each module documents the rest of its layout contract.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Dict, List, Optional, Type
-
-from ..errors import KernelError
-from .base import KernelBackend
-from .numpy_backend import NumpyKernel
-from .stdlib_backend import StdlibKernel
-
-#: The backend used when neither the request nor the environment picks one.
-DEFAULT_KERNEL = "stdlib"
-
-_REGISTRY: Dict[str, Type[KernelBackend]] = {}
-# Backend instances are stateless; cache one per class so hot paths can
-# resolve repeatedly without re-instantiating.
-_INSTANCES: Dict[str, KernelBackend] = {}
-
-
-def register_kernel(kernel_class: Type[KernelBackend]) -> None:
-    """Add a kernel backend class to the registry (names are unique)."""
-    name = kernel_class.name
-    if not name:
-        raise KernelError("kernel backend classes must define a non-empty name")
-    if name in _REGISTRY:
-        raise KernelError(f"kernel backend {name!r} is already registered")
-    _REGISTRY[name] = kernel_class
-
-
-def get_kernel(name: str) -> KernelBackend:
-    """Return the (cached) backend instance registered under ``name``.
-
-    Raises :class:`~repro.errors.KernelError` for unknown names and for
-    backends whose optional dependency is missing (e.g. ``numpy`` without
-    the ``[numpy]`` extra installed).
-    """
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        raise KernelError(
-            f"unknown kernel backend {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
-    instance = _INSTANCES.get(key)
-    if instance is None:
-        instance = _REGISTRY[key]()
-        _INSTANCES[key] = instance
-    return instance
-
-
-def available_kernels() -> List[str]:
-    """Names of every registered kernel backend, sorted."""
-    return sorted(_REGISTRY)
-
-
-def describe_kernel(name: str) -> str:
-    """One-line description of a registered kernel backend."""
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        raise KernelError(
-            f"unknown kernel backend {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
-    return _REGISTRY[key].description
-
-
-def resolve_kernel(name: Optional[str] = None) -> KernelBackend:
-    """Resolve the kernel backend for a computation.
-
-    Precedence: the explicit ``name`` when given, then the ``REPRO_KERNEL``
-    environment variable, then :data:`DEFAULT_KERNEL`.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_KERNEL", "").strip().lower() or DEFAULT_KERNEL
-    return get_kernel(name)
-
-
-register_kernel(StdlibKernel)
-register_kernel(NumpyKernel)
-
-__all__ = [
-    "DEFAULT_KERNEL",
-    "KernelBackend",
-    "StdlibKernel",
-    "NumpyKernel",
-    "register_kernel",
-    "get_kernel",
-    "available_kernels",
-    "describe_kernel",
-    "resolve_kernel",
-]

@@ -1,12 +1,13 @@
 """Pure-Python CSR Dinic core: max flow and residual reachability.
 
-Operates on the flat paired-arc layout described in
-:class:`repro.kernels.base.KernelBackend`: arc ``e`` and ``e ^ 1`` are a
-forward/residual pair, ``arcs[indptr[v]:indptr[v+1]]`` lists the arc ids
-incident from node ``v``.  Everything here is integer arithmetic — the
-capacity buffers may be ``array('q')`` or plain lists of (unbounded) Python
-ints, and the min-cut decisions derived from the residual capacities are
-exact either way.
+Layout: nodes are ids ``0..n-1``; arc ``e`` goes to ``arc_to[e]`` with
+residual capacity ``cap[e]``, and arcs come in pairs — ``e`` and ``e ^ 1``
+are a forward arc and its reverse, so the tail of ``e`` is
+``arc_to[e ^ 1]``.  ``arcs[indptr[v]:indptr[v + 1]]`` lists the ids of the
+arcs leaving node ``v``, in any order.  Everything here is integer
+arithmetic — the capacity buffers may be ``array('q')`` or plain lists of
+(unbounded) Python ints, and the min-cut decisions derived from the
+residual capacities are exact either way.
 
 The buffers are copied into plain lists on entry: CPython indexes a list
 roughly twice as fast as an ``array('q')`` (array reads box a fresh int
@@ -38,7 +39,8 @@ def max_flow(
     """Dinic with iterative BFS level graphs and an explicit-stack DFS.
 
     Mutates ``cap`` into the residual capacities of a maximum flow and
-    returns the flow value.
+    returns the exact flow value; the residual capacities feed the min-cut
+    queries below.
     """
     indptr_l = _as_list(indptr)
     arcs_l = _as_list(arcs)
@@ -127,7 +129,11 @@ def residual_reachable(
     cap: Sequence[int],
     s: int,
 ) -> bytearray:
-    """BFS mask of nodes reachable from ``s`` over positive residual arcs."""
+    """BFS mask of nodes reachable from ``s`` over positive residual arcs.
+
+    Called after :func:`max_flow`; the marked set is the *minimal* source
+    side of a minimum cut (unique regardless of which max flow was found).
+    """
     indptr_l = _as_list(indptr)
     arcs_l = _as_list(arcs)
     to_l = _as_list(arc_to)
@@ -158,7 +164,9 @@ def residual_reaching(
 ) -> bytearray:
     """Reverse-BFS mask of nodes that can reach ``t`` over residual arcs.
 
-    Arc ``e`` incident from ``v`` points to ``u = arc_to[e]``; its pair
+    The complement of the marked set is the *maximal* source side of a
+    minimum cut (again unique), which ``DeriveCompact`` relies on.  Arc
+    ``e`` incident from ``v`` points to ``u = arc_to[e]``; its pair
     ``e ^ 1`` is the arc ``u -> v``, so ``u`` reaches ``v`` exactly when
     ``cap[e ^ 1] > 0``.
     """

@@ -1,5 +1,11 @@
 """Pure-Python SEQ-kClist++ core on flat weight buffers.
 
+Layout: ``flat`` is the ``num_instances * h`` vertex-id buffer of an
+:class:`~repro.instances.InstanceSet` (instance ``i`` owns
+``flat[i*h:(i+1)*h]``), ``degrees[vid]`` the instance degree of interned
+vertex ``vid`` and ``rank_of[vid]`` its tie-break rank.  The weight buffer
+``alpha`` returned has the same layout as ``flat``.
+
 The Frank–Wolfe rounds are run in *scaled* weight space: with
 ``gamma_t = 1/(t+1)``, the textbook update ``alpha <- (1-gamma_t)*alpha``
 followed by ``+gamma_t`` on the selected entry satisfies
@@ -10,10 +16,8 @@ where ``w`` starts at ``1/h`` per entry and round ``t`` simply adds ``1`` to
 the selected entry.  Working on ``w`` removes both per-round shrink sweeps
 (the old quadratic-ish term) and keeps every per-round update float-exact:
 the additions are integer increments far below 2**53, so the only rounding
-happens in the shared init (``degree * (1/h)``) and the final materialisation
-(one multiply by ``1/(T+1)``).  Both are single IEEE operations performed
-identically by every backend, which is what makes the stdlib and numpy
-kernels bit-identical by construction.
+happens in the init (``degree * (1/h)``) and the final materialisation
+(one multiply by ``1/(T+1)``).
 """
 
 # repro: allow-file-EX01(Frank-Wolfe iterate: approximate float weights by design; stable_groups pads them with FLOAT_SLACK before any certified comparison)
@@ -24,23 +28,24 @@ from array import array
 from typing import List, Sequence, Tuple
 
 
-def fw_select(
+def fw_distribute(
     h: int,
     flat: Sequence[int],
     degrees: Sequence[int],
     rank_of: Sequence[int],
     iterations: int,
-) -> Tuple[List[int], List[float]]:
-    """Run the sequential poorest-vertex selection rounds in scaled space.
+) -> Tuple[array, List[float]]:
+    """Run ``iterations`` SEQ-kClist++ rounds over the flat instance ids.
 
-    Returns ``(counts, w_r)``: per-slot selection counts (``counts[i*h+j]``
-    is how many rounds instance ``i`` gave its unit to position ``j``) and
-    the scaled received weights per interned id.  This loop is the one piece
-    both backends share verbatim — it is inherently sequential (each pick
-    shifts the next comparison), and every float op in it is exact.
+    Each round gives every instance's unit to its poorest vertex (least
+    received weight, ties to the lower ``rank_of``), in instance order.
+    Returns ``(alpha, r)``: the flat ``array('d')`` weight buffer and the
+    received weight per interned id.
     """
     n_inst = len(flat) // h
     inv_h = 1.0 / h
+    # counts[i*h+j]: rounds in which instance i gave its unit to slot j;
+    # w_r: received weight per interned id, in scaled space.
     counts = [0] * (n_inst * h)
     w_r = [d * inv_h for d in degrees]
     for _ in range(iterations):
@@ -61,19 +66,6 @@ def fw_select(
             counts[base + j_min] += 1
             w_r[v_min] += 1.0
             base += h
-    return counts, w_r
-
-
-def fw_distribute(
-    h: int,
-    flat: Sequence[int],
-    degrees: Sequence[int],
-    rank_of: Sequence[int],
-    iterations: int,
-) -> Tuple[array, List[float]]:
-    """Full stdlib kernel: selection rounds plus scalar materialisation."""
-    counts, w_r = fw_select(h, flat, degrees, rank_of, iterations)
-    inv_h = 1.0 / h
     scale = 1.0 / (iterations + 1)
     alpha = array("d", [(c + inv_h) * scale for c in counts])
     r_of = [w * scale for w in w_r]

@@ -6,6 +6,14 @@ neighbour sets at every node.  This core keeps *one* flat candidate pool for
 the whole enumeration — each recursion level appends its filtered segment
 after its parent's — and marks adjacency with an epoch-stamped scratch array
 instead of set membership, so the inner loop is integer compares only.
+
+Layout: vertices are the rank ids ``0..n-1`` of a degeneracy ordering, and
+``nbrs[indptr[v]:indptr[v + 1]]`` are ``v``'s out-neighbours (higher rank)
+in ascending rank order.  Cliques come out as ``h`` consecutive rank ids in
+one flat ``array('q')``, in the canonical kClist emission order: outer
+vertices by rank, each level's candidates in ascending rank, so every
+clique lists its vertices in ascending rank.  Downstream interning in
+:class:`~repro.instances.InstanceSet` depends on that order.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ def kclist_cliques(
 ) -> array:
     """Emit all h-cliques (``h >= 3``) of the oriented DAG as one flat buffer.
 
-    See :meth:`repro.kernels.base.KernelBackend.kclist_cliques` for the
-    layout and ordering contract.
+    The buffer has length ``h * num_cliques``; the module docstring gives
+    the layout and ordering contract.
     """
     out = array("q")
     if n == 0:

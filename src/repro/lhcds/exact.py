@@ -32,7 +32,6 @@ from ..instances import InstanceSet
 def diminishingly_dense_decomposition(
     instances: InstanceSet,
     vertices: Optional[Iterable[Vertex]] = None,
-    kernel: Optional[str] = None,
 ) -> List[Tuple[Set[Vertex], Fraction]]:
     """Return the nested decomposition as (new layer vertices, layer density) pairs.
 
@@ -48,7 +47,7 @@ def diminishingly_dense_decomposition(
     working = instances.restrict(universe)
     while shell != universe:
         seed = shell if shell else None
-        subset, density = maximal_densest_subset(working, universe, seed=seed, kernel=kernel)
+        subset, density = maximal_densest_subset(working, universe, seed=seed)
         new_vertices = subset - shell
         if not new_vertices or density <= 0:
             # Remaining vertices participate in no further instances.
@@ -62,12 +61,11 @@ def diminishingly_dense_decomposition(
 def exact_compact_numbers(
     instances: InstanceSet,
     vertices: Optional[Iterable[Vertex]] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[Vertex, Fraction]:
     """Return the exact compact number ``phi_h(u)`` of every vertex."""
     universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
     numbers: Dict[Vertex, Fraction] = {}
-    for layer, density in diminishingly_dense_decomposition(instances, universe, kernel):
+    for layer, density in diminishingly_dense_decomposition(instances, universe):
         for v in layer:
             numbers[v] = density
     for v in universe:
@@ -107,7 +105,6 @@ def lhcds_from_compact_numbers(
     graph: Graph,
     instances: InstanceSet,
     compact: Optional[Dict[Vertex, Fraction]] = None,
-    kernel: Optional[str] = None,
 ) -> List[Tuple[Set[Vertex], Fraction]]:
     """Enumerate every LhCDS exactly, given (or computing) exact compact numbers.
 
@@ -123,9 +120,7 @@ def lhcds_from_compact_numbers(
     """
     if graph.num_vertices == 0:
         raise AlgorithmError("cannot decompose an empty graph")
-    phi = compact if compact is not None else exact_compact_numbers(
-        instances, graph.vertices(), kernel
-    )
+    phi = compact if compact is not None else exact_compact_numbers(instances, graph.vertices())
     results: List[Tuple[Set[Vertex], Fraction]] = []
     values = sorted({v for v in phi.values() if v > 0}, reverse=True)
     for rho in values:
@@ -139,10 +134,9 @@ def exact_top_k_lhcds(
     graph: Graph,
     instances: InstanceSet,
     k: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> List[Tuple[Set[Vertex], Fraction]]:
     """Return the top-k LhCDSes by density using the exact decomposition."""
-    all_results = lhcds_from_compact_numbers(graph, instances, kernel=kernel)
+    all_results = lhcds_from_compact_numbers(graph, instances)
     if k is None:
         return all_results
     return all_results[:k]

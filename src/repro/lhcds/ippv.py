@@ -147,10 +147,6 @@ class IPPVConfig:
     max_refinement_rounds: int = 2
     #: Whether to run the pruning stage on the initial proposal.
     prune: bool = True
-    #: Kernel backend name for the numeric inner loops (flow, Frank–Wolfe,
-    #: clique listing), or None to resolve ``REPRO_KERNEL`` / the default.
-    #: Every backend produces bit-identical results and statistics.
-    kernel: Optional[str] = None
 
 
 class IPPV:
@@ -199,7 +195,7 @@ class IPPV:
             instances = self._precomputed_instances
         else:
             tick = time.perf_counter()
-            instances = self.pattern.instances(self.graph, kernel=self.config.kernel)
+            instances = self.pattern.instances(self.graph)
             timings.enumeration += time.perf_counter() - tick
         self._instances = instances
 
@@ -262,7 +258,7 @@ class IPPV:
 
             tick = time.perf_counter()
             verification_stats.is_densest_calls += 1
-            densest = is_densest(instances, candidate, self.config.kernel)
+            densest = is_densest(instances, candidate)
             verified = densest and self._verify(
                 candidate, bounds, output_vertices, verification_stats
             )
@@ -309,9 +305,7 @@ class IPPV:
             # Exact fallback: split along the maximal densest subgraph.
             exact_splits += 1
             local = instances.restrict(candidate)
-            dense_side, _ = maximal_densest_subset(
-                local, candidate, kernel=self.config.kernel
-            )
+            dense_side, _ = maximal_densest_subset(local, candidate)
             dense_side = set(dense_side)
             remainder = set(candidate) - dense_side
             for component in connected_components(
@@ -381,9 +375,7 @@ class IPPV:
         working = self._instances.restrict(vertices) if len(vertices) < self.graph.num_vertices else self._instances
 
         tick = time.perf_counter()
-        state = seq_kclist_plus_plus(
-            working, self.config.iterations, vertices, kernel=self.config.kernel
-        )
+        state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
         timings.seq_kclist += time.perf_counter() - tick
 
         tick = time.perf_counter()
@@ -402,13 +394,7 @@ class IPPV:
         """Run the configured maximal-compactness verification."""
         assert self._instances is not None
         if self.config.verification == "basic":
-            return verify_basic(
-                self.graph,
-                self._instances,
-                candidate,
-                stats=stats,
-                kernel=self.config.kernel,
-            )
+            return verify_basic(self.graph, self._instances, candidate, stats=stats)
         return verify_fast(
             self.graph,
             self._instances,
@@ -416,7 +402,6 @@ class IPPV:
             bounds,
             output_vertices=output_vertices,
             stats=stats,
-            kernel=self.config.kernel,
         )
 
 
@@ -427,10 +412,9 @@ def find_lhcds(
     *,
     iterations: int = 20,
     verification: str = "fast",
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Convenience wrapper: top-``k`` locally h-clique densest subgraphs."""
-    config = IPPVConfig(iterations=iterations, verification=verification, kernel=kernel)
+    config = IPPVConfig(iterations=iterations, verification=verification)
     return IPPV(graph, CliquePattern(h), config).run(k)
 
 
@@ -441,8 +425,7 @@ def find_lhxpds(
     *,
     iterations: int = 20,
     verification: str = "fast",
-    kernel: Optional[str] = None,
 ) -> LhCDSResult:
     """Convenience wrapper: top-``k`` locally pattern densest subgraphs (Algorithm 7)."""
-    config = IPPVConfig(iterations=iterations, verification=verification, kernel=kernel)
+    config = IPPVConfig(iterations=iterations, verification=verification)
     return IPPV(graph, pattern, config).run(k)

@@ -7,11 +7,12 @@ equals the h-clique compact number ``phi_h(u)`` (Theorem 2); a finite number
 of iterations yields a feasible approximation that the stable-group stage
 turns into valid lower/upper bounds (Theorem 4).
 
-The numeric inner loop lives in the kernel layer (:mod:`repro.kernels`): the
-weights are laid out as one flat ``array('d')`` buffer indexed by the CSR
-instance offsets of :class:`~repro.instances.InstanceSet` (instance ``i``'s
-``j``-th slot is ``alpha[i * h + j]``), and the per-round water-filling runs
-on the backend selected by :func:`repro.kernels.resolve_kernel`.
+The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`: the weights
+are laid out as one flat ``array('d')`` buffer indexed by the CSR instance
+offsets of :class:`~repro.instances.InstanceSet` (instance ``i``'s ``j``-th
+slot is ``alpha[i * h + j]``), and
+:func:`~repro.kernels.fw_stdlib.fw_distribute` runs the per-round
+water-filling on it.
 """
 
 # repro: allow-file-EX01(Frank-Wolfe iterate: approximate float weights by design; stable_groups pads them with FLOAT_SLACK before any certified comparison)
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from ..errors import AlgorithmError
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
-from ..kernels import KernelBackend, resolve_kernel
+from ..kernels.fw_stdlib import fw_distribute
 
 
 @dataclass
@@ -80,7 +81,6 @@ def seq_kclist_plus_plus(
     instances: InstanceSet,
     iterations: int,
     vertices: Optional[Sequence[Vertex]] = None,
-    kernel: Union[KernelBackend, str, None] = None,
 ) -> WeightState:
     """Run the SEQ-kClist++ iterations and return the resulting weights.
 
@@ -93,13 +93,9 @@ def seq_kclist_plus_plus(
     vertices:
         Optional vertex universe; vertices outside every instance keep
         ``r = 0`` implicitly.
-    kernel:
-        Kernel backend (instance, registered name, or None for the
-        environment default) that runs the water-filling rounds.
     """
     if iterations < 0:
         raise AlgorithmError(f"iterations must be non-negative, got {iterations}")
-    backend = kernel if isinstance(kernel, KernelBackend) else resolve_kernel(kernel)
     h = instances.h
     flat = instances.flat_ids
     n_vertices = instances.num_interned
@@ -114,7 +110,7 @@ def seq_kclist_plus_plus(
     for rank, vid in enumerate(sorted(range(n_vertices), key=reprs.__getitem__)):
         rank_of[vid] = rank
 
-    alpha, r_of = backend.fw_distribute(h, flat, degrees, rank_of, iterations)
+    alpha, r_of = fw_distribute(h, flat, degrees, rank_of, iterations)
 
     universe = set(vertices) if vertices is not None else instances.vertices()
     r: Dict[Vertex, float] = {v: 0.0 for v in universe}

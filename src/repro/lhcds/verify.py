@@ -60,7 +60,6 @@ def merge_verification_stats(total: VerificationStats, delta: VerificationStats)
 def is_densest(
     instances: InstanceSet,
     candidate: Iterable[Vertex],
-    kernel: Optional[str] = None,
 ) -> bool:
     """Return True when no subset of ``candidate`` is strictly denser.
 
@@ -79,7 +78,7 @@ def is_densest(
     # denser subset exists iff the maximiser of |Psi(A)| - rho'|A| is
     # non-empty.
     rho_prime = rho + Fraction(1, 2 * n * n)
-    denser = solve_compact_network(local, rho_prime, vertices=subset, kernel=kernel)
+    denser = solve_compact_network(local, rho_prime, vertices=subset)
     return len(denser) == 0
 
 
@@ -87,7 +86,6 @@ def derive_compact_subgraphs(
     instances: InstanceSet,
     vertices: Iterable[Vertex],
     rho: Fraction,
-    kernel: Optional[str] = None,
 ) -> Set[Vertex]:
     """Return the union of all maximal ``rho``-compact subgraphs (Theorem 5).
 
@@ -104,7 +102,7 @@ def derive_compact_subgraphs(
     if target < 0:
         target = Fraction(0)
     working = instances.restrict(universe)
-    return solve_compact_network(working, target, vertices=universe, kernel=kernel)
+    return solve_compact_network(working, target, vertices=universe)
 
 
 def _is_component_of(graph: Graph, candidate: Set[Vertex], region: Set[Vertex]) -> bool:
@@ -123,14 +121,13 @@ def verify_basic(
     candidate: Iterable[Vertex],
     *,
     stats: Optional[VerificationStats] = None,
-    kernel: Optional[str] = None,
 ) -> bool:
     """Algorithm 4: verify maximal compactness against the whole graph."""
     subset = set(candidate)
     if not subset:
         return False
     rho = Fraction(instances.count_within(subset), len(subset))
-    region = derive_compact_subgraphs(instances, graph.vertices(), rho, kernel)
+    region = derive_compact_subgraphs(instances, graph.vertices(), rho)
     if stats is not None:
         stats.flow_verifications += 1
         stats.closure_sizes.append(graph.num_vertices)
@@ -184,7 +181,6 @@ def verify_fast(
     *,
     output_vertices: Optional[Set[Vertex]] = None,
     stats: Optional[VerificationStats] = None,
-    kernel: Optional[str] = None,
 ) -> bool:
     """Algorithm 5: verify maximal compactness on a reduced region.
 
@@ -227,7 +223,7 @@ def verify_fast(
             stats.short_circuit_true += 1
         return True
 
-    region = derive_compact_subgraphs(instances, closure, rho, kernel)
+    region = derive_compact_subgraphs(instances, closure, rho)
     if stats is not None:
         stats.flow_verifications += 1
     return _is_component_of(graph, subset, region)

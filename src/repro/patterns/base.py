@@ -10,7 +10,7 @@ and are returned as tuples of distinct vertices packaged into an
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
@@ -28,14 +28,8 @@ class Pattern(abc.ABC):
     def enumerate(self, graph: Graph) -> Iterator[Tuple[Vertex, ...]]:
         """Yield each occurrence of the pattern exactly once."""
 
-    def instances(self, graph: Graph, kernel: Optional[str] = None) -> InstanceSet:
-        """Return all occurrences packaged as an :class:`InstanceSet`.
-
-        ``kernel`` selects the numeric backend for patterns whose
-        enumeration is kernel-accelerated (cliques); the generic fallback
-        ignores it — enumeration order is backend-independent either way.
-        """
-        del kernel
+    def instances(self, graph: Graph) -> InstanceSet:
+        """Return all occurrences packaged as an :class:`InstanceSet`."""
         return InstanceSet.from_instances(self.size, self.enumerate(graph))
 
     def count(self, graph: Graph) -> int:

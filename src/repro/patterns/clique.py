@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from ..cliques.kclist import clique_instances, enumerate_cliques
 from ..errors import PatternError
@@ -24,9 +24,9 @@ class CliquePattern(Pattern):
         """Yield every h-clique once (delegates to the kClist enumerator)."""
         return enumerate_cliques(graph, self.size)
 
-    def instances(self, graph: Graph, kernel: Optional[str] = None) -> InstanceSet:
+    def instances(self, graph: Graph) -> InstanceSet:
         """Stream cliques into the indexed builder (no re-validation)."""
-        return clique_instances(graph, self.size, kernel)
+        return clique_instances(graph, self.size)
 
 
 class EdgePattern(CliquePattern):

@@ -9,7 +9,6 @@ GET    ``/v1/health``                 liveness probe
 GET    ``/v1/spec``                   machine-readable API description
 GET    ``/v1/solvers``                registered solvers (name, metadata)
 GET    ``/v1/executors``              registered execution backends
-GET    ``/v1/kernels``                registered kernel backends
 GET    ``/v1/datasets``               dataset abbreviations
 GET    ``/v1/graphs``                 registered graphs
 GET    ``/v1/stats``                  service counters + cache summary
@@ -66,7 +65,6 @@ _GET_ROUTES: Dict[str, Callable[[SolveService], Any]] = {
     "health": lambda service: {"status": "ok"},
     "solvers": lambda service: service.solvers(),
     "executors": lambda service: service.executors(),
-    "kernels": lambda service: service.kernels(),
     "datasets": lambda service: service.datasets(),
     "graphs": lambda service: service.graphs(),
     "stats": lambda service: service.stats(),

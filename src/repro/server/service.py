@@ -14,7 +14,7 @@ Request validation is centralised here: every endpoint body goes through
 :data:`SESSION_SOLVE_KEYS`, :data:`DELTA_KEYS`, :data:`REGISTER_KEYS`), so
 an unknown key is rejected with the accepted keys enumerated in the error
 detail, and the delta/session endpoints accept exactly the same
-solver/executor/kernel keys as ``/v1/solve``.
+solver/executor keys as ``/v1/solve``.
 
 Solves and delta applications are serialized by an internal lock: warm
 artifacts and sessions are *shared* objects, and the instance-set scratch
@@ -42,10 +42,10 @@ from ..engine import (
     solve,
 )
 from ..engine.cache import pattern_identity
-from ..errors import ReproError
+from ..engine.request import check_kernel
+from ..errors import EngineError, ReproError
 from ..graph.delta import GraphDelta
 from ..graph.graph import Graph
-from ..kernels import available_kernels, describe_kernel
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
 from ..patterns.registry import get_pattern
@@ -101,8 +101,8 @@ _JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 #: Every key ``POST /v1/solve`` understands.
 SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"graph", "dataset", "pattern", "h"}
 #: Every key ``POST /v1/graphs/{name}/solve`` understands: the full solver/
-#: executor/kernel surface of ``/v1/solve``, minus the graph selector (the
-#: path names the graph).
+#: executor surface of ``/v1/solve``, minus the graph selector (the path
+#: names the graph).
 SESSION_SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"pattern", "h"}
 #: Every key ``POST /v1/graphs/{name}/deltas`` understands.
 DELTA_KEYS = frozenset(GraphDelta.json_keys())
@@ -294,8 +294,8 @@ class SolveService:
         """The :class:`SolveRequest` fields present in a validated payload.
 
         Each value must have its field's JSON type (booleans are not
-        integers here), so a mistyped field is a 400 naming it rather than
-        an error deep inside the solve.
+        integers here), and ``kernel`` must name the one kernel, so a bad
+        field is a 400 naming it rather than an error deep inside the solve.
         """
         options = {}
         for field, (expected, nullable) in _REQUEST_FIELDS.items():
@@ -314,7 +314,32 @@ class SolveService:
                     detail={"field": field},
                 )
             options[field] = value
+        try:
+            check_kernel(options.get("kernel"))
+        except EngineError as exc:
+            raise ServiceError(
+                f"bad solve request: 'kernel': {exc}",
+                code="bad_solve_request",
+                detail={"field": "kernel"},
+            ) from exc
         return options
+
+    @staticmethod
+    def _timing(total: float, lock_wait: float, solve_seconds: float) -> Dict[str, float]:
+        """The per-request timing split both solve endpoints report.
+
+        ``total_seconds`` runs from just before the solve lock is requested
+        to the report; ``lock_wait_seconds`` is the wait for that lock, and
+        ``preprocess_seconds`` is everything else outside the component
+        solves: cache lookup or cold pipeline, planning, merge.  On a warm
+        hit it collapses to the artifact load time.
+        """
+        return {
+            "total_seconds": total,
+            "lock_wait_seconds": lock_wait,
+            "solve_seconds": solve_seconds,
+            "preprocess_seconds": max(total - lock_wait - solve_seconds, 0),
+        }
 
     # ------------------------------------------------------------------
     # solving
@@ -343,6 +368,7 @@ class SolveService:
             ) from exc
         start = time.perf_counter()
         with self._solve_lock:
+            lock_wait = time.perf_counter() - start
             try:
                 report = solve(request)
             except ReproError as exc:
@@ -364,14 +390,7 @@ class SolveService:
                 "key": stats.cache_key,
                 "seconds": stats.cache_seconds,
             },
-            "timing": {
-                "total_seconds": total_seconds,
-                "solve_seconds": report.solve_seconds,
-                # Everything before (and around) the component solves:
-                # cache lookup or cold pipeline, planning, merge.  On a
-                # warm hit this collapses to the artifact load time.
-                "preprocess_seconds": max(total_seconds - report.solve_seconds, 0),
-            },
+            "timing": self._timing(total_seconds, lock_wait, report.solve_seconds),
         }
 
     # ------------------------------------------------------------------
@@ -445,7 +464,7 @@ class SolveService:
     def solve_incremental(self, name: str, payload: Any) -> Dict[str, Any]:
         """Solve a named graph through its warm incremental session.
 
-        Accepts exactly the solver/executor/kernel surface of
+        Accepts exactly the solver/executor surface of
         :meth:`solve` minus the graph selector (the path names the graph).
         The session is opened lazily per (graph, pattern) and reused across
         calls and deltas; its report is bit-identical to a cold solve of
@@ -456,6 +475,7 @@ class SolveService:
         options = self._request_options(payload)
         start = time.perf_counter()
         with self._solve_lock:
+            lock_wait = time.perf_counter() - start
             graph = self._named_graph(name)
             key = (name, pattern_identity(pattern))
             session = self._sessions.get(key)
@@ -482,11 +502,7 @@ class SolveService:
                 "pattern": key[1],
                 **(solve_stats.as_dict() if solve_stats is not None else {}),
             },
-            "timing": {
-                "total_seconds": total_seconds,
-                "solve_seconds": report.solve_seconds,
-                "preprocess_seconds": max(total_seconds - report.solve_seconds, 0),
-            },
+            "timing": self._timing(total_seconds, lock_wait, report.solve_seconds),
         }
 
     def sessions(self) -> List[Dict[str, Any]]:
@@ -531,13 +547,6 @@ class SolveService:
         return [
             {"name": name, "description": describe_executor(name)}
             for name in available_executors()
-        ]
-
-    def kernels(self) -> List[Dict[str, Any]]:
-        """Registered kernel backends."""
-        return [
-            {"name": name, "description": describe_kernel(name)}
-            for name in available_kernels()
         ]
 
     def datasets(self) -> List[str]:

@@ -388,6 +388,9 @@ class TestReportSurface:
             ["topk", "--dataset", "HA", "--verify-batch", "2"],
             ["topk", "--dataset", "HA", "--queue-dir", "d"],
             ["workers"],
+            ["topk", "--dataset", "HA", "--kernel", "stdlib"],
+            ["deltas", "--dataset", "HA", "--deltas", "stream.jsonl", "--kernel", "stdlib"],
+            ["kernels"],
         ],
     )
     def test_cli_removed_options_are_usage_errors(self, argv):

@@ -1,6 +1,6 @@
 """Tests for the incremental engine: :class:`IncrementalSession` solves must
 be bit-identical — result AND stats-relevant fields — to a cold solve of the
-final graph, after any delta sequence, on every executor and kernel."""
+final graph, after any delta sequence, on every executor."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.graph import Graph, GraphDelta, complete_graph, union_graph
-from repro.kernels import available_kernels
 
 from helpers import multi_component_graph, random_graph, shifted
 
@@ -126,13 +125,12 @@ class TestBitIdentityRandomized:
         assert report_signature(report) == cold_signature(session.graph, **options)
 
 
-class TestExecutorKernelMatrix:
+class TestExecutorMatrix:
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("kernel", available_kernels())
-    def test_matrix_bit_identity(self, executor, kernel):
+    def test_matrix_bit_identity(self, executor):
         graph = multi_component_graph()
-        session = IncrementalSession(graph, 3, copy_graph=True, kernel=kernel)
-        options = dict(solver="exact", k=3, executor=executor, jobs=2, kernel=kernel)
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        options = dict(solver="exact", k=3, executor=executor, jobs=2)
         session.solve(**options)
         deltas = [
             GraphDelta(remove_vertices=(0,)),  # touch the K6
@@ -143,18 +141,6 @@ class TestExecutorKernelMatrix:
             session.apply_delta(delta)
             warm = report_signature(session.solve(**options))
             assert warm == cold_signature(session.graph, **options)
-
-    def test_session_kernel_differs_from_solve_kernel(self):
-        kernels = available_kernels()
-        if len(kernels) < 2:
-            pytest.skip("only one kernel registered")
-        graph = multi_component_graph()
-        session = IncrementalSession(graph, 3, kernel=kernels[-1], copy_graph=True)
-        session.apply_delta(GraphDelta(remove_vertices=(0,)))
-        options = dict(solver="ippv", k=2, kernel=kernels[0])
-        assert report_signature(session.solve(**options)) == cold_signature(
-            session.graph, **options
-        )
 
 
 class TestResultReuse:
@@ -240,6 +226,9 @@ class TestDeltaStatsAndGuards:
             session.solve(graph=complete_graph(3))
         with pytest.raises(EngineError, match="pins"):
             session.solve(pattern=4)
+        # The kernel is no session parameter: there is only one.
+        with pytest.raises(TypeError, match="kernel"):
+            IncrementalSession(complete_graph(4), 3, kernel="stdlib")
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EngineError, match="empty graph"):

@@ -278,8 +278,8 @@ class TestInlineVerification:
         calls = []
         real_is_densest = ippv_module.is_densest
 
-        def is_densest(instances, candidate, kernel=None):
-            verdict = real_is_densest(instances, candidate, kernel)
+        def is_densest(instances, candidate):
+            verdict = real_is_densest(instances, candidate)
             calls.append(("is_densest", candidate, verdict))
             return verdict
 
@@ -330,7 +330,8 @@ class TestInlineVerification:
             assert "output_vertices" in kwargs
 
     @pytest.mark.parametrize(
-        "field", ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir"]
+        "field",
+        ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir", "kernel"],
     )
     def test_removed_fan_out_fields_rejected(self, field):
         with pytest.raises(TypeError, match=field):

@@ -1,26 +1,26 @@
-"""Tests for the pluggable kernel backends: registry + env resolution,
-flow-kernel equivalence against exhaustive s-t cut enumeration, arc
+"""Tests for the compute kernels: the flow kernel against exhaustive s-t
+cut enumeration (through the networks and called directly), arc
 normalisation regressions, capacity-scaling edge cases (zero capacities,
-beyond-int64 denominators), and stdlib-vs-numpy bit-identity from the raw
-kernels up through the engine."""
+beyond-int64 denominators), the Frank–Wolfe kernel against a per-instance
+reference, kClist against brute force, and the one-kernel ``kernel``
+option on requests and reports."""
 
 from __future__ import annotations
 
-import importlib.util
 import random
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar
 
 import pytest
 
-from helpers import multi_component_graph, random_graph, signature
+from helpers import multi_component_graph, random_graph
 
-from repro.cli import main as cli_main
+from repro.cliques import clique_instances
 from repro.cliques.kclist import clique_degrees, count_cliques, list_cliques
 from repro.engine import SolveRequest, solve
-from repro.errors import EngineError, FlowError, KernelError
+from repro.errors import EngineError, FlowError
 from repro.flow import (
     FractionalArcCollector,
     MaxFlowNetwork,
@@ -28,22 +28,10 @@ from repro.flow import (
     solve_compact_network,
 )
 from repro.flow.dinic import FlatFlowNetwork
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    KernelBackend,
-    available_kernels,
-    describe_kernel,
-    get_kernel,
-    register_kernel,
-    resolve_kernel,
-)
+from repro.graph import Graph, complete_graph, union_graph
+from repro.graph.ordering import degeneracy_ordering
+from repro.kernels import flow_stdlib
 from repro.lhcds.seq_kclist import seq_kclist_plus_plus
-
-NUMPY = importlib.util.find_spec("numpy") is not None
-needs_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
-
-#: Kernels exercised by the equivalence matrices on this machine.
-KERNELS = ["stdlib"] + (["numpy"] if NUMPY else [])
 
 
 def random_flow_arcs(n_nodes, n_arcs, seed, max_cap=20):
@@ -71,84 +59,85 @@ def enumerate_min_cuts(arcs, n_nodes, s, t):
     return best, set.intersection(*sides), set.union(*sides)
 
 
-class TestRegistry:
-    def test_both_backends_always_listed(self):
-        # The numpy backend is listable even when numpy is missing, so a
-        # request can *name* it on any machine (and fail with the install
-        # hint only when actually resolved).
-        assert available_kernels() == ["numpy", "stdlib"]
-        for name in available_kernels():
-            assert describe_kernel(name)
+def paired_csr(n_nodes, arcs):
+    """The kernel's flat layout for an arc list: paired arcs plus CSR index."""
+    arc_to, cap = [], []
+    for u, v, c in arcs:
+        arc_to += [v, u]
+        cap += [c, 0]
+    tails = [arc_to[e ^ 1] for e in range(len(arc_to))]
+    indptr = [0] * (n_nodes + 1)
+    for tail in tails:
+        indptr[tail + 1] += 1
+    for node in range(n_nodes):
+        indptr[node + 1] += indptr[node]
+    return indptr, sorted(range(len(arc_to)), key=tails.__getitem__), arc_to, cap
 
-    def test_default_resolution_is_stdlib(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert DEFAULT_KERNEL == "stdlib"
-        assert resolve_kernel().name == "stdlib"
-        assert resolve_kernel(None).name == "stdlib"
 
-    def test_instances_are_cached(self):
-        assert get_kernel("stdlib") is get_kernel("stdlib")
-        assert resolve_kernel("stdlib") is get_kernel("stdlib")
+def brute_force_cliques(graph, h):
+    """Every h-clique by testing all vertex h-subsets, in the canonical
+    kClist order: subsets of the degeneracy order, lexicographically."""
+    order, _, _ = degeneracy_ordering(graph)
+    return [
+        subset
+        for subset in combinations(order, h)
+        if all(graph.has_edge(u, v) for u, v in combinations(subset, 2))
+    ]
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(KernelError, match="unknown kernel"):
-            get_kernel("cuda")
-        with pytest.raises(KernelError, match="unknown kernel"):
-            describe_kernel("cuda")
 
-    def test_env_variable_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "stdlib")
-        assert resolve_kernel().name == "stdlib"
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        with pytest.raises(KernelError, match="unknown kernel"):
-            resolve_kernel()
+def reference_seq_kclist(instances, iterations):
+    """SEQ-kClist++ one instance tuple at a time, on dicts.
 
-    def test_explicit_name_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        assert resolve_kernel("stdlib").name == "stdlib"
+    The same scaled-space recurrence as the flat kernel: received weights
+    start at ``degree * (1/h)``, each round gives every instance's unit to
+    its poorest member (ties to the smaller repr rank), and the result is
+    scaled by ``1/(T+1)`` once.
+    """
+    h = instances.h
+    rows = instances.instances
+    degree = Counter(v for row in rows for v in row)
+    rank = {v: i for i, v in enumerate(sorted(degree, key=repr))}
+    inv_h = 1.0 / h
+    weight = {v: d * inv_h for v, d in degree.items()}
+    counts = [[0] * h for _ in rows]
+    for _ in range(iterations):
+        for i, row in enumerate(rows):
+            j = min(range(h), key=lambda j: (weight[row[j]], rank[row[j]]))
+            counts[i][j] += 1
+            weight[row[j]] += 1.0
+    scale = 1.0 / (iterations + 1)
+    alpha = array("d", [(c + inv_h) * scale for row in counts for c in row])
+    return alpha, {v: w * scale for v, w in weight.items()}
 
-    def test_duplicate_registration_rejected(self):
-        class Imposter(KernelBackend):
-            name: ClassVar[str] = "stdlib"
-            description: ClassVar[str] = "duplicate name"
 
-        with pytest.raises(KernelError, match="already registered"):
-            register_kernel(Imposter)
+class TestKernelOption:
+    """``stdlib`` is the one compute kernel: a request may name it (and
+    nothing else), and every report names it."""
 
-    def test_nameless_registration_rejected(self):
-        class Nameless(KernelBackend):
-            description: ClassVar[str] = "no name"
+    @pytest.mark.parametrize(
+        "spelling", [None, "stdlib", "  STDLIB  ", "Stdlib\n"], ids=repr
+    )
+    def test_request_validates_kernel_name(self, spelling):
+        request = SolveRequest(graph=complete_graph(3), pattern=3, k=1, kernel=spelling)
+        assert request.kernel == (None if spelling is None else "stdlib")
 
-        with pytest.raises(KernelError, match="non-empty name"):
-            register_kernel(Nameless)
-
-    def test_request_validates_kernel_name(self):
-        from repro.graph import complete_graph
-
+    @pytest.mark.parametrize(
+        "value",
+        ["numpy", "cuda", "", "std lib", 3, 1.5, True, b"stdlib", ["stdlib"]],
+        ids=repr,
+    )
+    def test_unknown_kernel_rejected(self, value):
         with pytest.raises(EngineError, match="unknown kernel"):
-            SolveRequest(graph=complete_graph(3), pattern=3, k=1, kernel="cuda")
-        request = SolveRequest(
-            graph=complete_graph(3), pattern=3, k=1, kernel="  STDLIB  "
-        )
-        assert request.kernel == "stdlib"
+            SolveRequest(graph=complete_graph(3), pattern=3, k=1, kernel=value)
 
-    @needs_numpy
-    def test_numpy_backend_resolves_when_installed(self):
-        assert resolve_kernel("numpy").name == "numpy"
-
-    def test_numpy_backend_raises_install_hint_without_numpy(self, monkeypatch):
-        # Simulate a numpy-less install: the class must stay listable but
-        # fail to instantiate with the install hint.
-        import repro.kernels as kernels_module
-        from repro.kernels import numpy_backend
-
-        monkeypatch.setattr(numpy_backend, "_NUMPY_AVAILABLE", False)
-        monkeypatch.delitem(kernels_module._INSTANCES, "numpy", raising=False)
-        assert "numpy" in available_kernels()
-        with pytest.raises(KernelError, match="requires numpy"):
-            get_kernel("numpy")
-        monkeypatch.undo()
-        kernels_module._INSTANCES.pop("numpy", None)
+    def test_report_defaults_to_stdlib(self, monkeypatch):
+        # Nothing reads REPRO_KERNEL: a stale setting must not reach a solve.
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        graph = multi_component_graph()
+        for kernel in (None, "stdlib"):
+            report = solve(graph=graph, pattern=3, k=2, solver="exact", kernel=kernel)
+            assert report.kernel == "stdlib"
+            assert report.to_json_dict()["kernel"] == "stdlib"
 
 
 class TestFlowKernelEquivalence:
@@ -159,11 +148,10 @@ class TestFlowKernelEquivalence:
     side their union; both are unique for the network, independent of which
     max flow was found."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_random_networks_match_cut_enumeration(self, kernel):
+    def test_random_networks_match_cut_enumeration(self):
         for seed in range(12):
             arcs = random_flow_arcs(n_nodes=8, n_arcs=24, seed=seed)
-            net = MaxFlowNetwork(kernel)
+            net = MaxFlowNetwork()
             for u, v, c in arcs:
                 net.add_edge(u, v, c)
             for node in range(8):
@@ -173,12 +161,11 @@ class TestFlowKernelEquivalence:
             assert net.min_cut_source_side(0) == minimal
             assert net.min_cut_source_side(0, maximal=True) == maximal
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_min_cut_value_equals_flow(self, kernel):
+    def test_min_cut_value_equals_flow(self):
         # Max-flow/min-cut duality, checked on the original arc list.
         for seed in range(8):
             arcs = random_flow_arcs(n_nodes=7, n_arcs=18, seed=100 + seed)
-            net = MaxFlowNetwork(kernel)
+            net = MaxFlowNetwork()
             for u, v, c in arcs:
                 net.add_edge(u, v, c)
             net.add_node(0), net.add_node(6)
@@ -188,22 +175,22 @@ class TestFlowKernelEquivalence:
                 cut = sum(c for u, v, c in arcs if u != v and u in side and v not in side)
                 assert cut == value
 
-    @needs_numpy
-    def test_kernels_agree_with_each_other(self):
-        for seed in range(8):
-            arcs = random_flow_arcs(n_nodes=9, n_arcs=30, seed=200 + seed)
-            nets = {}
-            for kernel in ("stdlib", "numpy"):
-                net = MaxFlowNetwork(kernel)
-                for u, v, c in arcs:
-                    net.add_edge(u, v, c)
-                net.add_node(0), net.add_node(8)
-                nets[kernel] = (net, net.max_flow(0, 8))
-            assert nets["stdlib"][1] == nets["numpy"][1]
-            for maximal in (False, True):
-                assert nets["stdlib"][0].min_cut_source_side(
-                    0, maximal=maximal
-                ) == nets["numpy"][0].min_cut_source_side(0, maximal=maximal)
+    @pytest.mark.parametrize("container", ["list", "array"])
+    def test_raw_kernel_on_either_container(self, container):
+        # The kernel functions take list or array('q') capacities and leave
+        # the residuals in the caller's buffer.
+        for seed in range(6):
+            arcs = random_flow_arcs(n_nodes=8, n_arcs=24, seed=300 + seed)
+            indptr, order, arc_to, cap = paired_csr(8, arcs)
+            buffer = list(cap) if container == "list" else array("q", cap)
+            value, minimal, maximal = enumerate_min_cuts(arcs, 8, 0, 7)
+            assert flow_stdlib.max_flow(8, indptr, order, arc_to, buffer, 0, 7) == value
+            for e in range(0, len(cap), 2):
+                assert buffer[e] + buffer[e + 1] == cap[e]
+            reach = flow_stdlib.residual_reachable(8, indptr, order, arc_to, buffer, 0)
+            reaching = flow_stdlib.residual_reaching(8, indptr, order, arc_to, buffer, 7)
+            assert {v for v in range(8) if reach[v]} == minimal
+            assert {v for v in range(8) if not reaching[v]} == maximal
 
 
 class TestArcNormalisation:
@@ -292,8 +279,7 @@ class TestCapacityScaling:
         assert isinstance(flat._cap, list)
         assert flat.max_flow(0, 1) == 1 << 63
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_scaled_min_cut_matches_rational_brute_force(self, kernel):
+    def test_scaled_min_cut_matches_rational_brute_force(self):
         # Round-trip property: on small random rational networks, the scaled
         # integer min cut must be a minimum cut of the *rational* network,
         # with matching (unique) minimal/maximal source sides.
@@ -309,7 +295,7 @@ class TestCapacityScaling:
             collector = FractionalArcCollector()
             for u, v, cap in arcs:
                 collector.add(u, v, cap)
-            net, scale = collector.build(kernel)
+            net, scale = collector.build()
             for node in range(n):
                 net.add_node(node)
             flow = Fraction(net.solve(0, n - 1), scale)
@@ -333,8 +319,6 @@ class TestCapacityScaling:
         # A rho with a beyond-int64 denominator pushes solve_compact_network
         # onto the unbounded-int capacity path; the maximiser must match the
         # brute-force argmax of |Psi(A)| - rho * |A| exactly.
-        from repro.cliques import clique_instances
-
         g = random_graph(6, 0.6, 3)
         inst = clique_instances(g, 3)
         if inst.num_instances == 0:
@@ -354,108 +338,53 @@ class TestCapacityScaling:
         assert chosen == best_set
 
 
-@needs_numpy
 class TestFrankWolfeBitIdentity:
-    """stdlib and numpy FW must agree bit-for-bit: same alpha bytes, same r."""
+    """The flat Frank–Wolfe kernel against the per-instance reference: the
+    same alpha bytes, slot for slot, and the same r."""
 
-    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("h", [2, 3, 4])
     @pytest.mark.parametrize("iterations", [0, 1, 7, 25])
     def test_alpha_and_r_identical(self, h, iterations):
-        from repro.cliques import clique_instances
-
+        checked = 0
         for seed in range(4):
-            g = random_graph(8, 0.55, seed + 10)
+            g = random_graph(9, 0.6, seed + 10)
             inst = clique_instances(g, h)
             if inst.num_instances == 0:
                 continue
-            std = seq_kclist_plus_plus(inst, iterations, kernel="stdlib")
-            npy = seq_kclist_plus_plus(inst, iterations, kernel="numpy")
-            assert bytes(std.alpha) == bytes(npy.alpha)
-            assert std.r == npy.r
+            state = seq_kclist_plus_plus(inst, iterations)
+            alpha, r = reference_seq_kclist(inst, iterations)
+            assert bytes(state.alpha) == bytes(alpha)
+            assert state.r == r
+            checked += 1
+        assert checked
 
 
-@needs_numpy
 class TestKclistBitIdentity:
-    """stdlib and numpy clique enumeration: same cliques, same order."""
+    """kClist against brute force on seeded G(n, p) graphs: the same clique
+    set with no duplicates — for h >= 2 in the same canonical order — and
+    the same counts and per-vertex clique degrees."""
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_enumeration_identical(self, h):
-        for seed in range(5):
-            g = random_graph(9, 0.5, seed + 30)
-            assert list_cliques(g, h, "stdlib") == list_cliques(g, h, "numpy")
-            assert count_cliques(g, h, "stdlib") == count_cliques(g, h, "numpy")
-            assert clique_degrees(g, h, "stdlib") == clique_degrees(g, h, "numpy")
+        for n, p, seed in [(9, 0.5, 30), (9, 0.5, 31), (12, 0.6, 32), (14, 0.4, 33)]:
+            self._check(random_graph(n, p, seed), h)
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_edge_case_graphs(self, h):
+        isolated = Graph(vertices=[0, 1, 2])
+        two_cliques = union_graph(complete_graph(6), Graph(edges=[(10, 11), (11, 12)]))
+        for graph in (complete_graph(7), isolated, two_cliques):
+            self._check(graph, h)
 
-class TestEngineKernelMatrix:
-    """Engine-level acceptance: every solver, stdlib vs numpy, outputs AND
-    verification statistics identical; the report records the kernel."""
-
-    @needs_numpy
-    @pytest.mark.parametrize(
-        "solver,h",
-        [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
-    )
-    def test_every_solver_identical_on_every_kernel(self, solver, h):
-        graph = multi_component_graph()
-        reference = solve(graph=graph, pattern=h, k=4, solver=solver, kernel="stdlib")
-        report = solve(graph=graph, pattern=h, k=4, solver=solver, kernel="numpy")
-        assert signature(report) == signature(reference)
-        assert report.verification == reference.verification
-        assert report.candidates_examined == reference.candidates_examined
-        assert reference.kernel == "stdlib"
-        assert report.kernel == "numpy"
-
-    @needs_numpy
-    def test_kernel_composes_with_parallel_executors(self):
-        graph = multi_component_graph()
-        reference = solve(graph=graph, pattern=3, k=4, solver="ippv", kernel="stdlib")
-        report = solve(
-            graph=graph, pattern=3, k=4, solver="ippv",
-            kernel="numpy", jobs=2, executor="process",
-        )
-        assert signature(report) == signature(reference)
-        assert report.kernel == "numpy"
-        assert report.executor == "process"
-
-    def test_report_defaults_to_stdlib(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        graph = multi_component_graph()
-        report = solve(graph=graph, pattern=3, k=2, solver="exact")
-        assert report.kernel == "stdlib"
-        assert report.to_json_dict()["kernel"] == "stdlib"
-
-    @needs_numpy
-    def test_env_variable_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        report = solve(graph=multi_component_graph(), pattern=3, k=2, solver="exact")
-        assert report.kernel == "numpy"
-
-    def test_invalid_env_variable_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        with pytest.raises(KernelError, match="unknown kernel"):
-            solve(graph=multi_component_graph(), pattern=3, k=2, solver="exact")
-
-    def test_request_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        report = solve(
-            graph=multi_component_graph(), pattern=3, k=2,
-            solver="exact", kernel="stdlib",
-        )
-        assert report.kernel == "stdlib"
-
-    def test_cli_kernels_subcommand(self, capsys):
-        assert cli_main(["kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "stdlib" in out
-        assert "numpy" in out
-
-    @needs_numpy
-    def test_cli_kernel_flag(self, capsys):
-        import json
-
-        assert cli_main(
-            ["topk", "--dataset", "HA", "--k", "2", "--kernel", "numpy", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kernel"] == "numpy"
+    @staticmethod
+    def _check(graph, h):
+        listed = list_cliques(graph, h)
+        expected = brute_force_cliques(graph, h)
+        as_sets = [frozenset(clique) for clique in listed]
+        assert len(set(as_sets)) == len(listed)
+        assert set(as_sets) == {frozenset(clique) for clique in expected}
+        if h >= 2:
+            assert listed == expected
+        assert count_cliques(graph, h) == len(expected)
+        degrees = Counter(v for clique in expected for v in clique)
+        assert clique_degrees(graph, h) == {v: degrees[v] for v in graph}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -146,6 +147,7 @@ class TestSolveSurface:
             ("prune", None),
             ("prune", 0),
             ("prune_stats", "true"),
+            ("kernel", "numpy"),
         ],
     )
     def test_mistyped_fields_are_400_on_both_endpoints(self, service, field, value):
@@ -232,8 +234,34 @@ class TestSolveSurface:
         for response in (cold, warm):
             timing = response["timing"]
             assert timing["total_seconds"] >= timing["solve_seconds"]
+            assert timing["lock_wait_seconds"] >= 0
             assert timing["preprocess_seconds"] >= 0
             assert timing["preprocess_seconds"] <= timing["total_seconds"]
+
+    @pytest.mark.parametrize("endpoint", ["solve", "session"])
+    def test_lock_wait_is_not_preprocessing(self, service, endpoint):
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        call = {
+            "solve": lambda: service.solve({"graph": "toy", "k": 1}),
+            "session": lambda: service.solve_incremental("toy", {"k": 1}),
+        }[endpoint]
+        held = threading.Event()
+
+        def hold_lock():
+            with service._solve_lock:
+                held.set()
+                time.sleep(0.3)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(5)
+        timing = call()["timing"]
+        holder.join()
+        assert timing["lock_wait_seconds"] >= 0.25
+        assert timing["preprocess_seconds"] < 0.25
+        assert timing["lock_wait_seconds"] + timing["solve_seconds"] + timing[
+            "preprocess_seconds"
+        ] == pytest.approx(timing["total_seconds"])
 
     @pytest.mark.parametrize(
         "solver,h",
@@ -343,8 +371,6 @@ class TestHTTPServer:
         assert {"ippv", "exact", "greedy"} <= {s["name"] for s in body["data"]}
         status, body = _request(base, "GET", "/v1/executors")
         assert [e["name"] for e in body["data"]] == ["process", "serial"]
-        status, body = _request(base, "GET", "/v1/kernels")
-        assert "stdlib" in {k["name"] for k in body["data"]}
         status, body = _request(base, "GET", "/v1/datasets")
         assert status == 200 and body["data"]
 
@@ -355,6 +381,7 @@ class TestHTTPServer:
             ("GET", "/health", None),
             ("POST", "/nope", {}),
             ("POST", "/graphs", {"name": "x", "edges": [[0, 1]]}),
+            ("GET", "/v1/kernels", None),
         ):
             status, body = _request(base, method, path, payload)
             assert status == 404
