@@ -91,7 +91,8 @@ def tentative_decomposition(
     densities = [Fraction(0)] + [Fraction(counts[q], q) for q in range(1, n + 1)]
 
     # A position p is a breakpoint when no longer prefix is denser (line 16).
-    breakpoints: List[int] = []
+    # p = n is always one, so the blocks cover the order; an empty universe
+    # has no blocks at all.
     suffix_max = Fraction(-1)
     is_breakpoint = [False] * (n + 1)
     for p in range(n, 0, -1):
@@ -99,8 +100,6 @@ def tentative_decomposition(
             is_breakpoint[p] = True
         suffix_max = max(suffix_max, densities[p])
     breakpoints = [p for p in range(1, n + 1) if is_breakpoint[p]]
-    if not breakpoints or breakpoints[-1] != n:
-        breakpoints.append(n)
 
     subsets: List[List[Vertex]] = []
     prefix_densities: List[Fraction] = []

@@ -11,12 +11,25 @@ Theorem 4 then sandwiches the true compact number of every member between
 ``min_S r`` and ``max_S r``, which is how the bounds get tightened.  The
 groups are the LhCDS candidates that the pruning and verification stages
 consume.
+
+DeriveSG makes one pass over the tentative order.  The accumulated group is
+always a contiguous slice ``order[lo:hi]``, so its ``r`` range is a running
+min/max.  TentativeGD moved weight after it sorted the order, so ``r`` is
+not monotone along it.  Condition 1 therefore bisects a sorted copy of the
+order's ``r`` values: the group is isolated exactly when its slack-widened
+range holds no more values than the group has members.  Only a group that
+passes condition 1 walks its incident instances, once, for conditions 2
+and 3; each slot is classified by its position in the order and by an
+``r`` threshold.  The cost is one sort of the ``n`` ``r`` values, one
+bisect pair per tentative subset, and one incident-instance walk per check
+that passes condition 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..graph.graph import Vertex
 from .bounds import CompactBounds
@@ -53,65 +66,55 @@ class StableGroup:
     stable: bool = True
 
 
-def _group_is_stable(
-    group: List[Vertex],
-    universe: Sequence[Vertex],
+def _weights_respect_group(
     state: WeightState,
+    member_ids: List[Optional[int]],
+    position: List[int],
+    r_at: List[float],
+    lo: int,
+    hi: int,
+    high: float,
 ) -> bool:
-    """Check Definition 6 for ``group`` against the whole universe."""
-    if not group:
-        return False
-    members = set(group)
-    r = state.received
-    r_min = min(r(v) for v in group)
-    r_max = max(r(v) for v in group)
+    """Check Definition 6's conditions 2 and 3 for the group ``order[lo:hi]``.
 
-    above: set = set()
-    below: set = set()
-    for v in universe:
-        if v in members:
-            continue
-        rv = r(v)
-        if rv > r_max + FLOAT_SLACK:
-            above.add(v)
-        elif rv < r_min - FLOAT_SLACK:
-            below.add(v)
-        else:
-            # Condition 1 violated: r(v) falls inside the group's range.
-            return False
-
-    # Conditions 2 and 3 only involve instances incident to the group, so the
-    # scan walks the CSR incidence lists over interned ids.
+    Called only once condition 1 holds, so every other vertex of the order
+    is above ``high`` or below the group's range.  A slot is a member when
+    its position lies in ``[lo, hi)``; slots of vertices outside the order
+    (position -1) are ignored.
+    """
     instances = state.instances
     alpha = state.alpha
     h = instances.h
     flat = instances.flat_ids
     indptr = instances.incidence_indptr
     incidence = instances.incidence_indices
-    above_ids = {vid for v in above if (vid := instances.vertex_id(v)) is not None}
-    below_ids = {vid for v in below if (vid := instances.vertex_id(v)) is not None}
-    member_ids = {vid for v in members if (vid := instances.vertex_id(v)) is not None}
     checked: set = set()
-    for u in group:
-        uid = instances.vertex_id(u)
+    for uid in member_ids:
         if uid is None:
             continue
-        for pos in range(indptr[uid], indptr[uid + 1]):
-            idx = incidence[pos]
+        for idx in incidence[indptr[uid] : indptr[uid + 1]]:
             if idx in checked:
                 continue
             checked.add(idx)
             base = idx * h
-            ids = flat[base : base + h]
-            for j, vid in enumerate(ids):
-                if vid in above_ids and alpha[base + j] > FLOAT_SLACK:
-                    # Condition 2 violated.
-                    return False
-            if any(vid in below_ids for vid in ids):
-                for j, vid in enumerate(ids):
-                    if vid in member_ids and alpha[base + j] > FLOAT_SLACK:
-                        # Condition 3 violated.
+            touches_below = False
+            member_weighted = False
+            for slot in range(base, base + h):
+                pos = position[flat[slot]]
+                if pos < 0:
+                    continue
+                if lo <= pos < hi:
+                    if alpha[slot] > FLOAT_SLACK:
+                        member_weighted = True
+                elif r_at[pos] > high:
+                    if alpha[slot] > FLOAT_SLACK:
+                        # Condition 2 violated.
                         return False
+                else:
+                    touches_below = True
+            if touches_below and member_weighted:
+                # Condition 3 violated.
+                return False
     return True
 
 
@@ -128,26 +131,42 @@ def derive_stable_groups(
     accumulation that never becomes stable is still emitted (it is a valid
     candidate superset; dropping it could lose an LhCDS).
     """
-    universe: List[Vertex] = list(decomposition.order)
+    order = decomposition.order
+    r_at = [state.received(v) for v in order]
+    sorted_r = sorted(r_at)
+    instances = state.instances
+    id_at = [instances.vertex_id(v) for v in order]
+    position = [-1] * instances.num_interned
+    for pos, vid in enumerate(id_at):
+        if vid is not None:
+            position[vid] = pos
+
     groups: List[StableGroup] = []
-    current: List[Vertex] = []
+    lo = hi = 0
+    r_min: float = 0.0
+    r_max: float = 0.0
     for subset in decomposition.subsets:
-        current.extend(subset)
-        if _group_is_stable(current, universe, state):
-            r_values = [state.received(v) for v in current]
-            groups.append(
-                StableGroup(vertices=list(current), r_min=min(r_values), r_max=max(r_values))
-            )
-            current = []
-    if current:
-        r_values = [state.received(v) for v in current]
+        block = r_at[hi : hi + len(subset)]
+        if hi == lo:
+            r_min, r_max = min(block), max(block)
+        else:
+            r_min = min(r_min, min(block))
+            r_max = max(r_max, max(block))
+        hi += len(subset)
+        high = r_max + FLOAT_SLACK
+        # Condition 1: every member lies in [r_min - slack, high], so the
+        # group is isolated iff that window holds no other vertex; a
+        # non-member on the window's edge blocks it.
+        inside = bisect_right(sorted_r, high) - bisect_left(sorted_r, r_min - FLOAT_SLACK)
+        if inside != hi - lo:
+            continue
+        if not _weights_respect_group(state, id_at[lo:hi], position, r_at, lo, hi, high):
+            continue
+        groups.append(StableGroup(vertices=order[lo:hi], r_min=r_min, r_max=r_max))
+        lo = hi
+    if hi > lo:
         groups.append(
-            StableGroup(
-                vertices=list(current),
-                r_min=min(r_values),
-                r_max=max(r_values),
-                stable=False,
-            )
+            StableGroup(vertices=order[lo:hi], r_min=r_min, r_max=r_max, stable=False)
         )
 
     for group in groups:

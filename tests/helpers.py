@@ -9,8 +9,16 @@ exists only under ``tests/``; ``tests/conftest.py`` re-exports the fixtures.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import List, Optional, Sequence, Tuple
+
 from repro.datasets.synthetic import gnp_graph
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
+from repro.graph.graph import Vertex
+from repro.lhcds.bounds import CompactBounds
+from repro.lhcds.decomposition import TentativeDecomposition
+from repro.lhcds.seq_kclist import WeightState
+from repro.lhcds.stable_groups import FLOAT_SLACK, StableGroup
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -49,3 +57,114 @@ def small_random_graphs():
         p = 0.35 + 0.1 * (seed % 3)
         graphs.append(random_graph(n, p, seed))
     return graphs
+
+
+def _reference_verdict(
+    group: List[Vertex],
+    universe: Sequence[Vertex],
+    state: WeightState,
+) -> str:
+    """Check Definition 6 for ``group`` by rescanning the whole universe.
+
+    Returns ``"stable"``, or the first failed check: ``"condition 1"`` or
+    ``"conditions 2/3"``.
+    """
+    members = set(group)
+    r = state.received
+    r_min = min(r(v) for v in group)
+    r_max = max(r(v) for v in group)
+
+    above: set = set()
+    below: set = set()
+    for v in universe:
+        if v in members:
+            continue
+        rv = r(v)
+        if rv > r_max + FLOAT_SLACK:
+            above.add(v)
+        elif rv < r_min - FLOAT_SLACK:
+            below.add(v)
+        else:
+            # r(v) falls inside the group's range.
+            return "condition 1"
+
+    # Conditions 2 and 3 only involve instances incident to the group.
+    instances = state.instances
+    alpha = state.alpha
+    h = instances.h
+    flat = instances.flat_ids
+    indptr = instances.incidence_indptr
+    incidence = instances.incidence_indices
+    above_ids = {vid for v in above if (vid := instances.vertex_id(v)) is not None}
+    below_ids = {vid for v in below if (vid := instances.vertex_id(v)) is not None}
+    member_ids = {vid for v in members if (vid := instances.vertex_id(v)) is not None}
+    checked: set = set()
+    for u in group:
+        uid = instances.vertex_id(u)
+        if uid is None:
+            continue
+        for pos in range(indptr[uid], indptr[uid + 1]):
+            idx = incidence[pos]
+            if idx in checked:
+                continue
+            checked.add(idx)
+            base = idx * h
+            ids = flat[base : base + h]
+            for j, vid in enumerate(ids):
+                if vid in above_ids and alpha[base + j] > FLOAT_SLACK:
+                    return "conditions 2/3"
+            if any(vid in below_ids for vid in ids):
+                for j, vid in enumerate(ids):
+                    if vid in member_ids and alpha[base + j] > FLOAT_SLACK:
+                        return "conditions 2/3"
+    return "stable"
+
+
+def reference_stable_groups(
+    decomposition: TentativeDecomposition,
+    state: WeightState,
+    bounds: CompactBounds,
+    verdicts: Optional[Counter] = None,
+) -> Tuple[List[StableGroup], CompactBounds]:
+    """The Definition-6 oracle for ``derive_stable_groups``.
+
+    Accumulates the tentative subsets and rescans the whole universe for
+    every accumulated group, then tightens the bounds of the stable groups
+    as Theorem 4 allows.  When ``verdicts`` is given, it counts the outcome
+    of every check (plus ``"unstable tail"`` for a trailing group), so a
+    test can show that its cases reach every branch.
+    """
+    universe = list(decomposition.order)
+    groups: List[StableGroup] = []
+    current: List[Vertex] = []
+    for subset in decomposition.subsets:
+        current.extend(subset)
+        verdict = _reference_verdict(current, universe, state)
+        if verdicts is not None:
+            verdicts[verdict] += 1
+        if verdict == "stable":
+            r_values = [state.received(v) for v in current]
+            groups.append(
+                StableGroup(vertices=list(current), r_min=min(r_values), r_max=max(r_values))
+            )
+            current = []
+    if current:
+        if verdicts is not None:
+            verdicts["unstable tail"] += 1
+        r_values = [state.received(v) for v in current]
+        groups.append(
+            StableGroup(
+                vertices=list(current),
+                r_min=min(r_values),
+                r_max=max(r_values),
+                stable=False,
+            )
+        )
+
+    for group in groups:
+        if not group.stable:
+            continue
+        for v in group.vertices:
+            bounds.tighten_upper(v, group.r_max + FLOAT_SLACK)
+            bounds.tighten_lower(v, group.r_min - FLOAT_SLACK)
+    return groups, bounds

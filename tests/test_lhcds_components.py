@@ -1,13 +1,19 @@
 """Tests for the individual IPPV stages: bounds, SEQ-kClist++, decomposition,
 stable groups, pruning, and the verification primitives."""
 
+import math
+import random
+from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from helpers import random_graph, reference_stable_groups
 from repro.cliques import clique_instances
 from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, union_graph
+from repro.instances import InstanceSet
 from repro.lhcds import (
     CompactBounds,
     compact_closure,
@@ -21,8 +27,11 @@ from repro.lhcds import (
     verify_basic,
     verify_fast,
 )
+from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.reference import brute_force_compact_numbers, compactness_of
+from repro.lhcds.seq_kclist import WeightState
+from repro.lhcds.stable_groups import FLOAT_SLACK
 
 
 class TestCompactBounds:
@@ -126,6 +135,20 @@ class TestTentativeDecomposition:
         decomposition = tentative_decomposition(state, two_cliques.vertices())
         assert set(decomposition.subsets[0]) >= set(range(5))
 
+    def test_empty_universe_has_no_blocks(self, k5):
+        inst = clique_instances(k5, 3)
+        state = seq_kclist_plus_plus(inst, 5, [])
+        decomposition = tentative_decomposition(state, [])
+        assert decomposition.subsets == []
+        assert decomposition.prefix_densities == []
+        # DeriveSG then yields no groups and leaves the bounds alone.
+        bounds, _ = initialize_bounds(inst, k5.vertices())
+        before = bounds.copy()
+        groups, after = derive_stable_groups(decomposition, state, bounds)
+        assert groups == []
+        assert after.lower == before.lower
+        assert after.upper == before.upper
+
 
 class TestStableGroups:
     def test_groups_partition_universe(self, figure2):
@@ -148,6 +171,22 @@ class TestStableGroups:
             assert bounds.lower_of(v) <= float(phi[v]) + 1e-6
             assert bounds.upper_of(v) >= float(phi[v]) - 1e-6
 
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_bounds_sandwich_compact_numbers_on_random_graphs(self, h):
+        # Theorem 4, checked exactly: a Fraction against a slack-padded
+        # float bound compares without rounding.
+        for seed in range(95):
+            g = random_graph(4 + seed % 13, 0.3 + 0.1 * (seed % 5), seed)
+            inst = clique_instances(g, h)
+            phi = exact_compact_numbers(inst, g.vertices())
+            for iterations in (0, 1, 20):
+                bounds, _ = initialize_bounds(inst, g.vertices())
+                state = seq_kclist_plus_plus(inst, iterations, g.vertices())
+                decomposition = tentative_decomposition(state, g.vertices())
+                _, bounds = derive_stable_groups(decomposition, state, bounds)
+                for v in g.vertices():
+                    assert bounds.lower_of(v) <= phi[v] <= bounds.upper_of(v)
+
     def test_every_lhcds_within_one_stable_group(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
         bounds, _ = initialize_bounds(inst, two_cliques.vertices())
@@ -156,6 +195,114 @@ class TestStableGroups:
         groups, _ = derive_stable_groups(decomposition, state, bounds)
         k5 = set(range(5))
         assert any(k5 <= set(g.vertices) for g in groups)
+
+
+def _derive_sg_shapes(seed):
+    """One seeded random case in the three shapes DeriveSG must handle.
+
+    The full vertex set; IPPV's refinement shape, whose instances are
+    restricted to a random half of the vertices; and that half over the
+    unrestricted instances, so some instance slots lie outside the order.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 40)
+    p = rng.uniform(0.05, 0.4)
+    h = rng.choice((3, 4))
+    iterations = rng.choice((0, 1, 5, 20))
+    g = random_graph(n, p, seed)
+    inst = clique_instances(g, h)
+    half = rng.sample(sorted(g.vertices()), n // 2)
+    for working, vertices in ((inst, g.vertices()), (inst.restrict(half), half), (inst, half)):
+        yield working, vertices, iterations
+
+
+def _hand_built(r, subsets, weighted=()):
+    """A WeightState/TentativeDecomposition pair with the given r values.
+
+    ``weighted`` lists triangle instances as ``(vertices, alpha)`` pairs.
+    """
+    inst = InstanceSet.from_instances(3, [vertices for vertices, _ in weighted])
+    alpha = array("d", [w for _, weights in weighted for w in weights])
+    state = WeightState(instances=inst, alpha=alpha, r=dict(r))
+    order = [v for subset in subsets for v in subset]
+    decomposition = TentativeDecomposition(
+        subsets=[list(subset) for subset in subsets],
+        order=order,
+        prefix_densities=[Fraction(0)] * len(subsets),
+    )
+    return state, decomposition
+
+
+def _assert_matches_reference(decomposition, state, bounds, verdicts=None):
+    groups, tightened = derive_stable_groups(decomposition, state, bounds.copy())
+    expected, expected_bounds = reference_stable_groups(
+        decomposition, state, bounds.copy(), verdicts
+    )
+    assert groups == expected
+    assert tightened.lower == expected_bounds.lower
+    assert tightened.upper == expected_bounds.upper
+    return groups
+
+
+class TestDeriveSGOracle:
+    """The one-pass DeriveSG against the universe-rescanning oracle."""
+
+    def test_random_cases_match_reference(self):
+        verdicts = Counter()
+        multi_group = 0
+        for seed in range(600):
+            for working, vertices, iterations in _derive_sg_shapes(seed):
+                state = seq_kclist_plus_plus(working, iterations, vertices)
+                bounds, _ = initialize_bounds(working, vertices)
+                decomposition = tentative_decomposition(state, vertices)
+                groups = _assert_matches_reference(decomposition, state, bounds, verdicts)
+                multi_group += len(groups) > 1
+        # The cases reach every branch of the check.
+        assert verdicts["condition 1"] > 0
+        assert verdicts["conditions 2/3"] > 0
+        assert verdicts["unstable tail"] > 0
+        assert multi_group > 0
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_non_member_on_the_slack_edge_blocks_the_group(self, side):
+        edge = 2.0 + FLOAT_SLACK if side == "above" else 1.0 - FLOAT_SLACK
+        state, decomposition = _hand_built({"a": 1.0, "b": 2.0, "c": edge}, [["a", "b"], ["c"]])
+        groups = _assert_matches_reference(decomposition, state, CompactBounds())
+        assert [(g.vertices, g.stable) for g in groups] == [(["a", "b", "c"], True)]
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_non_member_one_ulp_past_the_edge_does_not_block(self, side):
+        if side == "above":
+            edge = math.nextafter(2.0 + FLOAT_SLACK, math.inf)
+        else:
+            edge = math.nextafter(1.0 - FLOAT_SLACK, -math.inf)
+        state, decomposition = _hand_built({"a": 1.0, "b": 2.0, "c": edge}, [["a", "b"], ["c"]])
+        groups = _assert_matches_reference(decomposition, state, CompactBounds())
+        assert groups[0].vertices == ["a", "b"]
+        assert groups[0].stable
+        assert (groups[0].r_min, groups[0].r_max) == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "weights, stable",
+        [
+            # Condition 2: the vertex above holds weight in a shared instance.
+            ((0.5, 0.0, 0.5), False),
+            # Condition 3: the instance reaches below and a member holds weight.
+            ((0.0, 0.5, 0.5), False),
+            # All the weight sits on the vertex below: the group is stable.
+            ((0.0, 0.0, 1.0), True),
+        ],
+    )
+    def test_weight_in_shared_instances(self, weights, stable):
+        # The first check is the group {m}, with "up" above it and "down"
+        # below; the instance's slots are in that order.
+        state, decomposition = _hand_built(
+            {"up": 3.0, "m": 2.0, "down": 1.0},
+            [["m"], ["up", "down"]],
+            weighted=[(("up", "m", "down"), weights)],
+        )
+        groups = _assert_matches_reference(decomposition, state, CompactBounds())
+        assert (groups[0].vertices == ["m"]) == stable
 
 
 class TestPrune:
