@@ -2,10 +2,11 @@
 
 :func:`solve_compact_network` is the one flow-network builder of the
 solvers.  IPPV's ``IsDensest`` and maximal-compactness checks
-(:mod:`repro.lhcds.verify`) call it once per check, and every Dinkelbach
-step of :func:`repro.densest.exact.maximal_densest_subset` calls it once,
-so the ``exact`` solver, IPPV's exact splits, LDSflow and LTDS all run on
-the same network.
+(:mod:`repro.lhcds.verify`) call it once per check.  The ``exact``
+solver's decomposition (:mod:`repro.lhcds.exact`) calls it once per cut
+of its breakpoint search, on a network restricted to the gap between two
+layer boundaries, and IPPV's exact splits, LDSflow and LTDS call it once
+per Dinkelbach step of :func:`repro.densest.exact.maximal_densest_subset`.
 
 For a vertex universe ``U``, the instances ``Psi`` inside it, a threshold
 ``rho`` and a forced set ``F`` within ``U``, the network has a source

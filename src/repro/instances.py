@@ -472,14 +472,14 @@ class InstanceSet:
         if cached is not None:
             cache.move_to_end(key)
             return cached
-        restricted = self._restrict_from_indices(self._touched_full(keep_ids))
+        restricted = self.select(self._touched_full(keep_ids))
         cache[key] = restricted
         if len(cache) > RESTRICT_CACHE_SIZE:
             cache.popitem(last=False)
         return restricted
 
-    def _restrict_from_indices(self, kept: Sequence[int]) -> "InstanceSet":
-        """Build a sub-set from surviving instance indices, re-interning ids.
+    def select(self, kept: Sequence[int]) -> "InstanceSet":
+        """Return the sub-collection of the instances at ``kept``, re-interning ids.
 
         Uses a positional remap over the parent's id space instead of hashing
         every vertex again, so construction is linear in the kept instances.

