@@ -65,22 +65,22 @@ def test_warm_preprocess_beats_cold(bench_metrics, tmp_path):
     cold_request = SolveRequest(graph=graph, pattern=H, k=K)
     warm_request = SolveRequest(graph=graph, pattern=H, k=K, cache_dir=root)
 
-    cold = _best_of(lambda: preprocess(cold_request, compute_bounds=True))
-    preprocess(warm_request, compute_bounds=True)  # prime the cache
-    warm = _best_of(lambda: preprocess(warm_request, compute_bounds=True))
+    cold = _best_of(lambda: preprocess(cold_request))
+    preprocess(warm_request)  # prime the cache
+    warm = _best_of(lambda: preprocess(warm_request))
 
     # Disk path (fresh-process shape): drop the memory layer each round.
     cache = cache_for(root)
 
     def from_disk():
         cache._memory.clear()
-        components, stats = preprocess(warm_request, compute_bounds=True)
+        components, stats = preprocess(warm_request)
         assert stats.cache_state == "hit"
         return components
 
     disk = _best_of(from_disk)
 
-    _, warm_stats = preprocess(warm_request, compute_bounds=True)
+    _, warm_stats = preprocess(warm_request)
     assert warm_stats.cache_state == "hit-memory"
 
     print()

@@ -1,16 +1,16 @@
 """LDSflow baseline (Qin et al. 2015) — top-k locally densest subgraphs, h = 2.
 
-The original LDSflow algorithm enumerates candidate subgraphs using only
-k-core-based bounds and validates each with a maximum-flow computation over
-the *whole* graph.  The paper attributes its slowness to exactly those two
-traits (loose bounds, full-graph verification), so this re-implementation
-reproduces them on top of our substrate:
+The original LDSflow algorithm proposes candidates without convex
+programming and validates each with a maximum-flow computation over the
+*whole* graph.  The paper attributes its slowness to exactly those traits,
+so this re-implementation keeps them on top of our substrate:
 
-* bounds come only from the (edge) core decomposition — never tightened by
-  convex programming,
-* every candidate is verified with the **basic** (full-graph) flow network,
-* candidate proposal peels the graph by core number instead of using the
-  Frank–Wolfe weights.
+* candidates are the maximal densest subsets of the not-yet-output region,
+  found by Dinkelbach's parametric search
+  (:func:`~repro.densest.exact.maximal_densest_subset`) — no Frank–Wolfe
+  weights, no compact-number bounds, no pruning,
+* every candidate is verified with the **basic** (full-graph) flow network
+  (:func:`~repro.lhcds.verify.verify_basic`).
 
 The output is exact (same flow machinery as IPPV), only slower — which is
 what the comparison in Figure 12 needs.
@@ -31,7 +31,7 @@ from ..lhcds.ippv import DenseSubgraph, LhCDSResult, StageTimings
 from ..lhcds.verify import VerificationStats, is_densest, verify_basic
 
 
-def _topk_via_peeling(
+def _topk_by_extraction(
     graph: Graph,
     h: int,
     k: Optional[int],
@@ -112,4 +112,4 @@ def lds_flow(
     instances: Optional[InstanceSet] = None,
 ) -> LhCDSResult:
     """Top-k locally densest subgraphs (h = 2) via the flow-heavy baseline."""
-    return _topk_via_peeling(graph, 2, k, label="edge (LDSflow)", instances=instances)
+    return _topk_by_extraction(graph, 2, k, label="edge (LDSflow)", instances=instances)

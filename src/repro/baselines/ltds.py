@@ -1,9 +1,10 @@
 """LTDS baseline (Samusevich et al. 2016) — locally triangle densest subgraphs.
 
 LTDS is the h = 3 specialisation of the locally densest subgraph problem.
-Like the original, this re-implementation relies on triangle enumeration plus
-full-graph flow verification with only core-number bounds — the bottlenecks
-the paper's Table 3 measures IPPV against.
+It shares LDSflow's skeleton over triangles: extract the maximal densest
+subset of the not-yet-output region with Dinkelbach's search, then verify
+it with the basic full-graph flow check — the bottlenecks the paper's
+Table 3 measures IPPV against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 from ..graph.graph import Graph
 from ..instances import InstanceSet
 from ..lhcds.ippv import LhCDSResult
-from .ldsflow import _topk_via_peeling
+from .ldsflow import _topk_by_extraction
 
 
 def ltds(
@@ -23,4 +24,4 @@ def ltds(
     instances: Optional[InstanceSet] = None,
 ) -> LhCDSResult:
     """Top-k locally triangle densest subgraphs via the flow-heavy baseline."""
-    return _topk_via_peeling(graph, 3, k, label="triangle (LTDS)", instances=instances)
+    return _topk_by_extraction(graph, 3, k, label="triangle (LTDS)", instances=instances)

@@ -1,10 +1,7 @@
 """h-clique enumeration and counting (the kClist substrate)."""
 
 from .counting import (
-    build_clique_instances,
     clique_count_profile,
-    clique_density_of_subset,
-    densest_prefix_density,
     subgraph_clique_count,
     triangle_count,
 )
@@ -18,10 +15,7 @@ from .kclist import (
 )
 
 __all__ = [
-    "build_clique_instances",
     "clique_count_profile",
-    "clique_density_of_subset",
-    "densest_prefix_density",
     "subgraph_clique_count",
     "triangle_count",
     "clique_degrees",

@@ -1,18 +1,17 @@
 """Clique-count utilities beyond plain enumeration.
 
-These helpers back Table 2 (per-dataset |Psi_3|, |Psi_5| statistics), the
-density computations used throughout the IPPV pipeline, and a handful of
-cross-checks used by the test suite (triangle counting by a second method).
+These helpers back Table 2 (per-dataset |Psi_3|, |Psi_5| statistics),
+subset clique counts, and a cross-check used by the test suite (triangle
+counting by a second method).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Optional
 
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-from .kclist import clique_instances, count_cliques
+from .kclist import count_cliques
 
 
 def triangle_count(graph: Graph) -> int:
@@ -37,13 +36,6 @@ def clique_count_profile(graph: Graph, max_h: int) -> Dict[int, int]:
     return {h: count_cliques(graph, h) for h in range(1, max_h + 1)}
 
 
-def clique_density_of_subset(
-    instances: InstanceSet, vertices: Iterable[Vertex]
-) -> Fraction:
-    """Exact instance density of a subset, given a pre-computed instance set."""
-    return instances.density_of(vertices)
-
-
 def subgraph_clique_count(
     graph: Graph,
     h: int,
@@ -59,32 +51,3 @@ def subgraph_clique_count(
     if instances is not None:
         return instances.count_within(vertices)
     return count_cliques(graph.induced_subgraph(vertices), h)
-
-
-def densest_prefix_density(instances: InstanceSet, ordered_vertices) -> Fraction:
-    """Return the best prefix density over a vertex ordering.
-
-    Helper used by greedy baselines: scans prefixes of ``ordered_vertices``
-    and returns the maximum instance density among them.
-    """
-    best = Fraction(0)
-    position = {v: i for i, v in enumerate(ordered_vertices)}
-    counts = [0] * (len(ordered_vertices) + 1)
-    for inst in instances.instances:
-        last = max(position[v] for v in inst if v in position) if all(
-            v in position for v in inst
-        ) else None
-        if last is not None:
-            counts[last + 1] += 1
-    running = 0
-    for i in range(1, len(ordered_vertices) + 1):
-        running += counts[i]
-        density = Fraction(running, i)
-        if density > best:
-            best = density
-    return best
-
-
-def build_clique_instances(graph: Graph, h: int) -> InstanceSet:
-    """Alias of :func:`repro.cliques.kclist.clique_instances` (public API)."""
-    return clique_instances(graph, h)

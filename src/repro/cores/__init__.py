@@ -1,15 +1,5 @@
-"""Clique-core ((k, psi_h)-core) decomposition."""
+"""Clique-core ((k, psi_h)-core) decomposition by min-degree peeling."""
 
-from .clique_core import (
-    clique_core_numbers,
-    clique_core_subgraph,
-    k_clique_core,
-    max_clique_core_number,
-)
+from .clique_core import Peel, peel
 
-__all__ = [
-    "clique_core_numbers",
-    "clique_core_subgraph",
-    "k_clique_core",
-    "max_clique_core_number",
-]
+__all__ = ["Peel", "peel"]

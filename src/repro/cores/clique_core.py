@@ -1,98 +1,150 @@
-"""(k, psi_h)-core decomposition (Definition 5 of the paper).
+"""The one min-degree peel: (k, psi_h)-core numbers and the greedy densest suffix.
 
-The (k, psi_h)-core is the largest subgraph in which every vertex is
-contained in at least ``k`` h-cliques (or, generally, pattern instances).
-The decomposition is computed by peeling: repeatedly remove a vertex of
-minimum remaining instance degree; the core number of a vertex is the
-maximum minimum-degree observed up to its removal.
+The (k, psi_h)-core of Definition 5 is the largest subgraph in which every
+vertex is contained in at least ``k`` h-cliques (or, generally, pattern
+instances).  Peeling finds every core number at once: repeatedly remove a
+vertex of minimum remaining instance degree; the core number of a vertex
+is the largest minimum degree seen up to its removal.  The same peel is
+the greedy densest-subgraph heuristic (Charikar; Tsourakakis, WWW 2015,
+for h-cliques): the densest suffix of the removal order is within a factor
+``h`` of the densest subgraph.
 
-The implementation works over an :class:`~repro.instances.InstanceSet`, so
-the same code serves h-cliques and general patterns (Algorithm 7).
+:func:`peel` serves every consumer in one pass — Algorithm 1's bounds,
+Algorithm 3's rule 2 and the Greedy baseline.  It works over the
+:class:`~repro.instances.InstanceSet`'s interned ids and CSR incidence and
+keeps the densest suffix from running instance counts, so nothing is
+recounted.  Equal degrees are broken by ``repr`` rank, which makes the
+removal order, and hence the suffix, a pure function of the input; core
+numbers do not depend on the tie-break at all.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional
 
-from ..graph.graph import Graph, Vertex
+from ..graph.graph import Vertex
 from ..instances import InstanceSet
 
 
-def clique_core_numbers(
+@dataclass(frozen=True)
+class Peel:
+    """The outcome of peeling one vertex universe."""
+
+    #: Every universe vertex, in removal order.
+    order: List[Vertex]
+    #: ``core_G(u, psi_h)`` of every universe vertex (0 if in no instance).
+    core: Dict[Vertex, int]
+    #: Vertices removed before the densest suffix of :attr:`order` begins.
+    suffix_start: int
+    #: Instances fully inside the densest suffix.
+    suffix_instances: int
+
+    @property
+    def densest_suffix(self) -> List[Vertex]:
+        """The densest suffix of the removal order (the largest on ties)."""
+        return self.order[self.suffix_start :]
+
+    @property
+    def density(self) -> Fraction:
+        """Exact instance density of :attr:`densest_suffix`."""
+        return Fraction(self.suffix_instances, len(self.order) - self.suffix_start)
+
+
+def peel(
     instances: InstanceSet,
     vertices: Optional[Iterable[Vertex]] = None,
-) -> Dict[Vertex, int]:
-    """Return ``core_G(u, psi_h)`` for every vertex.
+) -> Peel:
+    """Peel ``vertices`` by minimum remaining instance degree.
 
-    Parameters
-    ----------
-    instances:
-        The pattern instances of the host graph.
-    vertices:
-        The vertex universe.  Vertices appearing in no instance get core
-        number 0.  Defaults to the vertices covered by the instances.
+    Only instances fully inside the universe count.  Vertices in no such
+    instance have core number 0 and go first, in ``repr`` order.  The
+    universe defaults to the vertices covered by the instances.
     """
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    # Only instances fully inside the universe are alive; the indexed
-    # restriction finds them by scanning the universe's incidence lists.
-    alive_instance = [False] * instances.num_instances
-    degrees: Dict[Vertex, int] = {v: 0 for v in universe}
-    for idx in instances.indices_within(universe):
-        alive_instance[idx] = True
-        for v in instances.instances[idx]:
-            degrees[v] += 1
+    universe = set(vertices) if vertices is not None else instances.vertices()
+    ranked = sorted(universe, key=repr)
+    n = len(ranked)
+    h = instances.h
+    flat = instances.flat_ids
+    indptr = instances.incidence_indptr
+    incidence = instances.incidence_indices
 
-    heap: List[Tuple[int, int, Vertex]] = []
-    counter = 0
-    for v, d in degrees.items():
-        heap.append((d, counter, v))
-        counter += 1
-    heapq.heapify(heap)
+    # ids[p] is the interned id of the vertex of rank p (-1 if it is in no
+    # instance); rank_of inverts it.
+    ids = [-1] * n
+    rank_of = [-1] * instances.num_interned
+    covered = 0
+    for p, v in enumerate(ranked):
+        vid = instances.vertex_id(v)
+        if vid is not None:
+            ids[p] = vid
+            rank_of[vid] = p
+            covered += 1
 
-    removed: Dict[Vertex, bool] = {v: False for v in universe}
-    core: Dict[Vertex, int] = {}
-    current = 0
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if removed.get(v, True) or d != degrees[v]:
-            continue
-        removed[v] = True
-        current = max(current, d)
-        core[v] = current
-        for idx in instances.instances_containing(v):
-            if not alive_instance[idx]:
+    # An instance stays alive while all of its members are in the universe
+    # and none has been peeled; a vertex's degree counts its alive instances.
+    degree = [0] * n
+    if covered == instances.num_interned:
+        alive = bytearray(b"\x01") * instances.num_instances
+        for p, vid in enumerate(ids):
+            if vid >= 0:
+                degree[p] = indptr[vid + 1] - indptr[vid]
+    else:
+        alive = bytearray(instances.num_instances)
+        inside = [0] * instances.num_instances
+        for vid in ids:
+            if vid < 0:
                 continue
-            alive_instance[idx] = False
-            for u in instances.instances[idx]:
-                if u != v and u in removed and not removed[u]:
-                    degrees[u] -= 1
-                    counter += 1
-                    heapq.heappush(heap, (degrees[u], counter, u))
-    return core
+            for idx in incidence[indptr[vid] : indptr[vid + 1]]:
+                count = inside[idx] + 1
+                inside[idx] = count
+                if count == h:
+                    alive[idx] = 1
+                    base = idx * h
+                    for u in flat[base : base + h]:
+                        degree[rank_of[u]] += 1
+    remaining = sum(alive)
 
+    # One integer per heap entry: degree first, then repr rank.
+    heap = [d * n + p for p, d in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = bytearray(n)
+    order: List[int] = []
+    core = [0] * n
+    current = 0
+    best_start, best_instances = 0, remaining
+    while heap:
+        d, p = divmod(heapq.heappop(heap), n)
+        if removed[p] or d != degree[p]:
+            continue
+        removed[p] = 1
+        if d > current:
+            current = d
+        core[p] = current
+        order.append(p)
+        vid = ids[p]
+        if vid >= 0:
+            for idx in incidence[indptr[vid] : indptr[vid + 1]]:
+                if not alive[idx]:
+                    continue
+                alive[idx] = 0
+                remaining -= 1
+                base = idx * h
+                for u in flat[base : base + h]:
+                    q = rank_of[u]
+                    if q != p:
+                        degree[q] -= 1
+                        heapq.heappush(heap, degree[q] * n + q)
+        # Keep the earliest suffix of strictly greater density.
+        size = n - len(order)
+        if size and remaining * (n - best_start) > best_instances * size:
+            best_start, best_instances = len(order), remaining
 
-def k_clique_core(
-    instances: InstanceSet,
-    k: int,
-    vertices: Optional[Iterable[Vertex]] = None,
-) -> Set[Vertex]:
-    """Return the vertex set of the (k, psi_h)-core.
-
-    The result is the maximal vertex set in which every vertex belongs to at
-    least ``k`` surviving instances.
-    """
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    core = clique_core_numbers(instances, universe)
-    return {v for v in universe if core.get(v, 0) >= k}
-
-
-def max_clique_core_number(instances: InstanceSet) -> int:
-    """Return the maximum (k, psi_h)-core number over all vertices."""
-    core = clique_core_numbers(instances)
-    return max(core.values(), default=0)
-
-
-def clique_core_subgraph(graph: Graph, instances: InstanceSet, k: int) -> Graph:
-    """Return the induced subgraph of the (k, psi_h)-core."""
-    return graph.induced_subgraph(k_clique_core(instances, k, graph.vertices()))
+    return Peel(
+        order=[ranked[p] for p in order],
+        core={ranked[p]: core[p] for p in order},
+        suffix_start=best_start,
+        suffix_instances=best_instances,
+    )

@@ -4,7 +4,6 @@ from .examples import figure2_like_graph, harry_potter_graph, political_books_gr
 from .registry import (
     DatasetSpec,
     dataset_abbreviations,
-    dataset_names,
     dataset_statistics,
     get_spec,
     load_dataset,
@@ -24,7 +23,6 @@ __all__ = [
     "political_books_graph",
     "DatasetSpec",
     "dataset_abbreviations",
-    "dataset_names",
     "dataset_statistics",
     "get_spec",
     "load_dataset",

@@ -11,7 +11,7 @@ are scaled down so a pure-Python pipeline finishes in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..cliques.kclist import count_cliques
 from ..errors import DatasetError
@@ -151,11 +151,6 @@ _BY_KEY: Dict[str, DatasetSpec] = {}
 for spec in _SPECS:
     _BY_KEY[spec.name.lower()] = spec
     _BY_KEY[spec.abbreviation.lower()] = spec
-
-
-def dataset_names(kind: Optional[str] = None) -> List[str]:
-    """Return the registered dataset names (optionally filtered by kind)."""
-    return [s.name for s in _SPECS if kind is None or s.kind == kind]
 
 
 def dataset_abbreviations() -> List[str]:

@@ -1,10 +1,9 @@
 """Densest-subgraph primitives (exact flow-based and greedy approximations)."""
 
 from .exact import maximal_densest_subset
-from .greedy import greedy_densest_subset, greedy_peel_order
+from .greedy import greedy_densest_subset
 
 __all__ = [
     "maximal_densest_subset",
     "greedy_densest_subset",
-    "greedy_peel_order",
 ]

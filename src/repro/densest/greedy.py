@@ -1,81 +1,33 @@
-"""Greedy peeling approximations for the (h-clique / pattern) densest subgraph.
+"""Greedy peeling approximation for the (h-clique / pattern) densest subgraph.
 
 The classic Charikar-style peeling generalises to instance density: repeatedly
 remove the vertex with minimum remaining instance degree and remember the best
-prefix.  For h-cliques this is a 1/h-approximation; the paper uses a
-kClist++-flavoured greedy as the locality-free baseline (Figure 14), which we
-provide in :mod:`repro.baselines.greedy_topk` on top of these primitives.
+suffix of the removal order.  For h-cliques this is a 1/h-approximation; the
+paper uses it as the locality-free baseline (Figure 14), which
+:mod:`repro.baselines.greedy_topk` builds on.  The peel itself is
+:func:`repro.cores.clique_core.peel`, shared with the core-number bounds.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
+from ..cores.clique_core import peel
 from ..errors import AlgorithmError
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
 
 
-def greedy_peel_order(
-    instances: InstanceSet, vertices: Optional[Iterable[Vertex]] = None
-) -> List[Vertex]:
-    """Return the order in which greedy peeling removes vertices.
-
-    At every step the vertex with the minimum remaining instance degree is
-    removed (ties broken deterministically by representation).
-    """
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    degrees = {v: 0 for v in universe}
-    alive_instance = [False] * instances.num_instances
-    for idx in instances.indices_within(universe):
-        alive_instance[idx] = True
-        for v in instances.instances[idx]:
-            degrees[v] += 1
-
-    heap: List[Tuple[int, str, Vertex]] = [(d, repr(v), v) for v, d in degrees.items()]
-    heapq.heapify(heap)
-    removed: Set[Vertex] = set()
-    order: List[Vertex] = []
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if v in removed or d != degrees[v]:
-            continue
-        removed.add(v)
-        order.append(v)
-        for idx in instances.instances_containing(v):
-            if not alive_instance[idx]:
-                continue
-            alive_instance[idx] = False
-            for u in instances.instances[idx]:
-                if u != v and u not in removed and u in degrees:
-                    degrees[u] -= 1
-                    heapq.heappush(heap, (degrees[u], repr(u), u))
-    return order
-
-
 def greedy_densest_subset(
     instances: InstanceSet, vertices: Optional[Iterable[Vertex]] = None
 ) -> Tuple[Set[Vertex], Fraction]:
-    """Return the best suffix of the peeling order and its exact density.
+    """Return the densest suffix of the peeling order and its exact density.
 
     This is the standard greedy approximation: the returned set is the
     remaining graph just before the step whose removal would hurt most.
     """
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    if not universe:
+    result = peel(instances, vertices)
+    if not result.order:
         raise AlgorithmError("cannot peel an empty vertex universe")
-    order = greedy_peel_order(instances, universe)
-
-    # Walk the peeling backwards: suffixes of the order are the surviving sets.
-    best_set: Set[Vertex] = set(universe)
-    best_density = instances.density_of(universe) if universe else Fraction(0)
-    remaining = set(universe)
-    for v in order[:-1]:
-        remaining = remaining - {v}
-        density = instances.density_of(remaining)
-        if density > best_density:
-            best_density = density
-            best_set = set(remaining)
-    return best_set, best_density
+    return set(result.densest_suffix), result.density

@@ -6,11 +6,12 @@ and on repeated queries over the same graph that cost dwarfs the solve
 (see ``benchmarks/test_cache_performance.py``).  This module makes the
 pipeline's output a cacheable artifact:
 
-* **Key.**  ``cache_key(graph, pattern, ...)`` hashes the *content* of the
+* **Key.**  ``cache_key(graph, pattern)`` hashes the *content* of the
   inputs that determine the artifact: the canonical graph digest
   (:meth:`~repro.graph.graph.Graph.content_key` — insertion-order and
-  hash-seed independent), the pattern's identity and parameters
-  (type, name, ``h``), and the two pipeline stage flags.  Anything that
+  hash-seed independent) and the pattern's identity and parameters
+  (type, name, ``h``).  The pipeline has one path, so nothing else
+  shapes the artifact and the key carries no stage flags.  Anything that
   changes the preprocessing output — an edge, a vertex, the pattern, its
   size — changes the key; a label-preserving reload of the same graph
   does not.
@@ -68,8 +69,10 @@ from ..patterns.base import Pattern
 from .request import PreparedComponent, PreprocessStats
 
 #: On-disk artifact schema tag; bumped when the pickled layout changes
-#: (``/2``: Graph grew delta-epoch state and an explicit pickle protocol).
-ARTIFACT_SCHEMA = "repro-cache/2"
+#: (``/2``: Graph grew delta-epoch state and an explicit pickle protocol;
+#: ``/3``: every artifact carries bounds, and the stats lost the
+#: prune-stats fields).  An artifact under an older tag is a cache miss.
+ARTIFACT_SCHEMA = "repro-cache/3"
 #: Ledger (``index.json``) schema tag.
 INDEX_SCHEMA = "repro-cache-index/1"
 
@@ -131,28 +134,14 @@ def pattern_identity(pattern: Pattern) -> str:
     )
 
 
-def cache_key(
-    graph: Graph,
-    pattern: Pattern,
-    *,
-    bounds_stage: bool,
-    prune_stage: bool,
-) -> str:
-    """Derive the artifact key for one (graph, pattern, stage-flags) triple.
-
-    ``bounds_stage`` / ``prune_stage`` are the *effective* pipeline flags
-    (whether the clique-core bounds and the diagnostic Algorithm-3 pruning
-    pass actually run); they change the artifact's content, so they are
-    part of the key.
-    """
+def cache_key(graph: Graph, pattern: Pattern) -> str:
+    """Derive the artifact key for one (graph, pattern) pair."""
     digest = hashlib.sha256()
     digest.update(ARTIFACT_SCHEMA.encode("ascii"))
     digest.update(b"\x00")
     digest.update(graph.content_key().encode("ascii"))
     digest.update(b"\x00")
     digest.update(pattern_identity(pattern).encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(f"bounds={int(bounds_stage)};prune={int(prune_stage)}".encode("ascii"))
     return digest.hexdigest()
 
 

@@ -6,10 +6,14 @@ components, bound, solve — on every call.  An :class:`IncrementalSession`
 keeps that preprocessing alive between calls and maintains it under
 :class:`~repro.graph.delta.GraphDelta` batches:
 
-* Only components whose vertex set intersects the delta's *touched
-  frontier* (every vertex the delta names, plus edge endpoints) are
-  re-enumerated and re-bounded; every other component's subgraph, local
-  instance set, and clique-core bounds carry over byte-for-byte.
+* The session keeps the :class:`~repro.engine.request.PreparedComponent`
+  that the cold pipeline's per-component builder
+  (:func:`~repro.engine.preprocess.prepare_component`) makes for each
+  active component.  Only components whose vertex set intersects the
+  delta's *touched frontier* (every vertex the delta names, plus edge
+  endpoints) are re-enumerated and rebuilt; every other component's
+  subgraph, local instance set, and clique-core bounds carry over
+  byte-for-byte.
 * The global instance set is updated through
   :meth:`~repro.instances.InstanceSet.apply_delta`: rows incident to the
   frontier are dropped, untouched rows are kept, and only the touched
@@ -52,20 +56,17 @@ import dataclasses
 import json
 import threading
 import time
-from fractions import Fraction
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import EngineError
 from ..graph.components import connected_components
 from ..graph.delta import GraphDelta
 from ..graph.graph import Graph, Vertex
-from ..instances import InstanceSet
-from ..lhcds.bounds import CompactBounds, initialize_bounds
 from ..lhcds.ippv import LhCDSResult
-from ..lhcds.prune import prune_invalid_vertices
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
 from .cache import pattern_identity
+from .preprocess import prepare_component
 from .request import PreparedComponent, PreprocessStats, SolveReport, SolveRequest
 from .runtime import prepare_request, solve_prepared
 
@@ -174,17 +175,6 @@ class IncrementalSolveStats:
         return dataclasses.asdict(self)
 
 
-@dataclasses.dataclass
-class _ComponentState:
-    """Everything preprocessing derives for one active component."""
-
-    subgraph: Graph
-    instances: InstanceSet
-    bounds: CompactBounds
-    lower_bound: Fraction
-    upper_bound: Fraction
-
-
 #: Solver options that change per-component results; everything else
 #: (executor, jobs) only moves work and is bit-identical by the engine's
 #: matrix guarantee.
@@ -266,7 +256,8 @@ class IncrementalSession:
         self._pattern = pattern
         # Reentrant so a future composite operation can nest apply/solve.
         self._lock = threading.RLock()
-        self._states: Dict[FrozenSet[Vertex], _ComponentState] = {}
+        #: The prepared form of every active component, keyed by its vertices.
+        self._states: Dict[FrozenSet[Vertex], PreparedComponent] = {}
         self._results: Dict[Tuple[_ConfigKey, FrozenSet[Vertex]], LhCDSResult] = {}
         self._delta_log: List[GraphDelta] = []
         self._last_delta_stats: Optional[DeltaStats] = None
@@ -277,12 +268,12 @@ class IncrementalSession:
         tick = time.perf_counter()
         self._instances = pattern.instances(self._graph)
         self._components: List[Set[Vertex]] = connected_components(self._graph)
-        for comp in self._components:
+        for index, comp in enumerate(self._components):
             local = self._instances.restrict(comp)
             if local.num_instances == 0:
                 continue
-            self._states[frozenset(comp)] = self._build_state(
-                self._graph.induced_subgraph(comp), local
+            self._states[frozenset(comp)] = prepare_component(
+                index, self._graph.induced_subgraph(comp), local
             )
         self._build_seconds = time.perf_counter() - tick
         self._cold_reference_seconds = self._build_seconds
@@ -360,7 +351,7 @@ class IncrementalSession:
             self._components = connected_components(self._graph)
             new_rows: List[Tuple[Vertex, ...]] = []
             reenumerated = 0
-            for comp in self._components:
+            for index, comp in enumerate(self._components):
                 key = frozenset(comp)
                 if key in self._states or not (key & region):
                     # Untouched: either an active component whose state
@@ -375,7 +366,7 @@ class IncrementalSession:
                 for idx in local.indices_incident(touched):
                     new_rows.append(local.instances[idx])
                 if local.num_instances:
-                    self._states[key] = self._build_state(subgraph, local)
+                    self._states[key] = prepare_component(index, subgraph, local)
 
             self._instances, dropped, appended = self._instances.apply_delta(
                 touched, new_rows
@@ -417,15 +408,11 @@ class IncrementalSession:
                 )
         with self._lock:
             self._check_epoch(expect_applied=False, delta=None)
-            request, spec = prepare_request(
+            request, _ = prepare_request(
                 SolveRequest(graph=self._graph, pattern=self._pattern, **options)
             )
             start = time.perf_counter()
-            components, stats = self._prepared(
-                request,
-                compute_bounds=spec.exact or spec.internal_prune,
-                prune_stats=request.prune_stats and not spec.internal_prune,
-            )
+            components, stats = self._prepared()
             adapter = _SessionResultCache(self._results, self._config_key(request))
             report = solve_prepared(
                 request, components, stats, result_cache=adapter, start=start
@@ -451,17 +438,6 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _build_state(self, subgraph: Graph, local: InstanceSet) -> _ComponentState:
-        bounds, core = initialize_bounds(local, subgraph.vertices())
-        c_max = max(core.values(), default=0)
-        return _ComponentState(
-            subgraph=subgraph,
-            instances=local,
-            bounds=bounds,
-            lower_bound=Fraction(c_max, self._pattern.size),
-            upper_bound=Fraction(c_max),
-        )
-
     def _check_epoch(
         self, *, expect_applied: bool, delta: Optional[GraphDelta]
     ) -> None:
@@ -490,61 +466,25 @@ class IncrementalSession:
             pattern_identity(request.pattern),
         )
 
-    def _prepared(
-        self, request: SolveRequest, *, compute_bounds: bool, prune_stats: bool
-    ) -> Tuple[List[PreparedComponent], PreprocessStats]:
-        """Mirror :func:`cold_preprocess` exactly, from the warm state.
+    def _prepared(self) -> Tuple[List[PreparedComponent], PreprocessStats]:
+        """What :func:`~repro.engine.preprocess.cold_preprocess` returns, served warm.
 
-        Component discovery indices, the bounds-less branch for solvers that
-        skip the clique-core stage, the opt-in prune-stats pass, and the
-        final ``(-upper_bound, index)`` ordering all replicate the cold
-        pipeline so the resulting report carries identical statistics.
+        Each kept component gets its current discovery index, and the final
+        ``(-upper_bound, index)`` ordering is the cold pipeline's, so the
+        report carries identical statistics.
         """
         graph = self._graph
         stats = PreprocessStats(
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
+            num_instances=self._instances.num_instances,
+            num_components=len(self._components),
         )
-        stats.num_instances = self._instances.num_instances
-        stats.num_components = len(self._components)
-
         prepared: List[PreparedComponent] = []
         for index, comp in enumerate(self._components):
-            state = self._states.get(frozenset(comp))
-            if state is None:
-                continue
-            if compute_bounds or prune_stats:
-                prepared.append(
-                    PreparedComponent(
-                        index=index,
-                        subgraph=state.subgraph,
-                        instances=state.instances,
-                        bounds=state.bounds,
-                        lower_bound=state.lower_bound,
-                        upper_bound=state.upper_bound,
-                    )
-                )
-            else:
-                prepared.append(
-                    PreparedComponent(
-                        index=index,
-                        subgraph=state.subgraph,
-                        instances=state.instances,
-                        bounds=None,
-                        lower_bound=Fraction(0),
-                        upper_bound=Fraction(0),
-                    )
-                )
+            component = self._states.get(frozenset(comp))
+            if component is not None:
+                prepared.append(dataclasses.replace(component, index=index))
         stats.num_active_components = len(prepared)
-
-        if prune_stats and request.prune:
-            for comp in prepared:
-                survivors = prune_invalid_vertices(
-                    comp.subgraph, comp.instances, comp.bounds, comp.subgraph.vertices()
-                )
-                stats.num_prunable_vertices += comp.subgraph.num_vertices - len(
-                    survivors
-                )
-
         prepared.sort(key=lambda c: (-c.upper_bound, c.index))
         return prepared, stats

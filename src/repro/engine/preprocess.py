@@ -15,12 +15,13 @@ same pipeline exactly once:
    bounds; the component-level density window ``[c_max / h, c_max]`` follows
    from Proposition 3 and drives whole-component upper-bound pruning in the
    runtime (a component whose cap is beaten by >= k other components'
-   guaranteed densities is never solved at all).
-4. **Vertex pruning stats** (opt-in via ``SolveRequest.prune_stats``).
-   Algorithm 3's :func:`~repro.lhcds.prune.prune_invalid_vertices` counts
-   the vertices provably outside every LhCDS.  The pass is diagnostic only,
-   so it is off by default and always skipped for solvers that prune
-   internally (IPPV) — the work is never done twice.
+   guaranteed densities is never solved at all).  Every solver gets the
+   bounds, whether or not it reads them: there is one pipeline, so one
+   artifact per (graph, pattern).
+
+:func:`prepare_component` is step 3 for one component.  The incremental
+session keeps its output per component and re-runs it only for the
+components a delta touches.
 
 Components containing no instance are dropped: no solver ever reports a
 subgraph with zero instances, so they cannot contribute output.
@@ -43,17 +44,11 @@ from ..graph.components import connected_components
 from ..graph.graph import Graph
 from ..instances import InstanceSet
 from ..lhcds.bounds import initialize_bounds
-from ..lhcds.prune import prune_invalid_vertices
 from .cache import STATE_MISS, cache_for, cache_key, resolve_cache_dir
 from .request import PreparedComponent, PreprocessStats, SolveRequest
 
 
-def preprocess(
-    request: SolveRequest,
-    *,
-    prune_stats: bool = False,
-    compute_bounds: bool = True,
-) -> Tuple[List[PreparedComponent], PreprocessStats]:
+def preprocess(request: SolveRequest) -> Tuple[List[PreparedComponent], PreprocessStats]:
     """Run the shared pipeline (or serve it warm from the artifact cache).
 
     Without a configured cache directory this is exactly the cold pipeline
@@ -64,17 +59,10 @@ def preprocess(
     """
     root = resolve_cache_dir(request.cache_dir)
     if root is None:
-        return cold_preprocess(
-            request, prune_stats=prune_stats, compute_bounds=compute_bounds
-        )
+        return cold_preprocess(request)
     cache = cache_for(root)
     tick = time.perf_counter()
-    key = cache_key(
-        request.graph,
-        request.pattern,
-        bounds_stage=compute_bounds or prune_stats,
-        prune_stage=prune_stats and request.prune,
-    )
+    key = cache_key(request.graph, request.pattern)
     warm = cache.fetch(key)
     lookup_seconds = time.perf_counter() - tick
     if warm is not None:
@@ -83,9 +71,7 @@ def preprocess(
         stats.cache_key = key
         stats.cache_seconds = lookup_seconds
         return components, stats
-    components, stats = cold_preprocess(
-        request, prune_stats=prune_stats, compute_bounds=compute_bounds
-    )
+    components, stats = cold_preprocess(request)
     tick = time.perf_counter()
     cache.store(
         key,
@@ -106,24 +92,26 @@ def preprocess(
     return components, stats
 
 
-def cold_preprocess(
-    request: SolveRequest,
-    *,
-    prune_stats: bool = False,
-    compute_bounds: bool = True,
-) -> Tuple[List[PreparedComponent], PreprocessStats]:
+def prepare_component(index: int, subgraph: Graph, instances: InstanceSet) -> PreparedComponent:
+    """Bound one active component: its clique-core bounds and density window."""
+    bounds, core = initialize_bounds(instances, subgraph.vertices())
+    c_max = max(core.values(), default=0)
+    return PreparedComponent(
+        index=index,
+        subgraph=subgraph,
+        instances=instances,
+        bounds=bounds,
+        lower_bound=Fraction(c_max, instances.h),
+        upper_bound=Fraction(c_max),
+    )
+
+
+def cold_preprocess(request: SolveRequest) -> Tuple[List[PreparedComponent], PreprocessStats]:
     """Run the shared pipeline; return solvable components plus statistics.
 
     The returned components are ordered by decreasing density upper bound
     (ties broken by discovery order), which is both the serial solve order
     and the parallel scheduling order.
-
-    ``compute_bounds=False`` skips the clique-core stage entirely (components
-    carry ``bounds=None`` and zero density windows, and keep their discovery
-    order).  The runtime requests this for solvers that neither consume the
-    bounds nor qualify for bound-based skipping (approximate solvers like
-    Greedy); ``prune_stats`` forces the stage back on, since Algorithm 3
-    starts from the compact numbers.
     """
     graph = request.graph
     stats = PreprocessStats(
@@ -148,45 +136,9 @@ def cold_preprocess(
     stats.split_seconds = time.perf_counter() - tick
     stats.num_active_components = len(active)
 
-    h = request.h
-    prepared: List[PreparedComponent] = []
-    if compute_bounds or prune_stats:
-        tick = time.perf_counter()
-        for index, subgraph, local in active:
-            bounds, core = initialize_bounds(local, subgraph.vertices())
-            c_max = max(core.values(), default=0)
-            prepared.append(
-                PreparedComponent(
-                    index=index,
-                    subgraph=subgraph,
-                    instances=local,
-                    bounds=bounds,
-                    lower_bound=Fraction(c_max, h),
-                    upper_bound=Fraction(c_max),
-                )
-            )
-        stats.bounds_seconds = time.perf_counter() - tick
-    else:
-        for index, subgraph, local in active:
-            prepared.append(
-                PreparedComponent(
-                    index=index,
-                    subgraph=subgraph,
-                    instances=local,
-                    bounds=None,
-                    lower_bound=Fraction(0),
-                    upper_bound=Fraction(0),
-                )
-            )
-
-    if prune_stats and request.prune:
-        tick = time.perf_counter()
-        for comp in prepared:
-            survivors = prune_invalid_vertices(
-                comp.subgraph, comp.instances, comp.bounds, comp.subgraph.vertices()
-            )
-            stats.num_prunable_vertices += comp.subgraph.num_vertices - len(survivors)
-        stats.prune_seconds = time.perf_counter() - tick
+    tick = time.perf_counter()
+    prepared = [prepare_component(*item) for item in active]
+    stats.bounds_seconds = time.perf_counter() - tick
 
     prepared.sort(key=lambda c: (-c.upper_bound, c.index))
     return prepared, stats

@@ -1,11 +1,14 @@
-"""The engine's data model: solve requests, preprocessing stats, reports.
+"""The engine's data model: solve requests, prepared components, reports.
 
 A :class:`SolveRequest` is the one description of "find me dense subgraphs"
 that every registered solver understands; a :class:`SolveReport` is the one
 result type every solver produces.  The report extends
 :class:`~repro.lhcds.ippv.LhCDSResult` (so all existing consumers of solver
 results keep working) with the preprocessing statistics and engine-level
-timings the runtime collects.
+timings the runtime collects.  Between them, a :class:`PreparedComponent`
+is one connected component as the single preprocessing path leaves it:
+induced subgraph, restricted instances and clique-core bounds, the same
+for every solver.
 """
 
 from __future__ import annotations
@@ -77,13 +80,6 @@ class SolveRequest:
     iterations / verification / prune:
         Solver options (consumed by the solvers that understand them; the
         names match :class:`~repro.lhcds.ippv.IPPVConfig`).
-    prune_stats:
-        When True, preprocessing additionally runs the Algorithm-3 vertex
-        pruning rules per component to report how many vertices provably
-        sit outside every LhCDS (``PreprocessStats.num_prunable_vertices``).
-        Off by default: the pass is diagnostic only — solvers never consume
-        its result — and costs an iterated clique-core fixpoint per
-        component.
     """
 
     graph: Graph
@@ -97,7 +93,6 @@ class SolveRequest:
     iterations: int = 20
     verification: str = "fast"
     prune: bool = True
-    prune_stats: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.pattern, int):
@@ -134,9 +129,7 @@ class PreparedComponent:
     index: int
     subgraph: Graph
     instances: InstanceSet
-    #: ``None`` when the runtime skipped the clique-core stage (solvers that
-    #: neither consume bounds nor qualify for bound-based skipping).
-    bounds: Optional[CompactBounds]
+    bounds: CompactBounds
     #: Guaranteed achievable top-1 density (``c_max / h``, Proposition 3).
     lower_bound: Fraction
     #: Sound cap on the density of any subgraph inside (``c_max``).
@@ -165,12 +158,9 @@ class PreprocessStats:
     #: best density already strictly exceeded their cap (serial runs only;
     #: the parallel merge discards the same subgraphs, so output matches).
     num_early_stopped_components: int = 0
-    #: Vertices provably outside every LhCDS (Algorithm 3 pruning rules).
-    num_prunable_vertices: int = 0
     enumeration_seconds: float = 0.0
     split_seconds: float = 0.0
     bounds_seconds: float = 0.0
-    prune_seconds: float = 0.0
     #: How this result was obtained: ``"off"`` (no cache configured),
     #: ``"miss"`` (computed cold and stored), ``"hit"`` (loaded from disk),
     #: or ``"hit-memory"`` (served from the in-process warm layer).

@@ -143,16 +143,9 @@ def solve(request: Optional[SolveRequest] = None, **options) -> SolveReport:
     Accepts either a prebuilt :class:`SolveRequest` or its keyword arguments
     (``solve(graph=g, pattern=3, k=5, solver="exact")``).
     """
-    request, spec = prepare_request(request, **options)
+    request, _ = prepare_request(request, **options)
     start = time.perf_counter()
-    components, stats = preprocess(
-        request,
-        prune_stats=request.prune_stats and not spec.internal_prune,
-        # The clique-core stage only pays off when something consumes it:
-        # bound-based component skipping (exact solvers) or the solver's own
-        # pruning (IPPV).  Approximate solvers like Greedy skip it.
-        compute_bounds=spec.exact or spec.internal_prune,
-    )
+    components, stats = preprocess(request)
     return solve_prepared(request, components, stats, start=start)
 
 

@@ -10,9 +10,7 @@ the metadata the runtime needs to validate requests and schedule work:
 * ``requires_k`` — Greedy has no "all subgraphs" mode;
 * ``exact`` — exact top-k semantics make whole-component upper-bound
   skipping sound (an approximate solver like Greedy must see every
-  component);
-* ``internal_prune`` — IPPV runs Algorithm 3 itself, so the engine's
-  preprocessing skips the duplicate pruning pass.
+  component).
 
 New solvers register with :func:`register_solver`; the CLI, the experiment
 drivers, and the examples all resolve solvers by name through this registry.
@@ -49,8 +47,6 @@ class SolverSpec:
     fixed_h: Optional[int] = None
     #: Whether the solver needs a finite k.
     requires_k: bool = False
-    #: Whether the solver runs Algorithm 3 pruning itself.
-    internal_prune: bool = False
 
     def validate(self, request: SolveRequest) -> None:
         """Raise :class:`EngineError` when the request does not fit."""
@@ -157,7 +153,6 @@ register_solver(
         description="iterative propose-prune-and-verify (the paper's Algorithm 6/7)",
         solve=_solve_ippv,
         exact=True,
-        internal_prune=True,
     )
 )
 register_solver(

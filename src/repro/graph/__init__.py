@@ -2,7 +2,6 @@
 
 from .components import (
     bfs_order,
-    component_of,
     components_touching,
     connected_components,
     diameter,
@@ -28,7 +27,7 @@ from .metrics import (
     local_clustering_coefficient,
     subgraph_diameter,
 )
-from .ordering import core_decomposition, degeneracy, degeneracy_ordering, k_core
+from .ordering import degeneracy, degeneracy_ordering
 
 __all__ = [
     "Graph",
@@ -39,7 +38,6 @@ __all__ = [
     "star_graph",
     "union_graph",
     "bfs_order",
-    "component_of",
     "components_touching",
     "connected_components",
     "diameter",
@@ -56,8 +54,6 @@ __all__ = [
     "edge_density",
     "local_clustering_coefficient",
     "subgraph_diameter",
-    "core_decomposition",
     "degeneracy",
     "degeneracy_ordering",
-    "k_core",
 ]

@@ -68,11 +68,6 @@ def is_connected(graph: Graph) -> bool:
     return len(bfs_order(graph, first)) == graph.num_vertices
 
 
-def component_of(graph: Graph, vertex: Vertex) -> Set[Vertex]:
-    """Return the connected component containing ``vertex``."""
-    return set(bfs_order(graph, vertex))
-
-
 def shortest_path_lengths(graph: Graph, source: Vertex) -> Dict[Vertex, int]:
     """Return unweighted shortest-path lengths from ``source``."""
     if source not in graph:

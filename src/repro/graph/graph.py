@@ -190,10 +190,6 @@ class Graph:
         """Return the vertex list (insertion order)."""
         return list(self._adj)
 
-    def vertex_set(self) -> Set[Vertex]:
-        """Return the vertex set as a new :class:`set`."""
-        return set(self._adj)
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over each undirected edge exactly once."""
         seen: Set[FrozenSet[Vertex]] = set()

@@ -1,8 +1,9 @@
-"""Vertex orderings and edge-based core decomposition.
+"""The degeneracy ordering that drives the kClist-style h-clique enumerator.
 
-The degeneracy ordering drives the kClist-style h-clique enumerator and the
-classic (edge) k-core decomposition provides the warm-up bounds for the h = 2
-case as well as a sanity baseline for the clique-core decomposition.
+Core numbers over pattern instances (edges included, as h = 2) come from
+the one instance peel, :func:`repro.cores.clique_core.peel`.  This peel is
+a different job: it orders the adjacency itself, and its tie-break carries
+the component-purity contract described below.
 """
 
 from __future__ import annotations
@@ -65,45 +66,6 @@ def degeneracy_ordering(graph: Graph) -> Tuple[List[Vertex], Dict[Vertex, int], 
                 heapq.heappush(heap, (degrees[u], counter, u))
     rank = {v: i for i, v in enumerate(order)}
     return order, rank, degeneracy
-
-
-def core_decomposition(graph: Graph) -> Dict[Vertex, int]:
-    """Return the classic (edge) core number of every vertex.
-
-    The core number of ``v`` is the largest ``k`` such that ``v`` belongs to
-    a subgraph in which every vertex has degree at least ``k``.
-    """
-    degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph}
-    heap: List[Tuple[int, int, Vertex]] = []
-    counter = 0
-    for v, d in degrees.items():
-        heap.append((d, counter, v))
-        counter += 1
-    heapq.heapify(heap)
-
-    core: Dict[Vertex, int] = {}
-    removed: Dict[Vertex, bool] = {v: False for v in graph}
-    current = 0
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if removed[v] or d != degrees[v]:
-            continue
-        removed[v] = True
-        current = max(current, d)
-        core[v] = current
-        for u in graph.neighbors(v):
-            if not removed[u]:
-                degrees[u] -= 1
-                counter += 1
-                heapq.heappush(heap, (degrees[u], counter, u))
-    return core
-
-
-def k_core(graph: Graph, k: int) -> Graph:
-    """Return the (edge) ``k``-core: the maximal subgraph with min degree >= k."""
-    core = core_decomposition(graph)
-    keep = [v for v, c in core.items() if c >= k]
-    return graph.induced_subgraph(keep)
 
 
 def degeneracy(graph: Graph) -> int:

@@ -256,11 +256,6 @@ class InstanceSet:
         """Return the vertex with interned id ``vid``."""
         return self._vertex_of[vid]
 
-    def instance_ids(self, idx: int) -> array:
-        """Return the interned vertex ids of instance ``idx`` (in stored order)."""
-        h = self.h
-        return self._flat[idx * h : (idx + 1) * h]
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..cores.clique_core import clique_core_numbers
+from ..cores.clique_core import peel
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
 
@@ -73,7 +73,7 @@ def initialize_bounds(
     pruning stage reuses).
     """
     universe = set(vertices) if vertices is not None else instances.vertices()
-    core = clique_core_numbers(instances, universe)
+    core = peel(instances, universe).core
     bounds = CompactBounds()
     h = instances.h
     for v in universe:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Set
 
-from ..cores.clique_core import clique_core_numbers
+from ..cores.clique_core import peel
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
 from .bounds import CompactBounds
@@ -53,7 +53,7 @@ def prune_invalid_vertices(
 
     # Rule 2: iterate clique-core recomputation until a fixpoint.
     while True:
-        core = clique_core_numbers(instances, survivors)
+        core = peel(instances, survivors).core
         newly_invalid = {
             v for v in survivors if core.get(v, 0) < bounds.lower_of(v) - FLOAT_SLACK
         }

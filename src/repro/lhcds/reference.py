@@ -54,16 +54,6 @@ def compactness_of(graph: Graph, instances: InstanceSet, subset: Set[Vertex]) ->
     return best if best is not None else Fraction(0)
 
 
-def is_rho_compact(
-    graph: Graph, instances: InstanceSet, subset: Set[Vertex], rho: Fraction
-) -> bool:
-    """Check Definition 1 literally for ``G[subset]`` at threshold ``rho``."""
-    sub = graph.induced_subgraph(subset)
-    if not is_connected(sub):
-        return False
-    return compactness_of(graph, instances, subset) >= rho
-
-
 def brute_force_compact_numbers(
     graph: Graph, instances: InstanceSet
 ) -> Dict[Vertex, Fraction]:

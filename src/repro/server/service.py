@@ -92,7 +92,6 @@ _REQUEST_FIELDS: Dict[str, Tuple[type, bool]] = {
     "iterations": (int, False),
     "verification": (str, False),
     "prune": (bool, False),
-    "prune_stats": (bool, False),
 }
 
 #: How a type is named in a ``bad_solve_request`` message.
@@ -278,15 +277,25 @@ class SolveService:
 
     @staticmethod
     def _resolve_pattern(payload: Dict[str, Any]) -> Pattern:
-        """The pattern selector shared by the solve and session endpoints."""
+        """The pattern selector shared by the solve and session endpoints.
+
+        ``h`` must be a JSON integer (not a boolean) wherever it appears,
+        like every other solve field.
+        """
+        h = payload.get("h", 3)
+        if not isinstance(h, int) or isinstance(h, bool):
+            raise ServiceError(
+                f"bad 'h': must be an integer, got {type(h).__name__}",
+                code="bad_pattern",
+            )
         if payload.get("pattern") is not None:
             try:
                 return get_pattern(str(payload["pattern"]))
             except ReproError as exc:
                 raise ServiceError(str(exc), code="unknown_pattern") from exc
         try:
-            return CliquePattern(int(payload.get("h", 3)))
-        except (ReproError, TypeError, ValueError) as exc:
+            return CliquePattern(h)
+        except ReproError as exc:
             raise ServiceError(f"bad 'h': {exc}", code="bad_pattern") from exc
 
     @staticmethod

@@ -9,9 +9,10 @@ exists only under ``tests/``; ``tests/conftest.py`` re-exports the fixtures.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.synthetic import gnp_graph
 from repro.flow.network import solve_compact_network
@@ -236,3 +237,60 @@ def reference_decomposition(
         layers.append((new_vertices, density))
         shell = set(subset)
     return layers
+
+
+def reference_peel(
+    instances: InstanceSet,
+    vertices: Optional[Iterable[Vertex]] = None,
+) -> Tuple[List[Vertex], Dict[Vertex, int], Set[Vertex], Fraction]:
+    """The peel oracle for :func:`repro.cores.clique_core.peel`.
+
+    A heap peel over hashable vertices and dict degrees, keyed by
+    (remaining degree, ``repr``), then a quadratic scan that recounts every
+    suffix of the removal order.  Returns the order, the core numbers, the
+    densest suffix (the largest on ties) and its density; an empty
+    universe has density 0.
+    """
+    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
+    degrees = {v: 0 for v in universe}
+    alive_instance = [False] * instances.num_instances
+    for idx in instances.indices_within(universe):
+        alive_instance[idx] = True
+        for v in instances.instances[idx]:
+            degrees[v] += 1
+
+    heap: List[Tuple[int, str, Vertex]] = [(d, repr(v), v) for v, d in degrees.items()]
+    heapq.heapify(heap)
+    removed: Set[Vertex] = set()
+    order: List[Vertex] = []
+    core: Dict[Vertex, int] = {}
+    current = 0
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if v in removed or d != degrees[v]:
+            continue
+        removed.add(v)
+        order.append(v)
+        current = max(current, d)
+        core[v] = current
+        for idx in instances.instances_containing(v):
+            if not alive_instance[idx]:
+                continue
+            alive_instance[idx] = False
+            for u in instances.instances[idx]:
+                if u != v and u not in removed and u in degrees:
+                    degrees[u] -= 1
+                    heapq.heappush(heap, (degrees[u], repr(u), u))
+
+    if not universe:
+        return order, core, set(), Fraction(0)
+    best_set: Set[Vertex] = set(universe)
+    best_density = instances.density_of(universe)
+    remaining = set(universe)
+    for v in order[:-1]:
+        remaining = remaining - {v}
+        density = instances.density_of(remaining)
+        if density > best_density:
+            best_density = density
+            best_set = set(remaining)
+    return order, core, best_set, best_density

@@ -120,40 +120,28 @@ class TestContentKeys:
 class TestCacheKey:
     def test_pattern_size_changes_key(self):
         graph = complete_graph(5)
-        k3 = cache_key(graph, CliquePattern(3), bounds_stage=True, prune_stage=False)
-        k4 = cache_key(graph, CliquePattern(4), bounds_stage=True, prune_stage=False)
+        k3 = cache_key(graph, CliquePattern(3))
+        k4 = cache_key(graph, CliquePattern(4))
         assert k3 != k4
 
     def test_pattern_identity_changes_key(self):
         graph = complete_graph(5)
-        clique = cache_key(graph, CliquePattern(3), bounds_stage=True, prune_stage=False)
-        triangle = cache_key(graph, TrianglePattern(), bounds_stage=True, prune_stage=False)
-        diamond = cache_key(
-            graph, get_pattern("2-triangle"), bounds_stage=True, prune_stage=False
-        )
+        clique = cache_key(graph, CliquePattern(3))
+        triangle = cache_key(graph, TrianglePattern())
+        diamond = cache_key(graph, get_pattern("2-triangle"))
         assert len({clique, triangle, diamond}) == 3
-
-    def test_stage_flags_change_key(self):
-        graph = complete_graph(5)
-        pattern = CliquePattern(3)
-        keys = {
-            cache_key(graph, pattern, bounds_stage=b, prune_stage=p)
-            for b in (False, True)
-            for p in (False, True)
-        }
-        assert len(keys) == 4
 
     def test_graph_mutation_changes_key_reload_does_not(self, tmp_path):
         graph = multi_component_graph()
         pattern = CliquePattern(3)
-        base = cache_key(graph, pattern, bounds_stage=True, prune_stage=False)
+        base = cache_key(graph, pattern)
         mutated = graph.copy()
         mutated.add_edge(0, 400)
-        assert cache_key(mutated, pattern, bounds_stage=True, prune_stage=False) != base
+        assert cache_key(mutated, pattern) != base
         path = tmp_path / "graph.txt"
         write_edge_list(graph, str(path))
         reloaded = read_edge_list(str(path))
-        assert cache_key(reloaded, pattern, bounds_stage=True, prune_stage=False) == base
+        assert cache_key(reloaded, pattern) == base
 
 
 class TestPreprocessFrontDoor:
@@ -296,22 +284,42 @@ class TestCorruptionFallsBackCold:
         _, stats = preprocess(request)
         assert stats.cache_state == STATE_MISS
 
-    def test_schema_mismatch_recovers(self, tmp_path):
-        root = str(tmp_path / "cache")
-        request, cache, key = self._prime(root)
-        stale = {"schema": "repro-cache/0", "key": key, "components": [], "stats": None}
-        payload = pickle.dumps(stale)
-        with open(cache._artifact_path(key), "wb") as handle:
-            handle.write(payload)
-        # Keep the ledger checksum honest so only the schema check trips.
+    @staticmethod
+    def _overwrite(cache, key, payload):
+        """Replace an artifact, keeping the ledger checksum honest so only
+        the schema check can trip."""
         import hashlib
 
+        with open(cache._artifact_path(key), "wb") as handle:
+            handle.write(payload)
         index = cache._read_index()
         index["entries"][key]["sha256"] = hashlib.sha256(payload).hexdigest()
         index["entries"][key]["size_bytes"] = len(payload)
         cache._write_index(index)
+
+    def test_schema_mismatch_recovers(self, tmp_path):
+        root = str(tmp_path / "cache")
+        request, cache, key = self._prime(root)
+        stale = {"schema": "repro-cache/0", "key": key, "components": [], "stats": None}
+        self._overwrite(cache, key, pickle.dumps(stale))
         _, stats = preprocess(request)
         assert stats.cache_state == STATE_MISS
+
+    def test_previous_schema_artifact_is_a_miss(self, tmp_path):
+        # A well-formed artifact written under the previous schema tag, with
+        # the stats field that tag still had, falls back cold.
+        root = str(tmp_path / "cache")
+        request, cache, key = self._prime(root)
+        with open(cache._artifact_path(key), "rb") as handle:
+            artifact = pickle.load(handle)
+        artifact["schema"] = "repro-cache/2"
+        artifact["stats"].num_prunable_vertices = 0
+        self._overwrite(cache, key, pickle.dumps(artifact))
+        _, stats = preprocess(request)
+        assert stats.cache_state == STATE_MISS
+        cache._memory.clear()
+        _, stats = preprocess(request)
+        assert stats.cache_state == STATE_HIT
 
     def test_missing_artifact_file_recovers(self, tmp_path):
         root = str(tmp_path / "cache")
@@ -463,7 +471,7 @@ class TestCacheCLI:
 
     def test_artifact_schema_constant_pinned(self):
         # The on-disk schema is a compatibility contract; bump deliberately.
-        assert ARTIFACT_SCHEMA == "repro-cache/2"
+        assert ARTIFACT_SCHEMA == "repro-cache/3"
 
 
 class TestDeltaPoisoningRegression:
@@ -476,17 +484,15 @@ class TestDeltaPoisoningRegression:
 
         graph = multi_component_graph()
         pattern = CliquePattern(3)
-        before = cache_key(graph, pattern, bounds_stage=True, prune_stage=False)
+        before = cache_key(graph, pattern)
         graph.content_key()  # populate the memo
         graph.apply_delta(GraphDelta(remove_vertices=(0,)))
-        after = cache_key(graph, pattern, bounds_stage=True, prune_stage=False)
+        after = cache_key(graph, pattern)
         assert after != before
         # And the post-delta key equals a fresh graph of the same content.
         rebuilt = multi_component_graph()
         rebuilt.remove_vertex(0)
-        assert after == cache_key(
-            rebuilt, pattern, bounds_stage=True, prune_stage=False
-        )
+        assert after == cache_key(rebuilt, pattern)
 
     def test_post_delta_preprocess_is_not_a_hit(self, tmp_path):
         from repro.graph import GraphDelta

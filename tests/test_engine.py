@@ -74,7 +74,7 @@ class TestRegistry:
             solve(graph=Graph(), pattern=3, k=1)
 
     def test_spec_metadata(self):
-        assert get_solver("ippv").internal_prune
+        assert get_solver("ippv").exact
         assert not get_solver("greedy").exact
         assert get_solver("ldsflow").fixed_h == 2
 
@@ -103,18 +103,21 @@ class TestPreprocessing:
                 for v in comp.subgraph.vertices()
             )
 
-    def test_bounds_stage_skipped_when_nothing_consumes_it(self):
+    def test_every_solver_gets_the_same_bounded_components(self):
+        # One preprocessing path: greedy gets the clique-core bounds and the
+        # upper-bound ordering like every other solver.
         graph = _multi_component_graph()
-        request = SolveRequest(graph=graph, pattern=3, k=4, solver="greedy")
-        components, stats = preprocess(request, compute_bounds=False)
-        assert all(comp.bounds is None for comp in components)
-        assert stats.bounds_seconds == 0.0
-        # Components keep their discovery order (no upper bounds to sort by).
-        assert [c.index for c in components] == sorted(c.index for c in components)
-        # The engine's greedy path (which requests this) still answers.
-        report = solve(request)
-        assert report.preprocessing.bounds_seconds == 0.0
-        assert _signature(report)[0] == (frozenset(range(6)), Fraction(20, 6))
+
+        def prepared(solver):
+            components, _ = preprocess(SolveRequest(graph=graph, pattern=3, k=4, solver=solver))
+            return [(c.index, c.upper_bound, c.bounds.lower, c.bounds.upper) for c in components]
+
+        reference = prepared("ippv")
+        assert [upper for _, upper, _, _ in reference] == sorted(
+            (upper for _, upper, _, _ in reference), reverse=True
+        )
+        for solver in ("exact", "greedy"):
+            assert prepared(solver) == reference
 
     def test_component_skipping_only_for_exact_solvers(self):
         graph = _multi_component_graph()

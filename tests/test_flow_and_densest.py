@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 from repro.cliques import clique_instances
-from repro.densest import greedy_densest_subset, greedy_peel_order, maximal_densest_subset
+from repro.cores import peel
+from repro.densest import greedy_densest_subset, maximal_densest_subset
 from repro.errors import AlgorithmError, FlowError
 from repro.flow import FractionalArcCollector, MaxFlowNetwork, solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
@@ -261,8 +262,8 @@ class TestGreedy:
     def test_peel_order_covers_universe(self):
         g = complete_graph(5)
         inst = clique_instances(g, 3)
-        order = greedy_peel_order(inst, g.vertices())
-        assert set(order) == set(range(5))
+        order = peel(inst, g.vertices()).order
+        assert sorted(order) == list(range(5))
 
     def test_greedy_lower_bounds_exact(self):
         for seed in range(6):

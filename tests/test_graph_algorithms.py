@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.cliques import clique_instances
+from repro.cores import peel
 from repro.errors import GraphError, GraphFormatError
 from repro.graph import (
     Graph,
@@ -12,7 +14,6 @@ from repro.graph import (
     bfs_order,
     complete_graph,
     connected_components,
-    core_decomposition,
     cycle_graph,
     degeneracy,
     degeneracy_ordering,
@@ -22,7 +23,6 @@ from repro.graph import (
     edge_density,
     graph_from_edge_string,
     is_connected,
-    k_core,
     local_clustering_coefficient,
     parse_edge_list,
     path_graph,
@@ -98,18 +98,21 @@ class TestOrdering:
             later = [u for u in g.neighbors(v) if rank[u] > rank[v]]
             assert len(later) <= d
 
-    def test_core_decomposition_clique(self):
-        core = core_decomposition(complete_graph(4))
-        assert all(c == 3 for c in core.values())
+    # Edge core numbers are the instance peel at h = 2.
+    def test_edge_core_numbers_of_clique(self):
+        g = complete_graph(4)
+        core = peel(clique_instances(g, 2), g.vertices()).core
+        assert core == {v: 3 for v in g}
 
-    def test_core_decomposition_star(self):
-        core = core_decomposition(star_graph(5))
-        assert all(c == 1 for c in core.values())
+    def test_edge_core_numbers_of_star(self):
+        g = star_graph(5)
+        core = peel(clique_instances(g, 2), g.vertices()).core
+        assert core == {v: 1 for v in g}
 
-    def test_k_core_extraction(self):
+    def test_edge_three_core(self):
         g = union_graph(complete_graph(4), path_graph(3))
-        sub = k_core(g, 3)
-        assert set(sub.vertices()) == {0, 1, 2, 3}
+        core = peel(clique_instances(g, 2), g.vertices()).core
+        assert {v for v, c in core.items() if c >= 3} == {0, 1, 2, 3}
 
     def test_empty_graph_degeneracy(self):
         assert degeneracy(Graph()) == 0

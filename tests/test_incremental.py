@@ -245,17 +245,6 @@ class TestDeltaStatsAndGuards:
         )
 
 
-class TestPruneStatsParity:
-    def test_prune_stats_pass_is_replicated(self):
-        graph = multi_component_graph()
-        session = IncrementalSession(graph, 3, copy_graph=True)
-        session.apply_delta(GraphDelta(remove_vertices=(0,)))
-        options = dict(solver="ippv", k=2, prune_stats=True)
-        warm = session.solve(**options)
-        assert report_signature(warm) == cold_signature(session.graph, **options)
-        assert warm.preprocessing.num_prunable_vertices >= 0
-
-
 class TestSessionLock:
     """Each session carries its own reentrant lock; concurrent apply/solve
     calls serialize per session and stay bit-identical to the cold solve

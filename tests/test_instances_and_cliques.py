@@ -16,7 +16,7 @@ from repro.cliques import (
     subgraph_clique_count,
     triangle_count,
 )
-from repro.cores import clique_core_numbers, k_clique_core, max_clique_core_number
+from repro.cores import peel
 from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph, union_graph
 from repro.instances import InstanceSet
@@ -132,33 +132,24 @@ class TestCliqueCore:
     def test_clique_core_of_clique(self):
         g = complete_graph(5)
         inst = clique_instances(g, 3)
-        core = clique_core_numbers(inst, g.vertices())
+        core = peel(inst, g.vertices()).core
         assert all(c == 6 for c in core.values())  # C(4,2) triangles per vertex
 
     def test_clique_core_zero_for_triangle_free(self):
         g = cycle_graph(6)
         inst = clique_instances(g, 3)
-        core = clique_core_numbers(inst, g.vertices())
+        core = peel(inst, g.vertices()).core
         assert all(c == 0 for c in core.values())
 
     def test_clique_core_mixed_graph(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
-        core = clique_core_numbers(inst, two_cliques.vertices())
+        core = peel(inst, two_cliques.vertices()).core
         assert core[0] == 6       # K5 member
         assert core[10] == 3      # K4 member
         assert core[20] == 0      # bridge vertex
 
-    def test_k_clique_core_extraction(self, two_cliques):
-        inst = clique_instances(two_cliques, 3)
-        assert k_clique_core(inst, 4, two_cliques.vertices()) == set(range(5))
-        assert k_clique_core(inst, 1, two_cliques.vertices()) == set(range(5)) | {10, 11, 12, 13}
-
-    def test_max_clique_core_number(self, two_cliques):
-        inst = clique_instances(two_cliques, 3)
-        assert max_clique_core_number(inst) == 6
-
     def test_core_restricted_universe(self):
         g = complete_graph(5)
         inst = clique_instances(g, 3)
-        core = clique_core_numbers(inst, {0, 1, 2})
+        core = peel(inst, {0, 1, 2}).core
         assert all(c == 1 for c in core.values())

@@ -132,7 +132,6 @@ class TestSolveSurface:
             ("k", True),
             ("iterations", "20"),
             ("verification", None),
-            ("prune_stats", 1),
             ("k", "3"),
             ("k", 2.0),
             ("jobs", True),
@@ -146,7 +145,6 @@ class TestSolveSurface:
             ("verification", 1),
             ("prune", None),
             ("prune", 0),
-            ("prune_stats", "true"),
             ("kernel", "numpy"),
         ],
     )
@@ -181,7 +179,6 @@ class TestSolveSurface:
             ("iterations", 5),
             ("verification", "basic"),
             ("prune", False),
-            ("prune_stats", True),
         ],
     )
     def test_well_typed_fields_reach_the_solve(self, service, field, value):
@@ -213,6 +210,35 @@ class TestSolveSurface:
             assert excinfo.value.status == 400
             assert excinfo.value.code == "unknown_key"
             assert excinfo.value.detail["unknown"] == [key]
+
+    def test_prune_stats_is_an_unknown_key(self, service):
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        for call in (
+            lambda: service.solve({"graph": "toy", "k": 1, "prune_stats": True}),
+            lambda: service.solve_incremental("toy", {"k": 1, "prune_stats": True}),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "unknown_key"
+            assert excinfo.value.detail["unknown"] == ["prune_stats"]
+
+    @pytest.mark.parametrize("value", [3.9, True, "4", 2.0])
+    def test_mistyped_h_is_400_on_both_endpoints(self, service, value):
+        # h used to pass through int(): 3.9 solved h = 3, true solved
+        # 1-cliques and "4" solved h = 4.
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        for call in (
+            lambda: service.solve({"graph": "toy", "k": 1, "h": value}),
+            lambda: service.solve_incremental("toy", {"k": 1, "h": value}),
+        ):
+            with pytest.raises(ServiceError, match="'h'") as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_pattern"
+        counters = service.stats()["counters"]
+        assert counters["solves"] == 0
+        assert counters["errors"] == 0
 
     def test_dataset_solve_lazily_registers(self, service):
         abbreviation = service.datasets()[0]
