@@ -8,7 +8,7 @@ whole evaluation.
 Benchmarks additionally record headline timings into a shared session dict
 (the ``bench_metrics`` fixture).  When the ``BENCH_OUT`` environment
 variable names a file, the dict is dumped there as JSON at session end —
-the CI smoke job uploads it as the ``BENCH_17.json`` artifact and compares
+the CI smoke job uploads it as the ``BENCH_18.json`` artifact and compares
 it against the committed baseline with ``scripts/compare_bench.py``.
 """
 
@@ -21,7 +21,7 @@ import platform
 import pytest
 
 #: Bumped with each PR that adds a new benchmark artifact generation.
-BENCH_ID = "BENCH_17"
+BENCH_ID = "BENCH_18"
 BENCH_SCHEMA = "repro-bench/1"
 
 

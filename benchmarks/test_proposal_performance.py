@@ -1,0 +1,86 @@
+"""Scaling benchmark: IPPV's proposal stage must stay linear in the graph size.
+
+The proposal stage of IPPV's first round is SEQ-kClist++ (Frank--Wolfe,
+T = 20), TentativeGD and pruning (Algorithms 2 and 3).  This benchmark
+builds two community graphs, one twice the size of the other, times each
+of the three layers on both (minimum of five runs each) and asserts that
+doubling the graph less than triples each time.  The larger graph's
+timings are recorded as ``lhcds.seq_kclist_s``,
+``lhcds.tentative_decomposition_s`` and ``lhcds.prune_candidates_s``.
+"""
+
+from __future__ import annotations
+
+import time
+from array import array
+
+from repro.cliques.kclist import clique_instances
+from repro.datasets.synthetic import hybrid_community_graph
+from repro.lhcds import (
+    derive_stable_groups,
+    initialize_bounds,
+    prune_candidates,
+    seq_kclist_plus_plus,
+    tentative_decomposition,
+)
+from repro.lhcds.seq_kclist import WeightState
+
+H = 3
+FW_ITERATIONS = 20
+ROUNDS = 5
+#: Linear growth doubles the time per doubling of the graph.
+MAX_DOUBLING_RATIO = 3.0
+
+
+def _best_of(fn) -> float:
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _proposal_seconds(n_communities: int):
+    """(vertex count, per-layer seconds) of IPPV's first proposal on the graph."""
+    graph = hybrid_community_graph(n_communities, 14, seed=0)
+    vertices = graph.vertices()
+    instances = clique_instances(graph, H)
+    bounds, _ = initialize_bounds(instances, vertices)
+    state = seq_kclist_plus_plus(instances, FW_ITERATIONS, vertices)
+    alpha, r = array("d", state.alpha), dict(state.r)
+
+    def decompose() -> float:
+        # TentativeGD moves weight in place, so every run gets a fresh copy.
+        fresh = WeightState(instances=instances, alpha=array("d", alpha), r=dict(r))
+        start = time.perf_counter()
+        tentative_decomposition(fresh, vertices)
+        return time.perf_counter() - start
+
+    decomposition = tentative_decomposition(state, vertices)
+    groups, _ = derive_stable_groups(decomposition, state, bounds)
+    seconds = {
+        "lhcds.seq_kclist_s": _best_of(
+            lambda: seq_kclist_plus_plus(instances, FW_ITERATIONS, vertices)
+        ),
+        "lhcds.tentative_decomposition_s": min(decompose() for _ in range(ROUNDS)),
+        "lhcds.prune_candidates_s": _best_of(
+            lambda: prune_candidates(graph, instances, groups, bounds, vertices)
+        ),
+    }
+    return graph.num_vertices, seconds
+
+
+def test_proposal_stage_scales_linearly(bench_metrics):
+    (small_n, small), (large_n, large) = (_proposal_seconds(n) for n in (80, 160))
+    print()
+    for name in small:
+        ratio = large[name] / small[name]
+        bench_metrics[name] = large[name]
+        print(
+            f"{name} {small_n} V: {small[name] * 1000:.2f}ms, "
+            f"{large_n} V: {large[name] * 1000:.2f}ms ({ratio:.2f}x)"
+        )
+        assert ratio < MAX_DOUBLING_RATIO, (
+            f"{name} grew {ratio:.2f}x from {small_n} to {large_n} vertices"
+        )

@@ -79,7 +79,8 @@ class SolveRequest:
         kernel keep working; it selects nothing.
     iterations / verification / prune:
         Solver options (consumed by the solvers that understand them; the
-        names match :class:`~repro.lhcds.ippv.IPPVConfig`).
+        names match :class:`~repro.lhcds.ippv.IPPVConfig`).  ``iterations``
+        must be non-negative whichever solver runs.
     """
 
     graph: Graph
@@ -101,6 +102,8 @@ class SolveRequest:
             raise EngineError(f"k must be positive (or None for all), got {self.k}")
         if self.jobs < 0:
             raise EngineError(f"jobs must be >= 0 (0 = one per CPU), got {self.jobs}")
+        if self.iterations < 0:
+            raise EngineError(f"iterations must be non-negative, got {self.iterations}")
         if self.verification not in {"fast", "basic"}:
             raise EngineError(
                 f"verification must be 'fast' or 'basic', got {self.verification!r}"

@@ -8,6 +8,21 @@ re-assigned entirely to the subset with the largest index (the one with the
 smallest ``r`` values) — lines 18-22 — and ``r`` is recomputed.  This keeps
 ``(alpha, r)`` feasible for CP(G, h) while making the later stable-group
 conditions checkable per subset.
+
+Both steps run on the instance set's interned ids:
+
+* **Integer breakpoints.**  Prefix ``p`` holds ``counts[p]`` instances, so
+  its density is ``counts[p] / p``.  Scanning from the longest prefix down,
+  ``p`` is a breakpoint when ``counts[p] * q_best >= c_best * p``, where
+  ``c_best / q_best`` is the densest longer prefix.  Prefix lengths are
+  positive, so this cross-multiplication is the exact ``Fraction``
+  comparison without building a ``Fraction`` per prefix; only the returned
+  ``prefix_densities`` become ``Fraction`` objects.
+* **Flat-id redistribution.**  Each subset's index is written into an
+  array indexed by interned id (``-1`` outside the universe), and the
+  straddling instances are found by walking ``flat_ids`` through it: an
+  instance straddles when its members' largest and smallest subset indices
+  differ and none is ``-1``.  No per-instance vertex tuple or set is built.
 """
 
 # repro: allow-file-EX01(consumes the float Frank-Wolfe iterate; its outputs only become certified after FLOAT_SLACK padding in stable_groups)
@@ -16,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
@@ -40,37 +55,83 @@ def _sorted_vertices(state: WeightState, vertices: Sequence[Vertex]) -> List[Ver
     return sorted(vertices, key=lambda v: (-state.received(v), repr(v)))
 
 
-def _prefix_instance_counts(
-    instances: InstanceSet, order: List[Vertex]
-) -> List[int]:
-    """``counts[q]`` = number of instances fully inside the first ``q`` vertices."""
-    # Work over interned ids: one flat pass instead of per-instance tuple
-    # hashing.  position -1 marks interned vertices absent from ``order``.
+def _positions(instances: InstanceSet, order: List[Vertex]) -> List[int]:
+    """``position[vid]``: index of interned id ``vid`` in ``order``, or -1."""
     position = [-1] * instances.num_interned
     for i, v in enumerate(order):
         vid = instances.vertex_id(v)
         if vid is not None:
             position[vid] = i
-    h = instances.h
-    flat = instances.flat_ids
-    ends_at = [0] * (len(order) + 1)
-    for base in range(0, len(flat), h):
-        last = -1
-        for j in range(base, base + h):
-            pos = position[flat[j]]
-            if pos < 0:
-                last = -1
-                break
-            if pos > last:
-                last = pos
-        if last >= 0:
+    return position
+
+
+def _slot_extremes(values: List[int], h: int) -> Iterator[Tuple[int, int]]:
+    """``(largest, smallest)`` of each instance's ``h`` slots of a per-slot list."""
+    if h == 1:
+        return zip(values, values)
+    columns = [values[j::h] for j in range(h)]
+    return zip(map(max, *columns), map(min, *columns))
+
+
+def _prefix_instance_counts(instances: InstanceSet, position: List[int], n: int) -> List[int]:
+    """``counts[q]`` = number of instances fully inside the first ``q`` vertices."""
+    ends_at = [0] * (n + 1)
+    slots = [position[vid] for vid in instances.flat_ids]
+    for last, first in _slot_extremes(slots, instances.h):
+        if first >= 0:
             ends_at[last + 1] += 1
-    counts = [0] * (len(order) + 1)
+    counts = [0] * (n + 1)
     running = 0
-    for q in range(1, len(order) + 1):
+    for q in range(1, n + 1):
         running += ends_at[q]
         counts[q] = running
     return counts
+
+
+def _breakpoints(counts: List[int]) -> List[int]:
+    """Prefix lengths ``p`` whose density no longer prefix beats (line 16).
+
+    ``p = n`` is always one (``c_best / q_best`` starts below every
+    density), so the blocks cover the order; an empty order has none.
+    """
+    breakpoints: List[int] = []
+    c_best, q_best = -1, 1
+    for p in range(len(counts) - 1, 0, -1):
+        c = counts[p]
+        if c * q_best >= c_best * p:
+            breakpoints.append(p)
+            c_best, q_best = c, p
+    breakpoints.reverse()
+    return breakpoints
+
+
+def _redistribute(state: WeightState, block_of: List[int]) -> None:
+    """Move every straddling instance's weight onto its lowest block's slots.
+
+    ``block_of[vid]`` is the subset index of interned id ``vid`` (-1 outside
+    the universe).  ``alpha`` is the flat per-slot buffer: instance ``i``'s
+    ``j``-th slot sits at ``i * h + j``, the same offsets as ``flat_ids``.
+    """
+    instances = state.instances
+    h = instances.h
+    alpha = state.alpha
+    blocks = [block_of[vid] for vid in instances.flat_ids]
+    bases = range(0, len(blocks), h)
+    for base, (last, first) in zip(bases, _slot_extremes(blocks, h)):
+        if first == last or first < 0:
+            continue
+        moved = 0.0
+        receivers = []
+        for pos in range(base, base + h):
+            if blocks[pos] != last:
+                moved += alpha[pos]
+                alpha[pos] = 0.0
+            else:
+                receivers.append(pos)
+        if moved:
+            share = moved / len(receivers)
+            for pos in receivers:
+                alpha[pos] += share
 
 
 def tentative_decomposition(
@@ -85,62 +146,20 @@ def tentative_decomposition(
     """
     order = _sorted_vertices(state, vertices)
     instances = state.instances
-    counts = _prefix_instance_counts(instances, order)
-    n = len(order)
-
-    densities = [Fraction(0)] + [Fraction(counts[q], q) for q in range(1, n + 1)]
-
-    # A position p is a breakpoint when no longer prefix is denser (line 16).
-    # p = n is always one, so the blocks cover the order; an empty universe
-    # has no blocks at all.
-    suffix_max = Fraction(-1)
-    is_breakpoint = [False] * (n + 1)
-    for p in range(n, 0, -1):
-        if densities[p] >= suffix_max:
-            is_breakpoint[p] = True
-        suffix_max = max(suffix_max, densities[p])
-    breakpoints = [p for p in range(1, n + 1) if is_breakpoint[p]]
+    position = _positions(instances, order)
+    counts = _prefix_instance_counts(instances, position, len(order))
 
     subsets: List[List[Vertex]] = []
     prefix_densities: List[Fraction] = []
+    block_at = [0] * len(order)
     start = 0
-    for p in breakpoints:
+    for b, p in enumerate(_breakpoints(counts)):
         subsets.append(order[start:p])
-        prefix_densities.append(densities[p])
+        prefix_densities.append(Fraction(counts[p], p))
+        block_at[start:p] = [b] * (p - start)
         start = p
 
-    # Which subset does each vertex live in?
-    block_of: Dict[Vertex, int] = {}
-    for b, block in enumerate(subsets):
-        for v in block:
-            block_of[v] = b
-
-    # Redistribute weights of straddling instances to their lowest block.
-    # ``alpha`` is the flat per-slot buffer: instance i's j-th slot sits at
-    # ``i * h + j`` (the same CSR offsets as ``instances.flat_ids``).
-    alpha = state.alpha
-    h = instances.h
-    for i, inst in enumerate(instances.instances):
-        if not all(v in block_of for v in inst):
-            continue
-        blocks = {block_of[v] for v in inst}
-        if len(blocks) <= 1:
-            continue
-        lowest = max(blocks)
-        base = i * h
-        moved = 0.0
-        receivers = []
-        for j, v in enumerate(inst):
-            if block_of[v] != lowest:
-                moved += alpha[base + j]
-                alpha[base + j] = 0.0
-            else:
-                receivers.append(j)
-        if receivers and moved:
-            share = moved / len(receivers)
-            for j in receivers:
-                alpha[base + j] += share
-
+    _redistribute(state, [block_at[pos] if pos >= 0 else -1 for pos in position])
     state.recompute_r(list(vertices))
     return TentativeDecomposition(
         subsets=subsets, order=order, prefix_densities=prefix_densities

@@ -11,6 +11,15 @@ Proposition 5 gives two safe rules:
 
 Floating-point bounds are compared with a conservative slack so rounding can
 only make pruning *less* aggressive (exactness is never at risk).
+
+Rule 1 makes one bound comparison per vertex, not one per edge endpoint.
+Each universe vertex's threshold ``lower(u) - FLOAT_SLACK`` is computed
+once, and ``v`` is tested against the largest threshold among its universe
+neighbours.  ``upper(v) < max_u t(u)`` holds exactly when ``upper(v) <
+t(u)`` for some ``u``, and Python compares ``Fraction`` and ``float``
+values exactly, so this is the same predicate with no rounding.  The
+bounds mix ``Fraction`` core bounds with DeriveSG's padded floats, and the
+per-endpoint form converted a float for every edge.
 """
 
 from __future__ import annotations
@@ -34,29 +43,29 @@ def prune_invalid_vertices(
     universe: Set[Vertex] = set(vertices) if vertices is not None else set(graph.vertices())
 
     # Rule 1: a neighbour with a strictly larger lower bound invalidates v.
-    # Walk the universe's own adjacency (each edge seen from both endpoints)
-    # instead of scanning every edge of the host graph.
+    # upper(v) < lower(u) - slack for some universe neighbour u exactly when
+    # upper(v) falls below the largest of those thresholds, so each vertex
+    # makes one bound comparison however many neighbours it has.
+    threshold = {u: bounds.lower_of(u) - FLOAT_SLACK for u in universe}
     invalid: Set[Vertex] = set()
-    for u in universe:
-        if not graph.has_vertex(u):
+    for v in universe:
+        upper_v = bounds.upper_of(v)
+        # None means unbounded, which can never fall below a threshold.
+        if upper_v is None or not graph.has_vertex(v):
             continue
-        lower_u = bounds.lower_of(u) - FLOAT_SLACK
-        for v in graph.neighbors(u):
-            if v not in universe:
-                continue
-            upper_v = bounds.upper_of(v)
-            # None means unbounded, which can never fall below lower_u.
-            if upper_v is not None and upper_v < lower_u:
-                invalid.add(v)
+        highest = max(
+            (threshold[u] for u in graph.neighbors(v) if u in threshold),
+            default=None,
+        )
+        if highest is not None and upper_v < highest:
+            invalid.add(v)
 
     survivors = universe - invalid
 
     # Rule 2: iterate clique-core recomputation until a fixpoint.
     while True:
         core = peel(instances, survivors).core
-        newly_invalid = {
-            v for v in survivors if core.get(v, 0) < bounds.lower_of(v) - FLOAT_SLACK
-        }
+        newly_invalid = {v for v in survivors if core.get(v, 0) < threshold[v]}
         if not newly_invalid:
             break
         survivors -= newly_invalid

@@ -12,7 +12,10 @@ are laid out as one flat ``array('d')`` buffer indexed by the CSR instance
 offsets of :class:`~repro.instances.InstanceSet` (instance ``i``'s ``j``-th
 slot is ``alpha[i * h + j]``), and
 :func:`~repro.kernels.fw_stdlib.fw_distribute` runs the per-round
-water-filling on it.
+water-filling on it.  The pattern size picks the loop: triangles
+(``h = 3``) run an unrolled three-way poorest-vertex pick over strided
+columns of the flat ids, every other ``h`` the generic slot scan; both
+pick the same vertex, so ``alpha`` and ``r`` do not depend on the branch.
 """
 
 # repro: allow-file-EX01(Frank-Wolfe iterate: approximate float weights by design; stable_groups pads them with FLOAT_SLACK before any certified comparison)

@@ -334,6 +334,16 @@ class SolveService:
         return options
 
     @staticmethod
+    def _solve_request(**fields: Any) -> SolveRequest:
+        """Build a :class:`SolveRequest`; a field it rejects is a 400."""
+        try:
+            return SolveRequest(**fields)
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"bad solve request: {exc}", code="bad_solve_request"
+            ) from exc
+
+    @staticmethod
     def _timing(total: float, lock_wait: float, solve_seconds: float) -> Dict[str, float]:
         """The per-request timing split both solve endpoints report.
 
@@ -367,14 +377,9 @@ class SolveService:
         name, graph = self._resolve_graph(payload)
         pattern = self._resolve_pattern(payload)
         options = self._request_options(payload)
-        try:
-            request = SolveRequest(
-                graph=graph, pattern=pattern, cache_dir=self.cache_dir, **options
-            )
-        except (ReproError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"bad solve request: {exc}", code="bad_solve_request"
-            ) from exc
+        request = self._solve_request(
+            graph=graph, pattern=pattern, cache_dir=self.cache_dir, **options
+        )
         start = time.perf_counter()
         with self._solve_lock:
             lock_wait = time.perf_counter() - start
@@ -482,6 +487,9 @@ class SolveService:
         validate_keys(payload, SESSION_SOLVE_KEYS, what="solve")
         pattern = self._resolve_pattern(payload)
         options = self._request_options(payload)
+        # Reject bad options before the solve lock: a request that cannot
+        # run must neither wait for the lock nor open a session.
+        self._solve_request(graph=self._named_graph(name), pattern=pattern, **options)
         start = time.perf_counter()
         with self._solve_lock:
             lock_wait = time.perf_counter() - start

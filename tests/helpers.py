@@ -19,6 +19,7 @@ from repro.flow.network import solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.graph.graph import Vertex
 from repro.instances import InstanceSet
+from repro.cores.clique_core import peel
 from repro.lhcds.bounds import CompactBounds
 from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.seq_kclist import WeightState
@@ -61,6 +62,112 @@ def small_random_graphs():
         p = 0.35 + 0.1 * (seed % 3)
         graphs.append(random_graph(n, p, seed))
     return graphs
+
+
+def reference_tentative_decomposition(
+    state: WeightState,
+    vertices: Sequence[Vertex],
+) -> TentativeDecomposition:
+    """The TentativeGD oracle for ``tentative_decomposition``.
+
+    Builds one ``Fraction`` per prefix and walks the instances as vertex
+    tuples, with one set of subset indices per instance.  Like the real
+    stage, it redistributes ``state.alpha`` in place and recomputes
+    ``state.r``.
+    """
+    order = sorted(vertices, key=lambda v: (-state.received(v), repr(v)))
+    instances = state.instances
+    n = len(order)
+    position = {v: i for i, v in enumerate(order)}
+    ends_at = [0] * (n + 1)
+    for inst in instances.instances:
+        if all(v in position for v in inst):
+            ends_at[max(position[v] for v in inst) + 1] += 1
+    densities = [Fraction(0)]
+    inside = 0
+    for q in range(1, n + 1):
+        inside += ends_at[q]
+        densities.append(Fraction(inside, q))
+
+    # A position p is a breakpoint when no longer prefix is denser.
+    suffix_max = Fraction(-1)
+    is_breakpoint = [False] * (n + 1)
+    for p in range(n, 0, -1):
+        if densities[p] >= suffix_max:
+            is_breakpoint[p] = True
+        suffix_max = max(suffix_max, densities[p])
+    subsets: List[List[Vertex]] = []
+    prefix_densities: List[Fraction] = []
+    start = 0
+    for p in range(1, n + 1):
+        if is_breakpoint[p]:
+            subsets.append(order[start:p])
+            prefix_densities.append(densities[p])
+            start = p
+
+    block_of = {v: b for b, block in enumerate(subsets) for v in block}
+    alpha = state.alpha
+    h = instances.h
+    for i, inst in enumerate(instances.instances):
+        if not all(v in block_of for v in inst):
+            continue
+        blocks = {block_of[v] for v in inst}
+        if len(blocks) <= 1:
+            continue
+        lowest = max(blocks)
+        base = i * h
+        moved = 0.0
+        receivers = []
+        for j, v in enumerate(inst):
+            if block_of[v] != lowest:
+                moved += alpha[base + j]
+                alpha[base + j] = 0.0
+            else:
+                receivers.append(j)
+        if receivers and moved:
+            share = moved / len(receivers)
+            for j in receivers:
+                alpha[base + j] += share
+
+    state.recompute_r(list(vertices))
+    return TentativeDecomposition(
+        subsets=subsets, order=order, prefix_densities=prefix_densities
+    )
+
+
+def reference_prune_invalid_vertices(
+    graph: Graph,
+    instances: InstanceSet,
+    bounds: CompactBounds,
+    vertices: Iterable[Vertex],
+) -> Set[Vertex]:
+    """The pruning oracle for ``prune_invalid_vertices``.
+
+    Rule 1 compares bounds once per edge endpoint: ``v`` is invalid when
+    ``upper(v) < lower(u) - FLOAT_SLACK`` for a universe neighbour ``u``
+    (``None`` uppers never are).  Rule 2 then peels to a fixpoint.
+    """
+    universe = set(vertices)
+    invalid: Set[Vertex] = set()
+    for u in universe:
+        if not graph.has_vertex(u):
+            continue
+        lower_u = bounds.lower_of(u) - FLOAT_SLACK
+        for v in graph.neighbors(u):
+            if v not in universe:
+                continue
+            upper_v = bounds.upper_of(v)
+            if upper_v is not None and upper_v < lower_u:
+                invalid.add(v)
+    survivors = universe - invalid
+    while True:
+        core = peel(instances, survivors).core
+        newly_invalid = {
+            v for v in survivors if core.get(v, 0) < bounds.lower_of(v) - FLOAT_SLACK
+        }
+        if not newly_invalid:
+            return survivors
+        survivors -= newly_invalid
 
 
 def _reference_verdict(

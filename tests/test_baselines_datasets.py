@@ -188,3 +188,10 @@ class TestCLI:
     def test_unknown_dataset_is_an_error(self, capsys):
         assert cli_main(["topk", "--dataset", "nope"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["ippv", "exact"])
+    def test_negative_iterations_is_a_plain_error(self, capsys, solver):
+        # Rejected by the request itself, not wrapped in a failed task.
+        argv = ["topk", "--dataset", "HA", "--k", "1", "--solver", solver, "--iterations", "-1"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: iterations must be non-negative, got -1\n"

@@ -70,6 +70,10 @@ class TestRegistry:
             SolveRequest(graph=complete_graph(4), k=0)
         with pytest.raises(EngineError, match="jobs must be"):
             SolveRequest(graph=complete_graph(4), jobs=-1)
+        for solver in ("ippv", "exact"):
+            with pytest.raises(EngineError, match="iterations must be non-negative"):
+                SolveRequest(graph=complete_graph(4), solver=solver, iterations=-1)
+        assert SolveRequest(graph=complete_graph(4), iterations=0).iterations == 0
         with pytest.raises(EngineError, match="empty graph"):
             solve(graph=Graph(), pattern=3, k=1)
 

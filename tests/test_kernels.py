@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import multi_component_graph, random_graph
+from helpers import multi_component_graph, random_graph, shifted
 
 from repro.cliques import clique_instances
 from repro.cliques.kclist import clique_degrees, count_cliques, list_cliques
@@ -338,25 +338,55 @@ class TestCapacityScaling:
         assert chosen == best_set
 
 
+def tie_heavy_graphs():
+    """Graphs on which every instance ties on r in round one: cliques and
+    disjoint unions of equal cliques (every vertex has the same degree).
+
+    The relabelled K8's repr order differs from its enumeration order, so
+    a later slot sometimes wins a tie on rank: with it, h = 3 reaches every
+    branch of the unrolled pick.
+    """
+    graphs = [complete_graph(n) for n in (6, 7, 8)]
+    labels = [5, 40, 3, 200, 1, 10, 6, 77]
+    graphs.append(Graph(edges=[(labels[u], labels[v]) for u, v in complete_graph(8).edges()]))
+    for size, copies in ((4, 3), (5, 3), (6, 2)):
+        graphs.append(
+            union_graph(*(shifted(complete_graph(size), 10 * c) for c in range(copies)))
+        )
+    return graphs
+
+
 class TestFrankWolfeBitIdentity:
     """The flat Frank–Wolfe kernel against the per-instance reference: the
-    same alpha bytes, slot for slot, and the same r."""
+    same alpha bytes, slot for slot, and the same r.  h = 3 runs the
+    unrolled pick, every other h the generic slot scan."""
 
-    @pytest.mark.parametrize("h", [2, 3, 4])
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
     @pytest.mark.parametrize("iterations", [0, 1, 7, 25])
     def test_alpha_and_r_identical(self, h, iterations):
         checked = 0
         for seed in range(4):
             g = random_graph(9, 0.6, seed + 10)
-            inst = clique_instances(g, h)
-            if inst.num_instances == 0:
-                continue
-            state = seq_kclist_plus_plus(inst, iterations)
-            alpha, r = reference_seq_kclist(inst, iterations)
-            assert bytes(state.alpha) == bytes(alpha)
-            assert state.r == r
-            checked += 1
+            checked += self._check(g, h, iterations)
         assert checked
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
+    @pytest.mark.parametrize("iterations", [1, 2, 7, 25])
+    def test_tie_heavy_inputs_identical(self, h, iterations):
+        checked = sum(self._check(g, h, iterations) for g in tie_heavy_graphs())
+        # Only the union of K4s has no 5-cliques.
+        assert checked >= 6
+
+    @staticmethod
+    def _check(graph, h, iterations):
+        inst = clique_instances(graph, h)
+        if inst.num_instances == 0:
+            return False
+        state = seq_kclist_plus_plus(inst, iterations)
+        alpha, r = reference_seq_kclist(inst, iterations)
+        assert bytes(state.alpha) == bytes(alpha)
+        assert state.r == r
+        return True
 
 
 class TestKclistBitIdentity:

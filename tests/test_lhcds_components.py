@@ -6,10 +6,16 @@ import random
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import random_graph, reference_stable_groups
+from helpers import (
+    random_graph,
+    reference_prune_invalid_vertices,
+    reference_stable_groups,
+    reference_tentative_decomposition,
+)
 from repro.cliques import clique_instances
 from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, union_graph
@@ -326,6 +332,159 @@ class TestPrune:
             for v, value in phi.items():
                 if value == best and best > 0:
                     assert v in survivors
+
+
+def _weights_copy(state):
+    """An independent copy of a Frank–Wolfe state (TentativeGD edits it)."""
+    return WeightState(instances=state.instances, alpha=array("d", state.alpha), r=dict(state.r))
+
+
+def _assert_tentative_matches_reference(state, vertices):
+    """Run TentativeGD and its oracle on copies of ``state``; return the result."""
+    ours, theirs = _weights_copy(state), _weights_copy(state)
+    decomposition = tentative_decomposition(ours, vertices)
+    expected = reference_tentative_decomposition(theirs, vertices)
+    assert decomposition.subsets == expected.subsets
+    assert decomposition.order == expected.order
+    assert decomposition.prefix_densities == expected.prefix_densities
+    assert all(type(d) is Fraction for d in decomposition.prefix_densities)
+    assert bytes(ours.alpha) == bytes(theirs.alpha)
+    assert ours.r == theirs.r
+    return decomposition, ours
+
+
+class TestTentativeGDOracle:
+    """Integer breakpoints and the flat-id redistribution against the
+    ``Fraction``-prefix, per-instance-tuple oracle."""
+
+    def test_random_cases_match_reference(self):
+        tied_breakpoints = moved = restricted = 0
+        for seed in range(510):
+            rng = random.Random(seed)
+            h = 2 + seed % 4
+            n = rng.randint(2, 26)
+            g = random_graph(n, rng.uniform(0.15, 0.75), seed)
+            inst = clique_instances(g, h)
+            iterations = rng.choice((0, 1, 3, 20))
+            shapes = [(inst, g.vertices())]
+            if seed % 3 == 2:
+                # IPPV's refinement shape: the instances restricted to a
+                # candidate, in repr order; and the candidate over all the
+                # instances, so some instance slots lie outside the order.
+                half = sorted(rng.sample(sorted(g.vertices()), max(1, n // 2)), key=repr)
+                shapes = [(inst.restrict(half), half), (inst, half)]
+                restricted += 1
+            for working, vertices in shapes:
+                state = seq_kclist_plus_plus(working, iterations, vertices)
+                decomposition, after = _assert_tentative_matches_reference(state, vertices)
+                densities = decomposition.prefix_densities
+                tied_breakpoints += any(a == b for a, b in zip(densities, densities[1:]))
+                moved += bytes(after.alpha) != bytes(state.alpha)
+        # The cases reach equal prefix densities and straddling instances.
+        assert restricted == 170
+        assert tied_breakpoints > 0
+        assert moved > 0
+
+    def test_equal_prefix_densities_split_at_the_breakpoint(self):
+        # Two disjoint K4s with equal r: both prefixes have density 1, and
+        # the shorter one is a breakpoint because no longer prefix beats it.
+        triangles = [t for base in (0, 4) for t in combinations(range(base, base + 4), 3)]
+        inst = InstanceSet.from_instances(3, triangles)
+        alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
+        state = WeightState(instances=inst, alpha=alpha, r={v: 1.0 for v in range(8)})
+        decomposition, _ = _assert_tentative_matches_reference(state, list(range(8)))
+        assert decomposition.subsets == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert decomposition.prefix_densities == [Fraction(1), Fraction(1)]
+
+    def test_straddling_instance_moves_to_its_lowest_block(self):
+        # K4 {0..3} above a triangle {3, 4, 5} that shares vertex 3: the
+        # shared triangle's weight on 3 moves to 4 and 5.
+        triangles = list(combinations(range(4), 3)) + [(3, 4, 5)]
+        inst = InstanceSet.from_instances(3, triangles)
+        alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
+        state = WeightState(instances=inst, alpha=alpha, r={})
+        state.recompute_r(list(range(6)))
+        decomposition, after = _assert_tentative_matches_reference(state, list(range(6)))
+        assert [sorted(subset) for subset in decomposition.subsets] == [[0, 1, 2, 3], [4, 5]]
+        assert list(after.alpha[-3:]) == [0.0, 0.5, 0.5]
+
+    def test_empty_universe_matches_reference(self, k5):
+        state = seq_kclist_plus_plus(clique_instances(k5, 3), 5, [])
+        decomposition, _ = _assert_tentative_matches_reference(state, [])
+        assert decomposition.subsets == []
+
+
+def _mixed_bounds(g, inst, rng):
+    """Clique-core bounds tightened by DeriveSG, with some uppers dropped.
+
+    Every upper is then a ``Fraction`` core bound, a slack-padded DeriveSG
+    float or missing (``None``).
+    """
+    vertices = g.vertices()
+    bounds, _ = initialize_bounds(inst, vertices)
+    state = seq_kclist_plus_plus(inst, rng.choice((1, 5, 20)), vertices)
+    derive_stable_groups(tentative_decomposition(state, vertices), state, bounds)
+    for v in sorted(vertices):
+        if rng.random() < 0.1:
+            bounds.upper.pop(v, None)
+    return bounds
+
+
+class TestPruneOracle:
+    """Rule 1's one comparison per vertex against the per-edge-endpoint scan."""
+
+    def test_random_bounds_match_reference(self):
+        kinds = Counter()
+        pruned = 0
+        for seed in range(160):
+            rng = random.Random(seed)
+            h = rng.choice((3, 4))
+            g = random_graph(rng.randint(4, 30), rng.uniform(0.15, 0.6), seed)
+            inst = clique_instances(g, h)
+            bounds = _mixed_bounds(g, inst, rng)
+            for v in g.vertices():
+                upper = bounds.upper_of(v)
+                kinds["none" if upper is None else type(upper).__name__] += 1
+            universe = sorted(g.vertices())
+            if seed % 2:
+                universe = rng.sample(universe, max(1, len(universe) * 2 // 3))
+            survivors = prune_invalid_vertices(g, inst, bounds, universe)
+            assert survivors == reference_prune_invalid_vertices(g, inst, bounds, universe)
+            pruned += len(survivors) < len(universe)
+        assert kinds["Fraction"] and kinds["float"] and kinds["none"]
+        assert pruned > 0
+
+    @pytest.mark.parametrize("lower_type", [Fraction, float])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("upper_type", [Fraction, float])
+    def test_upper_on_the_slack_edge(self, lower_type, shift, upper_type):
+        # v's neighbours u and w carry lower bounds; v's upper sits at the
+        # larger threshold lower(u) - FLOAT_SLACK or one ulp either side.
+        # Only an upper strictly below the threshold prunes v.
+        g = Graph(edges=[("u", "v"), ("v", "w"), ("u", "w")])
+        inst = clique_instances(g, 3)
+        bounds = CompactBounds()
+        bounds.lower["u"] = lower_type(Fraction(7, 3))
+        bounds.lower["w"] = Fraction(1, 3)
+        threshold = bounds.lower["u"] - FLOAT_SLACK
+        edge = threshold
+        if shift:
+            edge = math.nextafter(threshold, math.inf if shift > 0 else -math.inf)
+        bounds.upper["v"] = upper_type(edge)
+        survivors = prune_invalid_vertices(g, inst, bounds, g.vertices())
+        assert survivors == reference_prune_invalid_vertices(g, inst, bounds, g.vertices())
+        assert ("v" in survivors) == (shift >= 0)
+
+    def test_unbounded_and_isolated_vertices(self):
+        g = Graph(vertices=["lone"], edges=[("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+        inst = clique_instances(g, 3)
+        # "ghost" is in the universe but not in the graph.
+        bounds = CompactBounds(
+            lower={"a": Fraction(5)}, upper={"d": 0.5, "lone": 0.0, "ghost": 0.0}
+        )
+        universe = ["a", "b", "c", "d", "lone", "ghost"]
+        survivors = prune_invalid_vertices(g, inst, bounds, universe)
+        assert survivors == reference_prune_invalid_vertices(g, inst, bounds, universe)
 
 
 class TestVerification:

@@ -482,6 +482,43 @@ class TestHTTPServer:
         assert service.sessions() == []
         assert service.stats()["counters"]["errors"] == 0
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"k": 0},
+            {"verification": "turbo"},
+            {"iterations": -1},
+            {"iterations": -1, "solver": "exact"},
+        ],
+        ids=["k", "verification", "iterations", "iterations-exact"],
+    )
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/graphs/toy/solve"])
+    def test_out_of_range_solve_field_is_400_before_any_work(self, http_server, path, body):
+        base, service = http_server
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        payload = {"graph": "toy", **body} if path == "/v1/solve" else body
+        status, reply = _request(base, "POST", path, payload)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_solve_request"
+        field = next(iter(body))
+        assert field in reply["error"]["message"]
+        counters = service.stats()["counters"]
+        assert counters["solves"] == 0
+        assert counters["errors"] == 0
+        # The session endpoint rejects the options before opening a session.
+        assert service.sessions() == []
+
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/graphs/toy/solve"])
+    def test_zero_iterations_accepted(self, http_server, path):
+        base, service = http_server
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        payload = {"k": 1, "iterations": 0}
+        if path == "/v1/solve":
+            payload["graph"] = "toy"
+        status, reply = _request(base, "POST", path, payload)
+        assert status == 200
+        assert reply["data"]["subgraphs"]
+
     def test_solvers_route_has_no_parallel_columns(self, http_server):
         base, _service = http_server
         status, body = _request(base, "GET", "/v1/solvers")
