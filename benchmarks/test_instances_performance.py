@@ -12,6 +12,7 @@ candidates), printing the raw timings alongside.
 
 from __future__ import annotations
 
+import gc
 import time
 from fractions import Fraction
 
@@ -32,11 +33,25 @@ def _build_figure_scale():
     return graph, instances, candidates
 
 
-def _time(fn, repeats: int) -> float:
-    start = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return time.perf_counter() - start
+#: Rounds per compared group; every path runs once per round.
+ROUNDS = 7
+
+
+def _best_alternating(fns, repeats: int):
+    """Best time of ``repeats`` calls of each function, alternating in rounds.
+
+    Every path runs once per round, after a collection, so the compared
+    paths share the host's phases and none pays for another's garbage.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(ROUNDS):
+        for index, fn in enumerate(fns):
+            gc.collect()
+            start = time.perf_counter()
+            for _ in range(repeats):
+                fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
 
 
 def test_indexed_restriction_beats_full_scan(bench_metrics):
@@ -60,8 +75,7 @@ def test_indexed_restriction_beats_full_scan(bench_metrics):
         for cand in candidates:
             instances.scan_count_within(cand)
 
-    indexed_s = _time(indexed_counts_cold, repeats)
-    scan_s = _time(scan_counts, repeats)
+    indexed_s, scan_s = _best_alternating([indexed_counts_cold, scan_counts], repeats)
     count_speedup = scan_s / indexed_s
 
     # Restriction: clear the LRU between rounds so the timing shows the raw
@@ -79,9 +93,9 @@ def test_indexed_restriction_beats_full_scan(bench_metrics):
         for cand in candidates:
             instances.scan_restrict(cand)
 
-    cold_s = _time(indexed_restrict_cold, repeats)
-    cached_s = _time(indexed_restrict_cached, repeats)
-    scan_restrict_s = _time(scan_restrict, repeats)
+    cold_s, cached_s, scan_restrict_s = _best_alternating(
+        [indexed_restrict_cold, indexed_restrict_cached, scan_restrict], repeats
+    )
     restrict_speedup = scan_restrict_s / cold_s
     cached_speedup = scan_restrict_s / cached_s
 

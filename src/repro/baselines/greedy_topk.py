@@ -53,7 +53,7 @@ def greedy_topk_cds(
             break
         # Report each connected component separately (like the paper's plots,
         # which show per-subgraph size and density points).
-        for component in connected_components(graph.induced_subgraph(subset)):
+        for component in connected_components(graph, subset):
             local = instances.restrict(component)
             if local.num_instances == 0:
                 continue

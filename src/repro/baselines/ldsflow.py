@@ -66,7 +66,7 @@ def _topk_by_extraction(
         dense, _ = maximal_densest_subset(working, remaining)
         if not dense:
             break
-        components = connected_components(graph.induced_subgraph(dense))
+        components = connected_components(graph, dense)
         progressed = False
         for component in sorted(components, key=lambda c: (-len(c), repr(sorted(c, key=repr)))):
             local = instances.restrict(component)

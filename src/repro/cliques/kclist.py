@@ -13,6 +13,14 @@ module builds the out-neighbour DAG once as a CSR over *rank space* (vertex
 clique as ``h`` consecutive rank ids in one flat buffer.  Rank ids map back
 through ``order``, so the emitted cliques list their vertices in degeneracy
 order and follow the DAG's depth-first order.
+
+For ``h >= 3``, :func:`clique_instances` hands that rank buffer straight to
+:meth:`~repro.instances.InstanceSet.from_flat`, which remaps rank ids to
+interned ids in first-appearance order -- the interning the builder would
+give the same cliques -- without a tuple per clique.  Preprocessing calls
+it once per solve on the whole graph (step 1 of
+:mod:`repro.engine.preprocess`); on a connected graph that set then serves
+the one component as is.
 """
 
 from __future__ import annotations
@@ -94,11 +102,15 @@ def list_cliques(graph: Graph, h: int) -> List[Tuple[Vertex, ...]]:
 def clique_instances(graph: Graph, h: int) -> InstanceSet:
     """Return the h-cliques of ``graph`` packaged as an :class:`InstanceSet`.
 
-    Cliques stream straight into the indexed builder — the enumerator
-    guarantees arity and distinctness, so no per-instance validation is done.
-    Vertices are interned in emission order, which the kernel's ordering
-    contract fixes.
+    The enumerator guarantees arity and distinctness, so no per-instance
+    validation is done.  Vertices are interned in emission order, which the
+    kernel's ordering contract fixes: for ``h >= 3`` the kernel's flat rank
+    buffer is interned in one pass, and smaller ``h`` stream into the
+    indexed builder.
     """
+    if h >= 3 and graph.num_vertices > 0:
+        order, flat = _flat_cliques(graph, h)
+        return InstanceSet.from_flat(h, order, flat)
     builder = InstanceSetBuilder(h)
     builder.extend(enumerate_cliques(graph, h))
     return builder.build()

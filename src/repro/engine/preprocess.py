@@ -9,7 +9,12 @@ same pipeline exactly once:
    instance — and therefore every reported dense subgraph — lives inside one
    connected component.  The graph is split with
    :func:`~repro.graph.components.connected_components` and the instance set
-   is restricted per component with the indexed restriction.
+   is restricted per component with the indexed restriction.  On a
+   connected graph the one component covers every interned vertex, so the
+   restriction is the global set itself (no scan, no copy, no second
+   incidence index); only the component's subgraph is copied, because the
+   cache's memory layer and incremental sessions keep it alive while the
+   caller's graph may change.  The loop has no branch for this case.
 3. **Clique-core bounds.**  Per component, Algorithm 1's
    :func:`~repro.lhcds.bounds.initialize_bounds` yields compact-number
    bounds; the component-level density window ``[c_max / h, c_max]`` follows

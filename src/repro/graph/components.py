@@ -1,9 +1,23 @@
-"""Connectivity helpers: BFS, connected components, distances, diameter."""
+"""Connectivity helpers: BFS, connected components, distances, diameter.
+
+:func:`connected_components` has a subset mode:
+``connected_components(graph, S)`` returns exactly
+``connected_components(graph.induced_subgraph(S))`` -- the same sets in the
+same order -- without building the subgraph.  It runs a BFS over the host
+adjacency that only follows neighbours inside ``S``, then orders the
+components by their first vertex in the host's insertion order, which is
+the order a split of the induced subgraph would visit them in (the
+subgraph keeps its parent's vertex order).  That rank comes from
+:meth:`Graph.insertion_rank`, a per-graph memo that any mutation drops,
+so a loop of subset splits on one graph (IPPV's, one per popped
+candidate) costs the sum of its subsets' host degrees and never a scan
+of the whole graph per call.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphError
 from .graph import Graph, Vertex
@@ -26,21 +40,45 @@ def bfs_order(graph: Graph, source: Vertex) -> List[Vertex]:
     return order
 
 
-def connected_components(graph: Graph) -> List[Set[Vertex]]:
+def connected_components(
+    graph: Graph, vertices: Optional[Iterable[Vertex]] = None
+) -> List[Set[Vertex]]:
     """Return the connected components as a list of vertex sets.
 
     Components are ordered by their first-seen vertex (graph insertion
-    order), which keeps results deterministic across runs.
+    order), which keeps results deterministic across runs.  With
+    ``vertices`` this is the split of the induced subgraph ``G[vertices]``
+    (vertices absent from the graph are ignored), computed on the host
+    adjacency; see the module docstring.
     """
-    seen: Set[Vertex] = set()
-    components: List[Set[Vertex]] = []
-    for v in graph:
-        if v in seen:
+    if vertices is None:
+        seen: Set[Vertex] = set()
+        components: List[Set[Vertex]] = []
+        for v in graph:
+            if v in seen:
+                continue
+            comp = set(bfs_order(graph, v))
+            seen |= comp
+            components.append(comp)
+        return components
+    keep = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
+    rank = graph.insertion_rank()
+    placed: Set[Vertex] = set()
+    ranked: List[Tuple[int, Set[Vertex]]] = []
+    for v in keep:
+        if v in placed or v not in rank:
             continue
-        comp = set(bfs_order(graph, v))
-        seen |= comp
-        components.append(comp)
-    return components
+        comp = {v}
+        stack = [v]
+        while stack:
+            for u in graph.neighbors(stack.pop()):
+                if u in keep and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        placed |= comp
+        ranked.append((min(rank[u] for u in comp), comp))
+    ranked.sort(key=lambda item: item[0])
+    return [comp for _, comp in ranked]
 
 
 def components_touching(

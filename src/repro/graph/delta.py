@@ -214,22 +214,33 @@ class GraphDelta:
             raise GraphError(
                 f"unknown delta keys: {unknown}; accepted keys: {sorted(_JSON_KEYS)}"
             )
-        vertices: Dict[str, List[Vertex]] = {}
-        for key in ("add_vertices", "remove_vertices"):
-            vertices[key] = [_json_label(v, key) for v in _json_list(payload, key)]
-        edges: Dict[str, List[Edge]] = {}
-        for key in ("add_edges", "remove_edges"):
-            edges[key] = []
-            for pair in _json_list(payload, key):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise GraphError(f"{key} entries must be [u, v] pairs: {pair!r}")
-                edges[key].append((_json_label(pair[0], key), _json_label(pair[1], key)))
         return cls(
-            add_vertices=tuple(vertices["add_vertices"]),
-            remove_vertices=tuple(vertices["remove_vertices"]),
-            add_edges=tuple(edges["add_edges"]),
-            remove_edges=tuple(edges["remove_edges"]),
+            add_vertices=tuple(json_labels(payload, "add_vertices")),
+            remove_vertices=tuple(json_labels(payload, "remove_vertices")),
+            add_edges=tuple(json_edges(payload, "add_edges")),
+            remove_edges=tuple(json_edges(payload, "remove_edges")),
         )
+
+
+def json_labels(payload: Mapping[str, Any], key: str) -> List[Vertex]:
+    """Read the list field ``key`` of a JSON object as vertex labels.
+
+    An absent field reads as empty.  Labels must be JSON integers or
+    strings -- the labels a delta can name -- so booleans and floats are
+    rejected rather than coerced (``true`` and ``1.0`` would collide with
+    ``1``).  Raises :class:`GraphError` naming ``key``.
+    """
+    return [_json_label(v, key) for v in _json_list(payload, key)]
+
+
+def json_edges(payload: Mapping[str, Any], key: str) -> List[Edge]:
+    """Read the list field ``key`` as ``[u, v]`` pairs of :func:`json_labels` labels."""
+    edges: List[Edge] = []
+    for pair in _json_list(payload, key):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise GraphError(f"{key} entries must be [u, v] pairs: {pair!r}")
+        edges.append((_json_label(pair[0], key), _json_label(pair[1], key)))
+    return edges
 
 
 def _json_list(payload: Mapping[str, Any], key: str) -> List[Any]:

@@ -5,10 +5,20 @@ built on.  It is a simple adjacency-set representation tuned for the access
 patterns the paper's algorithms need:
 
 * fast neighbourhood iteration and membership tests (clique listing),
-* cheap induced-subgraph construction (the IPPV pipeline repeatedly recurses
-  into candidate subgraphs),
 * stable, hashable vertex identifiers (any hashable object is accepted; the
-  synthetic datasets use integers and the case-study graphs use strings).
+  synthetic datasets use integers and the case-study graphs use strings),
+* an insertion-rank memo (:meth:`Graph.insertion_rank`), so that
+  :func:`~repro.graph.components.connected_components` can split a vertex
+  subset over the host adjacency and still order its components as a
+  split of the induced subgraph would.
+
+:meth:`Graph.induced_subgraph` builds each kept adjacency set as one C-level
+set intersection (``nbrs & keep``) instead of one ``add_edge`` per edge.  It
+always returns a copy, never the receiver, even when ``keep`` covers the
+graph: the preprocess cache's memory layer and the incremental session keep
+a component's subgraph alive after the caller's graph changes under deltas,
+so a subgraph must not alias its host.  IPPV's candidate loop does not
+call it: it splits candidates on the host graph.
 
 Self-loops are ignored and parallel edges are collapsed, matching the paper's
 setting of simple undirected graphs.
@@ -51,7 +61,7 @@ class Graph:
         edge (isolated vertices participate in density denominators).
     """
 
-    __slots__ = ("_adj", "_epoch", "_content_key")
+    __slots__ = ("_adj", "_epoch", "_content_key", "_rank")
 
     def __init__(
         self,
@@ -61,6 +71,7 @@ class Graph:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._epoch: int = 0
         self._content_key: str | None = None
+        self._rank: Dict[Vertex, int] | None = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -72,9 +83,10 @@ class Graph:
     # construction
     # ------------------------------------------------------------------
     def _mutated(self) -> None:
-        """Record a structural change: bump the epoch, drop the key memo."""
+        """Record a structural change: bump the epoch, drop both memos."""
         self._epoch += 1
         self._content_key = None
+        self._rank = None
 
     def add_vertex(self, v: Vertex) -> None:
         """Add an isolated vertex (no-op if already present)."""
@@ -163,6 +175,7 @@ class Graph:
         self._adj = state
         self._epoch = 0
         self._content_key = None
+        self._rank = None
 
     # ------------------------------------------------------------------
     # queries
@@ -236,17 +249,25 @@ class Graph:
         graph's insertion order, never the iteration order of ``vertices``.
         Component enumeration follows vertex order, so callers may pass
         unordered sets without leaking per-process hash order into results.
+        The result is always a fresh graph that shares no adjacency set
+        with the parent (see the module docstring).
         """
-        keep = {v for v in vertices if v in self._adj}
+        adj = self._adj
+        keep = {v for v in vertices if v in adj}
         sub = Graph()
-        for v in self._adj:
-            if v in keep:
-                sub.add_vertex(v)
-        for v in sub._adj:
-            for u in self._adj[v]:
-                if u in keep:
-                    sub.add_edge(u, v)
+        sub._adj = {v: nbrs & keep for v, nbrs in adj.items() if v in keep}
         return sub
+
+    def insertion_rank(self) -> Dict[Vertex, int]:
+        """Return ``vertex -> position in insertion order`` (read-only).
+
+        Memoised per graph and dropped by every mutation, like
+        :meth:`content_key`, so repeated subset splits of one graph pay for
+        it once.
+        """
+        if self._rank is None:
+            self._rank = {v: i for i, v in enumerate(self._adj)}
+        return self._rank
 
     def content_key(self) -> str:
         """Return a stable hex digest of the graph's *content*.
@@ -283,20 +304,6 @@ class Graph:
             digest.update(token)
         self._content_key = digest.hexdigest()
         return self._content_key
-
-    def relabelled(self) -> Tuple["Graph", Dict[Vertex, int], List[Vertex]]:
-        """Return a copy with vertices relabelled to ``0..n-1``.
-
-        Returns the new graph, the mapping ``old -> new`` and the inverse
-        list ``new -> old``.  Several numeric kernels (clique listing, flow)
-        are faster over dense integer ids.
-        """
-        order = list(self._adj)
-        mapping = {v: i for i, v in enumerate(order)}
-        g = Graph(vertices=range(len(order)))
-        for u, v in self.edges():
-            g.add_edge(mapping[u], mapping[v])
-        return g, mapping, order
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -32,6 +32,18 @@ so :class:`InstanceSet` is built around an index instead of a flat list:
 * **LRU restriction cache.**  ``IPPV.run`` re-restricts the same candidates
   across the propose / verify / split stages, so recent restrictions are
   memoised keyed by the frozenset of interned candidate ids.
+* **Identity restrictions.**  A candidate that covers every interned vertex
+  keeps every instance, so :meth:`restrict` returns the receiver itself and
+  :meth:`count_within` its instance count, decided before any scan.  A
+  restricted copy would be indistinguishable: every constructor interns in
+  first-appearance order, so re-interning all rows reproduces the same
+  ``vertex_of`` and ``flat_ids``.  On a connected graph this is what lets
+  preprocessing's per-component restriction cost nothing.
+* **Flat interning.**  :meth:`InstanceSet.from_flat` interns an
+  enumerator's flat label-index buffer (the kClist kernel's rank ids) in
+  first-appearance order -- exactly what :class:`InstanceSetBuilder` would
+  produce from the same rows -- without building a tuple per instance or
+  hashing every member.  Both interning paths live in this module.
 
 The un-indexed full-scan implementations are kept as
 :meth:`scan_restrict` / :meth:`scan_count_within`: they are the reference
@@ -210,6 +222,24 @@ class InstanceSet:
                 raise AlgorithmError(f"instance {idx} has repeated vertices: {tup!r}")
             builder.add(tup)
         return builder.build()
+
+    @staticmethod
+    def from_flat(h: int, labels: Sequence[Vertex], flat: Sequence[int]) -> "InstanceSet":
+        """Build a set from ``h``-runs of indices into ``labels`` (trusted).
+
+        Ids are assigned in first appearance along ``flat``, as
+        :class:`InstanceSetBuilder` assigns them for the same rows, so both
+        paths build identical sets.
+        """
+        if h < 1:
+            raise AlgorithmError(f"pattern size h must be >= 1, got {h}")
+        order = list(dict.fromkeys(flat))
+        remap = [0] * len(labels)
+        for nid, index in enumerate(order):
+            remap[index] = nid
+        vertex_of = [labels[index] for index in order]
+        id_of = {v: nid for nid, v in enumerate(vertex_of)}
+        return InstanceSet(h, vertex_of, id_of, array("q", map(remap.__getitem__, flat)))
 
     # ------------------------------------------------------------------
     # id-level accessors (for the numeric kernels)
@@ -448,6 +478,8 @@ class InstanceSet:
     def count_within(self, vertices: Iterable[Vertex]) -> int:
         """Count instances fully contained in ``vertices`` without copying."""
         keep_ids = self._keep_ids(vertices)
+        if len(keep_ids) == len(self._vertex_of):
+            return self.num_instances
         cached = self._restrict_cache.get(frozenset(keep_ids))
         if cached is not None:
             return cached.num_instances
@@ -458,9 +490,12 @@ class InstanceSet:
 
         Recent restrictions are memoised (LRU) keyed by the candidate's
         interned-id frozenset, because the IPPV stages repeatedly re-restrict
-        the same candidates.
+        the same candidates.  A candidate covering every interned vertex
+        gets the receiver itself (see the module docstring).
         """
         keep_ids = self._keep_ids(vertices)
+        if len(keep_ids) == len(self._vertex_of):
+            return self
         key = frozenset(keep_ids)
         cache = self._restrict_cache
         cached = cache.get(key)

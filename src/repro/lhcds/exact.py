@@ -158,7 +158,7 @@ def lhcds_at_level(
     order, so the enumeration is deterministic.
     """
     zero = Fraction(0)
-    for component in connected_components(graph.induced_subgraph(level)):
+    for component in connected_components(graph, level):
         touches_denser = any(
             phi.get(u, zero) > rho
             for v in component
@@ -190,8 +190,8 @@ def lhcds_from_compact_numbers(
         raise AlgorithmError("cannot decompose an empty graph")
     phi = compact if compact is not None else exact_compact_numbers(instances, graph.vertices())
     # One pass groups the vertices by compact number.  Lists, not sets:
-    # induced_subgraph canonicalises vertex order to the parent graph's
-    # insertion order either way, but keeping dict order here makes the
+    # the subset split orders components by the graph's insertion order
+    # either way, but keeping dict order here makes the
     # enumeration order visibly independent of per-process hashing.
     levels: Dict[Fraction, List[Vertex]] = {}
     for v, value in phi.items():

@@ -23,6 +23,15 @@ A self-densest candidate that fails maximal-compactness verification is
 discarded: self-densest implies the candidate is compact at its own density,
 so it sits strictly inside a larger compact region whose vertices all have
 compact numbers at least the candidate's density — no LhCDS can hide there.
+
+The loop makes no copies of the graph.  Each popped candidate is split with
+``connected_components(self.graph, candidate)``, a BFS over the host
+adjacency (see :mod:`repro.graph.components`), and restricted once: the
+count comes from that restriction, and IsDensest and the fast verifier's
+count hit its LRU entry.  The first proposal runs on the whole instance
+set, because the restriction to every vertex is the set itself; on a
+connected graph preprocessing hands IPPV the global set as the one
+component's (step 2 of :mod:`repro.engine.preprocess`).
 """
 
 from __future__ import annotations
@@ -245,13 +254,16 @@ class IPPV:
             candidate = frozenset(candidate - output_vertices)
             if not candidate:
                 continue
-            components = connected_components(self.graph.induced_subgraph(candidate))
+            components = connected_components(self.graph, candidate)
             if len(components) > 1:
                 for component in components:
                     counter = self._push(heap, counter, frozenset(component), depth)
                 continue
             candidate = frozenset(components[0])
-            local_count = instances.count_within(candidate)
+            # The one restriction of this candidate: IsDensest's restriction
+            # and verify_fast's count hit its LRU entry.
+            local = instances.restrict(candidate)
+            local_count = local.num_instances
             if local_count == 0:
                 continue
             examined += 1
@@ -304,18 +316,13 @@ class IPPV:
                     continue
             # Exact fallback: split along the maximal densest subgraph.
             exact_splits += 1
-            local = instances.restrict(candidate)
             dense_side, _ = maximal_densest_subset(local, candidate)
             dense_side = set(dense_side)
             remainder = set(candidate) - dense_side
-            for component in connected_components(
-                self.graph.induced_subgraph(dense_side)
-            ):
+            for component in connected_components(self.graph, dense_side):
                 counter = self._push(heap, counter, frozenset(component), depth)
             if remainder:
-                for component in connected_components(
-                    self.graph.induced_subgraph(remainder)
-                ):
+                for component in connected_components(self.graph, remainder):
                     counter = self._push(heap, counter, frozenset(component), depth)
 
         found.sort(key=subgraph_sort_key)
@@ -372,7 +379,7 @@ class IPPV:
     ) -> List[StableGroup]:
         """Run SEQ-kClist++ + TentativeGD + DeriveSG on the given vertex set."""
         assert self._instances is not None
-        working = self._instances.restrict(vertices) if len(vertices) < self.graph.num_vertices else self._instances
+        working = self._instances.restrict(vertices)
 
         tick = time.perf_counter()
         state = seq_kclist_plus_plus(working, self.config.iterations, vertices)

@@ -109,7 +109,7 @@ def _is_component_of(graph: Graph, candidate: Set[Vertex], region: Set[Vertex]) 
     """Check that ``candidate`` is exactly one connected component of ``G[region]``."""
     if not candidate <= region:
         return False
-    for component in connected_components(graph.induced_subgraph(region)):
+    for component in connected_components(graph, region):
         if component == candidate:
             return True
     return False

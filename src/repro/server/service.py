@@ -44,7 +44,7 @@ from ..engine import (
 from ..engine.cache import pattern_identity
 from ..engine.request import check_kernel
 from ..errors import EngineError, ReproError
-from ..graph.delta import GraphDelta
+from ..graph.delta import GraphDelta, json_edges, json_labels
 from ..graph.graph import Graph
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
@@ -107,6 +107,22 @@ SESSION_SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"pattern", "h"}
 DELTA_KEYS = frozenset(GraphDelta.json_keys())
 #: Every key ``POST /v1/graphs`` understands.
 REGISTER_KEYS = frozenset({"name", "dataset", "edges", "vertices", "replace"})
+
+
+def _string_field(payload: Dict[str, Any], key: str, code: str) -> Optional[str]:
+    """The string field ``key`` of a body (``None`` when absent or null).
+
+    Any other JSON type is a 400 with ``code`` naming the field, so a
+    number or a list never reaches a registry lookup or a dataset loader.
+    """
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ServiceError(
+            f"bad {key!r}: must be a string, got {type(value).__name__}",
+            code=code,
+            detail={"field": key},
+        )
+    return value
 
 
 def validate_keys(payload: Any, accepted: frozenset, *, what: str = "request") -> None:
@@ -232,14 +248,42 @@ class SolveService:
         return record
 
     def register_from_payload(self, payload: Any) -> Dict[str, Any]:
-        """Validate and apply one ``POST /v1/graphs`` body."""
+        """Validate and apply one ``POST /v1/graphs`` body.
+
+        ``name`` and ``dataset`` must be strings and ``replace`` a boolean;
+        ``edges`` must be a list of ``[u, v]`` pairs and ``vertices`` a
+        list, with integer or string labels only (the delta endpoint's
+        rule).  A bad field is a 400 ``bad_register_request`` naming it,
+        raised before the registry is touched.
+        """
         validate_keys(payload, REGISTER_KEYS, what="register")
+        code = "bad_register_request"
+        name = _string_field(payload, "name", code)
+        dataset = _string_field(payload, "dataset", code)
+        replace = payload.get("replace", False)
+        if not isinstance(replace, bool):
+            raise ServiceError(
+                f"bad 'replace': must be a boolean, got {type(replace).__name__}",
+                code=code,
+                detail={"field": "replace"},
+            )
+
+        def inline(key: str, read) -> Optional[list]:
+            if payload.get(key) is None:
+                return None
+            try:
+                return read(payload, key)
+            except ReproError as exc:
+                raise ServiceError(
+                    f"bad {key!r}: {exc}", code=code, detail={"field": key}
+                ) from exc
+
         return self.register_graph(
-            payload.get("name", ""),
-            dataset=payload.get("dataset"),
-            edges=payload.get("edges"),
-            vertices=payload.get("vertices"),
-            replace=bool(payload.get("replace", False)),
+            name or "",
+            dataset=dataset,
+            edges=inline("edges", json_edges),
+            vertices=inline("vertices", json_labels),
+            replace=replace,
         )
 
     def graphs(self) -> List[Dict[str, Any]]:
@@ -255,15 +299,15 @@ class SolveService:
         return graph
 
     def _resolve_graph(self, payload: Dict[str, Any]) -> tuple:
-        name = payload.get("graph")
-        dataset = payload.get("dataset")
+        name = _string_field(payload, "graph", "bad_solve_request")
+        dataset = _string_field(payload, "dataset", "bad_solve_request")
         if (name is None) == (dataset is None):
             raise ServiceError("name exactly one of 'graph' or 'dataset'")
         if name is not None:
             return name, self._named_graph(name)
         # Dataset solves lazily register the graph under its abbreviation,
         # so repeat queries stay warm exactly like registered graphs.
-        key = str(dataset)
+        key = dataset
         with self._registry_lock:
             graph = self._graphs.get(key)
         if graph is None:

@@ -14,11 +14,12 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.cliques.kclist import enumerate_cliques
 from repro.datasets.synthetic import gnp_graph
 from repro.flow.network import solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.graph.graph import Vertex
-from repro.instances import InstanceSet
+from repro.instances import InstanceSet, InstanceSetBuilder
 from repro.cores.clique_core import peel
 from repro.lhcds.bounds import CompactBounds
 from repro.lhcds.decomposition import TentativeDecomposition
@@ -62,6 +63,31 @@ def small_random_graphs():
         p = 0.35 + 0.1 * (seed % 3)
         graphs.append(random_graph(n, p, seed))
     return graphs
+
+
+def reference_induced_subgraph(graph: Graph, vertices: Iterable[Vertex]) -> Graph:
+    """The old ``Graph.induced_subgraph``: one ``add_edge`` per kept edge.
+
+    Oracle for the set-intersection build and for the subset mode of
+    ``connected_components``, which must split exactly this subgraph.
+    """
+    keep = {v for v in vertices if v in graph}
+    sub = Graph()
+    for v in graph:
+        if v in keep:
+            sub.add_vertex(v)
+    for v in sub:
+        for u in graph.neighbors(v):
+            if u in keep:
+                sub.add_edge(u, v)
+    return sub
+
+
+def reference_clique_instances(graph: Graph, h: int) -> InstanceSet:
+    """The old ``clique_instances``: each clique as a tuple through the builder."""
+    builder = InstanceSetBuilder(h)
+    builder.extend(enumerate_cliques(graph, h))
+    return builder.build()
 
 
 def reference_tentative_decomposition(

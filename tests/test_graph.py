@@ -146,14 +146,6 @@ class TestInducedSubgraph:
         ):
             assert g.induced_subgraph(argument).vertices() == reference
 
-    def test_relabelled_roundtrip(self):
-        g = Graph(edges=[("a", "b"), ("b", "c")])
-        relabelled, mapping, inverse = g.relabelled()
-        assert relabelled.num_edges == 2
-        assert sorted(mapping.values()) == [0, 1, 2]
-        for old, new in mapping.items():
-            assert inverse[new] == old
-
 
 class TestGenerators:
     def test_complete_graph_counts(self):

@@ -93,6 +93,90 @@ class TestRegistry:
             service.register_graph("x", edges=[[0]])
 
 
+#: Mistyped graph fields of ``POST /v1/graphs``: body, the field the 400
+#: must name.  Each one was a 500 or a silent rewrite before.
+BAD_REGISTER_BODIES = [
+    ({"name": "x", "dataset": 5}, "dataset"),
+    ({"name": 5, "edges": [[0, 1]]}, "name"),
+    ({"name": ["x"], "edges": [[0, 1]]}, "name"),
+    ({"name": "x", "edges": [[True, 1], [1.0, 2]]}, "edges"),
+    ({"name": "x", "edges": [[1.5, 2]]}, "edges"),
+    ({"name": "x", "edges": [[0]]}, "edges"),
+    ({"name": "x", "edges": "ab"}, "edges"),
+    ({"name": "x", "edges": [[0, 1]], "vertices": "ab"}, "vertices"),
+    ({"name": "x", "vertices": [0.5]}, "vertices"),
+    ({"name": "x", "vertices": [False]}, "vertices"),
+    ({"name": "x", "vertices": [[0]]}, "vertices"),
+]
+
+#: ``replace`` values that are not JSON booleans; each used to replace.
+BAD_REPLACE_VALUES = ["false", "no", 1, 0, None]
+
+#: Mistyped graph selectors of ``POST /v1/solve``: body, named field.
+BAD_SOLVE_SELECTORS = [
+    ({"graph": ["g"], "h": 3}, "graph"),
+    ({"graph": 7, "h": 3}, "graph"),
+    ({"dataset": 5, "h": 3}, "dataset"),
+    ({"dataset": {"name": "HA"}, "h": 3}, "dataset"),
+]
+
+
+class TestGraphFieldTypes:
+    @pytest.mark.parametrize("body, field", BAD_REGISTER_BODIES)
+    def test_mistyped_register_field_is_400(self, service, body, field):
+        with pytest.raises(ServiceError) as excinfo:
+            service.register_from_payload(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_register_request"
+        assert excinfo.value.detail == {"field": field}
+        assert repr(field) in str(excinfo.value)
+        assert service.graphs() == []
+        assert service.stats()["counters"]["errors"] == 0
+
+    @pytest.mark.parametrize("value", BAD_REPLACE_VALUES)
+    def test_non_boolean_replace_replaces_nothing(self, service, value):
+        service.register_graph("g", edges=TRIANGLE_PAIR)
+        service.solve_incremental("g", {"h": 3, "solver": "ippv", "k": 1})
+        with pytest.raises(ServiceError) as excinfo:
+            service.register_from_payload(
+                {"name": "g", "edges": [[0, 1]], "replace": value}
+            )
+        assert excinfo.value.code == "bad_register_request"
+        assert excinfo.value.detail == {"field": "replace"}
+        assert service.graphs()[0]["edges"] == len(TRIANGLE_PAIR)
+        assert len(service.sessions()) == 1
+
+    def test_boolean_replace_still_works(self, service):
+        service.register_from_payload({"name": "g", "edges": [[0, 1]]})
+        with pytest.raises(ServiceError) as excinfo:
+            service.register_from_payload(
+                {"name": "g", "edges": [[0, 1], [1, 2]], "replace": False}
+            )
+        assert excinfo.value.status == 409
+        record = service.register_from_payload(
+            {"name": "g", "edges": [[0, 1], [1, 2]], "replace": True}
+        )
+        assert record["edges"] == 2
+
+    def test_int_and_string_labels_register_as_given(self, service):
+        record = service.register_from_payload(
+            {"name": "g", "edges": [[1, "1"], ["a", 2]], "vertices": ["z", 9]}
+        )
+        assert (record["vertices"], record["edges"]) == (6, 2)
+        assert record["source"] == "inline"
+
+    @pytest.mark.parametrize("body, field", BAD_SOLVE_SELECTORS)
+    def test_mistyped_solve_selector_is_400(self, service, body, field):
+        service.register_graph("g", edges=TRIANGLE_PAIR)
+        with pytest.raises(ServiceError) as excinfo:
+            service.solve(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_solve_request"
+        assert excinfo.value.detail == {"field": field}
+        assert [g["name"] for g in service.graphs()] == ["g"]
+        assert service.stats()["counters"] == {"solves": 0, "deltas": 0, "errors": 0}
+
+
 class TestSolveSurface:
     def test_unknown_keys_rejected(self, service):
         service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
@@ -587,6 +671,49 @@ class TestBadInputOverHTTP:
         status, body = _request(base, "GET", "/v1/stats")
         assert status == 200
         assert body["data"]["counters"]["errors"] == 2
+
+
+class TestGraphFieldTypesOverHTTP:
+    @pytest.mark.parametrize("body, field", BAD_REGISTER_BODIES)
+    def test_mistyped_register_field_is_400(self, http_server, body, field):
+        base, service = http_server
+        status, reply = _request(base, "POST", "/v1/graphs", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_register_request"
+        assert reply["error"]["detail"] == {"field": field}
+        assert service.graphs() == []
+        assert service.stats()["counters"]["errors"] == 0
+
+    @pytest.mark.parametrize("value", BAD_REPLACE_VALUES)
+    def test_non_boolean_replace_is_400(self, http_server, value):
+        base, service = http_server
+        status, _reply = _request(
+            base, "POST", "/v1/graphs", {"name": "g", "edges": TRIANGLE_PAIR}
+        )
+        assert status == 201
+        status, _reply = _request(
+            base, "POST", "/v1/graphs/g/solve", {"h": 3, "solver": "ippv", "k": 1}
+        )
+        assert status == 200
+        status, reply = _request(
+            base, "POST", "/v1/graphs", {"name": "g", "edges": [[0, 1]], "replace": value}
+        )
+        assert status == 400
+        assert reply["error"]["detail"] == {"field": "replace"}
+        status, reply = _request(base, "GET", "/v1/graphs")
+        assert reply["data"][0]["edges"] == len(TRIANGLE_PAIR)
+        assert len(service.sessions()) == 1
+        assert service.stats()["counters"]["errors"] == 0
+
+    @pytest.mark.parametrize("body, field", BAD_SOLVE_SELECTORS)
+    def test_mistyped_solve_selector_is_400(self, http_server, body, field):
+        base, service = http_server
+        status, reply = _request(base, "POST", "/v1/solve", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_solve_request"
+        assert reply["error"]["detail"] == {"field": field}
+        assert service.graphs() == []
+        assert service.stats()["counters"]["errors"] == 0
 
 
 class TestServerMain:
