@@ -14,15 +14,20 @@ it against the committed baseline with ``scripts/compare_bench.py``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import time
 
 import pytest
 
 #: Bumped with each PR that adds a new benchmark artifact generation.
 BENCH_ID = "BENCH_19"
 BENCH_SCHEMA = "repro-bench/1"
+
+#: Rounds of every asserted comparison; each compared path runs once per round.
+COMPARE_ROUNDS = 7
 
 
 def pytest_addoption(parser):
@@ -48,6 +53,29 @@ def pytest_configure(config):
 def bench_metrics(request) -> dict:
     """Session-wide ``metric name -> seconds`` dict benchmarks write into."""
     return request.config._bench_metrics
+
+
+def _best_alternating(fns, repeats: int = 1):
+    """Best time of ``repeats`` calls of each function, alternating in rounds.
+
+    Every path runs once per round, after a collection, so the compared
+    paths share the host's phases and none pays for another's garbage.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(COMPARE_ROUNDS):
+        for index, fn in enumerate(fns):
+            gc.collect()
+            start = time.perf_counter()
+            for _ in range(repeats):
+                fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
+@pytest.fixture(scope="session")
+def best_alternating():
+    """The shared timer of compared paths (see :func:`_best_alternating`)."""
+    return _best_alternating
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -15,7 +15,6 @@ printed table.
 
 from __future__ import annotations
 
-import gc
 import time
 
 from repro.cliques.kclist import clique_instances
@@ -54,10 +53,6 @@ def _multi_component_graph() -> Graph:
     return union_graph(*parts)
 
 
-#: Rounds of each asserted comparison; both sides run once per round.
-COMPARE_ROUNDS = 7
-
-
 def _best_of(fn, rounds: int = 3) -> float:
     best = float("inf")
     for _ in range(rounds):
@@ -67,43 +62,26 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
-def _best_of_alternating(first, second, rounds: int = COMPARE_ROUNDS):
-    """Best times of two compared paths, run alternately within each round.
-
-    Alternating inside a round exposes both sides to the same host phase,
-    and a collection before every timed call keeps one side's garbage off
-    the other's clock.
-    """
-    best = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for side, fn in enumerate((first, second)):
-            gc.collect()
-            start = time.perf_counter()
-            fn()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[0], best[1]
-
-
 def _signature(subgraphs):
     return [(frozenset(s.vertices), s.density) for s in subgraphs]
 
 
-def test_engine_not_slower_than_direct_calls(bench_metrics):
+def test_engine_not_slower_than_direct_calls(bench_metrics, best_alternating):
     graph = _multi_component_graph()
 
     # -- exact: direct call decomposes the whole graph; the engine splits,
     # bounds, and skips dominated components.
-    direct_exact, engine_exact = _best_of_alternating(
+    direct_exact, engine_exact = best_alternating([
         lambda: exact_top_k_lhcds(graph, clique_instances(graph, H), K),
         lambda: solve(graph=graph, pattern=H, k=K, solver="exact", jobs=1),
-    )
+    ])
 
     # -- ippv: the direct driver already early-stops via its bound-keyed
     # heap, so the engine path only has to break even.
-    direct_ippv, engine_ippv = _best_of_alternating(
+    direct_ippv, engine_ippv = best_alternating([
         lambda: find_lhcds(graph, h=H, k=K),
         lambda: solve(graph=graph, pattern=H, k=K, solver="ippv", jobs=1),
-    )
+    ])
 
     # -- serial vs parallel engine runs (recorded; process spawn overhead
     # dominates at this graph size, so no assertion on the parallel time).

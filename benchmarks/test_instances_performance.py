@@ -12,8 +12,6 @@ candidates), printing the raw timings alongside.
 
 from __future__ import annotations
 
-import gc
-import time
 from fractions import Fraction
 
 from repro.cliques.kclist import clique_instances
@@ -33,28 +31,7 @@ def _build_figure_scale():
     return graph, instances, candidates
 
 
-#: Rounds per compared group; every path runs once per round.
-ROUNDS = 7
-
-
-def _best_alternating(fns, repeats: int):
-    """Best time of ``repeats`` calls of each function, alternating in rounds.
-
-    Every path runs once per round, after a collection, so the compared
-    paths share the host's phases and none pays for another's garbage.
-    """
-    best = [float("inf")] * len(fns)
-    for _ in range(ROUNDS):
-        for index, fn in enumerate(fns):
-            gc.collect()
-            start = time.perf_counter()
-            for _ in range(repeats):
-                fn()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
-
-
-def test_indexed_restriction_beats_full_scan(bench_metrics):
+def test_indexed_restriction_beats_full_scan(bench_metrics, best_alternating):
     graph, instances, candidates = _build_figure_scale()
     assert instances.num_instances > 500, "figure-scale graph should be clique-rich"
     repeats = 50
@@ -75,7 +52,7 @@ def test_indexed_restriction_beats_full_scan(bench_metrics):
         for cand in candidates:
             instances.scan_count_within(cand)
 
-    indexed_s, scan_s = _best_alternating([indexed_counts_cold, scan_counts], repeats)
+    indexed_s, scan_s = best_alternating([indexed_counts_cold, scan_counts], repeats)
     count_speedup = scan_s / indexed_s
 
     # Restriction: clear the LRU between rounds so the timing shows the raw
@@ -93,7 +70,7 @@ def test_indexed_restriction_beats_full_scan(bench_metrics):
         for cand in candidates:
             instances.scan_restrict(cand)
 
-    cold_s, cached_s, scan_restrict_s = _best_alternating(
+    cold_s, cached_s, scan_restrict_s = best_alternating(
         [indexed_restrict_cold, indexed_restrict_cached, scan_restrict], repeats
     )
     restrict_speedup = scan_restrict_s / cold_s

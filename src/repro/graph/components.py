@@ -3,7 +3,7 @@
 :func:`connected_components` has a subset mode:
 ``connected_components(graph, S)`` returns exactly
 ``connected_components(graph.induced_subgraph(S))`` -- the same sets in the
-same order -- without building the subgraph.  It runs a BFS over the host
+same order -- without building the subgraph.  It runs a search over the host
 adjacency that only follows neighbours inside ``S``, then orders the
 components by their first vertex in the host's insertion order, which is
 the order a split of the induced subgraph would visit them in (the
@@ -11,7 +11,8 @@ subgraph keeps its parent's vertex order).  That rank comes from
 :meth:`Graph.insertion_rank`, a per-graph memo that any mutation drops,
 so a loop of subset splits on one graph (IPPV's, one per popped
 candidate) costs the sum of its subsets' host degrees and never a scan
-of the whole graph per call.
+of the whole graph per call.  The whole-graph split is the same loop
+with every vertex kept.
 """
 
 from __future__ import annotations
@@ -51,18 +52,8 @@ def connected_components(
     (vertices absent from the graph are ignored), computed on the host
     adjacency; see the module docstring.
     """
-    if vertices is None:
-        seen: Set[Vertex] = set()
-        components: List[Set[Vertex]] = []
-        for v in graph:
-            if v in seen:
-                continue
-            comp = set(bfs_order(graph, v))
-            seen |= comp
-            components.append(comp)
-        return components
-    keep = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
     rank = graph.insertion_rank()
+    keep = rank if vertices is None else set(vertices)
     placed: Set[Vertex] = set()
     ranked: List[Tuple[int, Set[Vertex]]] = []
     for v in keep:

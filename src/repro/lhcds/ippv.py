@@ -25,7 +25,7 @@ so it sits strictly inside a larger compact region whose vertices all have
 compact numbers at least the candidate's density — no LhCDS can hide there.
 
 The loop makes no copies of the graph.  Each popped candidate is split with
-``connected_components(self.graph, candidate)``, a BFS over the host
+``connected_components(self.graph, candidate)``, a search over the host
 adjacency (see :mod:`repro.graph.components`), and restricted once: the
 count comes from that restriction, and IsDensest and the fast verifier's
 count hit its LRU entry.  The first proposal runs on the whole instance

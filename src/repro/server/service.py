@@ -253,15 +253,18 @@ class SolveService:
         ``name`` and ``dataset`` must be strings and ``replace`` a boolean;
         ``edges`` must be a list of ``[u, v]`` pairs and ``vertices`` a
         list, with integer or string labels only (the delta endpoint's
-        rule).  A bad field is a 400 ``bad_register_request`` naming it,
-        raised before the registry is touched.
+        rule).  As for every other field, ``null`` reads as absent.  A bad
+        field is a 400 ``bad_register_request`` naming it, raised before
+        the registry is touched.
         """
         validate_keys(payload, REGISTER_KEYS, what="register")
         code = "bad_register_request"
         name = _string_field(payload, "name", code)
         dataset = _string_field(payload, "dataset", code)
-        replace = payload.get("replace", False)
-        if not isinstance(replace, bool):
+        replace = payload.get("replace")
+        if replace is None:
+            replace = False
+        elif not isinstance(replace, bool):
             raise ServiceError(
                 f"bad 'replace': must be a boolean, got {type(replace).__name__}",
                 code=code,

@@ -18,6 +18,7 @@ from repro.cliques.kclist import enumerate_cliques
 from repro.datasets.synthetic import gnp_graph
 from repro.flow.network import solve_compact_network
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
+from repro.graph.components import bfs_order
 from repro.graph.graph import Vertex
 from repro.instances import InstanceSet, InstanceSetBuilder
 from repro.cores.clique_core import peel
@@ -81,6 +82,25 @@ def reference_induced_subgraph(graph: Graph, vertices: Iterable[Vertex]) -> Grap
             if u in keep:
                 sub.add_edge(u, v)
     return sub
+
+
+def reference_connected_components(
+    graph: Graph, vertices: Optional[Iterable[Vertex]] = None
+) -> List[Set[Vertex]]:
+    """The old split: copy ``G[vertices]``, then one BFS per unseen vertex.
+
+    Oracle for both modes of ``connected_components``: the components of
+    the (sub)graph, ordered by their first vertex in insertion order.
+    """
+    g = graph if vertices is None else reference_induced_subgraph(graph, vertices)
+    seen: Set[Vertex] = set()
+    components: List[Set[Vertex]] = []
+    for v in g:
+        if v not in seen:
+            comp = set(bfs_order(g, v))
+            seen |= comp
+            components.append(comp)
+    return components
 
 
 def reference_clique_instances(graph: Graph, h: int) -> InstanceSet:

@@ -4,8 +4,9 @@
   old ``add_edge`` loop (``reference_induced_subgraph``) in vertex order
   and adjacency, and it must stay a copy.
 * ``connected_components(graph, S)`` splits a subset on the host graph; it
-  must return the split of ``reference_induced_subgraph(graph, S)`` as an
-  ordered list, also after the graph mutates between calls.
+  must return the old split of ``reference_induced_subgraph(graph, S)``
+  (``reference_connected_components``) as an ordered list, also after the
+  graph mutates between calls, and the whole-graph split must match it too.
 * ``clique_instances`` interns the kClist rank buffer in one pass; it must
   match the builder path (``reference_clique_instances``) id for id.
 * ``InstanceSet.restrict`` and ``count_within`` answer a candidate that
@@ -18,7 +19,11 @@ import random
 
 import pytest
 
-from helpers import reference_clique_instances, reference_induced_subgraph
+from helpers import (
+    reference_clique_instances,
+    reference_connected_components,
+    reference_induced_subgraph,
+)
 from repro.cliques.kclist import clique_instances
 from repro.datasets.synthetic import (
     barabasi_albert_graph,
@@ -118,7 +123,7 @@ class TestSubsetSplitOracle:
     def test_matches_split_of_induced_subgraph(self):
         checked = 0
         for seed, graph, subset in _cases():
-            expected = connected_components(reference_induced_subgraph(graph, subset))
+            expected = reference_connected_components(graph, subset)
             assert connected_components(graph, subset) == expected, seed
             checked += 1
         assert checked >= 300
@@ -126,15 +131,17 @@ class TestSubsetSplitOracle:
     def test_argument_container_does_not_matter(self):
         graph = _string_labelled(hybrid_community_graph(5, 6, seed=2), 2)
         members = graph.vertices()[::2]
-        expected = connected_components(reference_induced_subgraph(graph, members))
+        expected = reference_connected_components(graph, members)
         for argument in (members, set(members), frozenset(members), reversed(members),
                          iter(members)):
             assert connected_components(graph, argument) == expected
 
     def test_whole_graph_subset_equals_plain_split(self):
-        for seed in range(12):
+        for seed in range(NUM_GRAPHS):
             graph = _graph(seed)
-            assert connected_components(graph, graph.vertices()) == connected_components(graph)
+            expected = reference_connected_components(graph)
+            assert connected_components(graph) == expected, seed
+            assert connected_components(graph, graph.vertices()) == expected, seed
 
     def test_mutation_between_calls_drops_the_rank_memo(self):
         for seed in range(60):
@@ -143,8 +150,8 @@ class TestSubsetSplitOracle:
                 continue
             rng = random.Random(seed)
             subset = set(rng.sample(graph.vertices(), graph.num_vertices // 2 + 1))
-            assert connected_components(graph, subset) == connected_components(
-                reference_induced_subgraph(graph, subset)
+            assert connected_components(graph, subset) == reference_connected_components(
+                graph, subset
             )
             # Re-inserting a subset vertex moves it to the end of the
             # insertion order, and a new vertex has no rank yet: a stale
@@ -157,8 +164,8 @@ class TestSubsetSplitOracle:
                 graph.add_edge(moved, u)
             graph.add_edge(("new", seed), moved)
             subset.add(("new", seed))
-            assert connected_components(graph, subset) == connected_components(
-                reference_induced_subgraph(graph, subset)
+            assert connected_components(graph, subset) == reference_connected_components(
+                graph, subset
             ), seed
 
     def test_order_follows_host_insertion_order(self):

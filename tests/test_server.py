@@ -109,8 +109,9 @@ BAD_REGISTER_BODIES = [
     ({"name": "x", "vertices": [[0]]}, "vertices"),
 ]
 
-#: ``replace`` values that are not JSON booleans; each used to replace.
-BAD_REPLACE_VALUES = ["false", "no", 1, 0, None]
+#: ``replace`` values that are neither JSON booleans nor ``null``; the
+#: truthy ones used to replace.
+BAD_REPLACE_VALUES = ["false", "no", 1, 0]
 
 #: Mistyped graph selectors of ``POST /v1/solve``: body, named field.
 BAD_SOLVE_SELECTORS = [
@@ -157,6 +158,18 @@ class TestGraphFieldTypes:
             {"name": "g", "edges": [[0, 1], [1, 2]], "replace": True}
         )
         assert record["edges"] == 2
+
+    def test_null_replace_reads_as_absent(self, service):
+        record = service.register_from_payload(
+            {"name": "g", "edges": [[0, 1]], "replace": None}
+        )
+        assert record["edges"] == 1
+        with pytest.raises(ServiceError) as excinfo:
+            service.register_from_payload(
+                {"name": "g", "edges": [[0, 1], [1, 2]], "replace": None}
+            )
+        assert excinfo.value.status == 409
+        assert service.graphs()[0]["edges"] == 1
 
     def test_int_and_string_labels_register_as_given(self, service):
         record = service.register_from_payload(
@@ -703,6 +716,15 @@ class TestGraphFieldTypesOverHTTP:
         status, reply = _request(base, "GET", "/v1/graphs")
         assert reply["data"][0]["edges"] == len(TRIANGLE_PAIR)
         assert len(service.sessions()) == 1
+        assert service.stats()["counters"]["errors"] == 0
+
+    def test_null_replace_reads_as_absent(self, http_server):
+        base, service = http_server
+        body = {"name": "g", "edges": [[0, 1]], "replace": None}
+        status, _reply = _request(base, "POST", "/v1/graphs", body)
+        assert status == 201
+        status, _reply = _request(base, "POST", "/v1/graphs", body)
+        assert status == 409
         assert service.stats()["counters"]["errors"] == 0
 
     @pytest.mark.parametrize("body, field", BAD_SOLVE_SELECTORS)
