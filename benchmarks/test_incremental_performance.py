@@ -15,15 +15,22 @@ records:
 The headline assertion is the issue's bar: the delta re-solve must be at
 least 3x faster than the cold solve.  Bit-identity of the two answers is
 asserted too — speed means nothing if the warm path drifts.
+
+A second check times ``apply_delta`` alone on the ``serve-stream`` shape,
+12 and 48 ``hybrid_community_graph(10, 12)`` parts, with a one-edge delta
+in part 0 (``incremental.apply_delta_12_s`` / ``incremental.apply_delta_48_s``).
+A delta re-enumerates and re-splits only the components it touches, so the
+4x-larger graph must cost less than 1.6x as much.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from test_engine_performance import _shifted
 
-from repro.datasets.synthetic import planted_communities_graph
+from repro.datasets.synthetic import hybrid_community_graph, planted_communities_graph
 from repro.engine import IncrementalSession, SolveRequest, report_signature, solve
 from repro.graph import GraphDelta
 from repro.graph.graph import union_graph
@@ -117,4 +124,44 @@ def test_delta_resolve_beats_cold(bench_metrics):
     # faster than a cold solve of the final graph.
     assert resolve * 3 <= cold, (
         f"delta re-solve not >=3x faster: resolve {resolve:.4f}s vs cold {cold:.4f}s"
+    )
+
+
+def _stream_graph(parts: int):
+    """``parts`` disjoint ``hybrid_community_graph(10, 12)`` parts, as in
+    perfbench's ``serve-stream``, and the first edge of part 0."""
+    graph = union_graph(
+        *(_shifted(hybrid_community_graph(10, 12, seed=1000 + i), i * 1000) for i in range(parts))
+    )
+    return graph, next(iter(graph.edges()))
+
+
+def _toggler(parts: int):
+    """A session on ``parts`` parts and a call that toggles part 0's edge."""
+    graph, edge = _stream_graph(parts)
+    session = IncrementalSession(graph, H)
+    deltas = itertools.cycle(
+        (GraphDelta(remove_edges=(edge,)), GraphDelta(add_edges=(edge,)))
+    )
+
+    def toggle():
+        assert session.apply_delta(next(deltas)).components_reenumerated == 1
+
+    return toggle
+
+
+def test_apply_delta_scales_with_touched_components(bench_metrics, best_alternating):
+    # Alternating rounds put both sizes through the same host phases.
+    small, large = best_alternating([_toggler(12), _toggler(48)])
+    print()
+    print(
+        f"apply_delta 12 parts {small:.4f}s  48 parts {large:.4f}s  "
+        f"ratio {large / small:.2f}x"
+    )
+    bench_metrics["incremental.apply_delta_12_s"] = small
+    bench_metrics["incremental.apply_delta_48_s"] = large
+    # The touched component costs the same on both graphs; what grows with
+    # the graph is a few linear scans in C (see repro.engine.incremental).
+    assert large < 1.6 * small, (
+        f"apply_delta grew {large / small:.2f}x on a 4x-larger graph"
     )

@@ -14,15 +14,29 @@ keeps that preprocessing alive between calls and maintains it under
   endpoints) are re-enumerated and rebuilt; every other component's
   subgraph, local instance set, and clique-core bounds carry over
   byte-for-byte.
-* The global instance set is updated through
-  :meth:`~repro.instances.InstanceSet.apply_delta`: rows incident to the
-  frontier are dropped, untouched rows are kept, and only the touched
-  region is re-enumerated.
+* The component split is repaired, not redone.  The pre-delta components
+  that meet the frontier (:func:`~repro.graph.components.components_touching`),
+  instance-free ones included, are re-split with the frontier in the subset
+  mode of :func:`~repro.graph.components.connected_components`, the rest
+  are kept, and all are ordered by their first vertex in insertion order,
+  as a whole-graph split orders them.  A kept component lost no vertex or
+  edge and no new edge reaches it (fact 2), so it is still whole, and no
+  re-split component can reach outside the re-split scope.
+* Only the global instance count is kept.  Each instance lies inside one
+  component (fact 1), and one that touches the frontier lies in an
+  invalidated component or is new, so the count moves by the
+  frontier-incident instances of the re-enumerated components
+  (``instances_reenumerated``) minus those of the invalidated ones
+  (``instances_dropped``); an instance off the frontier survives as it was.
 * Per-component :class:`~repro.lhcds.ippv.LhCDSResult`\\ s from previous
   solves are reused for untouched components by injecting them as
   ``cached-result`` tasks into the normal runtime batch
   (:func:`~repro.engine.runtime.solve_prepared`), so every executor makes
   the same scheduling decisions as a cold run.
+
+A delta therefore costs the components it touches.  What grows with the
+graph is a few linear scans in C: the insertion-rank memo, the first-vertex
+ranks and the vertex filter of :meth:`~repro.graph.graph.Graph.induced_subgraph`.
 
 **Correctness contract** — the same style CI enforces across the
 executor matrix: after *any* delta sequence, a session solve
@@ -59,7 +73,7 @@ import time
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import EngineError
-from ..graph.components import connected_components
+from ..graph.components import components_touching, connected_components
 from ..graph.delta import GraphDelta
 from ..graph.graph import Graph, Vertex
 from ..lhcds.ippv import LhCDSResult
@@ -231,7 +245,7 @@ class IncrementalSession:
     GUARDED_BY = {
         "_states": "_lock",
         "_results": "_lock",
-        "_instances": "_lock",
+        "_num_instances": "_lock",
         "_components": "_lock",
         "_delta_log": "_lock",
         "_graph_epoch": "_lock",
@@ -266,15 +280,17 @@ class IncrementalSession:
         self._solved_once = False
 
         tick = time.perf_counter()
-        self._instances = pattern.instances(self._graph)
-        self._components: List[Set[Vertex]] = connected_components(self._graph)
-        for index, comp in enumerate(self._components):
-            local = self._instances.restrict(comp)
-            if local.num_instances == 0:
-                continue
-            self._states[frozenset(comp)] = prepare_component(
-                index, self._graph.induced_subgraph(comp), local
-            )
+        instances = pattern.instances(self._graph)
+        self._num_instances = instances.num_instances
+        self._components: List[FrozenSet[Vertex]] = [
+            frozenset(comp) for comp in connected_components(self._graph)
+        ]
+        for index, key in enumerate(self._components):
+            local = instances.restrict(key)
+            if local.num_instances:
+                self._states[key] = prepare_component(
+                    index, self._graph.induced_subgraph(key), local
+                )
         self._build_seconds = time.perf_counter() - tick
         self._cold_reference_seconds = self._build_seconds
         self._graph_epoch = self._graph.delta_epoch
@@ -304,7 +320,7 @@ class IncrementalSession:
     @property
     def num_instances(self) -> int:
         """Current global instance count (maintained incrementally)."""
-        return self._instances.num_instances
+        return self._num_instances
 
     @property
     def last_delta_stats(self) -> Optional[DeltaStats]:
@@ -335,42 +351,52 @@ class IncrementalSession:
             self._graph_epoch = self._graph.delta_epoch
             touched = delta.touched_vertices
 
-            invalidated = [key for key in self._states if key & touched]
-            # The rebuild region covers the frontier AND every vertex of an
-            # invalidated component: removing a vertex can strand a remainder
-            # component that contains no touched vertex but still needs fresh
-            # state (its old component's state is gone).
+            # Re-split the frontier plus every pre-delta component it meets
+            # (see the module docstring).  The rebuild region covers the
+            # frontier AND every vertex of an invalidated component: removing
+            # a vertex can strand a remainder component that contains no
+            # touched vertex but still needs fresh state (its old component's
+            # state is gone).
+            hit = components_touching(self._components, touched)
+            scope: Set[Vertex] = set(touched)
             region: Set[Vertex] = set(touched)
-            for key in invalidated:
-                region |= key
-                del self._states[key]
+            invalidated = 0
+            dropped = 0
+            for index in hit:
+                key = self._components[index]
+                scope |= key
+                state = self._states.pop(key, None)
+                if state is not None:
+                    invalidated += 1
+                    region |= key
+                    dropped += len(state.instances.indices_incident(touched))
             stale = [entry for entry in self._results if entry[1] & touched]
             for entry in stale:
                 del self._results[entry]
 
-            self._components = connected_components(self._graph)
-            new_rows: List[Tuple[Vertex, ...]] = []
+            skip = set(hit)
+            kept = [key for index, key in enumerate(self._components) if index not in skip]
+            resplit = [frozenset(c) for c in connected_components(self._graph, scope)]
+            rank = self._graph.insertion_rank()
+            self._components = sorted(
+                kept + resplit, key=lambda key: min(map(rank.__getitem__, key))
+            )
+
             reenumerated = 0
-            for index, comp in enumerate(self._components):
-                key = frozenset(comp)
-                if key in self._states or not (key & region):
-                    # Untouched: either an active component whose state
-                    # carried over, or an instance-free component that stays
-                    # instance-free (a component disjoint from the region is
-                    # exactly an old untouched component — see the module
-                    # contract).
+            added = 0
+            for index, key in enumerate(self._components):
+                if key.isdisjoint(region):
+                    # A kept component, or an instance-free remainder of a
+                    # touched instance-free component: neither can gain an
+                    # instance.
                     continue
                 reenumerated += 1
-                subgraph = self._graph.induced_subgraph(comp)
+                subgraph = self._graph.induced_subgraph(key)
                 local = self._pattern.instances(subgraph)
-                for idx in local.indices_incident(touched):
-                    new_rows.append(local.instances[idx])
                 if local.num_instances:
+                    added += len(local.indices_incident(touched))
                     self._states[key] = prepare_component(index, subgraph, local)
-
-            self._instances, dropped, appended = self._instances.apply_delta(
-                touched, new_rows
-            )
+            self._num_instances += added - dropped
             self._delta_log.append(delta)
             apply_seconds = time.perf_counter() - tick
             stats = DeltaStats(
@@ -380,11 +406,11 @@ class IncrementalSession:
                 edges_added=len(delta.add_edges),
                 edges_removed=len(delta.remove_edges),
                 touched_vertices=len(touched),
-                components_invalidated=len(invalidated),
+                components_invalidated=invalidated,
                 components_reenumerated=reenumerated,
                 components_reused=len(self._components) - reenumerated,
                 instances_dropped=dropped,
-                instances_reenumerated=appended,
+                instances_reenumerated=added,
                 apply_seconds=apply_seconds,
                 seconds_saved_estimate=max(self._build_seconds - apply_seconds, 0),
             )
@@ -477,12 +503,12 @@ class IncrementalSession:
         stats = PreprocessStats(
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
-            num_instances=self._instances.num_instances,
+            num_instances=self._num_instances,
             num_components=len(self._components),
         )
         prepared: List[PreparedComponent] = []
-        for index, comp in enumerate(self._components):
-            component = self._states.get(frozenset(comp))
+        for index, key in enumerate(self._components):
+            component = self._states.get(key)
             if component is not None:
                 prepared.append(dataclasses.replace(component, index=index))
         stats.num_active_components = len(prepared)

@@ -13,6 +13,9 @@ so a loop of subset splits on one graph (IPPV's, one per popped
 candidate) costs the sum of its subsets' host degrees and never a scan
 of the whole graph per call.  The whole-graph split is the same loop
 with every vertex kept.
+
+After a delta the incremental session re-splits, in subset mode, only the
+frontier and the old components :func:`components_touching` finds it meets.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ def components_touching(
 ) -> List[int]:
     """Return indices of the components that contain any of ``vertices``.
 
-    The incremental engine uses this to find which cached components a
-    delta's touched-vertex frontier invalidates.  Indices are returned in
-    component order (ascending), each at most once.
+    The incremental session uses this to find the pre-delta components a
+    delta's touched-vertex frontier meets: it re-splits those and keeps
+    the others.  Indices are returned in component order (ascending), each
+    at most once.
     """
     targets = set(vertices)
     touched: List[int] = []

@@ -408,11 +408,11 @@ class InstanceSet:
     def indices_incident(self, vertices: Iterable[Vertex]) -> List[int]:
         """Return sorted indices of instances containing *any* of ``vertices``.
 
-        The complement of this list — the untouched rows — is exactly what an
-        incremental delta may keep: an instance with no touched vertex has no
-        changed edge either, so it survives any delta whose frontier is
-        ``vertices``.  Uses the same epoch-stamped scratch as
-        :meth:`_touched_full`, so repeated queries never re-zero counters.
+        An instance with no touched vertex has no changed edge either, so it
+        survives any delta whose frontier is ``vertices``; the incremental
+        session counts what a delta drops and re-enumerates with this.  Uses
+        the same epoch-stamped scratch as :meth:`_touched_full`, so repeated
+        queries never re-zero counters.
         """
         keep_ids = self._keep_ids(vertices)
         if not keep_ids:
@@ -432,48 +432,6 @@ class InstanceSet:
                     touched.append(idx)
         touched.sort()
         return touched
-
-    def apply_delta(
-        self,
-        touched_vertices: Iterable[Vertex],
-        new_instances: Iterable[Sequence[Vertex]],
-    ) -> Tuple["InstanceSet", int, int]:
-        """Return an updated set for a delta whose frontier is ``touched_vertices``.
-
-        Drops every instance incident to a touched vertex, keeps all other
-        rows *in their original order*, then appends ``new_instances``
-        (validated: arity ``h``, distinct members) in the given order.  The
-        caller supplies the post-delta instances incident to the frontier —
-        typically by re-enumerating only the touched region.  Returns the new
-        set plus ``(instances_dropped, instances_appended)``.
-
-        The receiver is unchanged (instance sets are immutable); the new set
-        re-interns vertices in appearance order, exactly as a fresh build
-        would.
-        """
-        dropped = self.indices_incident(touched_vertices)
-        dropped_set = set(dropped)
-        h = self.h
-        flat = self._flat
-        vertex_of = self._vertex_of
-        builder = InstanceSetBuilder(h)
-        for idx in range(self.num_instances):
-            if idx in dropped_set:
-                continue
-            base = idx * h
-            builder.add([vertex_of[flat[pos]] for pos in range(base, base + h)])
-        appended = 0
-        for inst in new_instances:
-            tup = tuple(inst)
-            if len(tup) != h:
-                raise AlgorithmError(
-                    f"delta instance has {len(tup)} vertices, expected {h}: {tup!r}"
-                )
-            if len(set(tup)) != h:
-                raise AlgorithmError(f"delta instance has repeated vertices: {tup!r}")
-            builder.add(tup)
-            appended += 1
-        return builder.build(), len(dropped), appended
 
     def count_within(self, vertices: Iterable[Vertex]) -> int:
         """Count instances fully contained in ``vertices`` without copying."""

@@ -69,8 +69,11 @@ def initialize_bounds(
 ) -> Tuple[CompactBounds, Dict[Vertex, int]]:
     """Compute the initial bounds of Algorithm 1.
 
-    Returns the bounds object and the raw clique-core numbers (which the
-    pruning stage reuses).
+    Returns the bounds object and the raw clique-core numbers.  Preprocessing
+    reads the largest core number as the component's density window.  The
+    pruning stage does not reuse the core numbers: its rule 2 peels rule 1's
+    survivors afresh, once per round until a fixpoint (see
+    :func:`repro.lhcds.prune.prune_candidates`).
     """
     universe = set(vertices) if vertices is not None else instances.vertices()
     core = peel(instances, universe).core

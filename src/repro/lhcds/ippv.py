@@ -210,7 +210,10 @@ class IPPV:
 
         vertices = self.graph.vertices()
         if self._precomputed_bounds is not None:
-            bounds = self._precomputed_bounds
+            # DeriveSG tightens the bounds in place, and the caller's object
+            # outlives this run (a cached or session-held component), so a
+            # later solve must not start from this run's tightened bounds.
+            bounds = self._precomputed_bounds.copy()
         else:
             bounds, _core = initialize_bounds(instances, vertices)
         self._bounds = bounds

@@ -127,6 +127,10 @@ class SolveRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-lhcds/2"
     protocol_version = "HTTP/1.1"
+    #: The handler writes the headers and the body of a response in two
+    #: sends.  With Nagle's algorithm on, the body waits for the client's
+    #: delayed ACK of the headers, about 40 ms per keep-alive response.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SolveService:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.cliques.kclist import enumerate_cliques
 from repro.datasets.synthetic import gnp_graph
 from repro.flow.network import solve_compact_network
-from repro.graph import Graph, complete_graph, cycle_graph, union_graph
+from repro.graph import Graph, GraphDelta, complete_graph, cycle_graph, union_graph
 from repro.graph.components import bfs_order
 from repro.graph.graph import Vertex
 from repro.instances import InstanceSet, InstanceSetBuilder
@@ -108,6 +108,44 @@ def reference_clique_instances(graph: Graph, h: int) -> InstanceSet:
     builder = InstanceSetBuilder(h)
     builder.extend(enumerate_cliques(graph, h))
     return builder.build()
+
+
+def reference_delta_stats(
+    before: Graph, after: Graph, delta: GraphDelta, h: int
+) -> Dict[str, int]:
+    """Every count of an h-clique session's ``DeltaStats``, from scratch.
+
+    Oracle for the incremental session's bookkeeping, computed the old way:
+    whole-graph splits and fresh enumerations of the graph before and after
+    ``delta``.  A pre-delta component is invalidated when it holds an
+    instance and meets the frontier.  A post-delta component is
+    re-enumerated when it meets the frontier or an invalidated component.
+    The instance counts are each enumeration's frontier-incident instances.
+    """
+    touched = delta.touched_vertices
+    old_rows = reference_clique_instances(before, h).instances
+    new_rows = reference_clique_instances(after, h).instances
+    covered = {v for row in old_rows for v in row}
+    invalidated = [
+        comp
+        for comp in reference_connected_components(before)
+        if comp & touched and comp & covered
+    ]
+    region = set(touched).union(*invalidated)
+    components = reference_connected_components(after)
+    reenumerated = sum(1 for comp in components if comp & region)
+    return {
+        "vertices_added": len(delta.add_vertices),
+        "vertices_removed": len(delta.remove_vertices),
+        "edges_added": len(delta.add_edges),
+        "edges_removed": len(delta.remove_edges),
+        "touched_vertices": len(touched),
+        "components_invalidated": len(invalidated),
+        "components_reenumerated": reenumerated,
+        "components_reused": len(components) - reenumerated,
+        "instances_dropped": sum(1 for row in old_rows if touched.intersection(row)),
+        "instances_reenumerated": sum(1 for row in new_rows if touched.intersection(row)),
+    }
 
 
 def reference_tentative_decomposition(

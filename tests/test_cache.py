@@ -18,12 +18,14 @@ import pytest
 from helpers import multi_component_graph, signature
 
 from repro.cli import main as cli_main
+from repro.datasets.synthetic import barabasi_albert_graph
 from repro.engine import (
     PreprocessCache,
     SolveRequest,
     cache_for,
     cache_key,
     preprocess,
+    report_signature,
     resolve_cache_dir,
     solve,
 )
@@ -250,6 +252,21 @@ class TestBitIdentityColdVsWarm:
         warm = solve(graph=graph, pattern=3, k=4, solver="exact", cache_dir=root)
         assert warm.preprocessing.cache_state == STATE_HIT
         assert signature(warm) == signature(cold)
+
+
+    def test_memory_hit_after_other_iterations_identical(self, tmp_path):
+        """Regression: IPPV tightened the cached component's bounds in place,
+        so a memory hit after a solve with another ``iterations`` started
+        from bounds a cold solve never has (1 candidate examined, not 4)."""
+        root = str(tmp_path / "cache")
+        graph = barabasi_albert_graph(90, 4, seed=12)
+        options = dict(pattern=3, k=10, solver="ippv")
+        cold = solve(graph=graph.copy(), iterations=5, **options)
+        solve(graph=graph, cache_dir=root, iterations=20, **options)
+        warm = solve(graph=graph, cache_dir=root, iterations=5, **options)
+        assert warm.preprocessing.cache_state == STATE_HIT_MEMORY
+        assert warm.candidates_examined == cold.candidates_examined == 4
+        assert report_signature(warm) == report_signature(cold)
 
 
 class TestCorruptionFallsBackCold:

@@ -1,5 +1,6 @@
 """Tests for :class:`GraphDelta`, :meth:`Graph.apply_delta`, and the
-:class:`InstanceSet` delta path (drop-incident / keep / re-append)."""
+:class:`InstanceSet` facts the incremental session rests on (frontier
+incidence, component purity)."""
 
 from __future__ import annotations
 
@@ -189,24 +190,6 @@ class TestInstanceSetDelta:
             ]
             assert instances.indices_incident(probe) == expected
 
-    def test_apply_delta_drops_keeps_appends(self):
-        graph = random_graph(12, 0.45, seed=5)
-        instances = self._instances(graph)
-        touched = {0, 1, 2}
-        kept = [
-            inst
-            for inst in instances.instances
-            if not any(v in touched for v in inst)
-        ]
-        new_rows = [(0, 1, 2)] if graph.has_edge(0, 1) else []
-        updated, dropped, appended = instances.apply_delta(touched, new_rows)
-        assert dropped == instances.num_instances - len(kept)
-        assert appended == len(new_rows)
-        assert list(updated.instances[: len(kept)]) == kept
-        assert list(updated.instances[len(kept):]) == new_rows
-        # The receiver is unchanged.
-        assert instances.num_instances == len(kept) + dropped
-
     def test_purity_restrict_equals_local_enumeration(self):
         """The invariant the incremental engine rests on: enumerating the
         whole graph then restricting to a component gives exactly the rows,
@@ -232,31 +215,6 @@ class TestInstanceSetDelta:
                     local = clique_instances(graph.induced_subgraph(comp), h)
                     restricted = full.restrict(comp)
                     assert list(restricted.instances) == list(local.instances)
-
-    def test_incremental_maintenance_matches_full_recount(self):
-        """Maintaining the global set under deltas keeps the instance
-        multiset a fresh enumeration would produce.  Kept rows may retain
-        their pre-delta within-tuple vertex order (the global set's only
-        stats consumer is the order-insensitive count; per-component locals
-        are re-enumerated fresh), so rows compare as vertex sets."""
-        graph = random_graph(15, 0.35, seed=9)
-        instances = clique_instances(graph, 3)
-        deltas = [
-            GraphDelta(add_edges=((0, 1),) if not graph.has_edge(0, 1) else ((0, 20),)),
-            GraphDelta(remove_vertices=(5,)),
-            GraphDelta(add_vertices=(30,), add_edges=((30, 2), (30, 3), (2, 3))
-                       if not graph.has_edge(2, 3) else ((30, 2), (30, 3))),
-        ]
-        for delta in deltas:
-            graph.apply_delta(delta)
-            touched = delta.touched_vertices
-            fresh = clique_instances(graph, 3)
-            new_rows = [
-                fresh.instances[i] for i in fresh.indices_incident(touched)
-            ]
-            instances, _, _ = instances.apply_delta(touched, new_rows)
-            canon = lambda rows: sorted(tuple(sorted(r)) for r in rows)  # noqa: E731
-            assert canon(instances.instances) == canon(fresh.instances)
 
 
 class TestComponentsTouching:

@@ -5,9 +5,12 @@ final graph, after any delta sequence, on every executor."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.cliques import clique_instances
+from repro.datasets.synthetic import barabasi_albert_graph, hybrid_community_graph
 from repro.engine import (
     IncrementalSession,
     SolveRequest,
@@ -15,9 +18,9 @@ from repro.engine import (
     solve,
 )
 from repro.errors import EngineError
-from repro.graph import Graph, GraphDelta, complete_graph, union_graph
+from repro.graph import Graph, GraphDelta, complete_graph, connected_components, union_graph
 
-from helpers import multi_component_graph, random_graph, shifted
+from helpers import multi_component_graph, random_graph, reference_delta_stats, shifted
 
 
 def cold_signature(graph: Graph, **options) -> str:
@@ -243,6 +246,99 @@ class TestDeltaStatsAndGuards:
         assert report_signature(session.solve(**options)) == cold_signature(
             session.graph, **options
         )
+
+
+def _delta_shapes(before: Graph, after: Graph, delta: GraphDelta, h: int):
+    """Which of the shapes the oracle test must cover this delta has."""
+    touched = delta.touched_vertices
+    old = connected_components(before)
+    home = {v: index for index, comp in enumerate(old) for v in comp}
+    hit = [comp for comp in old if comp & touched]
+    covered = {v for row in clique_instances(before, h) for v in row}
+    shapes = set()
+    if any(v not in before for v in touched):
+        shapes.add("new vertex")
+    if any(not comp & covered for comp in hit):
+        shapes.add("instance-free")
+    for comp in connected_components(after):
+        if len({home[v] for v in comp if v in home}) > 1:
+            shapes.add("merge")
+        if delta.remove_vertices and not comp & touched and any(comp < c for c in hit):
+            shapes.add("stranded")
+    return shapes
+
+
+class TestDeltaStatsOracle:
+    """The per-component bookkeeping equals a whole-graph recount: every
+    ``DeltaStats`` count, the instance count and the component list."""
+
+    def test_random_steps_match_whole_graph_recount(self):
+        steps = 0
+        shapes = Counter()
+        for seed in range(80):
+            rng = random.Random(seed)
+            h = 2 + seed % 3
+            n = rng.randint(10, 22)
+            graph = random_graph(n, rng.choice((0.1, 0.2, 0.3)), seed=seed)
+            session = IncrementalSession(graph, h, copy_graph=True)
+            for _ in range(8):
+                before = session.graph.copy()
+                delta = random_delta(before, rng)
+                if delta.is_empty:
+                    continue
+                stats = session.apply_delta(delta)
+                after = session.graph
+                counts = {
+                    key: value for key, value in stats.as_dict().items() if "seconds" not in key
+                }
+                expected = reference_delta_stats(before, after, delta, h)
+                assert counts == {"epoch": session.epoch, **expected}, (
+                    f"seed={seed} delta_log={session.delta_log}"
+                )
+                assert session.num_instances == clique_instances(after, h).num_instances
+                assert session._components == connected_components(after)
+                shapes.update(_delta_shapes(before, after, delta, h))
+                steps += 1
+        assert steps >= 500
+        for shape in ("stranded", "merge", "new vertex", "instance-free"):
+            assert shapes[shape] > 0, shapes
+
+
+class TestWarmBoundsStayCold:
+    """Regression: IPPV tightened a held component's bounds in place, so a
+    session solve after one with another ``iterations`` started from bounds
+    a cold solve never has."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_other_iterations_after_a_solve_match_cold(self, executor):
+        graph = barabasi_albert_graph(90, 4, seed=12)
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        options = dict(k=10, executor=executor, jobs=2)
+        session.solve(iterations=20, **options)
+        warm = session.solve(iterations=5, **options)
+        cold = solve(SolveRequest(graph=graph.copy(), pattern=3, iterations=5, **options))
+        assert warm.candidates_examined == cold.candidates_examined == 4
+        assert report_signature(warm) == report_signature(cold)
+
+    def test_seeded_sweep_of_iteration_pairs(self):
+        divergent = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            if seed % 3 == 0:
+                graph = random_graph(rng.randint(20, 45), rng.choice((0.2, 0.3, 0.4)), seed=seed)
+            elif seed % 3 == 1:
+                graph = hybrid_community_graph(rng.randint(2, 4), rng.randint(6, 10), seed=seed)
+            else:
+                graph = barabasi_albert_graph(rng.randint(30, 70), rng.randint(3, 5), seed=seed)
+            h = rng.choice((3, 4))
+            k = rng.choice((None, 3, 10))
+            first, second = rng.sample((0, 1, 2, 3, 5, 20, 40), 2)
+            session = IncrementalSession(graph, h, copy_graph=True)
+            session.solve(k=k, iterations=first)
+            warm = report_signature(session.solve(k=k, iterations=second))
+            if warm != cold_signature(graph, h=h, k=k, iterations=second):
+                divergent.append((seed, h, k, first, second))
+        assert divergent == []
 
 
 class TestSessionLock:

@@ -9,8 +9,11 @@ fields excluded)."""
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -20,8 +23,10 @@ import pytest
 
 from helpers import multi_component_graph
 
-from repro.engine import solve
+from repro.datasets.synthetic import barabasi_albert_graph
+from repro.engine import json_report_signature, report_signature, solve
 from repro.server import ServiceError, SolveService, create_server
+from repro.server.app import SolveRequestHandler
 from repro.server.app import main as server_main
 
 
@@ -281,7 +286,6 @@ class TestSolveSurface:
     def test_well_typed_fields_reach_the_solve(self, service, field, value):
         # The type check must pass valid values through unchanged: each
         # endpoint's report equals a cold in-process solve with the option.
-        from repro.engine import json_report_signature, report_signature
         from repro.graph import Graph
 
         service.register_graph("g", edges=TRIANGLE_PAIR)
@@ -470,17 +474,27 @@ def _request(base, method, path, payload=None):
         return error.code, json.loads(error.read().decode("utf-8"))
 
 
-@pytest.fixture()
-def http_server(tmp_path):
+@contextlib.contextmanager
+def _serving(tmp_path, handler=SolveRequestHandler):
+    """A served ``create_server`` whose connections ``handler`` answers."""
     server, service = create_server(port=0, cache_dir=str(tmp_path / "cache"))
+    server.RequestHandlerClass = handler
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service
-    server.shutdown()
-    server.server_close()
-    service.close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://{host}:{port}", service
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture()
+def http_server(tmp_path):
+    with _serving(tmp_path) as served:
+        yield served
 
 
 class TestHTTPServer:
@@ -894,8 +908,6 @@ class TestV1Envelope:
 
 class TestDeltasService:
     def test_delta_roundtrip_bit_identity(self, service):
-        from repro.engine import json_report_signature
-
         service.register_graph("g", edges=TRIANGLE_PAIR)
         options = {"solver": "ippv", "k": 2, "h": 3}
         warm = service.solve_incremental("g", options)
@@ -981,8 +993,6 @@ class TestDeltasService:
 
 class TestDeltasHTTP:
     def test_http_delta_stream_matches_cold(self, http_server):
-        from repro.engine import json_report_signature
-
         base, _service = http_server
         status, _h, body = _request_with_headers(
             base, "POST", "/v1/graphs", {"name": "g", "edges": TRIANGLE_PAIR}
@@ -1061,3 +1071,77 @@ class TestAtomicReplace:
         assert record["vertices"] == 4
         assert record["edges"] == 4
         assert report["graph"] == "g"
+
+
+class TestWarmSolveAfterOtherIterations:
+    def test_second_solve_matches_cold(self, http_server):
+        """Regression: IPPV tightened the cached component's bounds in place,
+        so a warm ``/v1/solve`` after one with another ``iterations`` started
+        from bounds a cold solve never has."""
+        base, _service = http_server
+        graph = barabasi_albert_graph(90, 4, seed=12)
+        status, _body = _request(
+            base,
+            "POST",
+            "/v1/graphs",
+            {"name": "ba", "vertices": list(graph.vertices()), "edges": _edge_payload(graph)},
+        )
+        assert status == 201
+        options = {"graph": "ba", "h": 3, "k": 10, "solver": "ippv"}
+        _request(base, "POST", "/v1/solve", {**options, "iterations": 20})
+        status, body = _request(base, "POST", "/v1/solve", {**options, "iterations": 5})
+        cold = solve(graph=graph.copy(), pattern=3, k=10, solver="ippv", iterations=5)
+        assert status == 200
+        assert body["data"]["cache"]["state"] == "hit-memory"
+        assert body["data"]["candidates_examined"] == cold.candidates_examined == 4
+        assert json_report_signature(body["data"]) == report_signature(cold)
+
+
+class TestTransport:
+    """The handler sends a response's headers and body in two writes; with
+    Nagle's algorithm on, the body waits for the client's delayed ACK of the
+    headers (about 40 ms on every keep-alive response)."""
+
+    def test_accepted_sockets_have_nodelay(self, tmp_path):
+        seen = []
+
+        class Recording(SolveRequestHandler):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        with _serving(tmp_path, Recording) as (base, _service):
+            status, _body = _request(base, "GET", "/v1/health")
+        assert status == 200
+        assert seen and all(seen)
+
+    def test_keep_alive_responses_do_not_stall(self, http_server):
+        base, _service = http_server
+        host, port = base.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+
+        def overhead(path, payload):
+            """Client latency minus the service's own time (the delta
+            endpoint reports none, so all of its latency counts)."""
+            start = time.perf_counter()
+            connection.request(
+                "POST", path, body=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            envelope = json.loads(connection.getresponse().read())
+            latency = time.perf_counter() - start
+            assert envelope["ok"], envelope
+            return latency - envelope["data"].get("timing", {}).get("total_seconds", 0.0)
+
+        options = {"solver": "ippv", "k": 2, "h": 3}
+        overheads = []
+        try:
+            overhead("/v1/graphs", {"name": "g", "edges": TRIANGLE_PAIR})
+            for round_index in range(10):
+                change = "remove_edges" if round_index % 2 == 0 else "add_edges"
+                overheads.append(overhead("/v1/graphs/g/deltas", {change: [[0, 1]]}))
+                overheads.append(overhead("/v1/graphs/g/solve", options))
+                overheads.append(overhead("/v1/solve", {"graph": "g", **options}))
+        finally:
+            connection.close()
+        assert statistics.median(overheads) < 0.020, sorted(overheads)
