@@ -8,7 +8,7 @@ whole evaluation.
 Benchmarks additionally record headline timings into a shared session dict
 (the ``bench_metrics`` fixture).  When the ``BENCH_OUT`` environment
 variable names a file, the dict is dumped there as JSON at session end —
-the CI smoke job uploads it as the ``BENCH_20.json`` artifact and compares
+the CI smoke job uploads it as the ``BENCH_21.json`` artifact and compares
 it against the committed baseline with ``scripts/compare_bench.py``.
 """
 
@@ -23,7 +23,7 @@ import time
 import pytest
 
 #: Bumped with each PR that adds a new benchmark artifact generation.
-BENCH_ID = "BENCH_20"
+BENCH_ID = "BENCH_21"
 BENCH_SCHEMA = "repro-bench/1"
 
 #: Rounds of every asserted comparison; each compared path runs once per round.

@@ -9,8 +9,9 @@ the greedy densest-subgraph heuristic (Charikar; Tsourakakis, WWW 2015,
 for h-cliques): the densest suffix of the removal order is within a factor
 ``h`` of the densest subgraph.
 
-:func:`peel` serves every consumer in one pass — Algorithm 1's bounds,
-Algorithm 3's rule 2 and the Greedy baseline.  It works over the
+:func:`peel` serves every consumer in one pass — Algorithm 1's bounds and
+the Greedy baseline.  Algorithm 3's rule 2 does not peel again: it refines
+the core numbers the bounds keep (see :mod:`repro.lhcds.prune`).  It works over the
 :class:`~repro.instances.InstanceSet`'s interned ids and CSR incidence and
 keeps the densest suffix from running instance counts, so nothing is
 recounted.  Equal degrees are broken by ``repr`` rank, which makes the

@@ -71,8 +71,9 @@ from .request import PreparedComponent, PreprocessStats
 #: On-disk artifact schema tag; bumped when the pickled layout changes
 #: (``/2``: Graph grew delta-epoch state and an explicit pickle protocol;
 #: ``/3``: every artifact carries bounds, and the stats lost the
-#: prune-stats fields).  An artifact under an older tag is a cache miss.
-ARTIFACT_SCHEMA = "repro-cache/3"
+#: prune-stats fields; ``/4``: the bounds keep Algorithm 1's core numbers
+#: for prune rule 2).  An artifact under an older tag is a cache miss.
+ARTIFACT_SCHEMA = "repro-cache/4"
 #: Ledger (``index.json``) schema tag.
 INDEX_SCHEMA = "repro-cache-index/1"
 

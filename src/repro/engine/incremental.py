@@ -192,7 +192,7 @@ class IncrementalSolveStats:
 #: Solver options that change per-component results; everything else
 #: (executor, jobs) only moves work and is bit-identical by the engine's
 #: matrix guarantee.
-_ConfigKey = Tuple[str, Optional[int], int, str, bool, str]
+_ConfigKey = Tuple[str, Optional[int], int, str, str]
 
 
 class _SessionResultCache:
@@ -488,7 +488,6 @@ class IncrementalSession:
             request.k,
             request.iterations,
             request.verification,
-            request.prune,
             pattern_identity(request.pattern),
         )
 

@@ -77,7 +77,7 @@ class SolveRequest:
         ``None`` (default) or ``"stdlib"``, checked by
         :func:`check_kernel`.  Accepted so existing clients that name the
         kernel keep working; it selects nothing.
-    iterations / verification / prune:
+    iterations / verification:
         Solver options (consumed by the solvers that understand them; the
         names match :class:`~repro.lhcds.ippv.IPPVConfig`).  ``iterations``
         must be non-negative whichever solver runs.
@@ -93,7 +93,6 @@ class SolveRequest:
     kernel: Optional[str] = None
     iterations: int = 20
     verification: str = "fast"
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if isinstance(self.pattern, int):

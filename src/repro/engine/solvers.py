@@ -98,7 +98,6 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
     config = IPPVConfig(
         iterations=request.iterations,
         verification=request.verification,
-        prune=request.prune,
     )
     solver = IPPV(
         component.subgraph,

@@ -9,6 +9,10 @@ Proposition 3 of the paper relates the compact number ``phi_h(u)`` to the
 Bounds are kept as exact :class:`fractions.Fraction` objects; later stages
 may replace them with (float) values coming from the Frank–Wolfe iterate, so
 all consumers treat them as real numbers.
+
+The bounds also keep the core numbers they came from.  Prune rule 2 starts
+its refinement from them (see :mod:`repro.lhcds.prune`), so Algorithm 1's
+peel is the only peel of a solve.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ class CompactBounds:
 
     lower: Dict[Vertex, Number] = field(default_factory=dict)
     upper: Dict[Vertex, Number] = field(default_factory=dict)
+    #: ``core_G(u, psi_h)`` of every vertex of the universe
+    #: :func:`initialize_bounds` peeled (empty for bounds built by hand).
+    #: Read-only: :meth:`copy` shares it, and so do cached and
+    #: session-held components.
+    core: Dict[Vertex, int] = field(default_factory=dict)
 
     def lower_of(self, v: Vertex) -> Number:
         """Lower bound of ``v`` (0 when unknown)."""
@@ -59,8 +68,8 @@ class CompactBounds:
             self.upper[v] = value
 
     def copy(self) -> "CompactBounds":
-        """Return an independent copy of the bounds."""
-        return CompactBounds(lower=dict(self.lower), upper=dict(self.upper))
+        """Return a copy whose bounds tighten independently (``core`` is shared)."""
+        return CompactBounds(lower=dict(self.lower), upper=dict(self.upper), core=self.core)
 
 
 def initialize_bounds(
@@ -69,15 +78,17 @@ def initialize_bounds(
 ) -> Tuple[CompactBounds, Dict[Vertex, int]]:
     """Compute the initial bounds of Algorithm 1.
 
-    Returns the bounds object and the raw clique-core numbers.  Preprocessing
-    reads the largest core number as the component's density window.  The
-    pruning stage does not reuse the core numbers: its rule 2 peels rule 1's
-    survivors afresh, once per round until a fixpoint (see
+    Returns the bounds object and the raw clique-core numbers, which the
+    bounds also keep as :attr:`CompactBounds.core`.  Preprocessing reads the
+    largest core number as the component's density window.  Prune rule 2
+    reuses the core numbers as the start of its refinement instead of
+    peeling again: they bound from above the core numbers of every
+    sub-universe of the same instances (see
     :func:`repro.lhcds.prune.prune_candidates`).
     """
     universe = set(vertices) if vertices is not None else instances.vertices()
     core = peel(instances, universe).core
-    bounds = CompactBounds()
+    bounds = CompactBounds(core=core)
     h = instances.h
     for v in universe:
         c = core.get(v, 0)

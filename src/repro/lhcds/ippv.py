@@ -154,8 +154,6 @@ class IPPVConfig:
     #: How many convex-programming refinement rounds a candidate may consume
     #: before the driver falls back to the exact densest-subgraph split.
     max_refinement_rounds: int = 2
-    #: Whether to run the pruning stage on the initial proposal.
-    prune: bool = True
 
 
 class IPPV:
@@ -219,10 +217,9 @@ class IPPV:
         self._bounds = bounds
 
         groups = self._propose(vertices, bounds, timings)
-        if self.config.prune:
-            tick = time.perf_counter()
-            groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
-            timings.prune += time.perf_counter() - tick
+        tick = time.perf_counter()
+        groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
+        timings.prune += time.perf_counter() - tick
 
         heap: List[Tuple[Priority, int, FrozenSet[Vertex], int]] = []
         counter = 0
@@ -274,9 +271,7 @@ class IPPV:
             tick = time.perf_counter()
             verification_stats.is_densest_calls += 1
             densest = is_densest(instances, candidate)
-            verified = densest and self._verify(
-                candidate, bounds, output_vertices, verification_stats
-            )
+            verified = densest and self._verify(candidate, bounds, verification_stats)
             timings.verification += time.perf_counter() - tick
             if densest:
                 if verified:
@@ -398,21 +393,13 @@ class IPPV:
         self,
         candidate: FrozenSet[Vertex],
         bounds: CompactBounds,
-        output_vertices: Set[Vertex],
         stats: VerificationStats,
     ) -> bool:
         """Run the configured maximal-compactness verification."""
         assert self._instances is not None
         if self.config.verification == "basic":
             return verify_basic(self.graph, self._instances, candidate, stats=stats)
-        return verify_fast(
-            self.graph,
-            self._instances,
-            candidate,
-            bounds,
-            output_vertices=output_vertices,
-            stats=stats,
-        )
+        return verify_fast(self.graph, self._instances, candidate, bounds, stats=stats)
 
 
 def find_lhcds(

@@ -20,16 +20,52 @@ t(u)`` for some ``u``, and Python compares ``Fraction`` and ``float``
 values exactly, so this is the same predicate with no rounding.  The
 bounds mix ``Fraction`` core bounds with DeriveSG's padded floats, and the
 per-endpoint form converted a float for every edge.
+
+Rule 2 keeps the largest set of rule 1's survivors in which every vertex's
+core number, counted inside the set, meets its threshold.  Core numbers
+only grow with the universe, so a union of such sets is one, and
+re-peeling the survivors until nothing drops reaches exactly this set.
+This module reaches it without peeling, by the local h-index refinement
+of core numbers (Sariyüce, Seshadhri & Pinar, "Local Algorithms for
+Hierarchical Dense Subgraph Discovery", PVLDB 2018):
+
+* Every alive vertex ``x`` keeps an estimate ``tau(x)``, which starts at
+  the core numbers Algorithm 1 computed (:attr:`CompactBounds.core`).  They
+  bound from above the core numbers of any sub-universe of the same
+  instances.
+* A step lowers ``tau(x)`` to the h-index of ``x``'s alive instances, each
+  scored by the smallest ``tau`` among its members.  Core numbers are a
+  fixpoint of this step and the step is monotone, so ``tau`` never falls
+  below the core numbers of the alive set.  Dropping ``x`` once ``tau(x)``
+  is below its threshold therefore drops only vertices outside the
+  largest set, and every drop is final.
+* A vertex that starts below its threshold drops at once.  A step can
+  change only where an instance died or a co-member's ``tau`` fell, so
+  only those vertices are queued: the members of every instance that lost
+  a member and, on each drop or decrease, the co-members of the vertex
+  that moved.  Every other vertex keeps its start value, which is already
+  its h-index.
+* When the queue is empty, every alive ``x`` has ``tau(x)`` alive instances
+  whose members all have ``tau >= tau(x)``, so ``tau`` is also at most the
+  core numbers of the alive set: the two are equal, every alive vertex
+  meets its threshold, and the alive set is the largest set.
+
+The work is the part of the instance set that rule 1's kills reach,
+instead of one peel of every survivor per round.  Bounds built by hand
+carry no core numbers for the universe; they start from one
+:func:`~repro.cores.peel` of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+import math
+from collections import deque
+from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from ..cores.clique_core import peel
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-from .bounds import CompactBounds
+from .bounds import CompactBounds, Number
 from .stable_groups import FLOAT_SLACK, StableGroup
 
 
@@ -60,16 +96,98 @@ def prune_invalid_vertices(
         if highest is not None and upper_v < highest:
             invalid.add(v)
 
-    survivors = universe - invalid
+    # Rule 2: refine core numbers of a superset universe down to those of
+    # the survivors, dropping every vertex that falls below its threshold.
+    core: Mapping[Vertex, int] = bounds.core
+    if not core.keys() >= universe:
+        core = peel(instances, universe).core
+    return _refine(instances, universe - invalid, core, threshold)
 
-    # Rule 2: iterate clique-core recomputation until a fixpoint.
-    while True:
-        core = peel(instances, survivors).core
-        newly_invalid = {v for v in survivors if core.get(v, 0) < threshold[v]}
-        if not newly_invalid:
-            break
-        survivors -= newly_invalid
-    return survivors
+
+def _refine(
+    instances: InstanceSet,
+    survivors: Set[Vertex],
+    start: Mapping[Vertex, int],
+    threshold: Dict[Vertex, Number],
+) -> Set[Vertex]:
+    """Rule 2's fixpoint of ``survivors``, refined from ``start`` (see above)."""
+    h = instances.h
+    flat = instances.flat_ids
+    indptr = instances.incidence_indptr
+    incidence = instances.incidence_indices
+    n = instances.num_interned
+
+    # A vertex already below its threshold drops at once; one in no instance
+    # has core number 0, so it survives exactly when it is not below.
+    # tau is an integer, so tau < threshold exactly when tau < ceil(threshold).
+    tau = [0] * n
+    need = [0] * n
+    alive_vertex = bytearray(n)
+    dropped: List[Vertex] = []
+    for v in survivors:
+        if start[v] < threshold[v]:
+            dropped.append(v)
+            continue
+        vid = instances.vertex_id(v)
+        if vid is not None:
+            alive_vertex[vid] = 1
+            tau[vid] = start[v]
+            need[vid] = math.ceil(threshold[v])
+
+    # An instance is alive while all of its members are.
+    alive = bytearray(b"\x01") * instances.num_instances
+    queue: deque = deque()
+    queued = bytearray(n)
+
+    def kill(row: Iterable[int]) -> None:
+        """Kill the alive instances in ``row`` and queue their alive members."""
+        for idx in row:
+            if alive[idx]:
+                alive[idx] = 0
+                for u in flat[idx * h : idx * h + h]:
+                    if alive_vertex[u] and not queued[u]:
+                        queued[u] = 1
+                        queue.append(u)
+
+    for vid in range(n):
+        if not alive_vertex[vid]:
+            kill(incidence[indptr[vid] : indptr[vid + 1]])
+
+    score = tau.__getitem__
+    while queue:
+        x = queue.popleft()
+        queued[x] = 0
+        if not alive_vertex[x]:
+            continue
+        row = incidence[indptr[x] : indptr[x + 1]]
+        # Each alive instance scores the smallest tau among its members;
+        # x's own tau caps the scores, so the h-index is at most tau(x).
+        scores = sorted(
+            (min(map(score, flat[idx * h : idx * h + h])) for idx in row if alive[idx]),
+            reverse=True,
+        )
+        current = tau[x]
+        k = min(current, len(scores))
+        while k and scores[k - 1] < k:
+            k -= 1
+        if k == current:
+            continue
+        tau[x] = k
+        if k >= need[x]:
+            # Only a co-member above k can have counted x's instances at a
+            # level x no longer reaches.
+            for idx in row:
+                if alive[idx]:
+                    for u in flat[idx * h : idx * h + h]:
+                        if tau[u] > k and not queued[u]:
+                            queued[u] = 1
+                            queue.append(u)
+            continue
+        # x fell below its threshold: drop it and its alive instances.
+        alive_vertex[x] = 0
+        dropped.append(instances.vertex_at(x))
+        kill(row)
+    return survivors.difference(dropped)
 
 
 def prune_candidates(

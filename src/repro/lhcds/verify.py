@@ -179,7 +179,6 @@ def verify_fast(
     candidate: Iterable[Vertex],
     bounds: CompactBounds,
     *,
-    output_vertices: Optional[Set[Vertex]] = None,
     stats: Optional[VerificationStats] = None,
 ) -> bool:
     """Algorithm 5: verify maximal compactness on a reduced region.
@@ -194,14 +193,13 @@ def verify_fast(
     rho = Fraction(instances.count_within(subset), len(subset))
 
     # Short-circuit False: a neighbour with a certified larger compact number
-    # violates Proposition 4, so the candidate cannot be an LhCDS.  (The
-    # ``output_vertices`` hint of Algorithm 5 is intentionally not used as a
-    # rejection here because this driver does not guarantee strictly
-    # descending output densities; the flow check below covers that case.)
+    # violates Proposition 4, so the candidate cannot be an LhCDS.  (Algorithm
+    # 5's hint of already-output vertices is not used as a rejection here,
+    # because this driver does not guarantee strictly descending output
+    # densities; the flow check below covers that case.)
     # The comparison is exact: stored lower bounds are sound (float data is
     # padded with FLOAT_SLACK where it enters, in DeriveSG), so any extra
     # slack here would only miss valid rejections.
-    del output_vertices
     for v in subset:  # repro: allow-DT01(boolean any-neighbour scan; the result does not depend on visit order)
         for u in graph.neighbors(v):
             if u in subset:

@@ -91,11 +91,10 @@ _REQUEST_FIELDS: Dict[str, Tuple[type, bool]] = {
     "kernel": (str, True),
     "iterations": (int, False),
     "verification": (str, False),
-    "prune": (bool, False),
 }
 
 #: How a type is named in a ``bad_solve_request`` message.
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string"}
 
 #: Every key ``POST /v1/solve`` understands.
 SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"graph", "dataset", "pattern", "h"}

@@ -224,12 +224,16 @@ def reference_prune_invalid_vertices(
     instances: InstanceSet,
     bounds: CompactBounds,
     vertices: Iterable[Vertex],
+    rounds: Optional[List[Set[Vertex]]] = None,
 ) -> Set[Vertex]:
     """The pruning oracle for ``prune_invalid_vertices``.
 
     Rule 1 compares bounds once per edge endpoint: ``v`` is invalid when
     ``upper(v) < lower(u) - FLOAT_SLACK`` for a universe neighbour ``u``
-    (``None`` uppers never are).  Rule 2 then peels to a fixpoint.
+    (``None`` uppers never are).  Rule 2 then peels the survivors afresh
+    until no core number falls below its threshold, ignoring the core
+    numbers the bounds keep.  ``rounds``, when given, receives the set
+    each of rule 2's peels removes.
     """
     universe = set(vertices)
     invalid: Set[Vertex] = set()
@@ -251,6 +255,8 @@ def reference_prune_invalid_vertices(
         }
         if not newly_invalid:
             return survivors
+        if rounds is not None:
+            rounds.append(newly_invalid)
         survivors -= newly_invalid
 
 

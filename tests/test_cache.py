@@ -323,14 +323,15 @@ class TestCorruptionFallsBackCold:
         assert stats.cache_state == STATE_MISS
 
     def test_previous_schema_artifact_is_a_miss(self, tmp_path):
-        # A well-formed artifact written under the previous schema tag, with
-        # the stats field that tag still had, falls back cold.
+        # A well-formed artifact written under the previous schema tag, whose
+        # bounds lack the core numbers that tag did not keep, falls back cold.
         root = str(tmp_path / "cache")
         request, cache, key = self._prime(root)
         with open(cache._artifact_path(key), "rb") as handle:
             artifact = pickle.load(handle)
-        artifact["schema"] = "repro-cache/2"
-        artifact["stats"].num_prunable_vertices = 0
+        artifact["schema"] = "repro-cache/3"
+        for component in artifact["components"]:
+            del component.bounds.core
         self._overwrite(cache, key, pickle.dumps(artifact))
         _, stats = preprocess(request)
         assert stats.cache_state == STATE_MISS
@@ -488,7 +489,7 @@ class TestCacheCLI:
 
     def test_artifact_schema_constant_pinned(self):
         # The on-disk schema is a compatibility contract; bump deliberately.
-        assert ARTIFACT_SCHEMA == "repro-cache/3"
+        assert ARTIFACT_SCHEMA == "repro-cache/4"
 
 
 class TestDeltaPoisoningRegression:

@@ -202,6 +202,15 @@ class TestExactEarlyStop:
         return Graph(edges=[(0, 1), (1, 2), (0, 2), (10, 11), (11, 12), (10, 12)])
 
     @staticmethod
+    def _without_pruning(monkeypatch) -> None:
+        # Isolate the heap: every proposed group reaches it unpruned.
+        import repro.lhcds.ippv as ippv_module
+
+        monkeypatch.setattr(
+            ippv_module, "prune_candidates", lambda graph, instances, groups, *rest: list(groups)
+        )
+
+    @staticmethod
     def _bounds_with(uppers) -> CompactBounds:
         bounds = CompactBounds()
         for v, upper in uppers.items():
@@ -233,7 +242,7 @@ class TestExactEarlyStop:
             ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
         assert heap == []
 
-    def test_no_stop_while_a_remaining_bound_exceeds_kth(self):
+    def test_no_stop_while_a_remaining_bound_exceeds_kth(self, monkeypatch):
         # Both triangles have exact density 1/3.  The sound upper bounds
         # differ by ~1e-15 — far inside the old 1e-12 tolerance — so the
         # old driver stopped after verifying the first (higher-bound)
@@ -243,25 +252,21 @@ class TestExactEarlyStop:
         graph = self._two_triangles()
         uppers = {v: Fraction(1, 3) + 2 * self.EPS for v in (10, 11, 12)}
         uppers.update({v: Fraction(1, 3) + self.EPS for v in (0, 1, 2)})
-        ippv = IPPV(
-            graph, 3, IPPVConfig(prune=False), bounds=self._bounds_with(uppers)
-        )
-        result = ippv.run(1)
+        self._without_pruning(monkeypatch)
+        result = IPPV(graph, 3, bounds=self._bounds_with(uppers)).run(1)
         assert result.candidates_examined == 2
         assert sorted(result.subgraphs[0].vertices) == [0, 1, 2]
         assert result.subgraphs[0].density == Fraction(1, 3)
 
-    def test_exact_tie_still_stops_early(self):
+    def test_exact_tie_still_stops_early(self, monkeypatch):
         # When the k-th best *equals* the best remaining bound the
         # certificate does hold (nothing left can be strictly denser), so
         # the driver stops without examining the second triangle.
         graph = self._two_triangles()
         uppers = {v: Fraction(1, 3) + self.EPS for v in (10, 11, 12)}
         uppers.update({v: Fraction(1, 3) for v in (0, 1, 2)})
-        ippv = IPPV(
-            graph, 3, IPPVConfig(prune=False), bounds=self._bounds_with(uppers)
-        )
-        result = ippv.run(1)
+        self._without_pruning(monkeypatch)
+        result = IPPV(graph, 3, bounds=self._bounds_with(uppers)).run(1)
         assert result.candidates_examined == 1
         assert sorted(result.subgraphs[0].vertices) == [10, 11, 12]
 
@@ -326,12 +331,12 @@ class TestInlineVerification:
         keywords = [kwargs for name, _, kwargs in calls if name == "verify_fast"]
         assert keywords
         for kwargs in keywords:
+            assert kwargs.keys() == {"stats"}
             assert kwargs["stats"] is result.verification
-            assert "output_vertices" in kwargs
 
     @pytest.mark.parametrize(
         "field",
-        ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir", "kernel"],
+        ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir", "kernel", "prune"],
     )
     def test_removed_fan_out_fields_rejected(self, field):
         with pytest.raises(TypeError, match=field):

@@ -1,6 +1,7 @@
 """Tests for the individual IPPV stages: bounds, SEQ-kClist++, decomposition,
 stable groups, pruning, and the verification primitives."""
 
+import hashlib
 import math
 import random
 from array import array
@@ -17,6 +18,9 @@ from helpers import (
     reference_tentative_decomposition,
 )
 from repro.cliques import clique_instances
+from repro.datasets.synthetic import hybrid_community_graph
+from repro.engine import IncrementalSession, solve
+from repro.engine.cache import cache_for
 from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, union_graph
 from repro.instances import InstanceSet
@@ -38,6 +42,8 @@ from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.reference import brute_force_compact_numbers, compactness_of
 from repro.lhcds.seq_kclist import WeightState
 from repro.lhcds.stable_groups import FLOAT_SLACK
+from repro.patterns import get_pattern
+from repro.server import SolveService
 
 
 class TestCompactBounds:
@@ -87,6 +93,15 @@ class TestInitializeBounds:
         for v in k5.vertices():
             assert bounds.upper_of(v) == core[v]
             assert bounds.lower_of(v) == Fraction(core[v], 3)
+
+    def test_bounds_keep_core_numbers_and_copies_share_them(self, two_cliques):
+        inst = clique_instances(two_cliques, 3)
+        bounds, core = initialize_bounds(inst, two_cliques.vertices())
+        assert bounds.core is core
+        clone = bounds.copy()
+        assert clone.core is core
+        clone.tighten_lower(0, 99)
+        assert bounds.lower_of(0) != 99
 
 
 class TestSeqKClist:
@@ -430,8 +445,23 @@ def _mixed_bounds(g, inst, rng):
     return bounds
 
 
+def _raised_lowers(bounds, core, vertices, rng):
+    """Raise the lower bounds of a random share of ``vertices`` near their cores.
+
+    Half-integer steps from one below to two above the core number, some
+    as floats, so rule 1 kills neighbours and rule 2 drops vertices whose
+    core numbers then fall short.
+    """
+    share = rng.choice((0.1, 0.2, 0.3))
+    for v in sorted(vertices, key=repr):
+        if rng.random() < share:
+            raised = Fraction(2 * core.get(v, 0) + rng.randint(-2, 4), 2)
+            bounds.lower[v] = float(raised) if rng.random() < 0.3 else raised
+
+
 class TestPruneOracle:
-    """Rule 1's one comparison per vertex against the per-edge-endpoint scan."""
+    """Rule 1's one comparison per vertex against the per-edge-endpoint
+    scan, and rule 2's refinement against fresh peels."""
 
     def test_random_bounds_match_reference(self):
         kinds = Counter()
@@ -485,6 +515,124 @@ class TestPruneOracle:
         universe = ["a", "b", "c", "d", "lone", "ghost"]
         survivors = prune_invalid_vertices(g, inst, bounds, universe)
         assert survivors == reference_prune_invalid_vertices(g, inst, bounds, universe)
+
+    def test_rule2_peels_only_without_core_numbers(self, monkeypatch, figure2):
+        import repro.lhcds.prune as prune_module
+
+        peels = []
+        real_peel = prune_module.peel
+        monkeypatch.setattr(
+            prune_module, "peel", lambda *args: peels.append(args) or real_peel(*args)
+        )
+        inst = clique_instances(figure2, 3)
+        universe = list(figure2.vertices())
+        bounds, _ = initialize_bounds(inst, universe)
+        prune_invalid_vertices(figure2, inst, bounds, universe[:-3])
+        assert peels == []
+        # A universe vertex the core numbers do not cover, or bounds built
+        # by hand, start rule 2 from one peel of the universe.
+        prune_invalid_vertices(figure2, inst, bounds, universe + ["ghost"])
+        hand_built = CompactBounds(lower=bounds.lower, upper=bounds.upper)
+        prune_invalid_vertices(figure2, inst, hand_built, universe)
+        assert len(peels) == 2
+
+    def test_refinement_matches_fresh_peels(self):
+        shapes = Counter()
+        for seed in range(1200):
+            rng = random.Random(seed)
+            if seed % 2:
+                g = random_graph(rng.randint(4, 28), rng.uniform(0.1, 0.7), seed)
+            else:
+                g = hybrid_community_graph(rng.randint(2, 4), rng.randint(5, 8), seed=seed)
+            if seed % 7 == 0:
+                g.add_vertex("lone")
+            if seed % 10 == 0:
+                inst = get_pattern("2-triangle").instances(g)
+                shapes["2-triangle"] += 1
+            else:
+                inst = clique_instances(g, rng.choice((2, 3, 4, 5)))
+            universe = list(g.vertices())
+            if seed % 3 == 0:
+                universe = rng.sample(sorted(universe, key=repr), max(1, len(universe) * 2 // 3))
+            bounded = list(g.vertices())
+            if seed % 9 == 0:
+                # A universe vertex absent from the graph, with or without a
+                # core number of its own.
+                universe.append("ghost")
+                if seed % 2:
+                    bounded.append("ghost")
+            bounds, core = initialize_bounds(inst, bounded)
+            _raised_lowers(bounds, core, bounded, rng)
+            if seed % 5 == 0:
+                # Built by hand: no core numbers, so rule 2 starts from a peel.
+                bounds = CompactBounds(lower=bounds.lower, upper=bounds.upper)
+            rounds = []
+            survivors = prune_invalid_vertices(g, inst, bounds, universe)
+            expected = reference_prune_invalid_vertices(g, inst, bounds, universe, rounds)
+            assert survivors == expected, seed
+            shapes["h=%d" % inst.h] += 1
+            shapes["fired"] += bool(rounds)
+            shapes["cascade"] += len(rounds) >= 2
+            shapes["instance-free dropped"] += any(
+                inst.vertex_id(v) is None for removed in rounds for v in removed
+            )
+            shapes["no core numbers"] += not bounds.core.keys() >= set(universe)
+        # Rule 2 removed vertices in 905 of the 1,200 cases and took two or
+        # more rounds in 55 when this test was written.
+        assert shapes["fired"] >= 600, shapes
+        assert shapes["cascade"] >= 25, shapes
+        for shape in ("h=2", "h=3", "h=4", "h=5", "2-triangle", "instance-free dropped",
+                      "no core numbers"):
+            assert shapes[shape] > 0, shapes
+
+    def test_held_core_numbers_survive_solves(self, tmp_path):
+        # Every solve's bounds copy shares the held component's core
+        # numbers with rule 2, so no solve may write them.
+        graph = hybrid_community_graph(3, 8, seed=4)
+
+        def digest(components):
+            rows = sorted(
+                (c.index, sorted((repr(v), n) for v, n in c.bounds.core.items()))
+                for c in components
+            )
+            assert rows and all(core for _, core in rows)
+            return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+        def cached(root):
+            return [c for components, _ in cache_for(root)._memory.values() for c in components]
+
+        root = str(tmp_path / "cache")
+        solve(graph=graph, pattern=3, k=5, cache_dir=root)
+        before = digest(cached(root))
+        for iterations in (1, 20):
+            solve(graph=graph, pattern=3, k=5, cache_dir=root, iterations=iterations)
+        assert digest(cached(root)) == before
+
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        session.solve(k=5)
+        before = digest(session._states.values())
+        session.solve(k=5, iterations=1)
+        session.solve(k=None)
+        assert digest(session._states.values()) == before
+
+        service = SolveService(cache_dir=str(tmp_path / "service"))
+        try:
+            service.register_graph("g", edges=[[u, v] for u, v in graph.edges()])
+            service.solve({"graph": "g", "k": 5})
+            service.solve_incremental("g", {"k": 5})
+
+            def held():
+                sessions = service._sessions.values()
+                return cached(service.cache_dir) + [
+                    c for open_session in sessions for c in open_session._states.values()
+                ]
+
+            before = digest(held())
+            service.solve({"graph": "g", "k": 5, "iterations": 1})
+            service.solve_incremental("g", {"k": 5, "iterations": 1})
+            assert digest(held()) == before
+        finally:
+            service.close()
 
 
 class TestVerification:

@@ -230,7 +230,6 @@ class TestSolveSurface:
             ("executor", 3),
             ("kernel", 3),
             ("solver", 3),
-            ("prune", "no"),
             ("k", True),
             ("iterations", "20"),
             ("verification", None),
@@ -245,8 +244,6 @@ class TestSolveSurface:
             ("executor", ["serial"]),
             ("kernel", False),
             ("verification", 1),
-            ("prune", None),
-            ("prune", 0),
             ("kernel", "numpy"),
         ],
     )
@@ -280,7 +277,6 @@ class TestSolveSurface:
             ("kernel", "stdlib"),
             ("iterations", 5),
             ("verification", "basic"),
-            ("prune", False),
         ],
     )
     def test_well_typed_fields_reach_the_solve(self, service, field, value):
@@ -323,6 +319,19 @@ class TestSolveSurface:
             assert excinfo.value.status == 400
             assert excinfo.value.code == "unknown_key"
             assert excinfo.value.detail["unknown"] == ["prune_stats"]
+
+    def test_prune_is_an_unknown_key(self, service):
+        # Pruning always runs: the option that turned it off is gone.
+        service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+        for call in (
+            lambda: service.solve({"graph": "toy", "k": 1, "prune": False}),
+            lambda: service.solve_incremental("toy", {"k": 1, "prune": False}),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "unknown_key"
+            assert excinfo.value.detail["unknown"] == ["prune"]
 
     @pytest.mark.parametrize("value", [3.9, True, "4", 2.0])
     def test_mistyped_h_is_400_on_both_endpoints(self, service, value):
