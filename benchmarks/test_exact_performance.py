@@ -18,7 +18,7 @@ import time
 
 from repro.cliques.kclist import clique_instances
 from repro.datasets.synthetic import hybrid_community_graph
-from repro.lhcds import diminishingly_dense_decomposition
+from repro.densest import diminishingly_dense_decomposition
 
 H = 3
 ROUNDS = 3
@@ -34,7 +34,7 @@ def _decomposition_seconds(n_communities: int):
     best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        layers = diminishingly_dense_decomposition(instances, vertices)
+        layers = list(diminishingly_dense_decomposition(instances, vertices))
         best = min(best, time.perf_counter() - start)
     return graph.num_vertices, sum(1 for _, density in layers if density > 0), best
 

@@ -1,12 +1,12 @@
 """Flow-kernel benchmark: the flat-buffer Dinic on verification-shaped networks.
 
 ``solve_compact_network`` is the one flow-network builder (every IPPV
-verification and every Dinkelbach step runs through it), so this benchmark
-times it on the two network shapes verification produces —
-``DeriveCompact`` (rho below the working graph's density, non-trivial cut)
-and ``IsDensest`` (rho just above a candidate's density) — and records the
-result as ``flow.dinic_maxflow_s``.  The Frank--Wolfe kernel rides along as
-``fw.seq_kclist_s``.
+verification and every cut of the exact densest search runs through it),
+so this benchmark times it on the two network shapes verification
+produces — ``DeriveCompact`` (rho below the working graph's density,
+non-trivial cut) and ``IsDensest`` (rho just above a candidate's
+density) — and records the result as ``flow.dinic_maxflow_s``.  The
+Frank--Wolfe kernel rides along as ``fw.seq_kclist_s``.
 """
 
 from __future__ import annotations

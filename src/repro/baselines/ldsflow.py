@@ -6,7 +6,7 @@ programming and validates each with a maximum-flow computation over the
 so this re-implementation keeps them on top of our substrate:
 
 * candidates are the maximal densest subsets of the not-yet-output region,
-  found by Dinkelbach's parametric search
+  each the first layer of a parametric min-cut search
   (:func:`~repro.densest.exact.maximal_densest_subset`) — no Frank–Wolfe
   weights, no compact-number bounds, no pruning,
 * every candidate is verified with the **basic** (full-graph) flow network

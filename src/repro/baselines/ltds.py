@@ -2,9 +2,9 @@
 
 LTDS is the h = 3 specialisation of the locally densest subgraph problem.
 It shares LDSflow's skeleton over triangles: extract the maximal densest
-subset of the not-yet-output region with Dinkelbach's search, then verify
-it with the basic full-graph flow check — the bottlenecks the paper's
-Table 3 measures IPPV against.
+subset of the not-yet-output region with a parametric min-cut search, then
+verify it with the basic full-graph flow check — the bottlenecks the
+paper's Table 3 measures IPPV against.
 """
 
 from __future__ import annotations

@@ -157,10 +157,6 @@ class DeltaStats:
     #: Global instance rows re-enumerated (incident, post-delta).
     instances_reenumerated: int
     apply_seconds: float = 0.0
-    #: Rough estimate of preprocessing time avoided versus rebuilding the
-    #: whole session from scratch (initial build time minus apply time,
-    #: floored at zero).  Benchmarks measure the true ratio.
-    seconds_saved_estimate: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -179,11 +175,6 @@ class IncrementalSolveStats:
     #: Components actually solved this call (and recorded for next time).
     components_solved: int
     solve_seconds: float = 0.0
-    #: Initial build time plus first solve time: what a cold start cost.
-    cold_reference_seconds: float = 0.0
-    #: Rough estimate of time avoided versus that cold start (floored at
-    #: zero; ``0`` on the first solve).  Benchmarks measure the true ratio.
-    seconds_saved_estimate: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -251,8 +242,6 @@ class IncrementalSession:
         "_graph_epoch": "_lock",
         "_last_delta_stats": "_lock",
         "_last_solve_stats": "_lock",
-        "_solved_once": "_lock",
-        "_cold_reference_seconds": "_lock",
     }
 
     def __init__(
@@ -276,10 +265,7 @@ class IncrementalSession:
         self._delta_log: List[GraphDelta] = []
         self._last_delta_stats: Optional[DeltaStats] = None
         self._last_solve_stats: Optional[IncrementalSolveStats] = None
-        self._cold_reference_seconds: float = 0.0
-        self._solved_once = False
 
-        tick = time.perf_counter()
         instances = pattern.instances(self._graph)
         self._num_instances = instances.num_instances
         self._components: List[FrozenSet[Vertex]] = [
@@ -291,8 +277,6 @@ class IncrementalSession:
                 self._states[key] = prepare_component(
                     index, self._graph.induced_subgraph(key), local
                 )
-        self._build_seconds = time.perf_counter() - tick
-        self._cold_reference_seconds = self._build_seconds
         self._graph_epoch = self._graph.delta_epoch
 
     # ------------------------------------------------------------------
@@ -398,7 +382,6 @@ class IncrementalSession:
                     self._states[key] = prepare_component(index, subgraph, local)
             self._num_instances += added - dropped
             self._delta_log.append(delta)
-            apply_seconds = time.perf_counter() - tick
             stats = DeltaStats(
                 epoch=len(self._delta_log),
                 vertices_added=len(delta.add_vertices),
@@ -411,8 +394,7 @@ class IncrementalSession:
                 components_reused=len(self._components) - reenumerated,
                 instances_dropped=dropped,
                 instances_reenumerated=added,
-                apply_seconds=apply_seconds,
-                seconds_saved_estimate=max(self._build_seconds - apply_seconds, 0),
+                apply_seconds=time.perf_counter() - tick,
             )
             self._last_delta_stats = stats
             return stats
@@ -443,21 +425,12 @@ class IncrementalSession:
             report = solve_prepared(
                 request, components, stats, result_cache=adapter, start=start
             )
-            solve_seconds = time.perf_counter() - start
-            if not self._solved_once:
-                self._solved_once = True
-                self._cold_reference_seconds = self._build_seconds + solve_seconds
-                saved: float = 0.0
-            else:
-                saved = max(self._cold_reference_seconds - solve_seconds, 0)
             self._last_solve_stats = IncrementalSolveStats(
                 epoch=len(self._delta_log),
                 components_total=len(components),
                 components_reused=adapter.hits,
                 components_solved=adapter.puts,
-                solve_seconds=solve_seconds,
-                cold_reference_seconds=self._cold_reference_seconds,
-                seconds_saved_estimate=saved,
+                solve_seconds=time.perf_counter() - start,
             )
             return report
 

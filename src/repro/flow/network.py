@@ -2,11 +2,12 @@
 
 :func:`solve_compact_network` is the one flow-network builder of the
 solvers.  IPPV's ``IsDensest`` and maximal-compactness checks
-(:mod:`repro.lhcds.verify`) call it once per check.  The ``exact``
-solver's decomposition (:mod:`repro.lhcds.exact`) calls it once per cut
-of its breakpoint search, on a network restricted to the gap between two
-layer boundaries, and IPPV's exact splits, LDSflow and LTDS call it once
-per Dinkelbach step of :func:`repro.densest.exact.maximal_densest_subset`.
+(:mod:`repro.lhcds.verify`) call it once per check.  The breakpoint
+search of :mod:`repro.densest.exact` calls it once per cut, on a network
+restricted to the gap between two layer boundaries: the ``exact``
+solver's decomposition runs the whole search, and IPPV's exact splits,
+LDSflow and LTDS run its descent to the first layer through
+:func:`repro.densest.exact.maximal_densest_subset`.
 
 For a vertex universe ``U``, the instances ``Psi`` inside it, a threshold
 ``rho`` and a forced set ``F`` within ``U``, the network has a source

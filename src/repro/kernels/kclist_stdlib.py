@@ -34,7 +34,10 @@ def kclist_cliques(
     the layout and ordering contract.
     """
     out = array("q")
-    if n == 0:
+    # A clique's lowest-rank vertex has the other h - 1 members among its
+    # out-neighbours, so none exists when h - 1 exceeds every out-degree.
+    # Checking first keeps an oversized h from sizing the buffers below.
+    if n == 0 or h - 1 > max(indptr[v + 1] - indptr[v] for v in range(n)):
         return out
     prefix = [0] * h
     # One shared candidate pool: level d's filtered segment lives directly

@@ -3,7 +3,6 @@
 from .bounds import CompactBounds, initialize_bounds
 from .decomposition import TentativeDecomposition, tentative_decomposition
 from .exact import (
-    diminishingly_dense_decomposition,
     exact_compact_numbers,
     exact_top_k_lhcds,
     lhcds_from_compact_numbers,
@@ -35,7 +34,6 @@ __all__ = [
     "initialize_bounds",
     "TentativeDecomposition",
     "tentative_decomposition",
-    "diminishingly_dense_decomposition",
     "exact_compact_numbers",
     "exact_top_k_lhcds",
     "lhcds_from_compact_numbers",

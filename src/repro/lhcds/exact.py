@@ -1,45 +1,13 @@
-"""Exact h-clique compact numbers via the diminishingly-dense decomposition.
+"""Exact h-clique compact numbers and the LhCDSes they define.
 
 Theorem 2 of the paper identifies the compact number ``phi_h(u)`` with the
-optimal solution ``r*(u)`` of the convex program CP(G, h), and the theory of
-densest-supermodular-set decompositions (Danisch et al., Harb et al.)
-identifies ``r*`` with the *diminishingly dense decomposition*: a chain of
-boundaries ``{} = B_0 < B_1 < ... < B_L`` whose layers ``B_i - B_(i-1)``
-have strictly decreasing densities
-``d_i = (|Psi(B_i)| - |Psi(B_(i-1))|) / (|B_i| - |B_(i-1)|)``.  Every
-vertex's value is the density of its layer; vertices in no instance get 0.
+optimal solution ``r*(u)`` of the convex program CP(G, h), and that is the
+density of ``u``'s layer in the diminishingly dense decomposition, which
+the breakpoint search of :mod:`repro.densest.exact` computes.  Vertices in
+no instance get 0.  This module reads the LhCDSes off those numbers: each
+is a connected component of a level set that touches no denser vertex.
 
-With ``g(S) = |Psi(S)| - rho * |S|``, the boundary ``B_i`` is the largest
-maximiser of ``g`` for every ``rho`` in ``(d_(i+1), d_i]``, and the largest
-maximiser is what one minimum cut of
-:func:`repro.flow.network.solve_compact_network` returns.  The layers are
-found by the breakpoint search of the locally-dense decomposition (Tatti &
-Gionis, "Density-friendly Graph Decomposition", WWW 2015).  Take two known
-boundaries ``X = B_a < Y = B_b``, starting from the empty set and the
-covered vertices, and cut once at
-``rho = (|Psi(Y)| - |Psi(X)|) / (|Y| - |X|)``, the size-weighted mean of
-``d_(a+1) .. d_b``, at which ``g(X) = g(Y)``:
-
-* if ``b = a + 1`` then ``rho = d_b`` and the largest maximiser between
-  ``X`` and ``Y`` is ``Y`` itself: ``Y - X`` is one layer of density ``rho``;
-* otherwise ``d_b < rho < d_(a+1)`` and it is a boundary ``Z = B_j`` with
-  ``a < j < b``, so both ``(X, Z)`` and ``(Z, Y)`` are searched next.
-
-Each of the L positive-density layers is certified by one cut and each of
-the L - 1 boundaries between them is found by one, so the search takes
-exactly 2L - 1 cuts.  A work stack holds the open gaps with the denser one
-on top, which emits the layers in decreasing density and finishes every
-vertex of ``X`` before the gap ``(X, Y)`` is cut.
-
-Each cut's network is restricted to the gap.  For ``X <= S <= Y`` only the
-instances inside ``Y`` can count; those inside ``X`` count for every ``S``
-and the rest of ``X`` is in every ``S``, so both shift ``g`` by a constant.
-The network therefore holds only the instances inside ``Y`` that have a
-member in ``Y - X``, found through the gap's incidence lists, with their
-members in ``X`` forced to the source side; its largest maximiser, joined
-with ``X``, is the largest maximiser of ``g`` between ``X`` and ``Y``.
-
-The decomposition serves two purposes:
+It serves two purposes:
 
 * the ``exact`` solver (a standalone "LhCDScvx-style" exact algorithm
   exposed in the public API), and
@@ -51,96 +19,27 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..densest.exact import diminishingly_dense_decomposition
 from ..errors import AlgorithmError
-from ..flow.network import solve_compact_network
 from ..graph.components import connected_components
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-
-
-def diminishingly_dense_decomposition(
-    instances: InstanceSet,
-    vertices: Optional[Iterable[Vertex]] = None,
-) -> List[Tuple[Set[Vertex], Fraction]]:
-    """Return the nested decomposition as (new layer vertices, layer density) pairs.
-
-    Layers are returned outer-to-inner in *decreasing* density order; their
-    vertex sets partition the universe.  Vertices belonging to no instance
-    form a final layer of density 0.  The module docstring describes the
-    breakpoint search.
-    """
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    if not universe:
-        return []
-    working = instances.restrict(universe)
-    n_cov = working.num_interned
-    layers: List[Tuple[Set[Vertex], Fraction]] = []
-    if n_cov:
-        h = working.h
-        flat = working.flat_ids
-        indptr = working.incidence_indptr
-        incidence = working.incidence_indices
-        vertex_at = working.vertex_at
-        # A vertex is in X once its layer is finished.  Per instance,
-        # members_in_x counts its members in X, and members_in_y (valid
-        # when stamped with the current cut) its members in Y.
-        finished = bytearray(n_cov)
-        members_in_x = [0] * len(working)
-        members_in_y = [0] * len(working)
-        stamp = [0] * len(working)
-        stack: List[List[int]] = [list(range(n_cov))]
-        cut = 0
-        while stack:
-            gap = stack.pop()
-            cut += 1
-            touched: List[int] = []
-            for vid in gap:
-                for idx in incidence[indptr[vid] : indptr[vid + 1]]:
-                    if stamp[idx] == cut:
-                        members_in_y[idx] += 1
-                    else:
-                        stamp[idx] = cut
-                        members_in_y[idx] = members_in_x[idx] + 1
-                        touched.append(idx)
-            chosen = [idx for idx in touched if members_in_y[idx] == h]
-            forced = {
-                vertex_at(u)
-                for idx in chosen
-                if members_in_x[idx]
-                for u in flat[idx * h : (idx + 1) * h]
-                if finished[u]
-            }
-            # |Psi(Y)| - |Psi(X)| counts exactly the chosen instances.
-            rho = Fraction(len(chosen), len(gap))
-            source_side = solve_compact_network(working.select(chosen), rho, forced=forced)
-            if len(source_side) - len(forced) == len(gap):
-                layers.append(({vertex_at(vid) for vid in gap}, rho))
-                for vid in gap:
-                    finished[vid] = 1
-                    for idx in incidence[indptr[vid] : indptr[vid + 1]]:
-                        members_in_x[idx] += 1
-            else:
-                stack.append([vid for vid in gap if vertex_at(vid) not in source_side])
-                stack.append([vid for vid in gap if vertex_at(vid) in source_side])
-    if len(universe) > n_cov:
-        # Vertices in no instance: the density-0 layer.
-        layers.append((universe - working.vertices(), Fraction(0)))
-    return layers
 
 
 def exact_compact_numbers(
     instances: InstanceSet,
     vertices: Optional[Iterable[Vertex]] = None,
 ) -> Dict[Vertex, Fraction]:
-    """Return the exact compact number ``phi_h(u)`` of every vertex."""
-    universe: Set[Vertex] = set(vertices) if vertices is not None else instances.vertices()
-    numbers: Dict[Vertex, Fraction] = {}
-    for layer, density in diminishingly_dense_decomposition(instances, universe):
-        for v in layer:
-            numbers[v] = density
-    for v in universe:
-        numbers.setdefault(v, Fraction(0))
-    return numbers
+    """Return the exact compact number ``phi_h(u)`` of every vertex.
+
+    The decomposition's layers partition the universe, so every vertex gets
+    its layer's density, and a vertex in no instance gets 0.
+    """
+    return {
+        v: density
+        for layer, density in diminishingly_dense_decomposition(instances, vertices)
+        for v in layer
+    }
 
 
 def lhcds_at_level(

@@ -63,6 +63,10 @@ from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 #: ulp) is ever applied on the priority / early-stop path.
 Priority = Fraction | float
 
+#: How many convex-programming refinement rounds a candidate may consume
+#: before the driver falls back to the exact densest-subgraph split.
+MAX_REFINEMENT_ROUNDS = 2
+
 
 @dataclass(frozen=True)
 class DenseSubgraph:
@@ -151,9 +155,6 @@ class IPPVConfig:
     iterations: int = 20
     #: "fast" (Algorithm 5 style, reduced flow network) or "basic" (Algorithm 4).
     verification: str = "fast"
-    #: How many convex-programming refinement rounds a candidate may consume
-    #: before the driver falls back to the exact densest-subgraph split.
-    max_refinement_rounds: int = 2
 
 
 class IPPV:
@@ -295,7 +296,7 @@ class IPPV:
                 continue
 
             # The candidate is not self-densest: refine it.
-            if depth < self.config.max_refinement_rounds:
+            if depth < MAX_REFINEMENT_ROUNDS:
                 refinements += 1
                 scratch_bounds = bounds.copy()
                 subgroups = self._propose(

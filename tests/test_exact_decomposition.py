@@ -6,6 +6,9 @@ minimum cut between two known boundaries.  These tests pin it to
 the whole universe), to the brute-force compact numbers, to IPPV's top-k,
 and to its cut count: exactly 2L - 1 cuts for L positive-density layers,
 none of them on an instance that lies wholly inside its forced set.
+``maximal_densest_subset`` is the search's first layer: it equals the
+Dinkelbach oracle ``seeded_densest_subset`` with an empty seed, cuts only
+inside the previous cut's source side, and never cuts more often.
 """
 
 from __future__ import annotations
@@ -15,36 +18,44 @@ from fractions import Fraction
 
 import pytest
 
-import repro.lhcds.exact as exact_module
+import helpers
+import repro.densest.exact as exact_module
 from repro.cliques import clique_instances
 from repro.datasets.synthetic import barabasi_albert_graph, gnp_graph
+from repro.densest import diminishingly_dense_decomposition, maximal_densest_subset
 from repro.engine import solve
 from repro.graph import complete_graph, path_graph, union_graph
 from repro.instances import InstanceSet
-from repro.lhcds.exact import (
-    diminishingly_dense_decomposition,
-    exact_compact_numbers,
-    lhcds_from_compact_numbers,
-)
+from repro.lhcds.exact import exact_compact_numbers, lhcds_from_compact_numbers
 from repro.lhcds.reference import brute_force_compact_numbers
 from repro.patterns import four_vertex_patterns
 
-from helpers import random_graph, reference_decomposition, shifted, signature
+from helpers import (
+    random_graph,
+    reference_decomposition,
+    seeded_densest_subset,
+    shifted,
+    signature,
+)
 
 
 class CutLog:
-    """Wraps ``solve_compact_network`` as the decomposition sees it."""
+    """Wraps ``solve_compact_network`` as the search sees it."""
 
     def __init__(self, solve_compact_network):
         self._solve = solve_compact_network
         self.calls = 0
         self.instances_inside_forced = 0
+        #: Per cut: the vertices of the network's instances and the source side.
+        self.networks = []
 
     def __call__(self, instances, rho, **kwargs):
         self.calls += 1
         forced = set(kwargs.get("forced", ()))
         self.instances_inside_forced += sum(forced.issuperset(inst) for inst in instances)
-        return self._solve(instances, rho, **kwargs)
+        source_side = self._solve(instances, rho, **kwargs)
+        self.networks.append((instances.vertices(), set(source_side)))
+        return source_side
 
 
 @pytest.fixture
@@ -54,10 +65,17 @@ def cuts(monkeypatch):
     return log
 
 
+@pytest.fixture
+def oracle_cuts(monkeypatch):
+    log = CutLog(helpers.solve_compact_network)
+    monkeypatch.setattr(helpers, "solve_compact_network", log)
+    return log
+
+
 def _check_against_reference(instances, universe, cuts):
     """The search equals the oracle and spends 2L - 1 clean cuts."""
     before = cuts.calls
-    layers = diminishingly_dense_decomposition(instances, universe)
+    layers = list(diminishingly_dense_decomposition(instances, universe))
     assert layers == reference_decomposition(instances, universe)
     positive = sum(1 for _, density in layers if density > 0)
     assert cuts.calls - before == max(2 * positive - 1, 0)
@@ -112,6 +130,81 @@ class TestAgainstReference:
             assert reports["exact"].subgraphs
 
 
+def _check_densest_subset(instances, universe, cuts, oracle_cuts):
+    """The first layer is the oracle's set, found on nested networks.
+
+    Returns the cuts the search and the oracle spent.
+    """
+    oracle_before = oracle_cuts.calls
+    expected = seeded_densest_subset(instances.restrict(universe), universe, ())
+    oracle_spent = oracle_cuts.calls - oracle_before
+    first = len(cuts.networks)
+    assert maximal_densest_subset(instances, universe) == expected
+    networks = cuts.networks[first:]
+    for (_, previous_side), (members, _) in zip(networks, networks[1:]):
+        assert members <= previous_side
+    assert len(networks) <= oracle_spent
+    return len(networks), oracle_spent
+
+
+class TestMaximalDensestSubset:
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
+    def test_random_cliques_match_dinkelbach(self, h, cuts, oracle_cuts):
+        # 220 seeded G(n, p) graphs per h; every third case takes a random
+        # sub-universe, so some instances leave it and some universes
+        # hold none.
+        search_total = oracle_total = descents = 0
+        for case in range(220):
+            rng = random.Random(7000 * h + case)
+            n = rng.randint(3, 26)
+            graph = random_graph(n, rng.uniform(0.1, 0.7), 7000 * h + case)
+            universe = sorted(graph.vertices())
+            if case % 3 == 2:
+                universe = rng.sample(universe, rng.randint(1, n))
+            search, oracle = _check_densest_subset(
+                clique_instances(graph, h), universe, cuts, oracle_cuts
+            )
+            search_total += search
+            oracle_total += oracle
+            descents += search > 1
+        assert descents > 20
+        assert search_total < oracle_total
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
+    def test_instance_free_vertices_match_dinkelbach(self, h, cuts, oracle_cuts):
+        # Isolated vertices, and for h >= 3 a pendant one, lie in no
+        # instance: the oracle's first guess counts them, the search's not.
+        for case in range(40):
+            rng = random.Random(9000 * h + case)
+            graph = random_graph(rng.randint(4, 16), rng.uniform(0.3, 0.8), 9000 * h + case)
+            for extra in range(1 + case % 3):
+                graph.add_vertex(100 + extra)
+            graph.add_edge(0, 200)
+            _check_densest_subset(
+                clique_instances(graph, h), graph.vertices(), cuts, oracle_cuts
+            )
+
+    @pytest.mark.parametrize("name", sorted(four_vertex_patterns()))
+    def test_four_vertex_patterns_match_dinkelbach(self, name, cuts, oracle_cuts):
+        pattern = four_vertex_patterns()[name]
+        for case in range(40):
+            rng = random.Random(500 + case)
+            graph = random_graph(rng.randint(4, 14), rng.uniform(0.2, 0.7), 500 + case)
+            universe = sorted(graph.vertices())
+            if case % 3 == 2:
+                universe = rng.sample(universe, rng.randint(1, len(universe)))
+            _check_densest_subset(pattern.instances(graph), universe, cuts, oracle_cuts)
+
+    def test_no_instance_makes_the_universe_its_own_densest_set(self, cuts):
+        graph = path_graph(5)
+        instances = clique_instances(graph, 3)
+        assert maximal_densest_subset(instances, graph.vertices()) == (
+            set(range(5)),
+            Fraction(0),
+        )
+        assert cuts.calls == 0
+
+
 class TestLayerShapes:
     def test_instance_free_vertex_forms_the_zero_layer(self, cuts):
         graph = complete_graph(4)
@@ -122,8 +215,8 @@ class TestLayerShapes:
 
     def test_empty_universe(self, cuts):
         instances = clique_instances(complete_graph(4), 3)
-        assert diminishingly_dense_decomposition(instances, []) == []
-        assert diminishingly_dense_decomposition(InstanceSet.from_instances(3, [])) == []
+        assert list(diminishingly_dense_decomposition(instances, [])) == []
+        assert list(diminishingly_dense_decomposition(InstanceSet.from_instances(3, []))) == []
         assert cuts.calls == 0
 
     def test_universe_without_instances_is_one_zero_layer(self, cuts):
@@ -180,7 +273,9 @@ class TestCutCount:
     def test_power_law_graph_takes_25_cuts_for_13_layers(self, cuts):
         # The per-layer Dinkelbach search needed 61 cuts here.
         graph = barabasi_albert_graph(3000, 4, seed=1)
-        layers = diminishingly_dense_decomposition(clique_instances(graph, 3), graph.vertices())
+        layers = list(
+            diminishingly_dense_decomposition(clique_instances(graph, 3), graph.vertices())
+        )
         positive = [density for _, density in layers if density > 0]
         assert len(positive) == 13
         assert positive == sorted(positive, reverse=True)

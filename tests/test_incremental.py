@@ -173,6 +173,23 @@ class TestResultReuse:
         assert stats.components_solved == 0
         assert stats.components_reused == stats.components_total
 
+    def test_stats_report_measured_times_only(self):
+        # Only measured seconds ride on the delta and solve stats; how much
+        # a session saves over a cold start is the benchmarks' to measure.
+        session = IncrementalSession(multi_component_graph(), 3, copy_graph=True)
+        delta_stats = session.apply_delta(GraphDelta(remove_vertices=(203,)))
+        session.solve(solver="exact", k=5)
+        solve_stats = session.last_solve_stats.as_dict()
+        assert [key for key in delta_stats.as_dict() if "seconds" in key] == ["apply_seconds"]
+        assert [key for key in solve_stats if "seconds" in key] == ["solve_seconds"]
+        assert set(solve_stats) == {
+            "epoch",
+            "components_total",
+            "components_reused",
+            "components_solved",
+            "solve_seconds",
+        }
+
     def test_config_change_does_not_reuse_stale_results(self):
         graph = multi_component_graph()
         session = IncrementalSession(graph, 3, copy_graph=True)

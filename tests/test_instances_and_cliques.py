@@ -96,6 +96,15 @@ class TestCliqueEnumeration:
         assert count_cliques(cycle_graph(5), 3) == 0
         assert count_cliques(star_graph(5), 3) == 0
 
+    def test_oversized_h_finds_nothing_without_sizing_buffers(self):
+        # No vertex has h - 1 out-neighbours, so the kernel must answer
+        # before it sizes any buffer by h.
+        g = complete_graph(4)
+        assert count_cliques(g, 10**12) == 0
+        instances = clique_instances(g, 10**12)
+        assert instances.num_instances == 0
+        assert instances.h == 10**12
+
     def test_cross_check_against_triangle_count(self):
         for seed in range(10):
             g = random_graph(9, 0.45, seed)

@@ -336,7 +336,15 @@ class TestInlineVerification:
 
     @pytest.mark.parametrize(
         "field",
-        ["verify_executor", "verify_batch", "verify_jobs", "verify_queue_dir", "kernel", "prune"],
+        [
+            "verify_executor",
+            "verify_batch",
+            "verify_jobs",
+            "verify_queue_dir",
+            "kernel",
+            "prune",
+            "max_refinement_rounds",
+        ],
     )
     def test_removed_fan_out_fields_rejected(self, field):
         with pytest.raises(TypeError, match=field):

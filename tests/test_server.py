@@ -639,6 +639,21 @@ class TestHTTPServer:
         assert status == 200
         assert reply["data"]["subgraphs"]
 
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/graphs/g/solve"])
+    def test_oversized_h_is_an_empty_answer(self, http_server, path):
+        # No h-clique fits in four vertices: an empty answer, not a 500
+        # from sizing a buffer by h.
+        base, service = http_server
+        service.register_graph("g", edges=[[0, 1], [1, 2], [2, 0], [2, 3]])
+        payload = {"h": 10**12}
+        if path == "/v1/solve":
+            payload["graph"] = "g"
+        errors = service.stats()["counters"]["errors"]
+        status, reply = _request(base, "POST", path, payload)
+        assert status == 200
+        assert reply["data"]["subgraphs"] == []
+        assert service.stats()["counters"]["errors"] == errors
+
     def test_solvers_route_has_no_parallel_columns(self, http_server):
         base, _service = http_server
         status, body = _request(base, "GET", "/v1/solvers")
