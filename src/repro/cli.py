@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the registered stand-in datasets")
     sub.add_parser("solvers", help="list the registered solvers")
-    sub.add_parser("executors", help="list the registered execution backends")
+    sub.add_parser("executors", help="list the execution backends")
 
     cache = sub.add_parser(
         "cache", help="inspect or clear a warm preprocessed-index cache"

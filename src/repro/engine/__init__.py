@@ -1,4 +1,4 @@
-"""Unified solver engine: shared preprocessing + pluggable execution backends.
+"""Unified solver engine: shared preprocessing + two execution backends.
 
 Every solve path in the package — IPPV, the exact decomposition, and the
 Greedy / LDSflow / LTDS baselines — runs through this engine::
@@ -12,20 +12,13 @@ Greedy / LDSflow / LTDS baselines — runs through this engine::
 The engine enumerates pattern instances once, splits the graph into
 connected components, bounds each component with the clique-core rules,
 skips components that provably cannot reach the top-k, and solves the rest
-as independent tasks on a pluggable execution backend — ``serial`` or a
-local ``process`` pool — before merging through a deterministic global
+independently on one of two execution backends — ``serial`` or a local
+``process`` pool — before merging through a deterministic global
 ordering.  Output is bit-identical across both backends and every jobs
 value.
 """
 
-from .executors import (
-    Executor,
-    ExecutorUnavailable,
-    available_executors,
-    describe_executor,
-    get_executor,
-    register_executor,
-)
+from .executors import ExecutorUnavailable, available_executors, describe_executor
 from .cache import PreprocessCache, cache_for, cache_key, resolve_cache_dir
 from .incremental import (
     DeltaStats,
@@ -76,10 +69,7 @@ __all__ = [
     "get_solver",
     "register_solver",
     "unregister_solver",
-    "Executor",
     "ExecutorUnavailable",
     "available_executors",
     "describe_executor",
-    "get_executor",
-    "register_executor",
 ]

@@ -29,10 +29,12 @@ keeps that preprocessing alive between calls and maintains it under
   (``instances_reenumerated``) minus those of the invalidated ones
   (``instances_dropped``); an instance off the frontier survives as it was.
 * Per-component :class:`~repro.lhcds.ippv.LhCDSResult`\\ s from previous
-  solves are reused for untouched components by injecting them as
-  ``cached-result`` tasks into the normal runtime batch
-  (:func:`~repro.engine.runtime.solve_prepared`), so every executor makes
-  the same scheduling decisions as a cold run.
+  solves are kept per solver configuration, keyed by the component's vertex
+  set, and handed to :func:`~repro.engine.runtime.solve_prepared` as the
+  results it already knows.  The runtime solves only the other components
+  and adds them to the store, and the serial early stop reads the known
+  densities in the same order as a cold run, so on both backends every
+  scheduling decision and statistic is a cold run's.
 
 A delta therefore costs the components it touches.  What grows with the
 graph is a few linear scans in C: the insertion-rank memo, the first-vertex
@@ -82,7 +84,7 @@ from ..patterns.clique import CliquePattern
 from .cache import pattern_identity
 from .preprocess import prepare_component
 from .request import PreparedComponent, PreprocessStats, SolveReport, SolveRequest
-from .runtime import prepare_request, solve_prepared
+from .runtime import prepare_request, select_components, solve_prepared
 
 
 #: Report keys excluded from :func:`report_signature`: work *placement*
@@ -186,36 +188,6 @@ class IncrementalSolveStats:
 _ConfigKey = Tuple[str, Optional[int], int, str, str]
 
 
-class _SessionResultCache:
-    """Adapter giving :func:`solve_prepared` access to the session's results.
-
-    Keys combine the result-relevant request options with the component's
-    vertex frozenset — safe because an untouched vertex set implies an
-    untouched edge set (see the module contract), and the session drops
-    every entry whose vertices intersect a delta's frontier.
-    """
-
-    def __init__(
-        self,
-        store: Dict[Tuple[_ConfigKey, FrozenSet[Vertex]], LhCDSResult],
-        config: _ConfigKey,
-    ) -> None:
-        self._store = store
-        self._config = config
-        self.hits = 0
-        self.puts = 0
-
-    def get(self, component: PreparedComponent) -> Optional[LhCDSResult]:
-        result = self._store.get((self._config, component.vertices))
-        if result is not None:
-            self.hits += 1
-        return result
-
-    def put(self, component: PreparedComponent, result: LhCDSResult) -> None:
-        self._store[(self._config, component.vertices)] = result
-        self.puts += 1
-
-
 class IncrementalSession:
     """A live graph plus warm preprocessing, maintained under deltas.
 
@@ -261,7 +233,8 @@ class IncrementalSession:
         self._lock = threading.RLock()
         #: The prepared form of every active component, keyed by its vertices.
         self._states: Dict[FrozenSet[Vertex], PreparedComponent] = {}
-        self._results: Dict[Tuple[_ConfigKey, FrozenSet[Vertex]], LhCDSResult] = {}
+        #: Per solver configuration, each solved component's result.
+        self._results: Dict[_ConfigKey, Dict[FrozenSet[Vertex], LhCDSResult]] = {}
         self._delta_log: List[GraphDelta] = []
         self._last_delta_stats: Optional[DeltaStats] = None
         self._last_solve_stats: Optional[IncrementalSolveStats] = None
@@ -354,9 +327,12 @@ class IncrementalSession:
                     invalidated += 1
                     region |= key
                     dropped += len(state.instances.indices_incident(touched))
-            stale = [entry for entry in self._results if entry[1] & touched]
-            for entry in stale:
-                del self._results[entry]
+            # A result is keyed by its component's vertices, which is safe
+            # because an untouched vertex set has untouched edges (fact 2).
+            self._results = {
+                config: {key: result for key, result in store.items() if key.isdisjoint(touched)}
+                for config, store in self._results.items()
+            }
 
             skip = set(hit)
             kept = [key for index, key in enumerate(self._components) if index not in skip]
@@ -416,20 +392,21 @@ class IncrementalSession:
                 )
         with self._lock:
             self._check_epoch(expect_applied=False, delta=None)
-            request, _ = prepare_request(
+            request, spec = prepare_request(
                 SolveRequest(graph=self._graph, pattern=self._pattern, **options)
             )
             start = time.perf_counter()
             components, stats = self._prepared()
-            adapter = _SessionResultCache(self._results, self._config_key(request))
-            report = solve_prepared(
-                request, components, stats, result_cache=adapter, start=start
-            )
+            store = self._results.setdefault(self._config_key(request), {})
+            scheduled, _ = select_components(components, spec, request.k)
+            reused = sum(1 for component in scheduled if component.vertices in store)
+            before = len(store)
+            report = solve_prepared(request, components, stats, known=store, start=start)
             self._last_solve_stats = IncrementalSolveStats(
                 epoch=len(self._delta_log),
                 components_total=len(components),
-                components_reused=adapter.hits,
-                components_solved=adapter.puts,
+                components_reused=reused,
+                components_solved=len(store) - before,
                 solve_seconds=time.perf_counter() - start,
             )
             return report

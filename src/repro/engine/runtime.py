@@ -11,14 +11,16 @@ The runtime turns a :class:`SolveRequest` into a :class:`SolveReport`:
    to the global top-k, so it is never solved.  The decision depends only on
    the precomputed bounds — never on execution order — which keeps every
    backend's output bit-identical.
-4. Execute one task per component on the resolved backend — ``serial`` or
+4. Solve the scheduled components on the resolved backend — ``serial`` or
    ``process`` (see :mod:`repro.engine.executors`), chosen by
    ``SolveRequest.executor``, the ``REPRO_EXECUTOR`` environment variable,
-   or automatically.  If the backend's infrastructure fails (the platform
-   cannot spawn processes, payloads will not pickle) the runtime falls back
-   to the serial backend and records why in ``SolveReport.fallback_reason``
-   — the output is identical either way.  Solver exceptions are *not*
-   infrastructure: they re-raise as :class:`EngineError` on every backend.
+   or automatically.  Results the caller already holds (an incremental
+   session's store) are passed in as data and never solved again.  If the
+   backend's infrastructure fails (the platform cannot spawn processes,
+   payloads will not pickle) the runtime falls back to the serial backend
+   and records why in ``SolveReport.fallback_reason`` — the output is
+   identical either way.  Solver exceptions are *not* infrastructure: they
+   re-raise as :class:`EngineError` on every backend.
 5. Merge: concatenate the per-component subgraphs, sort with the same
    deterministic key the IPPV driver uses, truncate to ``k``.
 """
@@ -31,17 +33,15 @@ import time
 from typing import List, Optional, Tuple
 
 from ..errors import EngineError
-from ..lhcds.ippv import DenseSubgraph, LhCDSResult, StageTimings
+from ..lhcds.ippv import DenseSubgraph, StageTimings
 from ..lhcds.verify import VerificationStats, merge_verification_stats
 from .executors import (
-    EngineTask,
-    ExecutionOutcome,
     ExecutorUnavailable,
-    TaskBatch,
+    Known,
     available_executors,
-    get_executor,
+    run_pool,
+    run_serial,
 )
-from .executors.base import KIND_CACHED, KIND_SOLVE
 from .preprocess import preprocess
 from .request import (
     PreparedComponent,
@@ -53,7 +53,7 @@ from .request import (
 from .solvers import SolverSpec, get_solver
 
 
-def _select_components(
+def select_components(
     components: List[PreparedComponent],
     spec: SolverSpec,
     k: Optional[int],
@@ -100,23 +100,6 @@ def _resolve_executor(request: SolveRequest, jobs: int, num_tasks: int) -> str:
     return "process" if jobs > 1 and num_tasks > 1 else "serial"
 
 
-def _run_batch(
-    executor_name: str, batch: TaskBatch
-) -> Tuple[ExecutionOutcome, str, Optional[str]]:
-    """Run a batch, falling back to serial on infrastructure failure.
-
-    Returns ``(outcome, backend that actually ran, fallback reason)``.
-    """
-    try:
-        return get_executor(executor_name).run(batch), executor_name, None
-    except ExecutorUnavailable as exc:
-        if executor_name == "serial":
-            raise EngineError(f"serial executor unavailable: {exc}") from exc
-        reason = f"{executor_name} backend unavailable, ran serial: {exc}"
-        serial_batch = dataclasses.replace(batch, jobs=1)
-        return get_executor("serial").run(serial_batch), "serial", reason
-
-
 def prepare_request(
     request: Optional[SolveRequest] = None, **options
 ) -> Tuple[SolveRequest, SolverSpec]:
@@ -154,7 +137,7 @@ def solve_prepared(
     components: List[PreparedComponent],
     stats: PreprocessStats,
     *,
-    result_cache=None,
+    known: Optional[Known] = None,
     start: Optional[float] = None,
 ) -> SolveReport:
     """Execute and merge over already-prepared components.
@@ -164,77 +147,42 @@ def solve_prepared(
     state (the incremental session) run the exact same selection,
     execution, and merge code as a cold solve.
 
-    ``result_cache``, when given, must provide ``get(component)`` returning
-    a cached per-component :class:`LhCDSResult` (or ``None``) and
-    ``put(component, result)``.  Cached components are injected as
-    ``cached-result`` tasks into the normal batch, so every executor —
-    including the serial early stop — makes byte-identical decisions to a
-    cold run; newly solved components are recorded back into the cache.
+    ``known`` maps a component's vertex set to the per-component
+    :class:`~repro.lhcds.ippv.LhCDSResult` the caller already holds; what
+    this call solves is added to it.  Known components are never solved
+    again, and the serial early stop reads their densities in the same cap
+    order as a cold run, so every statistic matches one.
     """
     request, spec = prepare_request(request)
     if start is None:
         start = time.perf_counter()
-    components, skipped = _select_components(components, spec, request.k)
+    if known is None:
+        known = {}
+    components, skipped = select_components(components, spec, request.k)
     stats.num_skipped_components = skipped
 
     jobs = request.jobs if request.jobs > 0 else (os.cpu_count() or 1)
     # The dynamic early stop needs exact top-k semantics; it depends only on
-    # the request, never on cache state, so early-stop statistics match a
+    # the request, never on what is known, so early-stop statistics match a
     # cold run.
     early_stop_k = request.k if spec.exact else None
     executor_name = _resolve_executor(request, jobs, num_tasks=len(components))
-
-    cached_results: List[Optional[LhCDSResult]] = [
-        result_cache.get(comp) if result_cache is not None else None
-        for comp in components
-    ]
-    tasks: List[EngineTask] = []
-    for comp, cached in zip(components, cached_results):
-        if cached is not None:
-            tasks.append(
-                EngineTask(
-                    id=f"cached-c{comp.index}",
-                    kind=KIND_CACHED,
-                    solver=spec.name,
-                    payload=(cached,),
-                    upper_bound=comp.upper_bound,
-                )
-            )
-        else:
-            tasks.append(
-                EngineTask(
-                    id=f"solve-c{comp.index}",
-                    kind=KIND_SOLVE,
-                    solver=spec.name,
-                    payload=(comp, request.for_component(comp.subgraph)),
-                    upper_bound=comp.upper_bound,
-                )
-            )
 
     tick = time.perf_counter()
     jobs_used = 1
     executor_used = executor_name
     fallback_reason: Optional[str] = None
-    if tasks:
-        batch = TaskBatch(
-            tasks=tasks,
-            jobs=max(1, min(jobs, len(tasks))),
-            early_stop_k=early_stop_k,
-        )
-        outcome, executor_used, fallback_reason = _run_batch(executor_name, batch)
-        jobs_used = outcome.jobs_used
-        stats.num_early_stopped_components = outcome.early_stopped
-        task_results = outcome.results
-    else:
-        task_results = []
-
-    if result_cache is not None:
-        for position, comp in enumerate(components):
-            result = task_results[position]
-            if cached_results[position] is None and result is not None:
-                result_cache.put(comp, result)
-
-    results: List[LhCDSResult] = [r for r in task_results if r is not None]
+    if executor_name == "process":
+        try:
+            jobs_used = run_pool(components, request, known, jobs)
+        except ExecutorUnavailable as exc:
+            executor_used = "serial"
+            fallback_reason = f"process backend unavailable, ran serial: {exc}"
+    stopped = 0
+    if executor_used == "serial":
+        stopped = run_serial(components, request, known, early_stop_k)
+    stats.num_early_stopped_components = stopped
+    results = [known[comp.vertices] for comp in components[: len(components) - stopped]]
     solve_seconds = time.perf_counter() - tick
 
     # ------------------------------------------------------------------

@@ -524,8 +524,9 @@ class InstanceSet:
         Two sets digest equally iff they have the same ``h`` and the same
         multiset of instances over the same vertex labels — independent of
         enumeration order, vertex interning order, and process hash seeds.
-        The preprocess cache uses it to verify that a deserialized artifact
-        decodes back to exactly what was stored.
+        Tests use it to compare instance sets across a pickle round trip;
+        the preprocess cache does not call it (it verifies an artifact by
+        the sha256 of its pickled payload, recorded in the ledger).
         """
         import hashlib
 

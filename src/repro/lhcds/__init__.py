@@ -2,11 +2,7 @@
 
 from .bounds import CompactBounds, initialize_bounds
 from .decomposition import TentativeDecomposition, tentative_decomposition
-from .exact import (
-    exact_compact_numbers,
-    exact_top_k_lhcds,
-    lhcds_from_compact_numbers,
-)
+from .exact import exact_compact_numbers, exact_top_k_lhcds
 from .ippv import (
     DenseSubgraph,
     IPPV,
@@ -36,7 +32,6 @@ __all__ = [
     "tentative_decomposition",
     "exact_compact_numbers",
     "exact_top_k_lhcds",
-    "lhcds_from_compact_numbers",
     "DenseSubgraph",
     "IPPV",
     "IPPVConfig",

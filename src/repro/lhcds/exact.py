@@ -17,7 +17,7 @@ It serves two purposes:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..densest.exact import diminishingly_dense_decomposition
 from ..errors import AlgorithmError
@@ -46,13 +46,14 @@ def lhcds_at_level(
     graph: Graph,
     phi: Dict[Vertex, Fraction],
     rho: Fraction,
-    level: Sequence[Vertex],
+    level: Iterable[Vertex],
 ) -> Iterator[Set[Vertex]]:
     """Yield the vertices of every LhCDS at density ``rho``.
 
-    ``level`` is the level set ``{v : phi(v) = rho}``.  A connected
-    component of it is an LhCDS iff no member has a neighbour with a
-    strictly larger compact number.  Components come in
+    ``level`` is the level set ``{v : phi(v) = rho}``, and ``phi`` needs
+    only the vertices at ``rho`` or above (a missing vertex reads as 0).  A
+    connected component of the level set is an LhCDS iff no member has a
+    neighbour with a strictly larger compact number.  Components come in
     :func:`connected_components` order, which follows the graph's vertex
     order, so the enumeration is deterministic.
     """
@@ -68,12 +69,12 @@ def lhcds_at_level(
             yield component
 
 
-def lhcds_from_compact_numbers(
+def exact_top_k_lhcds(
     graph: Graph,
     instances: InstanceSet,
-    compact: Optional[Dict[Vertex, Fraction]] = None,
+    k: Optional[int] = None,
 ) -> List[Tuple[Set[Vertex], Fraction]]:
-    """Enumerate every LhCDS exactly, given (or computing) exact compact numbers.
+    """Return the top-k LhCDSes by density, stopping once k are certified.
 
     An LhCDS is a connected component ``C`` of a level set
     ``{v : phi(v) = rho}`` such that no vertex of ``C`` has a neighbour with
@@ -81,36 +82,25 @@ def lhcds_from_compact_numbers(
     of ``{v : phi(v) >= rho}``).  Such components are automatically
     ``rho``-compact, maximal, and have density exactly ``rho``.
 
-    Returns the list of (vertex set, density) pairs sorted by decreasing
-    density.  Level-0 components are excluded (an "LhCDS" containing no
-    instance is never reported by the paper either).
+    The decomposition yields its layers in strictly decreasing density, so
+    each layer is a whole level set and every denser vertex lies in an
+    earlier layer: a layer's LhCDSes are read off as soon as it arrives, and
+    once k are known no later layer can place, so the search stops.
+
+    Returns (vertex set, density) pairs sorted by decreasing density, then
+    decreasing size.  Level-0 components are excluded (an "LhCDS" containing
+    no instance is never reported by the paper either).
     """
     if graph.num_vertices == 0:
         raise AlgorithmError("cannot decompose an empty graph")
-    phi = compact if compact is not None else exact_compact_numbers(instances, graph.vertices())
-    # One pass groups the vertices by compact number.  Lists, not sets:
-    # the subset split orders components by the graph's insertion order
-    # either way, but keeping dict order here makes the
-    # enumeration order visibly independent of per-process hashing.
-    levels: Dict[Fraction, List[Vertex]] = {}
-    for v, value in phi.items():
-        if value > 0:
-            levels.setdefault(value, []).append(v)
+    phi: Dict[Vertex, Fraction] = {}
     results: List[Tuple[Set[Vertex], Fraction]] = []
-    for rho in sorted(levels, reverse=True):
-        for component in lhcds_at_level(graph, phi, rho, levels[rho]):
-            results.append((component, rho))
-    results.sort(key=lambda item: (-item[1], -len(item[0])))
-    return results
-
-
-def exact_top_k_lhcds(
-    graph: Graph,
-    instances: InstanceSet,
-    k: Optional[int] = None,
-) -> List[Tuple[Set[Vertex], Fraction]]:
-    """Return the top-k LhCDSes by density using the exact decomposition."""
-    all_results = lhcds_from_compact_numbers(graph, instances)
-    if k is None:
-        return all_results
-    return all_results[:k]
+    for layer, rho in diminishingly_dense_decomposition(instances, graph.vertices()):
+        if rho == 0:
+            break
+        phi.update(dict.fromkeys(layer, rho))
+        found = sorted(lhcds_at_level(graph, phi, rho, layer), key=len, reverse=True)
+        results.extend((component, rho) for component in found)
+        if k is not None and len(results) >= k:
+            break
+    return results if k is None else results[:k]

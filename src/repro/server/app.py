@@ -8,7 +8,7 @@ Method Path                           Meaning
 GET    ``/v1/health``                 liveness probe
 GET    ``/v1/spec``                   machine-readable API description
 GET    ``/v1/solvers``                registered solvers (name, metadata)
-GET    ``/v1/executors``              registered execution backends
+GET    ``/v1/executors``              the two execution backends
 GET    ``/v1/datasets``               dataset abbreviations
 GET    ``/v1/graphs``                 registered graphs
 GET    ``/v1/stats``                  service counters + cache summary

@@ -307,18 +307,37 @@ class SolveService:
             raise ServiceError("name exactly one of 'graph' or 'dataset'")
         if name is not None:
             return name, self._named_graph(name)
-        # Dataset solves lazily register the graph under its abbreviation,
-        # so repeat queries stay warm exactly like registered graphs.
-        key = dataset
+        # Dataset solves lazily register the graph under the dataset's
+        # abbreviation, so repeat queries stay warm exactly like registered
+        # graphs.  A graph under that name that is not the unchanged dataset
+        # (registered from another source, or changed by a delta) is a
+        # conflict: it is never solved in the dataset's place.
+        try:
+            spec = get_spec(dataset)
+        except ReproError as exc:
+            raise ServiceError(str(exc)) from exc
+        key = spec.abbreviation
         with self._registry_lock:
-            graph = self._graphs.get(key)
-        if graph is None:
+            missing = key not in self._graphs
+        if missing:
             try:
-                self.register_graph(key, dataset=key, replace=True)
-            except ServiceError:
-                raise
-            with self._registry_lock:
-                graph = self._graphs[key]
+                self.register_graph(key, dataset=key)
+            except ServiceError as exc:
+                # A 409 means another request registered the name first; the
+                # check below decides whether that graph is the dataset.
+                if exc.status != 409:
+                    raise
+        with self._registry_lock:
+            graph = self._graphs[key]
+            source = self._records[key]["source"]
+            deltas = self._records[key]["deltas"]
+        if source != spec.name or deltas:
+            why = f"changed by {deltas} delta(s)" if deltas else f"registered from {source!r}"
+            raise ServiceError(
+                f"graph {key!r} is not dataset {spec.name!r} ({why}); "
+                f"solve it with {{'graph': {key!r}}}",
+                status=409,
+            )
         return key, graph
 
     @staticmethod
@@ -606,7 +625,7 @@ class SolveService:
         return rows
 
     def executors(self) -> List[Dict[str, Any]]:
-        """Registered execution backends."""
+        """The two execution backends."""
         return [
             {"name": name, "description": describe_executor(name)}
             for name in available_executors()

@@ -24,6 +24,7 @@ from repro.instances import InstanceSet, InstanceSetBuilder
 from repro.cores.clique_core import peel
 from repro.lhcds.bounds import CompactBounds
 from repro.lhcds.decomposition import TentativeDecomposition
+from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.seq_kclist import WeightState
 from repro.lhcds.stable_groups import FLOAT_SLACK, StableGroup
 
@@ -434,6 +435,27 @@ def reference_decomposition(
         layers.append((new_vertices, density))
         shell = set(subset)
     return layers
+
+
+def reference_lhcds(graph: Graph, instances: InstanceSet) -> List[Tuple[Set[Vertex], Fraction]]:
+    """Every LhCDS, read off the whole decomposition: the oracle for ``exact_top_k_lhcds``.
+
+    Groups every vertex by its compact number, splits each positive level
+    set into components and keeps those with no neighbour of a larger
+    compact number, sorted by decreasing density, then decreasing size.
+    """
+    phi = exact_compact_numbers(instances, graph.vertices())
+    levels: Dict[Fraction, List[Vertex]] = {}
+    for v, value in phi.items():
+        if value > 0:
+            levels.setdefault(value, []).append(v)
+    results: List[Tuple[Set[Vertex], Fraction]] = []
+    for rho in sorted(levels, reverse=True):
+        for component in reference_connected_components(graph, levels[rho]):
+            if all(phi[u] <= rho for v in component for u in graph.neighbors(v)):
+                results.append((component, rho))
+    results.sort(key=lambda item: (-item[1], -len(item[0])))
+    return results
 
 
 def reference_peel(

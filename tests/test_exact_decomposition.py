@@ -26,13 +26,14 @@ from repro.densest import diminishingly_dense_decomposition, maximal_densest_sub
 from repro.engine import solve
 from repro.graph import complete_graph, path_graph, union_graph
 from repro.instances import InstanceSet
-from repro.lhcds.exact import exact_compact_numbers, lhcds_from_compact_numbers
+from repro.lhcds.exact import exact_compact_numbers, exact_top_k_lhcds
 from repro.lhcds.reference import brute_force_compact_numbers
 from repro.patterns import four_vertex_patterns
 
 from helpers import (
     random_graph,
     reference_decomposition,
+    reference_lhcds,
     seeded_densest_subset,
     shifted,
     signature,
@@ -244,7 +245,9 @@ class TestLayerShapes:
         assert cuts.calls == 5
 
 
-class TestLevelSets:
+class TestTopK:
+    """``exact_top_k_lhcds`` reads each layer's LhCDSes as the search yields it."""
+
     def test_lhcds_list_skips_level_zero_and_keeps_order(self):
         # Two K5 levels tie at density 2; the path and the isolated vertex
         # form level-0 components that are never reported.
@@ -263,10 +266,51 @@ class TestLevelSets:
             (set(range(20, 25)), Fraction(2)),
             (set(range(4)), Fraction(1)),
         ]
-        assert lhcds_from_compact_numbers(graph, instances) == expected
-        phi = list(exact_compact_numbers(instances, graph.vertices()).items())
-        random.Random(0).shuffle(phi)
-        assert lhcds_from_compact_numbers(graph, instances, dict(phi)) == expected
+        assert reference_lhcds(graph, instances) == expected
+        assert exact_top_k_lhcds(graph, instances) == expected
+        for k in range(1, 6):
+            assert exact_top_k_lhcds(graph, instances, k) == expected[:k]
+
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_matches_full_enumeration(self, h):
+        # 120 seeded graphs per h: G(n, p) alone or beside shifted cliques,
+        # so levels hold several LhCDSes and some LhCDSes touch denser ones.
+        several = 0
+        for case in range(120):
+            rng = random.Random(100 * h + case)
+            graph = random_graph(rng.randint(4, 22), rng.uniform(0.15, 0.7), 100 * h + case)
+            if case % 2:
+                sizes = [rng.randint(h, 7) for _ in range(3)]
+                cliques = [shifted(complete_graph(n), 100 * (i + 1)) for i, n in enumerate(sizes)]
+                graph = union_graph(graph, *cliques)
+                graph.add_edge(0, 100)
+            instances = clique_instances(graph, h)
+            full = reference_lhcds(graph, instances)
+            several += len(full) > 2
+            for k in (None, 1, 2, 3, len(full) + 1):
+                expected = full if k is None else full[:k]
+                assert exact_top_k_lhcds(graph, instances, k) == expected
+        assert several > 30
+
+    def test_stops_once_k_are_certified(self, cuts):
+        # Seven disjoint cliques: seven layers of distinct density, each one
+        # LhCDS, so the full search takes 2 * 7 - 1 cuts.
+        graph = union_graph(*[shifted(complete_graph(n), 10 * n) for n in range(4, 11)])
+        instances = clique_instances(graph, 3)
+        full = exact_top_k_lhcds(graph, instances)
+        assert len(full) == 7 and cuts.calls == 13
+        for k in range(1, 7):
+            before = cuts.calls
+            assert exact_top_k_lhcds(graph, instances, k) == full[:k]
+            assert cuts.calls - before < 13
+
+    def test_power_law_top_10_needs_every_cut(self, cuts):
+        # exact-powerlaw's graph holds fewer than 10 LhCDSes in its 13
+        # layers, so the search cannot stop early.
+        graph = barabasi_albert_graph(3000, 4, seed=1)
+        top = exact_top_k_lhcds(graph, clique_instances(graph, 3), 10)
+        assert cuts.calls == 25
+        assert 0 < len(top) < 10
 
 
 class TestCutCount:

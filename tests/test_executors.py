@@ -1,33 +1,39 @@
-"""Tests for the pluggable execution backends: registry + env resolution,
-bit-identity across both backends, the one-round component batch and its
-serial early stop, the removed backends and knobs, and the
-infrastructure-vs-solver failure split."""
+"""Tests for the two execution backends: name and env resolution,
+bit-identity across both backends, what the runtime hands each runner and
+the serial early stop, known results passed as data, the removed backends
+and knobs, and the infrastructure-vs-solver failure split."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import multi_component_graph, shifted, signature
 
+import repro.engine.executors as executors_module
 import repro.engine.runtime as runtime_module
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import gnp_graph, planted_communities_graph
 from repro.engine import (
+    IncrementalSession,
     SolverSpec,
+    SolveRequest,
     available_executors,
+    cold_preprocess,
     describe_executor,
-    get_executor,
     register_solver,
     report_signature,
     solve,
+    solve_prepared,
     unregister_solver,
 )
-from repro.engine.executors.base import KIND_SOLVE, EngineTask, run_task_enveloped
+from repro.engine.executors import solve_in_worker
 from repro.errors import EngineError
-from repro.graph import complete_graph, union_graph
+from repro.graph import GraphDelta, complete_graph, union_graph
 
 ALL_EXECUTORS = ("serial", "process")
 
@@ -47,35 +53,68 @@ def _early_stop_graph():
 
 
 @pytest.fixture
-def batches(monkeypatch):
-    """Record every :class:`TaskBatch` the runtime hands to a backend."""
+def runs(monkeypatch):
+    """Record every call the runtime makes to a backend runner: the
+    components it hands over, the vertex sets already known at the call,
+    and the runner's last argument (``early_stop_k`` or ``jobs``)."""
     seen = []
-    real_get_executor = runtime_module.get_executor
 
-    class Recording:
-        def __init__(self, inner):
-            self.inner = inner
+    def recording(backend, runner):
+        def record(components, request, known, option):
+            seen.append(
+                SimpleNamespace(
+                    backend=backend,
+                    components=list(components),
+                    known=set(known),
+                    option=option,
+                )
+            )
+            return runner(components, request, known, option)
 
-        def run(self, batch):
-            seen.append(batch)
-            return self.inner.run(batch)
+        return record
 
     monkeypatch.setattr(
-        runtime_module, "get_executor", lambda name: Recording(real_get_executor(name))
+        runtime_module, "run_serial", recording("serial", runtime_module.run_serial)
+    )
+    monkeypatch.setattr(
+        runtime_module, "run_pool", recording("process", runtime_module.run_pool)
     )
     return seen
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
+@pytest.fixture
+def pools(monkeypatch):
+    """Record every process pool the pool runner starts: its worker count
+    and the (component, request) tasks it ships to the workers."""
+    started = []
+    real_pool = executors_module.ProcessPoolExecutor
+
+    class SpyPool(real_pool):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.max_workers = max_workers
+            self.shipped = []
+            started.append(self)
+
+        def map(self, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            self.shipped.extend(tasks)
+            return super().map(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(executors_module, "ProcessPoolExecutor", SpyPool)
+    return started
+
+
+class TestBackendSelection:
+    def test_both_backends_listed(self):
         assert available_executors() == ["process", "serial"]
         for name in available_executors():
             assert describe_executor(name)
-            assert get_executor(name).name == name
+            assert describe_executor(f" {name.upper()} ") == describe_executor(name)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(EngineError, match="unknown executor"):
-            get_executor("rocket")
+            describe_executor("rocket")
         with pytest.raises(EngineError, match="unknown executor"):
             solve(graph=complete_graph(4), pattern=3, k=1, executor="rocket")
 
@@ -187,28 +226,28 @@ class TestBitIdentityAcrossBackends:
         assert report.jobs_used == 1
 
 
-class TestComponentBatch:
-    """The runtime's single round: one task per component, one batch."""
+class TestComponentRuns:
+    """What the runtime hands the runners: one call, one entry per component."""
 
     @pytest.mark.parametrize(
         "solver,h",
         [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
     )
-    def test_one_batch_with_one_task_per_component(self, batches, solver, h):
+    def test_one_run_with_one_component_per_scheduled_component(self, runs, solver, h):
         report = solve(
             graph=multi_component_graph(), pattern=h, k=4, solver=solver,
             jobs=2, executor="serial",
         )
-        assert len(batches) == 1
-        (batch,) = batches
+        (run,) = runs
+        assert run.backend == "serial"
         stats = report.preprocessing
-        assert len(batch.tasks) == (
+        assert len(run.components) == (
             stats.num_active_components - stats.num_skipped_components
         )
-        assert {task.kind for task in batch.tasks} == {KIND_SOLVE}
-        indices = [task.payload[0].index for task in batch.tasks]
+        indices = [component.index for component in run.components]
         assert len(set(indices)) == len(indices)
-        assert batch.jobs == min(2, len(batch.tasks))
+        # A cold solve knows nothing in advance.
+        assert run.known == set()
 
     @pytest.mark.parametrize(
         "solver,h,k,expected",
@@ -221,23 +260,27 @@ class TestComponentBatch:
             ("greedy", 3, 2, None),
         ],
     )
-    def test_early_stop_armed_for_exact_top_k(self, batches, solver, h, k, expected):
+    def test_early_stop_armed_for_exact_top_k(self, runs, solver, h, k, expected):
         # jobs > 1 must not disarm the early stop on the serial backend.
         solve(
             graph=multi_component_graph(), pattern=h, k=k, solver=solver,
             jobs=4, executor="serial",
         )
-        (batch,) = batches
-        assert batch.early_stop_k == expected
+        (run,) = runs
+        assert run.option == expected
 
-    def test_pool_capped_to_component_count(self, batches):
+    def test_pool_capped_to_component_count(self, runs, pools):
         report = solve(
             graph=_one_component_graph(), pattern=3, k=5, solver="exact",
             jobs=4, executor="process",
         )
-        (batch,) = batches
-        assert len(batch.tasks) == 1
-        assert batch.jobs == 1
+        (run,) = runs
+        assert run.backend == "process"
+        assert len(run.components) == 1
+        assert run.option == 4
+        (pool,) = pools
+        assert pool.max_workers == 1
+        assert len(pool.shipped) == 1
         assert report.executor == "process"
         assert report.jobs_used == 1
 
@@ -270,19 +313,99 @@ class TestComponentBatch:
         assert parallel.executor == "process"
 
 
+class TestKnownResults:
+    """Results a caller already holds are data: never solved, never shipped."""
+
+    OPTIONS = dict(solver="ippv", k=4, executor="process", jobs=2)
+
+    def test_fully_warm_session_starts_no_pool(self, pools):
+        graph = multi_component_graph()
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        session.solve(**self.OPTIONS)
+        (cold_pool,) = pools
+        assert len(cold_pool.shipped) == 4
+        warm = session.solve(**self.OPTIONS)
+        assert len(pools) == 1  # no second pool was constructed
+        cold = solve(graph=graph.copy(), pattern=3, **self.OPTIONS)
+        assert report_signature(warm) == report_signature(cold)
+        assert warm.executor == "process"
+        assert warm.fallback_reason is None
+        # No worker started.
+        assert warm.jobs_used == 1
+        stats = session.last_solve_stats
+        assert stats.components_solved == 0
+        assert stats.components_reused == stats.components_total == 4
+
+    def test_partially_warm_session_ships_only_unknown_components(self, pools):
+        graph = multi_component_graph()
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        session.solve(**self.OPTIONS)
+        # Touch only the K4 (vertices 200..203); the K6, K5 and cycle carry over.
+        session.apply_delta(GraphDelta(remove_vertices=(203,)))
+        warm = session.solve(**self.OPTIONS)
+        assert len(pools) == 2
+        shipped = [frozenset(component.vertices) for component, _ in pools[1].shipped]
+        assert shipped == [frozenset({200, 201, 202})]
+        assert pools[1].max_workers == 1
+        assert warm.jobs_used == 1
+        cold = solve(graph=session.graph.copy(), pattern=3, **self.OPTIONS)
+        assert report_signature(warm) == report_signature(cold)
+        stats = session.last_solve_stats
+        assert (stats.components_reused, stats.components_solved) == (3, 1)
+
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_solve_prepared_adds_what_it_solves_and_skips_what_is_known(
+        self, monkeypatch, executor
+    ):
+        request = SolveRequest(
+            graph=multi_component_graph(), pattern=3, k=4, solver="ippv",
+            executor=executor, jobs=2,
+        )
+        known = {}
+        cold = solve_prepared(request, *cold_preprocess(request), known=known)
+        components, stats = cold_preprocess(request)
+        assert set(known) == {component.vertices for component in components}
+
+        def no_solve(component, request):
+            raise AssertionError("a known component was solved again")
+
+        monkeypatch.setattr(executors_module, "solve_component", no_solve)
+        monkeypatch.setattr(executors_module, "solve_in_worker", no_solve)
+        warm = solve_prepared(request, components, stats, known=dict(known))
+        assert report_signature(warm) == report_signature(cold)
+
+    def test_serial_early_stop_counts_known_components_as_stopped(self):
+        # The pool solves every scheduled component, so afterwards all are
+        # known; the serial early stop still skips the same tail as a cold
+        # run and reports it as early-stopped.
+        graph = _early_stop_graph()
+        options = dict(solver="exact", k=1)
+        cold = solve(graph=graph.copy(), pattern=3, executor="serial", **options)
+        session = IncrementalSession(graph, 3, copy_graph=True)
+        session.solve(executor="process", jobs=2, **options)
+        warm = session.solve(executor="serial", **options)
+        assert cold.preprocessing.num_early_stopped_components > 0
+        assert report_signature(warm) == report_signature(cold)
+        stats = session.last_solve_stats
+        scheduled = (
+            cold.preprocessing.num_active_components
+            - cold.preprocessing.num_skipped_components
+        )
+        assert stats.components_solved == 0
+        assert stats.components_reused == scheduled
+
+
 class TestFailureChannels:
     """Infrastructure failures fall back (surfaced); solver bugs raise."""
 
     def test_broken_pool_falls_back_to_identical_serial_output(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
-        import repro.engine.executors.process as process_module
-
         class ExplodingPool:
             def __init__(self, max_workers):
                 raise BrokenProcessPool("simulated dead pool")
 
-        monkeypatch.setattr(process_module, "ProcessPoolExecutor", ExplodingPool)
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", ExplodingPool)
         graph = multi_component_graph()
         reference = solve(
             graph=graph, pattern=3, k=4, solver="exact", jobs=1, executor="serial"
@@ -297,8 +420,6 @@ class TestFailureChannels:
         assert "simulated dead pool" in report.fallback_reason
 
     def test_pickling_failure_falls_back_to_identical_serial_output(self, monkeypatch):
-        import repro.engine.executors.process as process_module
-
         class UnpicklablePool:
             def __init__(self, max_workers):
                 pass
@@ -312,7 +433,7 @@ class TestFailureChannels:
             def map(self, fn, tasks):
                 raise pickle.PicklingError("simulated unpicklable payload")
 
-        monkeypatch.setattr(process_module, "ProcessPoolExecutor", UnpicklablePool)
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", UnpicklablePool)
         graph = multi_component_graph()
         reference = solve(graph=graph, pattern=3, k=4, solver="ippv", jobs=1)
         report = solve(
@@ -351,8 +472,10 @@ class TestFailureChannels:
             unregister_solver("never-registered")
 
     def test_task_failure_envelope_round_trips(self):
-        task = EngineTask(id="t0", kind="solve", solver="no-such-solver", payload=(None, None))
-        status, failure = run_task_enveloped(task)
+        request = SolveRequest(graph=complete_graph(4), pattern=3, k=1)
+        (component,), _ = cold_preprocess(request)
+        task = (component, dataclasses.replace(request, solver="no-such-solver"))
+        status, failure = solve_in_worker(task)
         assert status == "error"
         rebuilt = pickle.loads(pickle.dumps(failure))
         assert rebuilt.error_type == "EngineError"
@@ -417,5 +540,7 @@ class TestReportSurface:
 
     def test_cli_executors_subcommand(self, capsys):
         assert cli_main(["executors"]) == 0
-        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert names == ["process", "serial"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["process", "serial"]
+        for line, name in zip(lines, ["process", "serial"]):
+            assert describe_executor(name) in line

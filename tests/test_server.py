@@ -23,6 +23,7 @@ import pytest
 
 from helpers import multi_component_graph
 
+from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import barabasi_albert_graph
 from repro.engine import json_report_signature, report_signature, solve
 from repro.server import ServiceError, SolveService, create_server
@@ -359,6 +360,45 @@ class TestSolveSurface:
         again = service.solve({"dataset": abbreviation, "k": 2})
         assert again["cache"]["state"] in ("hit", "hit-memory")
 
+    def test_dataset_selector_never_solves_another_graph_of_that_name(self, service):
+        service.register_graph("HA", edges=[[1, 2], [2, 3], [1, 3]])
+        with pytest.raises(ServiceError) as excinfo:
+            service.solve({"dataset": "HA", "h": 3, "k": 1})
+        assert (excinfo.value.status, excinfo.value.code) == (409, "conflict")
+        assert "inline" in str(excinfo.value)
+        # The inline graph stays registered and solvable by name.
+        assert service.graphs()[0]["vertices"] == 3
+        response = service.solve({"graph": "HA", "h": 3, "k": 1})
+        assert response["subgraphs"][0]["vertices"] == [1, 2, 3]
+        # A graph registered from another dataset is no stand-in either.
+        service.register_graph("GQ", dataset="HA")
+        with pytest.raises(ServiceError) as excinfo:
+            service.solve({"dataset": "GQ", "k": 1})
+        assert excinfo.value.status == 409
+
+    @pytest.mark.parametrize("selector", ["ha", " HA ", "soc-hamsterster"])
+    def test_dataset_selector_resolves_to_the_abbreviation(self, service, selector):
+        reference = service.solve({"dataset": "HA", "k": 2})
+        response = service.solve({"dataset": selector, "k": 2})
+        assert response["graph"] == "HA"
+        assert [g["name"] for g in service.graphs()] == ["HA"]
+        assert service.graphs()[0]["vertices"] == load_dataset("HA").num_vertices
+        assert response["cache"]["state"] in ("hit", "hit-memory")
+        assert _served_signature(response) == _served_signature(reference)
+
+    def test_dataset_selector_refuses_a_graph_changed_by_a_delta(self, service):
+        service.solve({"dataset": "HA", "k": 1})
+        service.apply_delta("HA", {"remove_vertices": [0]})
+        with pytest.raises(ServiceError) as excinfo:
+            service.solve({"dataset": "ha", "k": 1})
+        assert (excinfo.value.status, excinfo.value.code) == (409, "conflict")
+        assert "1 delta" in str(excinfo.value)
+        # The changed graph is still served by name.
+        assert service.solve({"graph": "HA", "k": 1})["graph"] == "HA"
+        # Replacing it with the dataset makes the selector valid again.
+        service.register_graph("HA", dataset="HA", replace=True)
+        assert service.solve({"dataset": "HA", "k": 1})["graph"] == "HA"
+
     def test_response_reports_cache_and_timing_split(self, service):
         service.register_graph("toy", edges=_edge_payload(multi_component_graph()))
         cold = service.solve({"graph": "toy", "k": 3})
@@ -532,6 +572,16 @@ class TestHTTPServer:
             status, body = _request(base, method, path, payload)
             assert status == 404
             assert body["ok"] is False and body["error"]["code"] == "not_found"
+
+    def test_dataset_selector_conflict_is_409(self, http_server):
+        base, _service = http_server
+        status, _body = _request(
+            base, "POST", "/v1/graphs", {"name": "HA", "edges": [[1, 2], [2, 3], [1, 3]]}
+        )
+        assert status == 201
+        status, body = _request(base, "POST", "/v1/solve", {"dataset": "HA", "k": 1})
+        assert status == 409
+        assert body["ok"] is False and body["error"]["code"] == "conflict"
 
     def test_register_solve_round_trip(self, http_server):
         base, _service = http_server
