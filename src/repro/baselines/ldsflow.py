@@ -75,8 +75,8 @@ def _topk_by_extraction(
             density = Fraction(local.num_instances, len(component))
             tick = time.perf_counter()
             stats.is_densest_calls += 1
-            ok = is_densest(instances, component) and verify_basic(
-                graph, instances, component, stats=stats
+            ok = is_densest(local, component) and verify_basic(
+                graph, instances, component, density, stats=stats
             )
             timings.verification += time.perf_counter() - tick
             if ok:

@@ -41,7 +41,8 @@ The front door is :func:`repro.engine.preprocess.preprocess`: when
 the pipeline.  Cached artifacts are returned as shallow copies of shared
 component objects; concurrent solves over the *same* artifact must be
 serialized by the caller (the solve service holds a solve lock), because
-the instance-set scratch counters are not thread-safe.
+each instance set's restriction LRU, which every restriction reorders, is
+not thread-safe.
 """
 
 from __future__ import annotations

@@ -22,16 +22,26 @@ so :class:`InstanceSet` is built around an index instead of a flat list:
 * **CSR incidence.**  A compressed vertex→instance adjacency
   (``incidence_indptr`` / ``incidence_indices``) lists, for each vertex id,
   the sorted indices of the instances containing it.
-* **Stamped membership counting.**  :meth:`restrict`, :meth:`count_within`,
+* **Incidence-driven counting.**  :meth:`restrict`, :meth:`count_within`,
   :meth:`density_of` and :meth:`indices_within` scan only the instances
-  *incident* to the candidate (the union of its members' incidence lists),
-  keeping a per-instance counter of "member vertices inside the candidate";
-  an instance survives iff the counter reaches ``h``.  Epoch stamps avoid
-  re-zeroing the counters between calls, so each query costs
-  ``O(sum of candidate degrees)`` instead of ``O(h * num_instances)``.
-* **LRU restriction cache.**  ``IPPV.run`` re-restricts the same candidates
-  across the propose / verify / split stages, so recent restrictions are
-  memoised keyed by the frozenset of interned candidate ids.
+  *incident* to the candidate (its members' incidence slices): an instance
+  lies inside iff it occurs in ``h`` of those slices.  Each query counts
+  in a :class:`collections.Counter` of its own, so it costs ``O(sum of
+  candidate degrees)`` instead of ``O(h * num_instances)`` and the count
+  writes nothing into the set.
+* **LRU restriction cache.**  :meth:`restrict` memoises its 128 most
+  recent results, keyed by the frozenset of interned candidate ids.  A
+  solve never needs it, because IPPV restricts each candidate once and
+  hands the restriction down; it serves warm re-solves.  A cached or
+  session-held component keeps its set across requests, and a warm
+  ``/v1/solve`` read re-restricts the previous read's candidates (137 on
+  the ``serve-stream`` graph shape).  Without the memo such a read spent
+  about 25 ms restricting instead of 2 ms, and ``serve-stream``'s
+  ``solve_p50_s`` rose from 0.18 to 0.22 s (2-core Xeon VM).  Besides the
+  lazy index and tuple view, the memo is the only state a query writes,
+  and an ``OrderedDict`` is not safe under concurrent reordering, so
+  solves over one shared set are serialised (see
+  :mod:`repro.engine.cache`).
 * **Identity restrictions.**  A candidate that covers every interned vertex
   keeps every instance, so :meth:`restrict` returns the receiver itself and
   :meth:`count_within` its instance count, decided before any scan.  A
@@ -54,7 +64,7 @@ baseline for the equivalence tests and the micro-benchmark in
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -134,12 +144,8 @@ class InstanceSet:
         "_indptr",
         "_incidence",
         "_positions",
-        "_stamp",
-        "_count",
-        "_epoch",
         "_restrict_cache",
         "_instances_cache",
-        "_membership_cache",
     )
 
     def __init__(
@@ -155,22 +161,18 @@ class InstanceSet:
         self._vertex_of = vertex_of
         self._id_of = id_of
         self._flat = flat
-        # The CSR incidence index and the stamped scratch counters are built
-        # lazily on first incidence-driven query: many restricted sets are
-        # only ever iterated or counted, and skipping index construction for
-        # them keeps `restrict` linear in the surviving instances.
+        # The CSR incidence index is built lazily on first incidence-driven
+        # query: many restricted sets are only ever iterated or counted, and
+        # skipping index construction for them keeps `restrict` linear in
+        # the surviving instances.
         self._indptr: Optional[array] = None
         self._incidence: Optional[array] = None
         self._positions: Optional[array] = None
-        self._stamp: Optional[array] = None
-        self._count: Optional[array] = None
-        self._epoch = 0
         self._restrict_cache: OrderedDict = OrderedDict()
         self._instances_cache: Optional[Tuple[Instance, ...]] = None
-        self._membership_cache: Optional[Dict[Vertex, Tuple[int, ...]]] = None
 
     def _ensure_index(self) -> None:
-        """Build the CSR vertex→instance adjacency and scratch counters."""
+        """Build the CSR vertex→instance adjacency."""
         if self._indptr is not None:
             return
         h = self.h
@@ -199,8 +201,6 @@ class InstanceSet:
                 pos += 1
         self._incidence = incidence
         self._positions = positions
-        self._stamp = array("q", bytes(8 * n_inst))
-        self._count = array("q", bytes(8 * n_inst))
         self._indptr = indptr
 
     # ------------------------------------------------------------------
@@ -307,19 +307,6 @@ class InstanceSet:
             )
         return self._instances_cache
 
-    @property
-    def membership(self) -> Dict[Vertex, Tuple[int, ...]]:
-        """Mapping vertex -> sorted tuple of containing instance indices."""
-        if self._membership_cache is None:
-            self._ensure_index()
-            indptr = self._indptr
-            incidence = self._incidence
-            self._membership_cache = {
-                v: tuple(incidence[indptr[vid] : indptr[vid + 1]])
-                for vid, v in enumerate(self._vertex_of)
-            }
-        return self._membership_cache
-
     def degree(self, vertex: Vertex) -> int:
         """Return the instance degree of ``vertex`` (``deg_G(v, psi_h)``)."""
         vid = self._id_of.get(vertex)
@@ -327,15 +314,6 @@ class InstanceSet:
             return 0
         self._ensure_index()
         return self._indptr[vid + 1] - self._indptr[vid]
-
-    def degrees(self) -> Dict[Vertex, int]:
-        """Return the instance degree of every vertex that appears somewhere."""
-        self._ensure_index()
-        indptr = self._indptr
-        return {
-            v: indptr[vid + 1] - indptr[vid]
-            for vid, v in enumerate(self._vertex_of)
-        }
 
     def vertices(self) -> Set[Vertex]:
         """Return the set of vertices covered by at least one instance."""
@@ -364,42 +342,18 @@ class InstanceSet:
     def _touched_full(self, keep_ids: Sequence[int]) -> List[int]:
         """Return sorted indices of instances fully inside the candidate.
 
-        Scans only the instances incident to the candidate: every instance
-        index reachable from a candidate member gets a counter of how many of
-        its ``h`` vertices lie inside; survivors are the ones whose counter
-        reaches ``h`` (equivalently, whose "vertices outside the candidate"
-        count drops to zero).
+        Scans only the instances incident to the candidate: an instance
+        lies inside iff all ``h`` of its vertices are members, that is, iff
+        it occurs in ``h`` of the members' incidence slices.
         """
         self._ensure_index()
         indptr = self._indptr
         incidence = self._incidence
-        h = self.h
-        if h == 1:
-            # Every incident instance is fully inside a candidate member.
-            full = [
-                idx
-                for vid in keep_ids
-                for idx in incidence[indptr[vid] : indptr[vid + 1]]
-            ]
-            full.sort()
-            return full
-        self._epoch += 1
-        epoch = self._epoch
-        stamp = self._stamp
-        count = self._count
-        full = []
+        hits: Counter = Counter()
         for vid in keep_ids:
-            for pos in range(indptr[vid], indptr[vid + 1]):
-                idx = incidence[pos]
-                if stamp[idx] != epoch:
-                    stamp[idx] = epoch
-                    count[idx] = 1
-                else:
-                    count[idx] += 1
-                    if count[idx] == h:
-                        full.append(idx)
-        full.sort()
-        return full
+            hits.update(incidence[indptr[vid] : indptr[vid + 1]])
+        h = self.h
+        return sorted(idx for idx, n in hits.items() if n == h)
 
     def indices_within(self, vertices: Iterable[Vertex]) -> List[int]:
         """Return sorted indices of instances fully contained in ``vertices``."""
@@ -410,9 +364,7 @@ class InstanceSet:
 
         An instance with no touched vertex has no changed edge either, so it
         survives any delta whose frontier is ``vertices``; the incremental
-        session counts what a delta drops and re-enumerates with this.  Uses
-        the same epoch-stamped scratch as :meth:`_touched_full`, so repeated
-        queries never re-zero counters.
+        session counts what a delta drops and re-enumerates with this.
         """
         keep_ids = self._keep_ids(vertices)
         if not keep_ids:
@@ -420,36 +372,26 @@ class InstanceSet:
         self._ensure_index()
         indptr = self._indptr
         incidence = self._incidence
-        self._epoch += 1
-        epoch = self._epoch
-        stamp = self._stamp
-        touched: List[int] = []
+        touched: Set[int] = set()
         for vid in keep_ids:
-            for pos in range(indptr[vid], indptr[vid + 1]):
-                idx = incidence[pos]
-                if stamp[idx] != epoch:
-                    stamp[idx] = epoch
-                    touched.append(idx)
-        touched.sort()
-        return touched
+            touched.update(incidence[indptr[vid] : indptr[vid + 1]])
+        return sorted(touched)
 
     def count_within(self, vertices: Iterable[Vertex]) -> int:
         """Count instances fully contained in ``vertices`` without copying."""
         keep_ids = self._keep_ids(vertices)
         if len(keep_ids) == len(self._vertex_of):
             return self.num_instances
-        cached = self._restrict_cache.get(frozenset(keep_ids))
-        if cached is not None:
-            return cached.num_instances
         return len(self._touched_full(keep_ids))
 
     def restrict(self, vertices: Iterable[Vertex]) -> "InstanceSet":
         """Return the sub-collection of instances fully inside ``vertices``.
 
         Recent restrictions are memoised (LRU) keyed by the candidate's
-        interned-id frozenset, because the IPPV stages repeatedly re-restrict
-        the same candidates.  A candidate covering every interned vertex
-        gets the receiver itself (see the module docstring).
+        interned-id frozenset, so a warm re-solve of a held set re-restricts
+        the previous solve's candidates for free.  A candidate covering
+        every interned vertex gets the receiver itself (see the module
+        docstring).
         """
         keep_ids = self._keep_ids(vertices)
         if len(keep_ids) == len(self._vertex_of):

@@ -26,12 +26,14 @@ compact numbers at least the candidate's density — no LhCDS can hide there.
 
 The loop makes no copies of the graph.  Each popped candidate is split with
 ``connected_components(self.graph, candidate)``, a search over the host
-adjacency (see :mod:`repro.graph.components`), and restricted once: the
-count comes from that restriction, and IsDensest and the fast verifier's
-count hit its LRU entry.  The first proposal runs on the whole instance
-set, because the restriction to every vertex is the set itself; on a
-connected graph preprocessing hands IPPV the global set as the one
-component's (step 2 of :mod:`repro.engine.preprocess`).
+adjacency (see :mod:`repro.graph.components`), and restricted once.  That
+restriction and the density it gives are handed down: IsDensest runs on
+the restriction, the verifier takes the density, and a refinement or an
+exact split works on the restriction, so no stage restricts or counts the
+candidate again.  The first proposal runs on the whole instance set,
+because the restriction to every vertex is the set itself; on a connected
+graph preprocessing hands IPPV the global set as the one component's
+(step 2 of :mod:`repro.engine.preprocess`).
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class IPPV:
             bounds, _core = initialize_bounds(instances, vertices)
         self._bounds = bounds
 
-        groups = self._propose(vertices, bounds, timings)
+        groups = self._propose(instances, vertices, bounds, timings)
         tick = time.perf_counter()
         groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
         timings.prune += time.perf_counter() - tick
@@ -261,22 +263,21 @@ class IPPV:
                     counter = self._push(heap, counter, frozenset(component), depth)
                 continue
             candidate = frozenset(components[0])
-            # The one restriction of this candidate: IsDensest's restriction
-            # and verify_fast's count hit its LRU entry.
+            # The one restriction of this candidate; every stage below gets
+            # it, or the density it gives, handed down.
             local = instances.restrict(candidate)
-            local_count = local.num_instances
-            if local_count == 0:
+            if local.num_instances == 0:
                 continue
             examined += 1
+            density = Fraction(local.num_instances, len(candidate))
 
             tick = time.perf_counter()
             verification_stats.is_densest_calls += 1
-            densest = is_densest(instances, candidate)
-            verified = densest and self._verify(candidate, bounds, verification_stats)
+            densest = is_densest(local, candidate)
+            verified = densest and self._verify(candidate, density, bounds, verification_stats)
             timings.verification += time.perf_counter() - tick
             if densest:
                 if verified:
-                    density = Fraction(local_count, len(candidate))
                     found.append(
                         DenseSubgraph(
                             vertices=candidate,
@@ -300,7 +301,7 @@ class IPPV:
                 refinements += 1
                 scratch_bounds = bounds.copy()
                 subgroups = self._propose(
-                    sorted(candidate, key=repr), scratch_bounds, timings
+                    local, sorted(candidate, key=repr), scratch_bounds, timings
                 )
                 subsets = {frozenset(g.vertices) for g in subgroups}
                 if subsets and subsets != {candidate}:
@@ -372,14 +373,15 @@ class IPPV:
 
     def _propose(
         self,
+        working: InstanceSet,
         vertices: Sequence[Vertex],
         bounds: CompactBounds,
         timings: StageTimings,
     ) -> List[StableGroup]:
-        """Run SEQ-kClist++ + TentativeGD + DeriveSG on the given vertex set."""
-        assert self._instances is not None
-        working = self._instances.restrict(vertices)
+        """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
+        ``working`` holds the instances inside ``vertices``.
+        """
         tick = time.perf_counter()
         state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
         timings.seq_kclist += time.perf_counter() - tick
@@ -393,14 +395,15 @@ class IPPV:
     def _verify(
         self,
         candidate: FrozenSet[Vertex],
+        rho: Fraction,
         bounds: CompactBounds,
         stats: VerificationStats,
     ) -> bool:
-        """Run the configured maximal-compactness verification."""
+        """Run the configured maximal-compactness verification at density ``rho``."""
         assert self._instances is not None
         if self.config.verification == "basic":
-            return verify_basic(self.graph, self._instances, candidate, stats=stats)
-        return verify_fast(self.graph, self._instances, candidate, bounds, stats=stats)
+            return verify_basic(self.graph, self._instances, candidate, rho, stats=stats)
+        return verify_fast(self.graph, self._instances, candidate, rho, bounds, stats=stats)
 
 
 def find_lhcds(

@@ -63,8 +63,10 @@ def is_densest(
 ) -> bool:
     """Return True when no subset of ``candidate`` is strictly denser.
 
-    ``instances`` may be the instances of the host graph; only instances
-    fully inside the candidate are considered (induced semantics).
+    Only instances fully inside the candidate are considered (induced
+    semantics).  ``instances`` may be the host graph's, or the candidate's
+    own restriction, which IPPV hands in: restricting that to the candidate
+    returns it as is, without a scan.
     """
     subset = set(candidate)
     if not subset:
@@ -119,14 +121,18 @@ def verify_basic(
     graph: Graph,
     instances: InstanceSet,
     candidate: Iterable[Vertex],
+    rho: Fraction,
     *,
     stats: Optional[VerificationStats] = None,
 ) -> bool:
-    """Algorithm 4: verify maximal compactness against the whole graph."""
+    """Algorithm 4: verify maximal compactness against the whole graph.
+
+    ``instances`` are the host graph's, and ``rho`` is the candidate's
+    density on them (``|Psi(S)| / |S|``), which the caller already holds.
+    """
     subset = set(candidate)
     if not subset:
         return False
-    rho = Fraction(instances.count_within(subset), len(subset))
     region = derive_compact_subgraphs(instances, graph.vertices(), rho)
     if stats is not None:
         stats.flow_verifications += 1
@@ -177,20 +183,21 @@ def verify_fast(
     graph: Graph,
     instances: InstanceSet,
     candidate: Iterable[Vertex],
+    rho: Fraction,
     bounds: CompactBounds,
     *,
     stats: Optional[VerificationStats] = None,
 ) -> bool:
     """Algorithm 5: verify maximal compactness on a reduced region.
 
-    The reduction restricts the flow network to the candidate's compact
-    closure (see :func:`compact_closure`); short circuits avoid the flow
-    entirely in the common cases.
+    ``instances``, ``candidate`` and ``rho`` are as for
+    :func:`verify_basic`.  The reduction restricts the flow network to the
+    candidate's compact closure (see :func:`compact_closure`); short
+    circuits avoid the flow entirely in the common cases.
     """
     subset = set(candidate)
     if not subset:
         return False
-    rho = Fraction(instances.count_within(subset), len(subset))
 
     # Short-circuit False: a neighbour with a certified larger compact number
     # violates Proposition 4, so the candidate cannot be an LhCDS.  (Algorithm

@@ -17,8 +17,8 @@ detail, and the delta/session endpoints accept exactly the same
 solver/executor keys as ``/v1/solve``.
 
 Solves and delta applications are serialized by an internal lock: warm
-artifacts and sessions are *shared* objects, and the instance-set scratch
-counters they contain are not safe under concurrent restriction.
+artifacts and sessions are *shared* objects, and the restriction LRUs of
+the instance sets they contain are not safe under concurrent restriction.
 Registration and read-only introspection stay concurrent.
 """
 

@@ -179,9 +179,12 @@ class TestInstanceSetDelta:
     def _instances(self, graph, h=3):
         return clique_instances(graph, h)
 
-    def test_indices_incident_matches_scan(self):
-        graph = random_graph(14, 0.4, seed=3)
-        instances = self._instances(graph)
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_indices_incident_matches_scan(self, h):
+        # Dense enough to hold 4-cliques.
+        graph = random_graph(14, 0.6, seed=3)
+        instances = self._instances(graph, h)
+        assert instances.num_instances
         for probe in ({0, 1}, {5}, {13, 2, 7}, set()):
             expected = [
                 i

@@ -54,9 +54,10 @@ class TestIndexedLayout:
             assert len(ids) == inst.degree(v)
             assert all(v in inst.instances[i] for i in ids)
 
-    def test_indices_within_matches_scan(self):
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_indices_within_matches_scan(self, h):
         for g in small_random_graphs():
-            inst = clique_instances(g, 3)
+            inst = clique_instances(g, h)
             subset = set(list(g.vertices())[::2])
             expected = [
                 i
@@ -79,9 +80,10 @@ class TestIndexedLayout:
         # Supersets of the covered universe hit the same cache entry.
         assert inst.restrict(set(g.vertices()) | {99}) is inst.restrict(g.vertices())
 
-    def test_scan_reference_agrees_with_indexed(self):
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_scan_reference_agrees_with_indexed(self, h):
         for g in small_random_graphs():
-            inst = clique_instances(g, 3)
+            inst = clique_instances(g, h)
             vertices = list(g.vertices())
             for subset in (set(vertices[:3]), set(vertices[1::2]), set(vertices)):
                 assert inst.count_within(subset) == inst.scan_count_within(subset)

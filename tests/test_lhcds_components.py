@@ -587,15 +587,29 @@ class TestPruneOracle:
 
     def test_held_core_numbers_survive_solves(self, tmp_path):
         # Every solve's bounds copy shares the held component's core
-        # numbers with rule 2, so no solve may write them.
+        # numbers with rule 2, and cached and session-held components are
+        # handed to every later solve, so no solve may write what they
+        # hold.  The restriction LRU is a memo, not content.
         graph = hybrid_community_graph(3, 8, seed=4)
+        options = ({"iterations": 1}, {"iterations": 20}, {"solver": "exact"},
+                   {"verification": "basic"})
+
+        def sorted_items(values):
+            return sorted((repr(v), value) for v, value in values.items())
 
         def digest(components):
             rows = sorted(
-                (c.index, sorted((repr(v), n) for v, n in c.bounds.core.items()))
+                (
+                    c.index,
+                    sorted_items(c.bounds.core),
+                    c.instances.content_digest(),
+                    sorted_items(c.bounds.lower),
+                    sorted_items(c.bounds.upper),
+                    sorted(sorted(map(repr, edge)) for edge in c.subgraph.edges()),
+                )
                 for c in components
             )
-            assert rows and all(core for _, core in rows)
+            assert rows and all(core for _, core, *_ in rows)
             return hashlib.sha256(repr(rows).encode()).hexdigest()
 
         def cached(root):
@@ -604,14 +618,15 @@ class TestPruneOracle:
         root = str(tmp_path / "cache")
         solve(graph=graph, pattern=3, k=5, cache_dir=root)
         before = digest(cached(root))
-        for iterations in (1, 20):
-            solve(graph=graph, pattern=3, k=5, cache_dir=root, iterations=iterations)
+        for extra in options:
+            solve(graph=graph, pattern=3, k=5, cache_dir=root, **extra)
         assert digest(cached(root)) == before
 
         session = IncrementalSession(graph, 3, copy_graph=True)
         session.solve(k=5)
         before = digest(session._states.values())
-        session.solve(k=5, iterations=1)
+        for extra in options:
+            session.solve(k=5, **extra)
         session.solve(k=None)
         assert digest(session._states.values()) == before
 
@@ -628,8 +643,9 @@ class TestPruneOracle:
                 ]
 
             before = digest(held())
-            service.solve({"graph": "g", "k": 5, "iterations": 1})
-            service.solve_incremental("g", {"k": 5, "iterations": 1})
+            for extra in options:
+                service.solve({"graph": "g", "k": 5, **extra})
+                service.solve_incremental("g", {"k": 5, **extra})
             assert digest(held()) == before
         finally:
             service.close()
@@ -667,11 +683,11 @@ class TestVerification:
 
     def test_verify_basic_accepts_true_lhcds(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
-        assert verify_basic(two_cliques, inst, range(5))
+        assert verify_basic(two_cliques, inst, range(5), inst.density_of(range(5)))
 
     def test_verify_basic_rejects_subset_of_lhcds(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
-        assert not verify_basic(two_cliques, inst, range(4))
+        assert not verify_basic(two_cliques, inst, range(4), inst.density_of(range(4)))
 
     def test_verify_fast_agrees_with_basic(self, small_random_graphs):
         for g in small_random_graphs:
@@ -689,8 +705,9 @@ class TestVerification:
                 for component in connected_components(g.induced_subgraph(level)):
                     if not is_densest(inst, component):
                         continue
-                    fast = verify_fast(g, inst, component, bounds)
-                    basic = verify_basic(g, inst, component)
+                    density = inst.density_of(component)
+                    fast = verify_fast(g, inst, component, density, bounds)
+                    basic = verify_basic(g, inst, component, density)
                     assert fast == basic
 
     def test_compact_closure_contains_candidate(self, figure2):
@@ -708,7 +725,7 @@ class TestVerification:
         from repro.lhcds import VerificationStats
 
         stats = VerificationStats()
-        assert verify_fast(g, inst, range(5), bounds, stats=stats)
+        assert verify_fast(g, inst, range(5), inst.density_of(range(5)), bounds, stats=stats)
         assert stats.short_circuit_true == 1
         assert stats.flow_verifications == 0
 
