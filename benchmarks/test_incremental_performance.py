@@ -67,7 +67,7 @@ def _many_component_graph():
 
 def test_delta_resolve_beats_cold(bench_metrics):
     graph = _many_component_graph()
-    session = IncrementalSession(graph, H, copy_graph=True)
+    session = IncrementalSession(graph.copy(), H)
     options = dict(solver="ippv", k=K)
     session.solve(**options)  # warm the per-component result cache
 

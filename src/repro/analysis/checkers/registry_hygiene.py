@@ -1,16 +1,16 @@
 """RG01 — registry hygiene: registered components declare themselves.
 
 Solvers, executors, patterns, and the lint checkers themselves are resolved
-by name through registries; the CLI, the docs, and the permission to skip
-work (``exact``, ``supports_early_stop``, ...) all read the registered
-metadata.  A registration with a missing description or an undeclared
-capability is a latent scheduling bug — the engine would guess.  The rule
-flags:
+by name through tables and registries; the CLI, the docs, and the
+permission to skip work (``exact``, ``supports_early_stop``, ...) all read
+their metadata.  A solver or registration with a missing description or an
+undeclared capability is a latent scheduling bug — the engine would guess.
+The rule flags:
 
-* ``register_solver(SolverSpec(...))`` calls whose spec literal lacks a
-  non-empty ``description`` or does not declare ``exact=`` explicitly
-  (whole-component skipping is only sound for exact solvers, so the
-  capability must be stated, not defaulted);
+* every ``SolverSpec(...)`` literal that lacks a non-empty ``description``
+  or does not declare ``exact=`` explicitly (whole-component skipping is
+  only sound for exact solvers, so the capability must be stated, not
+  defaulted);
 * subclasses of ``Executor`` / ``Pattern`` / ``Checker`` without a
   docstring or without their registry metadata (``name``/``description``,
   ``name``/``size``, ``rule``/``title`` respectively).
@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, Optional, Tuple
 
-from ..base import CheckContext, Checker
+from ..base import Checker
 
 #: Required class attributes per registrable base class.
 REGISTRABLE_BASES: Dict[str, Tuple[str, ...]] = {
@@ -46,17 +46,11 @@ class RegistryHygieneChecker(Checker):
     scope: ClassVar[Tuple[str, ...]] = ("repro/",)
 
     # ------------------------------------------------------------------
-    # solver registrations
+    # solver specs
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "register_solver":
-            spec = node.args[0] if node.args else None
-            if (
-                isinstance(spec, ast.Call)
-                and isinstance(spec.func, ast.Name)
-                and spec.func.id == "SolverSpec"
-            ):
-                self._check_solver_spec(spec)
+        if isinstance(node.func, ast.Name) and node.func.id == "SolverSpec":
+            self._check_solver_spec(node)
         self.generic_visit(node)
 
     def _check_solver_spec(self, spec: ast.Call) -> None:
@@ -68,13 +62,13 @@ class RegistryHygieneChecker(Checker):
         ):
             self.report(
                 spec,
-                "registered SolverSpec without a non-empty description; the "
+                "SolverSpec without a non-empty description; the "
                 "CLI's `solvers` listing and the docs read it",
             )
         if "exact" not in keywords:
             self.report(
                 spec,
-                "registered SolverSpec does not declare exact=; "
+                "SolverSpec does not declare exact=; "
                 "whole-component skipping is only sound for exact solvers, "
                 "so state the capability explicitly",
             )

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
-from ..cliques.kclist import clique_instances
 from ..densest.greedy import greedy_densest_subset
 from ..graph.components import connected_components
 from ..graph.graph import Graph
@@ -22,25 +21,15 @@ from ..lhcds.ippv import DenseSubgraph, LhCDSResult, StageTimings
 from ..lhcds.verify import VerificationStats
 
 
-def greedy_topk_cds(
-    graph: Graph,
-    h: int,
-    k: int,
-    *,
-    instances: Optional[InstanceSet] = None,
-) -> LhCDSResult:
-    """Return up to ``k`` greedily extracted h-clique dense subgraphs.
+def greedy_topk_cds(graph: Graph, instances: InstanceSet, k: int) -> LhCDSResult:
+    """Return up to ``k`` greedily extracted dense subgraphs of ``graph``.
 
-    ``instances`` may carry pre-enumerated pattern instances (the engine's
-    shared preprocessing); when omitted the h-cliques are enumerated here.
+    ``instances`` are the graph's pattern instances (the engine's shared
+    preprocessing enumerates them); ``h`` is their size.
     """
     timings = StageTimings()
     start = time.perf_counter()
-
-    if instances is None:
-        tick = time.perf_counter()
-        instances = clique_instances(graph, h)
-        timings.enumeration += time.perf_counter() - tick
+    h = instances.h
 
     remaining = set(graph.vertices())
     found: List[DenseSubgraph] = []

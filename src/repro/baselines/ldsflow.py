@@ -22,7 +22,6 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from ..cliques.kclist import clique_instances
 from ..densest.exact import maximal_densest_subset
 from ..graph.components import connected_components
 from ..graph.graph import Graph
@@ -32,12 +31,7 @@ from ..lhcds.verify import VerificationStats, is_densest, verify_basic
 
 
 def _topk_by_extraction(
-    graph: Graph,
-    h: int,
-    k: Optional[int],
-    *,
-    label: str,
-    instances: Optional[InstanceSet] = None,
+    graph: Graph, instances: InstanceSet, k: Optional[int], *, label: str
 ) -> LhCDSResult:
     """Shared skeleton of the LDSflow / LTDS baselines.
 
@@ -49,11 +43,7 @@ def _topk_by_extraction(
     timings = StageTimings()
     stats = VerificationStats()
     start = time.perf_counter()
-
-    if instances is None:
-        tick = time.perf_counter()
-        instances = clique_instances(graph, h)
-        timings.enumeration += time.perf_counter() - tick
+    h = instances.h
 
     remaining = set(graph.vertices())
     found: List[DenseSubgraph] = []
@@ -106,10 +96,10 @@ def _topk_by_extraction(
 
 
 def lds_flow(
-    graph: Graph,
-    k: Optional[int] = None,
-    *,
-    instances: Optional[InstanceSet] = None,
+    graph: Graph, instances: InstanceSet, k: Optional[int] = None
 ) -> LhCDSResult:
-    """Top-k locally densest subgraphs (h = 2) via the flow-heavy baseline."""
-    return _topk_by_extraction(graph, 2, k, label="edge (LDSflow)", instances=instances)
+    """Top-k locally densest subgraphs via the flow-heavy baseline.
+
+    ``instances`` are the graph's edges as 2-cliques (h = 2).
+    """
+    return _topk_by_extraction(graph, instances, k, label="edge (LDSflow)")

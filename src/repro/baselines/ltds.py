@@ -17,11 +17,9 @@ from ..lhcds.ippv import LhCDSResult
 from .ldsflow import _topk_by_extraction
 
 
-def ltds(
-    graph: Graph,
-    k: Optional[int] = None,
-    *,
-    instances: Optional[InstanceSet] = None,
-) -> LhCDSResult:
-    """Top-k locally triangle densest subgraphs via the flow-heavy baseline."""
-    return _topk_by_extraction(graph, 3, k, label="triangle (LTDS)", instances=instances)
+def ltds(graph: Graph, instances: InstanceSet, k: Optional[int] = None) -> LhCDSResult:
+    """Top-k locally triangle densest subgraphs via the flow-heavy baseline.
+
+    ``instances`` are the graph's triangles (h = 3).
+    """
+    return _topk_by_extraction(graph, instances, k, label="triangle (LTDS)")

@@ -57,7 +57,6 @@ from .engine import (
 )
 from .graph.delta import GraphDelta
 from .errors import ReproError
-from .server import app as server_app
 from .experiments.figures import ALL_EXPERIMENTS, run_experiment
 from .graph.io import read_edge_list
 from .patterns.clique import CliquePattern
@@ -212,41 +211,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit machine-readable JSON instead of text",
     )
 
-    serve = sub.add_parser(
-        "serve", help="run the persistent solve service (python -m repro.server)"
-    )
-    serve.add_argument("--host", default=server_app.DEFAULT_HOST, help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=server_app.DEFAULT_PORT,
-        help="bind port (0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="preprocess-cache directory (default: $REPRO_CACHE, then a "
-        "private temporary directory)",
-    )
-    serve.add_argument(
-        "--register",
-        action="append",
-        default=[],
-        metavar="NAME=DATASET",
-        help="register a dataset graph at startup (repeatable)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log each request to stderr"
-    )
-
     experiment = sub.add_parser("experiment", help="reproduce a table or figure")
     experiment.add_argument(
         "name", choices=sorted(ALL_EXPERIMENTS), help="experiment identifier"
     )
 
-    # Execution is short-circuited in main() — everything after `lint` is
-    # forwarded verbatim to repro.analysis (argparse REMAINDER cannot
-    # forward leading options).  This stub only provides the help entry.
+    # Execution is short-circuited in main() — everything after `serve` or
+    # `lint` is forwarded verbatim to repro.server or repro.analysis
+    # (argparse REMAINDER cannot forward leading options).  These stubs
+    # only provide the help entries.
+    sub.add_parser(
+        "serve",
+        help="run the persistent solve service, python -m repro.server "
+        "(see `serve --help`)",
+        add_help=False,
+    )
     sub.add_parser(
         "lint",
         help="run the repro-lint invariant analyzer (see `lint --help`)",
@@ -532,21 +511,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the persistent solve service (thin wrapper over repro.server)."""
-    argv = ["--host", args.host, "--port", str(args.port)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    for item in args.register:
-        argv += ["--register", item]
-    if args.verbose:
-        argv.append("--verbose")
-    return server_app.main(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
+    if arguments[:1] == ["serve"]:
+        from .server.app import main as serve_main
+
+        return serve_main(arguments[1:], prog="repro-lhcds serve")
     if arguments[:1] == ["lint"]:
         from .analysis import main as lint_main
 
@@ -566,8 +537,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_executors()
         if args.command == "cache":
             return _cmd_cache(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
         if args.command == "experiment":
             print(run_experiment(args.name).render())
             return 0

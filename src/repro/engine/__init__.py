@@ -36,13 +36,7 @@ from .request import (
     merge_key,
 )
 from .runtime import prepare_request, solve, solve_prepared
-from .solvers import (
-    SolverSpec,
-    available_solvers,
-    get_solver,
-    register_solver,
-    unregister_solver,
-)
+from .solvers import SolverSpec, available_solvers, get_solver
 
 __all__ = [
     "preprocess",
@@ -67,8 +61,6 @@ __all__ = [
     "SolverSpec",
     "available_solvers",
     "get_solver",
-    "register_solver",
-    "unregister_solver",
     "ExecutorUnavailable",
     "available_executors",
     "describe_executor",

@@ -30,10 +30,10 @@ pipeline's output a cacheable artifact:
   (``REPRO_CACHE_MAX_BYTES``, default 512 MiB) the least-recently-used
   entries are evicted — the newest entry always survives.
 * **Memory layer.**  A per-process LRU of deserialized artifacts
-  (``memory_entries`` keys) so a resident server answers repeat queries
-  without touching disk or re-unpickling.  :func:`cache_for` hands out one
-  :class:`PreprocessCache` per root directory, which is what makes the
-  layer shared across requests.
+  (:data:`DEFAULT_MEMORY_ENTRIES` keys) so a resident server answers
+  repeat queries without touching disk or re-unpickling.
+  :func:`cache_for` hands out one :class:`PreprocessCache` per root
+  directory, which is what makes the layer shared across requests.
 
 The front door is :func:`repro.engine.preprocess.preprocess`: when
 ``SolveRequest.cache_dir`` (CLI ``--cache-dir``, environment
@@ -73,8 +73,10 @@ from .request import PreparedComponent, PreprocessStats
 #: (``/2``: Graph grew delta-epoch state and an explicit pickle protocol;
 #: ``/3``: every artifact carries bounds, and the stats lost the
 #: prune-stats fields; ``/4``: the bounds keep Algorithm 1's core numbers
-#: for prune rule 2).  An artifact under an older tag is a cache miss.
-ARTIFACT_SCHEMA = "repro-cache/4"
+#: for prune rule 2; ``/5``: Algorithm 1's upper bounds are the ``int``
+#: core numbers, not ``Fraction`` objects).  An artifact under an older tag
+#: is a cache miss.
+ARTIFACT_SCHEMA = "repro-cache/5"
 #: Ledger (``index.json``) schema tag.
 INDEX_SCHEMA = "repro-cache-index/1"
 
@@ -90,6 +92,7 @@ CACHE_ENV = "REPRO_CACHE"
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+#: Artifacts the memory layer keeps per cache root.
 DEFAULT_MEMORY_ENTRIES = 16
 
 #: Cache states reported through ``PreprocessStats.cache_state``.
@@ -190,22 +193,11 @@ class PreprocessCache:
         "_flock_handle": "_lock",
     }
 
-    def __init__(
-        self,
-        root: str,
-        *,
-        max_bytes: Optional[int] = None,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    ) -> None:
+    def __init__(self, root: str, *, max_bytes: Optional[int] = None) -> None:
         self.root = os.path.abspath(root)
         self.max_bytes = max_bytes if max_bytes is not None else max_bytes_from_env()
         if self.max_bytes <= 0:
             raise EngineError(f"max_bytes must be positive, got {self.max_bytes}")
-        if memory_entries < 0:
-            raise EngineError(
-                f"memory_entries must be >= 0 (0 disables), got {memory_entries}"
-            )
-        self.memory_entries = memory_entries
         self._lock = threading.RLock()
         self._memory: "OrderedDict[str, Tuple[List[PreparedComponent], PreprocessStats]]" = (
             OrderedDict()
@@ -379,12 +371,10 @@ class PreprocessCache:
         self, key: str, components: List[PreparedComponent], stats: PreprocessStats
     ) -> None:
         """Admit one artifact to the memory LRU (caller holds ``_lock``)."""
-        if self.memory_entries == 0:
-            return
         memory = self._memory
         memory[key] = (components, stats)
         memory.move_to_end(key)
-        while len(memory) > self.memory_entries:
+        while len(memory) > DEFAULT_MEMORY_ENTRIES:
             memory.popitem(last=False)
 
     def fetch(

@@ -194,12 +194,11 @@ class IncrementalSession:
     Parameters
     ----------
     graph:
-        The host graph.  By default the session holds a reference (so a
-        service can share one graph object between its registry and the
-        session); pass ``copy_graph=True`` to decouple.  Either way, all
-        mutations must go through :meth:`apply_delta` — the session detects
-        out-of-band mutation via :attr:`Graph.delta_epoch` and refuses to
-        serve stale state.
+        The host graph.  The session holds a reference (so a service can
+        share one graph object between its registry and the session); pass
+        ``graph.copy()`` to decouple.  All mutations must go through
+        :meth:`apply_delta` — the session detects out-of-band mutation via
+        :attr:`Graph.delta_epoch` and refuses to serve stale state.
     pattern:
         A :class:`~repro.patterns.base.Pattern` or an integer ``h``
         (h-clique), pinned for the session's lifetime.
@@ -210,24 +209,17 @@ class IncrementalSession:
         "_results": "_lock",
         "_num_instances": "_lock",
         "_components": "_lock",
-        "_delta_log": "_lock",
+        "_epoch": "_lock",
         "_graph_epoch": "_lock",
-        "_last_delta_stats": "_lock",
         "_last_solve_stats": "_lock",
     }
 
-    def __init__(
-        self,
-        graph: Graph,
-        pattern: Pattern | int = 3,
-        *,
-        copy_graph: bool = False,
-    ) -> None:
+    def __init__(self, graph: Graph, pattern: Pattern | int = 3) -> None:
         if graph.num_vertices == 0:
             raise EngineError("cannot open a session on an empty graph")
         if isinstance(pattern, int):
             pattern = CliquePattern(pattern)
-        self._graph = graph.copy() if copy_graph else graph
+        self._graph = graph
         self._pattern = pattern
         # Reentrant so a future composite operation can nest apply/solve.
         self._lock = threading.RLock()
@@ -235,8 +227,8 @@ class IncrementalSession:
         self._states: Dict[FrozenSet[Vertex], PreparedComponent] = {}
         #: Per solver configuration, each solved component's result.
         self._results: Dict[_ConfigKey, Dict[FrozenSet[Vertex], LhCDSResult]] = {}
-        self._delta_log: List[GraphDelta] = []
-        self._last_delta_stats: Optional[DeltaStats] = None
+        #: Number of deltas applied so far.
+        self._epoch = 0
         self._last_solve_stats: Optional[IncrementalSolveStats] = None
 
         instances = pattern.instances(self._graph)
@@ -267,21 +259,12 @@ class IncrementalSession:
     @property
     def epoch(self) -> int:
         """Number of deltas applied to the session so far."""
-        return len(self._delta_log)
-
-    @property
-    def delta_log(self) -> Tuple[GraphDelta, ...]:
-        """Every delta applied, in order."""
-        return tuple(self._delta_log)
+        return self._epoch
 
     @property
     def num_instances(self) -> int:
         """Current global instance count (maintained incrementally)."""
         return self._num_instances
-
-    @property
-    def last_delta_stats(self) -> Optional[DeltaStats]:
-        return self._last_delta_stats
 
     @property
     def last_solve_stats(self) -> Optional[IncrementalSolveStats]:
@@ -357,9 +340,9 @@ class IncrementalSession:
                     added += len(local.indices_incident(touched))
                     self._states[key] = prepare_component(index, subgraph, local)
             self._num_instances += added - dropped
-            self._delta_log.append(delta)
-            stats = DeltaStats(
-                epoch=len(self._delta_log),
+            self._epoch += 1
+            return DeltaStats(
+                epoch=self._epoch,
                 vertices_added=len(delta.add_vertices),
                 vertices_removed=len(delta.remove_vertices),
                 edges_added=len(delta.add_edges),
@@ -372,8 +355,6 @@ class IncrementalSession:
                 instances_reenumerated=added,
                 apply_seconds=time.perf_counter() - tick,
             )
-            self._last_delta_stats = stats
-            return stats
 
     # ------------------------------------------------------------------
     # solving
@@ -403,7 +384,7 @@ class IncrementalSession:
             before = len(store)
             report = solve_prepared(request, components, stats, known=store, start=start)
             self._last_solve_stats = IncrementalSolveStats(
-                epoch=len(self._delta_log),
+                epoch=self._epoch,
                 components_total=len(components),
                 components_reused=reused,
                 components_solved=len(store) - before,

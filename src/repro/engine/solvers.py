@@ -1,4 +1,4 @@
-"""Solver protocol and registry: every solve path behind one interface.
+"""Solver protocol and table: every solve path behind one interface.
 
 A solver is a callable that takes one :class:`PreparedComponent` (the output
 of the shared preprocessing) plus the component-scoped request and returns an
@@ -12,8 +12,10 @@ the metadata the runtime needs to validate requests and schedule work:
   skipping sound (an approximate solver like Greedy must see every
   component).
 
-New solvers register with :func:`register_solver`; the CLI, the experiment
-drivers, and the examples all resolve solvers by name through this registry.
+The five solvers are one literal table, :data:`SOLVERS`, like the pattern
+table in :mod:`repro.patterns.registry`; the CLI, the service, the
+experiment drivers and the examples resolve them by name through
+:func:`get_solver`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ SolveFn = Callable[[PreparedComponent, SolveRequest], LhCDSResult]
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A registered solver: the solve callable plus scheduling metadata."""
+    """A solver: the solve callable plus scheduling metadata."""
 
     name: str
     description: str
@@ -59,40 +61,8 @@ class SolverSpec:
             raise EngineError(f"solver {self.name!r} needs an explicit k")
 
 
-_REGISTRY: Dict[str, SolverSpec] = {}
-
-
-def register_solver(spec: SolverSpec) -> None:
-    """Add a solver to the registry (names are unique)."""
-    if spec.name in _REGISTRY:
-        raise EngineError(f"solver {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-
-
-def unregister_solver(name: str) -> None:
-    """Remove a solver from the registry (used by tests and plugins)."""
-    if name not in _REGISTRY:
-        raise EngineError(f"solver {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def get_solver(name: str) -> SolverSpec:
-    """Look a solver up by name."""
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        raise EngineError(
-            f"unknown solver {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
-    return _REGISTRY[key]
-
-
-def available_solvers() -> List[str]:
-    """Names of every registered solver, sorted."""
-    return sorted(_REGISTRY)
-
-
 # ----------------------------------------------------------------------
-# built-in solvers
+# the solvers
 # ----------------------------------------------------------------------
 def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
     config = IPPVConfig(
@@ -133,59 +103,68 @@ def _solve_exact(component: PreparedComponent, request: SolveRequest) -> LhCDSRe
 
 def _solve_greedy(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
     assert request.k is not None  # enforced by SolverSpec.validate
-    return greedy_topk_cds(
-        component.subgraph, request.h, request.k, instances=component.instances
-    )
+    return greedy_topk_cds(component.subgraph, component.instances, request.k)
 
 
 def _solve_ldsflow(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
-    return lds_flow(component.subgraph, request.k, instances=component.instances)
+    return lds_flow(component.subgraph, component.instances, request.k)
 
 
 def _solve_ltds(component: PreparedComponent, request: SolveRequest) -> LhCDSResult:
-    return ltds(component.subgraph, request.k, instances=component.instances)
+    return ltds(component.subgraph, component.instances, request.k)
 
 
-register_solver(
-    SolverSpec(
-        name="ippv",
-        description="iterative propose-prune-and-verify (the paper's Algorithm 6/7)",
-        solve=_solve_ippv,
-        exact=True,
+#: Every solver, by name.
+SOLVERS: Dict[str, SolverSpec] = {
+    spec.name: spec
+    for spec in (
+        SolverSpec(
+            name="ippv",
+            description="iterative propose-prune-and-verify (the paper's Algorithm 6/7)",
+            solve=_solve_ippv,
+            exact=True,
+        ),
+        SolverSpec(
+            name="exact",
+            description="diminishingly-dense decomposition (LhCDScvx-style reference)",
+            solve=_solve_exact,
+            exact=True,
+        ),
+        SolverSpec(
+            name="greedy",
+            description="greedy top-k peeling without the locally-densest guarantee",
+            solve=_solve_greedy,
+            exact=False,
+            requires_k=True,
+        ),
+        SolverSpec(
+            name="ldsflow",
+            description="LDSflow baseline (Qin et al. 2015), edges only (h = 2)",
+            solve=_solve_ldsflow,
+            exact=True,
+            fixed_h=2,
+        ),
+        SolverSpec(
+            name="ltds",
+            description="LTDS baseline (Samusevich et al. 2016), triangles only (h = 3)",
+            solve=_solve_ltds,
+            exact=True,
+            fixed_h=3,
+        ),
     )
-)
-register_solver(
-    SolverSpec(
-        name="exact",
-        description="diminishingly-dense decomposition (LhCDScvx-style reference)",
-        solve=_solve_exact,
-        exact=True,
-    )
-)
-register_solver(
-    SolverSpec(
-        name="greedy",
-        description="greedy top-k peeling without the locally-densest guarantee",
-        solve=_solve_greedy,
-        exact=False,
-        requires_k=True,
-    )
-)
-register_solver(
-    SolverSpec(
-        name="ldsflow",
-        description="LDSflow baseline (Qin et al. 2015), edges only (h = 2)",
-        solve=_solve_ldsflow,
-        exact=True,
-        fixed_h=2,
-    )
-)
-register_solver(
-    SolverSpec(
-        name="ltds",
-        description="LTDS baseline (Samusevich et al. 2016), triangles only (h = 3)",
-        solve=_solve_ltds,
-        exact=True,
-        fixed_h=3,
-    )
-)
+}
+
+
+def get_solver(name: str) -> SolverSpec:
+    """Look a solver up by name."""
+    key = name.strip().lower()
+    if key not in SOLVERS:
+        raise EngineError(
+            f"unknown solver {name!r}; available: {', '.join(sorted(SOLVERS))}"
+        )
+    return SOLVERS[key]
+
+
+def available_solvers() -> List[str]:
+    """Names of every solver, sorted."""
+    return sorted(SOLVERS)

@@ -6,9 +6,11 @@ Proposition 3 of the paper relates the compact number ``phi_h(u)`` to the
 * lower bound:  ``phi_h(u) >= core_G(u, psi_h) / h``
 * upper bound:  ``phi_h(u) <= core_G(u, psi_h)``
 
-Bounds are kept as exact :class:`fractions.Fraction` objects; later stages
-may replace them with (float) values coming from the Frank–Wolfe iterate, so
-all consumers treat them as real numbers.
+The lower bounds are exact :class:`fractions.Fraction` objects and the
+upper bounds the integer core numbers themselves, so comparing an upper
+bound with a float threshold converts nothing.  Later stages may replace
+either with (float) values coming from the Frank–Wolfe iterate, so all
+consumers treat them as real numbers.
 
 The bounds also keep the core numbers they came from.  Prune rule 2 starts
 its refinement from them (see :mod:`repro.lhcds.prune`), so Algorithm 1's
@@ -93,5 +95,5 @@ def initialize_bounds(
     for v in universe:
         c = core.get(v, 0)
         bounds.lower[v] = Fraction(c, h)
-        bounds.upper[v] = Fraction(c)
+        bounds.upper[v] = c
     return bounds, core

@@ -59,11 +59,12 @@ from .stable_groups import StableGroup, derive_stable_groups
 from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
 #: Heap priorities are the candidates' *exact* density upper bounds —
-#: ``Fraction`` values from Algorithm 1, or slack-padded floats from the
-#: DeriveSG tightening.  Python orders the two types exactly, so no
-#: ``float()`` coercion (which could conflate densities closer than one
-#: ulp) is ever applied on the priority / early-stop path.
-Priority = Fraction | float
+#: Algorithm 1's integer core numbers, or slack-padded floats from the
+#: DeriveSG tightening.  Python orders ints, floats and ``Fraction``
+#: densities exactly, so no ``float()`` coercion (which could conflate
+#: densities closer than one ulp) is ever applied on the priority /
+#: early-stop path.
+Priority = int | float | Fraction
 
 #: How many convex-programming refinement rounds a candidate may consume
 #: before the driver falls back to the exact densest-subgraph split.
@@ -350,8 +351,8 @@ class IPPV:
     ) -> int:
         """Push a candidate with a sound density upper bound as priority.
 
-        The bound is stored *as is* (negated for the min-heap): Fractions
-        stay exact and tuple comparison breaks priority ties on the
+        The bound is stored *as is* (negated for the min-heap): it stays
+        exact and tuple comparison breaks priority ties on the
         insertion counter, so two candidates whose bounds differ by less
         than a float ulp keep their true order — coercing to ``float``
         here is what made the old epsilon early stop unsound.

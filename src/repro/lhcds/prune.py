@@ -16,10 +16,11 @@ Rule 1 makes one bound comparison per vertex, not one per edge endpoint.
 Each universe vertex's threshold ``lower(u) - FLOAT_SLACK`` is computed
 once, and ``v`` is tested against the largest threshold among its universe
 neighbours.  ``upper(v) < max_u t(u)`` holds exactly when ``upper(v) <
-t(u)`` for some ``u``, and Python compares ``Fraction`` and ``float``
-values exactly, so this is the same predicate with no rounding.  The
-bounds mix ``Fraction`` core bounds with DeriveSG's padded floats, and the
-per-endpoint form converted a float for every edge.
+t(u)`` for some ``u``, and Python compares ``int``, ``Fraction`` and
+``float`` values exactly, so this is the same predicate with no rounding.
+The thresholds are floats and the upper bounds are Algorithm 1's integer
+core numbers or DeriveSG's padded floats, so no comparison converts a
+float to a ``Fraction``.
 
 Rule 2 keeps the largest set of rule 1's survivors in which every vertex's
 core number, counted inside the set, meets its threshold.  Core numbers

@@ -274,9 +274,9 @@ def create_server(
     return server, service
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.server",
+        prog=prog,
         description="persistent LhCDS solve service with a warm preprocess cache",
     )
     parser.add_argument("--host", default=DEFAULT_HOST, help="bind address")
@@ -302,9 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None, prog: str = "python -m repro.server") -> int:
     """Serve until interrupted (returns a process exit code)."""
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(prog).parse_args(argv)
     registrations = []
     for item in args.register:
         name, separator, dataset = item.partition("=")

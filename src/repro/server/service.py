@@ -39,6 +39,7 @@ from ..engine import (
     cache_for,
     describe_executor,
     get_solver,
+    resolve_cache_dir,
     solve,
 )
 from ..engine.cache import pattern_identity
@@ -147,6 +148,9 @@ def validate_keys(payload: Any, accepted: frozenset, *, what: str = "request") -
 class SolveService:
     """Named graphs plus warm preprocess/session state behind a solve API.
 
+    The cache directory is ``cache_dir``, then ``$REPRO_CACHE``, then a
+    private temporary directory that :meth:`close` removes.
+
     Lock ordering: ``_solve_lock`` outer, ``_registry_lock`` inner — every
     method that needs both acquires them in that order, so the pair cannot
     deadlock.  The :data:`GUARDED_BY` manifest below is machine-checked by
@@ -170,6 +174,7 @@ class SolveService:
         self._sessions: Dict[Tuple[str, str], IncrementalSession] = {}
         self._counters: Dict[str, int] = {"solves": 0, "deltas": 0, "errors": 0}
         self._started = time.time()
+        cache_dir = resolve_cache_dir(cache_dir)
         if cache_dir is None:
             # A private directory keeps the cache on (memory layer included)
             # even when the operator did not ask for a persistent one.

@@ -230,6 +230,17 @@ class TestRegistryHygiene:
         rules = [f.rule for f in active(findings)]
         assert rules == ["RG01", "RG01"]  # no description, no exact=
 
+    def test_catches_bare_spec_literal(self):
+        # A spec in a table is checked like a wrapped registration.
+        findings = lint(
+            """
+            SOLVERS = {"fast": SolverSpec(name="fast")}
+            """,
+            path=ENGINE,
+        )
+        rules = [f.rule for f in active(findings)]
+        assert rules == ["RG01", "RG01"]  # no description, no exact=
+
     def test_complete_registration_is_fine(self):
         findings = lint(
             """

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import greedy_topk_cds, lds_flow, ltds
 from repro.cli import main as cli_main
-from repro.cliques import count_cliques
+from repro.cliques import clique_instances, count_cliques
 from repro.datasets import (
     barabasi_albert_graph,
     dataset_abbreviations,
@@ -28,33 +28,34 @@ from repro.lhcds import find_lhcds
 
 class TestBaselines:
     def test_ldsflow_matches_ippv_on_small_graph(self, figure2):
-        baseline = lds_flow(figure2, k=2)
+        baseline = lds_flow(figure2, clique_instances(figure2, 2), k=2)
         ippv = find_lhcds(figure2, h=2, k=2)
         assert {frozenset(s.vertices) for s in baseline.subgraphs} >= {
             frozenset(ippv.subgraphs[0].vertices)
         }
 
     def test_ltds_top1_matches_ippv(self, figure2):
-        baseline = ltds(figure2, k=1)
+        baseline = ltds(figure2, clique_instances(figure2, 3), k=1)
         ippv = find_lhcds(figure2, h=3, k=1)
         assert baseline.subgraphs[0].vertices == ippv.subgraphs[0].vertices
         assert baseline.subgraphs[0].density == ippv.subgraphs[0].density
 
     def test_ltds_outputs_are_verified_lhcds(self, two_cliques):
-        baseline = ltds(two_cliques, k=5)
+        baseline = ltds(two_cliques, clique_instances(two_cliques, 3), k=5)
         ippv = find_lhcds(two_cliques, h=3)
         assert {frozenset(s.vertices) for s in baseline.subgraphs} <= {
             frozenset(s.vertices) for s in ippv.subgraphs
         }
 
     def test_greedy_top1_matches_densest(self, figure2):
-        greedy = greedy_topk_cds(figure2, h=3, k=3)
+        greedy = greedy_topk_cds(figure2, clique_instances(figure2, 3), k=3)
         ippv = find_lhcds(figure2, h=3, k=1)
         assert greedy.subgraphs[0].density >= ippv.subgraphs[0].density * Fraction(1, 3)
         assert len(greedy.subgraphs) >= 2
 
     def test_greedy_respects_k(self, figure2):
-        assert len(greedy_topk_cds(figure2, h=3, k=1).subgraphs) == 1
+        greedy = greedy_topk_cds(figure2, clique_instances(figure2, 3), k=1)
+        assert len(greedy.subgraphs) == 1
 
 
 class TestSyntheticGenerators:

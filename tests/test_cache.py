@@ -385,23 +385,19 @@ class TestLedgerAndEviction:
         root = str(tmp_path / "cache")
         graphs = [complete_graph(n) for n in (6, 7, 8)]
         artifacts = [self._artifact(g) for g in graphs]
-        probe = PreprocessCache(root, max_bytes=1, memory_entries=0)
+        probe = PreprocessCache(root, max_bytes=1)
         for n, (components, stats) in zip((6, 7, 8), artifacts):
             probe.store(f"probe-{n}", components, stats)
         # A 1-byte cap evicts everything except the entry just written.
         assert [e["key"] for e in probe.entries()] == ["probe-8"]
         cap = 0
         for n, (components, stats) in zip((6, 7, 8), artifacts):
-            single = PreprocessCache(
-                str(tmp_path / f"size-{n}"), max_bytes=10**9, memory_entries=0
-            )
+            single = PreprocessCache(str(tmp_path / f"size-{n}"), max_bytes=10**9)
             single.store(f"k{n}", components, stats)
             cap += single.entries()[0]["size_bytes"]
         # Cap big enough for two artifacts but not three.
         two_of_three = cap - 1
-        cache = PreprocessCache(
-            str(tmp_path / "lru"), max_bytes=two_of_three, memory_entries=0
-        )
+        cache = PreprocessCache(str(tmp_path / "lru"), max_bytes=two_of_three)
         for n, (components, stats) in zip((6, 7, 8), artifacts):
             cache.store(f"k{n}", components, stats)
         remaining = {e["key"] for e in cache.entries()}
@@ -489,7 +485,7 @@ class TestCacheCLI:
 
     def test_artifact_schema_constant_pinned(self):
         # The on-disk schema is a compatibility contract; bump deliberately.
-        assert ARTIFACT_SCHEMA == "repro-cache/4"
+        assert ARTIFACT_SCHEMA == "repro-cache/5"
 
 
 class TestDeltaPoisoningRegression:
@@ -552,7 +548,7 @@ class TestCrossProcessLedgerLock:
         if cache_module.fcntl is None:  # pragma: no cover - POSIX-only CI
             pytest.skip("fcntl unavailable on this platform")
         root = str(tmp_path / "cache")
-        cache = PreprocessCache(root, memory_entries=0)
+        cache = PreprocessCache(root)
         components, stats = self._artifact()
         with cache._ledger_guard():
             with cache._ledger_guard():  # reentrant: depth counter, no deadlock
@@ -568,9 +564,7 @@ class TestCrossProcessLedgerLock:
         components, stats = self._artifact()
         # Two independent instances = two ledger writers, like two server
         # replicas sharing one cache directory.
-        replicas = [
-            PreprocessCache(root, memory_entries=0) for _ in range(2)
-        ]
+        replicas = [PreprocessCache(root) for _ in range(2)]
         errors = []
         n_threads, n_keys = 4, 6
 
@@ -607,7 +601,7 @@ class TestCrossProcessLedgerLock:
 
         monkeypatch.setattr(cache_module, "fcntl", None)
         root = str(tmp_path / "cache")
-        cache = PreprocessCache(root, memory_entries=2)
+        cache = PreprocessCache(root)
         components, stats = self._artifact()
         cache.store("k", components, stats)
         fetched = cache.fetch("k")

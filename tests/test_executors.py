@@ -16,6 +16,7 @@ from helpers import multi_component_graph, shifted, signature
 
 import repro.engine.executors as executors_module
 import repro.engine.runtime as runtime_module
+import repro.engine.solvers as solvers_module
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import gnp_graph, planted_communities_graph
 from repro.engine import (
@@ -25,11 +26,9 @@ from repro.engine import (
     available_executors,
     cold_preprocess,
     describe_executor,
-    register_solver,
     report_signature,
     solve,
     solve_prepared,
-    unregister_solver,
 )
 from repro.engine.executors import solve_in_worker
 from repro.errors import EngineError
@@ -320,7 +319,7 @@ class TestKnownResults:
 
     def test_fully_warm_session_starts_no_pool(self, pools):
         graph = multi_component_graph()
-        session = IncrementalSession(graph, 3, copy_graph=True)
+        session = IncrementalSession(graph.copy(), 3)
         session.solve(**self.OPTIONS)
         (cold_pool,) = pools
         assert len(cold_pool.shipped) == 4
@@ -338,7 +337,7 @@ class TestKnownResults:
 
     def test_partially_warm_session_ships_only_unknown_components(self, pools):
         graph = multi_component_graph()
-        session = IncrementalSession(graph, 3, copy_graph=True)
+        session = IncrementalSession(graph.copy(), 3)
         session.solve(**self.OPTIONS)
         # Touch only the K4 (vertices 200..203); the K6, K5 and cycle carry over.
         session.apply_delta(GraphDelta(remove_vertices=(203,)))
@@ -381,7 +380,7 @@ class TestKnownResults:
         graph = _early_stop_graph()
         options = dict(solver="exact", k=1)
         cold = solve(graph=graph.copy(), pattern=3, executor="serial", **options)
-        session = IncrementalSession(graph, 3, copy_graph=True)
+        session = IncrementalSession(graph.copy(), 3)
         session.solve(executor="process", jobs=2, **options)
         warm = session.solve(executor="serial", **options)
         assert cold.preprocessing.num_early_stopped_components > 0
@@ -444,32 +443,29 @@ class TestFailureChannels:
         assert "PicklingError" in report.fallback_reason
 
     @pytest.mark.parametrize("executor", ALL_EXECUTORS)
-    def test_solver_exception_raises_engine_error_not_silent_retry(self, executor):
+    def test_solver_exception_raises_engine_error_not_silent_retry(
+        self, monkeypatch, executor
+    ):
         def exploding_solver(component, request):
             raise ValueError("solver bug 0xdead")
 
-        register_solver(
+        monkeypatch.setitem(
+            solvers_module.SOLVERS,
+            "explosive",
             SolverSpec(
                 name="explosive",
                 description="raises on every component (test only)",
                 solve=exploding_solver,
                 exact=False,
                 requires_k=True,
-            )
+            ),
         )
-        try:
-            graph = multi_component_graph()
-            with pytest.raises(EngineError, match="solver bug 0xdead"):
-                solve(
-                    graph=graph, pattern=3, k=2, solver="explosive",
-                    jobs=2, executor=executor,
-                )
-        finally:
-            unregister_solver("explosive")
-
-    def test_unregister_unknown_solver(self):
-        with pytest.raises(EngineError, match="not registered"):
-            unregister_solver("never-registered")
+        graph = multi_component_graph()
+        with pytest.raises(EngineError, match="solver bug 0xdead"):
+            solve(
+                graph=graph, pattern=3, k=2, solver="explosive",
+                jobs=2, executor=executor,
+            )
 
     def test_task_failure_envelope_round_trips(self):
         request = SolveRequest(graph=complete_graph(4), pattern=3, k=1)

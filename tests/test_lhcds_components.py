@@ -94,6 +94,14 @@ class TestInitializeBounds:
             assert bounds.upper_of(v) == core[v]
             assert bounds.lower_of(v) == Fraction(core[v], 3)
 
+    def test_upper_bounds_are_integer_core_numbers(self, two_cliques):
+        # Prune rule 1 and DeriveSG compare the uppers with floats, which
+        # an int does natively and a Fraction only via Fraction.from_float.
+        inst = clique_instances(two_cliques, 3)
+        bounds, core = initialize_bounds(inst, two_cliques.vertices())
+        assert bounds.upper == core
+        assert {type(upper) for upper in bounds.upper.values()} == {int}
+
     def test_bounds_keep_core_numbers_and_copies_share_them(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
         bounds, core = initialize_bounds(inst, two_cliques.vertices())
@@ -432,7 +440,7 @@ class TestTentativeGDOracle:
 def _mixed_bounds(g, inst, rng):
     """Clique-core bounds tightened by DeriveSG, with some uppers dropped.
 
-    Every upper is then a ``Fraction`` core bound, a slack-padded DeriveSG
+    Every upper is then an ``int`` core bound, a slack-padded DeriveSG
     float or missing (``None``).
     """
     vertices = g.vertices()
@@ -481,7 +489,7 @@ class TestPruneOracle:
             survivors = prune_invalid_vertices(g, inst, bounds, universe)
             assert survivors == reference_prune_invalid_vertices(g, inst, bounds, universe)
             pruned += len(survivors) < len(universe)
-        assert kinds["Fraction"] and kinds["float"] and kinds["none"]
+        assert kinds["int"] and kinds["float"] and kinds["none"]
         assert pruned > 0
 
     @pytest.mark.parametrize("lower_type", [Fraction, float])
@@ -622,7 +630,7 @@ class TestPruneOracle:
             solve(graph=graph, pattern=3, k=5, cache_dir=root, **extra)
         assert digest(cached(root)) == before
 
-        session = IncrementalSession(graph, 3, copy_graph=True)
+        session = IncrementalSession(graph.copy(), 3)
         session.solve(k=5)
         before = digest(session._states.values())
         for extra in options:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import os
 import socket
 import statistics
 import threading
@@ -25,7 +26,8 @@ from helpers import multi_component_graph
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import barabasi_albert_graph
-from repro.engine import json_report_signature, report_signature, solve
+from repro.cli import main as cli_main
+from repro.engine import cache_for, json_report_signature, report_signature, solve
 from repro.server import ServiceError, SolveService, create_server
 from repro.server.app import SolveRequestHandler
 from repro.server.app import main as server_main
@@ -494,7 +496,21 @@ class TestSolveSurface:
         assert stats["cache"]["counters"]["hits"] == 1
         assert stats["uptime_seconds"] >= 0
 
-    def test_private_cache_dir_when_unconfigured(self):
+    def test_cache_dir_from_env_when_unconfigured(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "envcache")
+        monkeypatch.setenv("REPRO_CACHE", root)
+        service = SolveService()
+        try:
+            assert service.cache_dir == root
+            service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
+            service.solve({"graph": "toy", "k": 1})
+            assert cache_for(root).counters()["stores"] == 1
+        finally:
+            service.close()
+        assert os.path.isdir(root)  # not a private directory: close keeps it
+
+    def test_private_cache_dir_when_unconfigured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         service = SolveService()
         try:
             assert service.cache_dir
@@ -834,6 +850,14 @@ class TestServerMain:
     def test_register_flag_unknown_dataset_fails_cleanly(self, capsys):
         assert server_main(["--port", "0", "--register", "x=no-such-dataset"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_cli_serve_forwards_to_server_main(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro-lhcds serve")
+        assert "--cache-dir" in out and "--register" in out
 
 
 # ----------------------------------------------------------------------
