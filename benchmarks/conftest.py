@@ -55,27 +55,39 @@ def bench_metrics(request) -> dict:
     return request.config._bench_metrics
 
 
-def _best_alternating(fns, repeats: int = 1):
-    """Best time of ``repeats`` calls of each function, alternating in rounds.
+def _alternating_rounds(fns, repeats: int = 1):
+    """Per-round times of ``repeats`` calls of each function, alternating in rounds.
 
     Every path runs once per round, after a collection, so the compared
     paths share the host's phases and none pays for another's garbage.
+    Returns one list of ``COMPARE_ROUNDS`` times per function.
     """
-    best = [float("inf")] * len(fns)
+    times = [[] for _ in fns]
     for _ in range(COMPARE_ROUNDS):
         for index, fn in enumerate(fns):
             gc.collect()
             start = time.perf_counter()
             for _ in range(repeats):
                 fn()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
+            times[index].append(time.perf_counter() - start)
+    return times
+
+
+def _best_alternating(fns, repeats: int = 1):
+    """Best time of each function over :func:`_alternating_rounds`."""
+    return [min(times) for times in _alternating_rounds(fns, repeats)]
 
 
 @pytest.fixture(scope="session")
 def best_alternating():
     """The shared timer of compared paths (see :func:`_best_alternating`)."""
     return _best_alternating
+
+
+@pytest.fixture(scope="session")
+def alternating_rounds():
+    """The per-round timer of compared paths (see :func:`_alternating_rounds`)."""
+    return _alternating_rounds
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -1,13 +1,15 @@
 """End-to-end engine benchmark on a multi-component synthetic graph.
 
 The engine's shared preprocessing (single enumeration, component split,
-clique-core bounds, whole-component upper-bound skipping) must make solving
-through the engine no slower than the pre-refactor direct calls — and for
-solvers whose cost is superlinear in the working graph (the exact
-decomposition's repeated max-flows), decisively faster.  This benchmark
-builds a graph with several independent components of very different
-density, times the engine path against the direct call for the ``exact``
-and ``ippv`` solvers, and records serial-vs-parallel engine timings.
+clique-core bounds, whole-component upper-bound skipping, the serial early
+stop) must make solving through the engine no slower than the direct
+calls.  Both direct calls stop once k LhCDSes are certified, so on this
+graph the engine and the direct path cost about the same; what the engine
+still saves is whole components, which its early stop never solves.  This
+benchmark builds a graph with several independent components of very
+different density, times the engine path against the direct call for the
+``exact`` and ``ippv`` solvers, and records serial-vs-parallel engine
+timings.
 
 This seeds the BENCH trajectory: rerun after runtime changes and compare the
 printed table.
@@ -15,6 +17,7 @@ printed table.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.cliques.kclist import clique_instances
@@ -66,22 +69,32 @@ def _signature(subgraphs):
     return [(frozenset(s.vertices), s.density) for s in subgraphs]
 
 
-def test_engine_not_slower_than_direct_calls(bench_metrics, best_alternating):
+def _median_ratio(rounds) -> float:
+    """Median over rounds of the second path's time over the first's."""
+    first, second = rounds
+    return statistics.median(b / a for a, b in zip(first, second))
+
+
+def test_engine_not_slower_than_direct_calls(bench_metrics, alternating_rounds):
     graph = _multi_component_graph()
 
-    # -- exact: direct call decomposes the whole graph; the engine splits,
-    # bounds, and skips dominated components.
-    direct_exact, engine_exact = best_alternating([
+    # -- exact: the direct call decomposes the whole graph until k LhCDSes
+    # are certified; the engine splits, bounds, and stops early.
+    exact_rounds = alternating_rounds([
         lambda: exact_top_k_lhcds(graph, clique_instances(graph, H), K),
         lambda: solve(graph=graph, pattern=H, k=K, solver="exact", jobs=1),
     ])
 
     # -- ippv: the direct driver already early-stops via its bound-keyed
     # heap, so the engine path only has to break even.
-    direct_ippv, engine_ippv = best_alternating([
+    ippv_rounds = alternating_rounds([
         lambda: find_lhcds(graph, h=H, k=K),
         lambda: solve(graph=graph, pattern=H, k=K, solver="ippv", jobs=1),
     ])
+    direct_exact, engine_exact = map(min, exact_rounds)
+    direct_ippv, engine_ippv = map(min, ippv_rounds)
+    exact_ratio = _median_ratio(exact_rounds)
+    ippv_ratio = _median_ratio(ippv_rounds)
 
     # -- serial vs parallel engine runs (recorded; process spawn overhead
     # dominates at this graph size, so no assertion on the parallel time).
@@ -98,10 +111,13 @@ def test_engine_not_slower_than_direct_calls(bench_metrics, best_alternating):
         f"skipped {report.preprocessing.num_skipped_components}) "
         f"|Psi{H}|={report.preprocessing.num_instances} k={K}"
     )
+    print(
+        f"early-stopped components {report.preprocessing.num_early_stopped_components}"
+    )
     print(f"exact  direct {direct_exact:.4f}s  engine {engine_exact:.4f}s  "
-          f"speedup {direct_exact / engine_exact:.2f}x")
+          f"median engine/direct {exact_ratio:.2f}x")
     print(f"ippv   direct {direct_ippv:.4f}s  engine {engine_ippv:.4f}s  "
-          f"speedup {direct_ippv / engine_ippv:.2f}x")
+          f"median engine/direct {ippv_ratio:.2f}x")
     print(f"exact  engine serial {engine_exact:.4f}s  parallel(4) {parallel_exact:.4f}s")
 
     bench_metrics["engine.exact_direct_s"] = direct_exact
@@ -120,15 +136,21 @@ def test_engine_not_slower_than_direct_calls(bench_metrics, best_alternating):
     ippv_report = solve(graph=graph, pattern=H, k=K, solver="ippv", jobs=1)
     assert _signature(ippv_report.subgraphs) == _signature(direct_result.subgraphs)
 
-    # The headline: shared preprocessing + component skipping beats the
-    # direct exact call outright.  The engine's ippv path only breaks even
-    # with the direct driver, so the two timings are near-equal by design —
-    # the slack has to absorb shared-runner jitter on top of that, hence 25%.
-    assert engine_exact <= direct_exact, (
-        f"engine exact path slower than direct: {engine_exact:.4f}s vs {direct_exact:.4f}s"
+    # The engine's serial early stop never solves some of the graph's
+    # active components: the saving the engine still has over the direct
+    # calls, which stop at k themselves.  A count, so it cannot flake.
+    assert report.preprocessing.num_early_stopped_components >= 1
+    # Both paths of each pair stop at k, so their timings are near-equal by
+    # design.  Each pair is compared as the median of its per-round ratios,
+    # which both paths' shared host phases cancel out of, and the slack
+    # absorbs the jitter left over, hence 25%.
+    assert exact_ratio <= 1.25, (
+        f"engine exact path slower than direct: median ratio {exact_ratio:.2f}x "
+        f"(best {engine_exact:.4f}s vs {direct_exact:.4f}s)"
     )
-    assert engine_ippv <= direct_ippv * 1.25, (
-        f"engine ippv path slower than direct: {engine_ippv:.4f}s vs {direct_ippv:.4f}s"
+    assert ippv_ratio <= 1.25, (
+        f"engine ippv path slower than direct: median ratio {ippv_ratio:.2f}x "
+        f"(best {engine_ippv:.4f}s vs {direct_ippv:.4f}s)"
     )
 
 

@@ -64,7 +64,13 @@ def _proposal_seconds(n_communities: int):
 
     def decompose() -> float:
         # TentativeGD moves weight in place, so every run gets a fresh copy.
-        fresh = WeightState(instances=instances, alpha=array("d", alpha), r=dict(r))
+        fresh = WeightState(
+            instances=instances,
+            alpha=array("d", alpha),
+            r=dict(r),
+            loads=state.loads,
+            denominator=state.denominator,
+        )
         start = time.perf_counter()
         tentative_decomposition(fresh, vertices)
         return time.perf_counter() - start

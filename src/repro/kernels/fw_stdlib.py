@@ -76,13 +76,18 @@ def fw_distribute(
     degrees: Sequence[int],
     rank_of: Sequence[int],
     iterations: int,
-) -> Tuple[array, List[float]]:
+) -> Tuple[array, List[float], List[int]]:
     """Run ``iterations`` SEQ-kClist++ rounds over the flat instance ids.
 
     Each round gives every instance's unit to its poorest vertex (least
     received weight, ties to the lower ``rank_of``), in instance order.
-    Returns ``(alpha, r)``: the flat ``array('d')`` weight buffer and the
-    received weight per interned id.
+    Returns ``(alpha, r, loads)``: the flat ``array('d')`` weight buffer,
+    the received weight per interned id, and the exact integer load per
+    interned id, ``degrees[vid] + h * picks(vid)`` with ``picks`` the
+    rounds in which an instance gave ``vid`` its unit (over
+    ``h * (iterations + 1)``, see :class:`~repro.lhcds.seq_kclist.WeightState`).
+    The loads are summed from the integer per-slot pick counts, not from
+    ``r``, so they are exact whatever float rounding decided a tie.
     """
     n_inst = len(flat) // h
     inv_h = 1.0 / h
@@ -114,4 +119,7 @@ def fw_distribute(
     scale = 1.0 / (iterations + 1)
     alpha = array("d", [(c + inv_h) * scale for c in counts])
     r_of = [w * scale for w in w_r]
-    return alpha, r_of
+    loads = list(degrees)
+    for vid, picks in zip(flat, counts):
+        loads[vid] += h * picks
+    return alpha, r_of, loads

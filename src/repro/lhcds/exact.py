@@ -24,6 +24,7 @@ from ..errors import AlgorithmError
 from ..graph.components import connected_components
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
+from .ippv import vertex_set_sort_key
 
 
 def exact_compact_numbers(
@@ -87,9 +88,13 @@ def exact_top_k_lhcds(
     earlier layer: a layer's LhCDSes are read off as soon as it arrives, and
     once k are known no later layer can place, so the search stops.
 
-    Returns (vertex set, density) pairs sorted by decreasing density, then
-    decreasing size.  Level-0 components are excluded (an "LhCDS" containing
-    no instance is never reported by the paper either).
+    Returns (vertex set, density) pairs in the report's order: decreasing
+    density, then :func:`~repro.lhcds.ippv.vertex_set_sort_key` (decreasing
+    size, then the ``repr`` of the sorted vertices).  Each layer is sorted
+    before it is cut at ``k``, so the first ``k`` pairs are the first ``k``
+    of the full list and match IPPV's top-k on density ties.  Level-0
+    components are excluded (an "LhCDS" containing no instance is never
+    reported by the paper either).
     """
     if graph.num_vertices == 0:
         raise AlgorithmError("cannot decompose an empty graph")
@@ -99,7 +104,7 @@ def exact_top_k_lhcds(
         if rho == 0:
             break
         phi.update(dict.fromkeys(layer, rho))
-        found = sorted(lhcds_at_level(graph, phi, rho, layer), key=len, reverse=True)
+        found = sorted(lhcds_at_level(graph, phi, rho, layer), key=vertex_set_sort_key)
         results.extend((component, rho) for component in found)
         if k is not None and len(results) >= k:
             break

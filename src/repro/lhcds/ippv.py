@@ -10,9 +10,16 @@ Two engineering choices keep the implementation exact and terminating even
 when the Frank–Wolfe approximation is coarse:
 
 * Candidates live in a priority queue keyed by a *sound upper bound* of the
-  best LhCDS density they can contain (their members' global compact-number
-  upper bounds).  The run stops once the k-th best verified density matches
-  or exceeds every remaining key, which certifies the returned top-k set.
+  best LhCDS density they can contain: the smaller of two candidate-wide
+  maxima, the members' compact-number upper bounds and the members' exact
+  Frank–Wolfe loads.  The first proposal's SEQ-kClist++ iterate is a
+  feasible solution of CP(G, h) in integers (each vertex receives
+  ``W / D``, see :class:`~repro.lhcds.seq_kclist.WeightState`), so by
+  weak duality no subset of a candidate is denser than its members'
+  largest ``W / D``.  The run stops once the k-th best verified density
+  strictly exceeds every remaining key, which certifies the returned
+  top-k set, ties included: an LhCDS whose density equals the k-th may
+  sort before it, so it must be examined.
 
 * A candidate that repeatedly fails the self-densest test is split exactly
   along its maximal densest subgraph (one max-flow); the dense side and the
@@ -42,7 +49,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..densest.exact import maximal_densest_subset
 from ..errors import AlgorithmError
@@ -54,16 +61,17 @@ from ..patterns.clique import CliquePattern
 from .bounds import CompactBounds, initialize_bounds
 from .decomposition import tentative_decomposition
 from .prune import prune_candidates
-from .seq_kclist import seq_kclist_plus_plus
+from .seq_kclist import WeightState, seq_kclist_plus_plus
 from .stable_groups import StableGroup, derive_stable_groups
 from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
 #: Heap priorities are the candidates' *exact* density upper bounds —
-#: Algorithm 1's integer core numbers, or slack-padded floats from the
-#: DeriveSG tightening.  Python orders ints, floats and ``Fraction``
-#: densities exactly, so no ``float()`` coercion (which could conflate
-#: densities closer than one ulp) is ever applied on the priority /
-#: early-stop path.
+#: Algorithm 1's integer core numbers, slack-padded floats from the
+#: DeriveSG tightening, or the ``Fraction`` cap ``max W / D`` of the
+#: first proposal's exact Frank–Wolfe loads, whichever is smallest.
+#: Python orders ints, floats and ``Fraction`` densities exactly, so no
+#: ``float()`` coercion (which could conflate densities closer than one
+#: ulp) is ever applied on the priority / early-stop path.
 Priority = int | float | Fraction
 
 #: How many convex-programming refinement rounds a candidate may consume
@@ -90,6 +98,16 @@ class DenseSubgraph:
         return sorted(self.vertices, key=repr)
 
 
+def vertex_set_sort_key(vertices: AbstractSet[Vertex]) -> Tuple[int, str]:
+    """The order among LhCDSes of equal density: size desc, then vertex repr.
+
+    :func:`subgraph_sort_key` sorts by density first and then by this key,
+    and the ``exact`` solver sorts each layer's LhCDSes by it before it cuts
+    the layer at ``k``, so both keep the same LhCDSes on a density tie.
+    """
+    return (-len(vertices), repr(sorted(vertices, key=repr)))
+
+
 def subgraph_sort_key(subgraph: DenseSubgraph) -> tuple:
     """Deterministic output ordering: density desc, size desc, vertex repr.
 
@@ -97,11 +115,7 @@ def subgraph_sort_key(subgraph: DenseSubgraph) -> tuple:
     merge (``repro.engine.request.merge_key``) — both must sort identically
     for engine output to stay bit-identical to direct solver calls.
     """
-    return (
-        -subgraph.density,
-        -len(subgraph.vertices),
-        repr(sorted(subgraph.vertices, key=repr)),
-    )
+    return (-subgraph.density, *vertex_set_sort_key(subgraph.vertices))
 
 
 @dataclass
@@ -190,6 +204,10 @@ class IPPV:
         self._precomputed_bounds = bounds
         self._instances: Optional[InstanceSet] = None
         self._bounds: Optional[CompactBounds] = None
+        # The first proposal's exact Frank–Wolfe loads by vertex and their
+        # denominator, which cap every heap priority (see ``_push``).
+        self._loads: Optional[Dict[Vertex, int]] = None
+        self._load_denominator = 1
 
     # ------------------------------------------------------------------
     # public entry point
@@ -220,7 +238,11 @@ class IPPV:
             bounds, _core = initialize_bounds(instances, vertices)
         self._bounds = bounds
 
-        groups = self._propose(instances, vertices, bounds, timings)
+        groups, weights = self._propose(instances, vertices, bounds, timings)
+        self._loads = {
+            instances.vertex_at(vid): load for vid, load in enumerate(weights.loads)
+        }
+        self._load_denominator = weights.denominator
         tick = time.perf_counter()
         groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
         timings.prune += time.perf_counter() - tick
@@ -245,14 +267,15 @@ class IPPV:
                 kth = topk_densities[0]
                 best_remaining = -heap[0][0]
                 # Exact certified stop: the k-th best verified density
-                # already matches or exceeds every remaining candidate's
-                # sound upper bound, so nothing left can be *strictly*
-                # denser.  The comparison is Fraction-vs-priority with no
-                # epsilon — a float image comparison here could stop
-                # before the certificate holds (missing a strictly
-                # denser subgraph) whenever two densities collide in
-                # float space.
-                if kth >= best_remaining:
+                # strictly exceeds every remaining candidate's sound upper
+                # bound, so nothing left can reach it.  It must be strict:
+                # a remaining LhCDS whose density equals the k-th may sort
+                # before it (larger, or earlier by ``repr``), and the Frank–
+                # Wolfe cap can equal a density exactly.  The comparison is
+                # Fraction-vs-priority with no epsilon — a float image
+                # comparison here could stop before the certificate holds
+                # whenever two densities collide in float space.
+                if kth > best_remaining:
                     break
             neg_priority, _, candidate, depth = heapq.heappop(heap)
             candidate = frozenset(candidate - output_vertices)
@@ -301,7 +324,7 @@ class IPPV:
             if depth < MAX_REFINEMENT_ROUNDS:
                 refinements += 1
                 scratch_bounds = bounds.copy()
-                subgroups = self._propose(
+                subgroups, _ = self._propose(
                     local, sorted(candidate, key=repr), scratch_bounds, timings
                 )
                 subsets = {frozenset(g.vertices) for g in subgroups}
@@ -351,6 +374,14 @@ class IPPV:
     ) -> int:
         """Push a candidate with a sound density upper bound as priority.
 
+        The priority is the smaller of two candidate-wide maxima: the
+        members' compact-number upper bounds, and ``Fraction(max W, D)``
+        over the first proposal's exact Frank–Wolfe loads (0 for a member
+        in no instance).  Each maximum bounds the density of every subset
+        of the candidate on its own.  A per-vertex minimum of the two would
+        mix two different bounds and is not sound, so the minimum is taken
+        only after each maximum.
+
         The bound is stored *as is* (negated for the min-heap): it stays
         exact and tuple comparison breaks priority ties on the
         insertion counter, so two candidates whose bounds differ by less
@@ -359,7 +390,7 @@ class IPPV:
         """
         if not candidate:
             return counter
-        assert self._bounds is not None
+        assert self._bounds is not None and self._loads is not None
         uppers = [self._bounds.upper_of(v) for v in candidate]
         # initialize_bounds populates every candidate vertex, so an
         # unbounded (None) upper means the bounds are broken: such a vertex
@@ -368,7 +399,9 @@ class IPPV:
             raise AlgorithmError(
                 "candidate has a vertex without a finite compact-number upper bound"
             )
-        priority = max(uppers)
+        loads = self._loads
+        top_load = max(loads.get(v, 0) for v in candidate)
+        priority = min(max(uppers), Fraction(top_load, self._load_denominator))
         heapq.heappush(heap, (-priority, counter, candidate, depth))
         return counter + 1
 
@@ -378,10 +411,12 @@ class IPPV:
         vertices: Sequence[Vertex],
         bounds: CompactBounds,
         timings: StageTimings,
-    ) -> List[StableGroup]:
+    ) -> Tuple[List[StableGroup], WeightState]:
         """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
-        ``working`` holds the instances inside ``vertices``.
+        ``working`` holds the instances inside ``vertices``.  Returns the
+        stable groups and the Frank–Wolfe state, whose exact loads
+        TentativeGD leaves as SEQ-kClist++ computed them.
         """
         tick = time.perf_counter()
         state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
@@ -391,7 +426,7 @@ class IPPV:
         decomposition = tentative_decomposition(state, vertices)
         groups, _ = derive_stable_groups(decomposition, state, bounds)
         timings.decomposition += time.perf_counter() - tick
-        return groups
+        return groups, state
 
     def _verify(
         self,

@@ -5,7 +5,8 @@ distributes it over its ``h`` vertices.  ``r(u)`` is the total weight received
 by ``u``.  At the optimum of the convex program CP(G, h) the value ``r*(u)``
 equals the h-clique compact number ``phi_h(u)`` (Theorem 2); a finite number
 of iterations yields a feasible approximation that the stable-group stage
-turns into valid lower/upper bounds (Theorem 4).
+turns into valid lower/upper bounds (Theorem 4).  Its exact integer loads
+(:class:`WeightState`) also cap IPPV's heap priorities by weak duality.
 
 The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`: the weights
 are laid out as one flat ``array('d')`` buffer indexed by the CSR instance
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import AlgorithmError
 from ..graph.graph import Vertex
@@ -34,7 +35,7 @@ from ..kernels.fw_stdlib import fw_distribute
 
 @dataclass
 class WeightState:
-    """The (alpha, r) pair produced by SEQ-kClist++.
+    """The (alpha, r) pair produced by SEQ-kClist++, with its exact loads.
 
     ``alpha`` is a flat buffer of ``num_instances * h`` weights laid out in
     the instance-set's CSR order: ``alpha[i * h + j]`` is the weight instance
@@ -42,11 +43,22 @@ class WeightState:
     ``instances.instances[i]``, i.e. ``instances.flat_ids[i * h + j]``).
     ``r[v]`` is the sum of weights received by vertex ``v``.  Feasibility
     invariant: each instance's ``h`` slots are non-negative and sum to 1.
+
+    ``loads[vid]`` is the exact Frank–Wolfe load ``W = deg + h * picks`` of
+    interned id ``vid``, and ``denominator`` is ``D = h * (T + 1)``: the
+    iterate gives ``vid`` exactly ``W / D``, and every instance's parts sum
+    to ``D``, so the loads are a feasible solution of CP(G, h) in integers.
+    By weak duality no subset ``S`` of a vertex set ``C`` is denser than
+    ``max W / D`` over ``C``.  They describe the iterate as the kernel
+    returned it: TentativeGD's redistribution moves ``alpha`` and ``r``
+    and leaves them alone.
     """
 
     instances: InstanceSet
     alpha: array
     r: Dict[Vertex, float]
+    loads: List[int]
+    denominator: int
 
     def received(self, vertex: Vertex) -> float:
         """Return ``r(vertex)`` (0.0 for vertices in no instance)."""
@@ -113,10 +125,16 @@ def seq_kclist_plus_plus(
     for rank, vid in enumerate(sorted(range(n_vertices), key=reprs.__getitem__)):
         rank_of[vid] = rank
 
-    alpha, r_of = fw_distribute(h, flat, degrees, rank_of, iterations)
+    alpha, r_of, loads = fw_distribute(h, flat, degrees, rank_of, iterations)
 
     universe = set(vertices) if vertices is not None else instances.vertices()
     r: Dict[Vertex, float] = {v: 0.0 for v in universe}
     for vid in range(n_vertices):
         r[instances.vertex_at(vid)] = r_of[vid]
-    return WeightState(instances=instances, alpha=alpha, r=r)
+    return WeightState(
+        instances=instances,
+        alpha=alpha,
+        r=r,
+        loads=loads,
+        denominator=h * (iterations + 1),
+    )

@@ -25,6 +25,7 @@ from repro.cores.clique_core import peel
 from repro.lhcds.bounds import CompactBounds
 from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.exact import exact_compact_numbers
+from repro.lhcds.ippv import vertex_set_sort_key
 from repro.lhcds.seq_kclist import WeightState
 from repro.lhcds.stable_groups import FLOAT_SLACK, StableGroup
 
@@ -442,7 +443,8 @@ def reference_lhcds(graph: Graph, instances: InstanceSet) -> List[Tuple[Set[Vert
 
     Groups every vertex by its compact number, splits each positive level
     set into components and keeps those with no neighbour of a larger
-    compact number, sorted by decreasing density, then decreasing size.
+    compact number, sorted as the report sorts: decreasing density, then
+    decreasing size, then the ``repr`` of the sorted vertices.
     """
     phi = exact_compact_numbers(instances, graph.vertices())
     levels: Dict[Fraction, List[Vertex]] = {}
@@ -454,7 +456,7 @@ def reference_lhcds(graph: Graph, instances: InstanceSet) -> List[Tuple[Set[Vert
         for component in reference_connected_components(graph, levels[rho]):
             if all(phi[u] <= rho for v in component for u in graph.neighbors(v)):
                 results.append((component, rho))
-    results.sort(key=lambda item: (-item[1], -len(item[0])))
+    results.sort(key=lambda item: (-item[1], *vertex_set_sort_key(item[0])))
     return results
 
 

@@ -4,6 +4,7 @@ serial/parallel bit-identity, and the CLI integration."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from repro.datasets import load_dataset
 from repro.lhcds import exact_top_k_lhcds, find_lhcds
 from repro.cliques import clique_instances
 from repro.patterns import get_pattern
+
+from helpers import random_graph
 
 
 def _shifted(graph: Graph, offset: int) -> Graph:
@@ -170,6 +173,53 @@ class TestCrossSolverParity:
         assert _signature(engine) == [
             (frozenset(vertices), density) for vertices, density in direct
         ]
+
+
+def _tie_shaped_graph(rng: random.Random, h: int) -> Graph:
+    """2–4 equal cliques joined to a hub vertex 0 that lies in no h-clique.
+
+    The cliques are LhCDSes of one density, so only the report's tie-break
+    (size, then the ``repr`` of the sorted vertices) orders them.  They are
+    inserted in descending ``repr`` order, against that tie-break, and some
+    offsets sort differently as numbers and as strings (``100 < 20``).
+    """
+    size = rng.randint(h + 1, 6)
+    offsets = rng.sample([10, 20, 30, 100, 200, 300, 1000], rng.randint(2, 4))
+    offsets.sort(key=lambda offset: repr(list(range(offset, offset + size))), reverse=True)
+    graph = union_graph(*[_shifted(complete_graph(size), offset) for offset in offsets])
+    for offset in offsets:
+        graph.add_edge(0, offset)
+    return graph
+
+
+class TestFiniteKDifferential:
+    """``ippv`` and ``exact`` at a finite k report the first k of ``exact``'s full list.
+
+    Seeded G(n, p) graphs (n 6–40, h 2–4) and tie-shaped graphs (h 3–4),
+    through :func:`repro.engine.solve`, so the component split, the
+    component skip, the early stop and the merge all take part.
+    """
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(26)
+        for case in range(60):
+            n = rng.randint(6, 40)
+            yield f"gnp-{case}", random_graph(n, rng.uniform(0.1, 0.5), 2600 + case), 2 + case % 3
+        for case in range(20):
+            h = 3 + case % 2
+            yield f"ties-{case}", _tie_shaped_graph(rng, h), h
+
+    def test_finite_k_is_a_prefix_of_the_full_list(self):
+        mismatches = []
+        for name, graph, h in self._cases():
+            full = _signature(solve(graph=graph, pattern=h, k=None, solver="exact"))
+            for k in (1, 2, 3, 5):
+                for solver in ("ippv", "exact"):
+                    report = solve(graph=graph, pattern=h, k=k, solver=solver)
+                    if _signature(report) != full[:k]:
+                        mismatches.append((name, h, k, solver))
+        assert mismatches == []
 
 
 class TestSerialParallelIdentity:

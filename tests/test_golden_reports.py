@@ -21,28 +21,29 @@ from repro.datasets.synthetic import barabasi_albert_graph, gnp_graph, hybrid_co
 from repro.engine import report_signature, solve
 
 #: (case id, graph builder, h, solver, sha256 of report_signature).  The
-#: community cases at h = 4 and 5 run refinements and an exact split.
+#: community case at h = 4 runs refinements, and the G(n, p) case a
+#: refinement and an exact split.
 GOLDEN = [
     (
         "ippv-community-h3",
         lambda: hybrid_community_graph(40, 14, seed=0),
         3,
         "ippv",
-        "0e1f8dc15773119fcabd495d11559a8e8647f83b04299fcf92e773a035800edf",
+        "73883d394627552b93c5e0f1bcd772b917312606b5c090551e57b76235fd138d",
     ),
     (
         "ippv-community-h4",
         lambda: hybrid_community_graph(40, 14, seed=0),
         4,
         "ippv",
-        "e1ad37df1e6dd179f4c29df242f7c30eb1b00fe3ac4f06a6dfb79f6b5660a28d",
+        "5f4ae9920cd536c05abc579a8179fe18512acab2c76837994b8e98746908a753",
     ),
     (
         "ippv-community-h5",
         lambda: hybrid_community_graph(40, 14, seed=0),
         5,
         "ippv",
-        "c6e5bc7b471e40816bc33a9868e2393e8ed0d046c58d4823b0fb3dbed68446e3",
+        "e980b837019f19cc95fc614f3bebe92153940c12f8deb5e125c28c45f7adc6a0",
     ),
     (
         "ippv-gnp-h2",

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.cliques import clique_instances
+from repro.datasets.synthetic import hybrid_community_graph
+from repro.engine import solve
 from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, union_graph
 from repro.lhcds import IPPV, IPPVConfig, exact_top_k_lhcds, find_lhcds, find_lhxpds
@@ -224,6 +226,7 @@ class TestExactEarlyStop:
         ippv._bounds = self._bounds_with(
             {v: Fraction(1, 3) + self.EPS for v in graph.vertices()}
         )
+        ippv._loads = dict.fromkeys(graph.vertices(), 1)
         heap = []
         ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
         priority = heap[0][0]
@@ -237,6 +240,7 @@ class TestExactEarlyStop:
         uppers = {v: Fraction(1, 3) for v in graph.vertices()}
         uppers[1] = None
         ippv._bounds = self._bounds_with(uppers)
+        ippv._loads = dict.fromkeys(graph.vertices(), 1)
         heap = []
         with pytest.raises(AlgorithmError, match="upper bound"):
             ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
@@ -258,17 +262,63 @@ class TestExactEarlyStop:
         assert sorted(result.subgraphs[0].vertices) == [0, 1, 2]
         assert result.subgraphs[0].density == Fraction(1, 3)
 
-    def test_exact_tie_still_stops_early(self, monkeypatch):
-        # When the k-th best *equals* the best remaining bound the
-        # certificate does hold (nothing left can be strictly denser), so
-        # the driver stops without examining the second triangle.
+    def test_exact_tie_does_not_stop(self, monkeypatch):
+        # When the k-th best *equals* the best remaining bound, a remaining
+        # LhCDS of that density may still sort first, so IPPV must not
+        # stop: it examines the second triangle too, and the deterministic
+        # sort returns {0, 1, 2}, as with no stop at all.
         graph = self._two_triangles()
         uppers = {v: Fraction(1, 3) + self.EPS for v in (10, 11, 12)}
         uppers.update({v: Fraction(1, 3) for v in (0, 1, 2)})
         self._without_pruning(monkeypatch)
         result = IPPV(graph, 3, bounds=self._bounds_with(uppers)).run(1)
+        assert result.candidates_examined == 2
+        assert sorted(result.subgraphs[0].vertices) == [0, 1, 2]
+
+    def test_load_cap_lets_the_strict_stop_fire(self, monkeypatch):
+        # A K4 (density 1) beside a triangle (density 1/3).  The triangle's
+        # core number is 1, so without the Frank–Wolfe cap its priority
+        # would equal the K4's density and the strict stop could not fire.
+        # Its loads cap it at 22/63, so the run stops after the K4.
+        graph = union_graph(complete_graph(4), Graph(edges=[(10, 11), (11, 12), (10, 12)]))
+        self._without_pruning(monkeypatch)
+        ippv = IPPV(graph, 3)
+        result = ippv.run(1)
+        assert ippv._load_denominator == 63
+        assert [ippv._loads[v] for v in (0, 10, 11, 12)] == [63, 22, 22, 19]
         assert result.candidates_examined == 1
-        assert sorted(result.subgraphs[0].vertices) == [10, 11, 12]
+        assert sorted(result.subgraphs[0].vertices) == [0, 1, 2, 3]
+
+    def test_push_takes_the_smaller_of_the_two_maxima(self):
+        # The cap is min(max upper, max W / D) over the whole candidate.  A
+        # per-vertex min(upper, W / D) would give 2 here, which bounds
+        # nothing: the two bounds come from different certificates.
+        graph = self._two_triangles()
+        ippv = IPPV(graph, 3)
+        ippv._bounds = self._bounds_with({0: 1, 1: 5, 2: 1})
+        ippv._loads = {0: 8, 1: 4, 2: 2}
+        ippv._load_denominator = 2
+        heap = []
+        ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
+        assert heap[0][0] == -4
+        # Where the core bound is the smaller maximum, it is kept.
+        ippv._bounds = self._bounds_with({0: 1, 1: 3, 2: 1})
+        heap = []
+        ippv._push(heap, 0, frozenset({0, 1, 2}), 0)
+        assert heap[0][0] == -3
+
+
+class TestCertifiedStopCounters:
+    """The certified stop fires early: a deterministic counter, not a timing."""
+
+    @pytest.mark.parametrize("h", [3, 4, 5])
+    def test_top_10_examines_at_most_2k_candidates(self, h):
+        # With core-number priorities alone the stop could not fire until
+        # the heap was nearly empty: 38, 36 and 34 candidates at h = 3, 4
+        # and 5.  The Frank–Wolfe cap brings them to 10, 13 and 10.
+        report = solve(graph=hybrid_community_graph(40, 14, seed=0), pattern=h, k=10)
+        assert len(report.subgraphs) == 10
+        assert report.candidates_examined <= 2 * 10
 
 
 class TestInlineVerification:

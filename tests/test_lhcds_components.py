@@ -138,6 +138,26 @@ class TestSeqKClist:
         for v in range(5):
             assert state.received(v) == pytest.approx(float(phi[v]), abs=0.3)
 
+    @pytest.mark.parametrize("h", [3, 4, 5])
+    def test_loads_are_an_exactly_feasible_iterate(self, h):
+        # W(v) = deg(v) + h * picks(v) over D = h(T + 1).  Every instance
+        # gives its slots 1 + h * picks parts, which sum to D, so the loads
+        # total |Psi| * D; each is the float r(v) made exact.
+        g = random_graph(24, 0.5, 60 + h)
+        inst = clique_instances(g, h)
+        degree = Counter(v for row in inst.instances for v in row)
+        state = seq_kclist_plus_plus(inst, 20, g.vertices())
+        assert state.denominator == h * 21
+        assert sum(state.loads) == inst.num_instances * state.denominator
+        for vid, load in enumerate(state.loads):
+            v = inst.vertex_at(vid)
+            assert load >= degree[v] and (load - degree[v]) % h == 0
+            assert load / state.denominator == pytest.approx(state.received(v), abs=1e-9)
+        # TentativeGD moves alpha and r; the loads stay the kernel's.
+        loads = list(state.loads)
+        tentative_decomposition(state, g.vertices())
+        assert state.loads == loads
+
     def test_negative_iterations_rejected(self, k5):
         inst = clique_instances(k5, 3)
         with pytest.raises(AlgorithmError):
@@ -252,7 +272,8 @@ def _hand_built(r, subsets, weighted=()):
     """
     inst = InstanceSet.from_instances(3, [vertices for vertices, _ in weighted])
     alpha = array("d", [w for _, weights in weighted for w in weights])
-    state = WeightState(instances=inst, alpha=alpha, r=dict(r))
+    # TentativeGD and DeriveSG never read the exact loads.
+    state = WeightState(instances=inst, alpha=alpha, r=dict(r), loads=[], denominator=1)
     order = [v for subset in subsets for v in subset]
     decomposition = TentativeDecomposition(
         subsets=[list(subset) for subset in subsets],
@@ -359,7 +380,13 @@ class TestPrune:
 
 def _weights_copy(state):
     """An independent copy of a Frank–Wolfe state (TentativeGD edits it)."""
-    return WeightState(instances=state.instances, alpha=array("d", state.alpha), r=dict(state.r))
+    return WeightState(
+        instances=state.instances,
+        alpha=array("d", state.alpha),
+        r=dict(state.r),
+        loads=list(state.loads),
+        denominator=state.denominator,
+    )
 
 
 def _assert_tentative_matches_reference(state, vertices):
@@ -414,7 +441,10 @@ class TestTentativeGDOracle:
         triangles = [t for base in (0, 4) for t in combinations(range(base, base + 4), 3)]
         inst = InstanceSet.from_instances(3, triangles)
         alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
-        state = WeightState(instances=inst, alpha=alpha, r={v: 1.0 for v in range(8)})
+        # The T = 0 iterate: each vertex's load is its degree, over h.
+        state = WeightState(
+            instances=inst, alpha=alpha, r={v: 1.0 for v in range(8)}, loads=[3] * 8, denominator=3
+        )
         decomposition, _ = _assert_tentative_matches_reference(state, list(range(8)))
         assert decomposition.subsets == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert decomposition.prefix_densities == [Fraction(1), Fraction(1)]
@@ -425,7 +455,9 @@ class TestTentativeGDOracle:
         triangles = list(combinations(range(4), 3)) + [(3, 4, 5)]
         inst = InstanceSet.from_instances(3, triangles)
         alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
-        state = WeightState(instances=inst, alpha=alpha, r={})
+        state = WeightState(
+            instances=inst, alpha=alpha, r={}, loads=[3, 3, 3, 4, 1, 1], denominator=3
+        )
         state.recompute_r(list(range(6)))
         decomposition, after = _assert_tentative_matches_reference(state, list(range(6)))
         assert [sorted(subset) for subset in decomposition.subsets] == [[0, 1, 2, 3], [4, 5]]
