@@ -91,8 +91,10 @@ def test_delta_resolve_beats_cold(bench_metrics):
         session.apply_delta(delta)
         last_report = session.solve(**options)
         resolve = min(resolve, time.perf_counter() - start)
-        stats = session.last_solve_stats
-        assert stats.components_reused >= stats.components_total - 2
+        # The delta touches one part; at most it and a part it displaces
+        # from the top-k are solved.  Parts the serial early stop never
+        # solves count as neither reused nor solved.
+        assert session.last_solve_stats.components_solved <= 2
 
     def cold_solve():
         return solve(SolveRequest(graph=session.graph.copy(), pattern=H, **options))

@@ -74,9 +74,10 @@ from .request import PreparedComponent, PreprocessStats
 #: ``/3``: every artifact carries bounds, and the stats lost the
 #: prune-stats fields; ``/4``: the bounds keep Algorithm 1's core numbers
 #: for prune rule 2; ``/5``: Algorithm 1's upper bounds are the ``int``
-#: core numbers, not ``Fraction`` objects).  An artifact under an older tag
-#: is a cache miss.
-ARTIFACT_SCHEMA = "repro-cache/5"
+#: core numbers, not ``Fraction`` objects; ``/6``: each component carries
+#: its memo of held SEQ-kClist++ iterates, stored empty).  An artifact
+#: under an older tag is a cache miss.
+ARTIFACT_SCHEMA = "repro-cache/6"
 #: Ledger (``index.json``) schema tag.
 INDEX_SCHEMA = "repro-cache-index/1"
 

@@ -23,6 +23,7 @@ from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
 from ..lhcds.bounds import CompactBounds
 from ..lhcds.ippv import LhCDSResult, subgraph_sort_key
+from ..lhcds.seq_kclist import WeightState, held_iterate
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
 
@@ -126,6 +127,13 @@ class PreparedComponent:
     Solvers receive these instead of the whole graph: the component's induced
     subgraph, its restriction of the globally enumerated instance set, and the
     clique-core compact-number bounds — so no solver re-derives any of them.
+
+    ``iterates`` is a write-once memo of SEQ-kClist++ iterates on
+    ``instances``, keyed by ``T``.  Preprocessing leaves it empty; the first
+    IPPV solve or serial ranking that asks for ``T`` fills that entry
+    (:meth:`iterate`), and nothing writes it after.  Copies made with
+    ``dataclasses.replace`` and the components the cache hands out share
+    the one memo, so a held component runs each ``T``'s Frank–Wolfe once.
     """
 
     index: int
@@ -136,10 +144,15 @@ class PreparedComponent:
     lower_bound: Fraction
     #: Sound cap on the density of any subgraph inside (``c_max``).
     upper_bound: Fraction
+    iterates: Dict[int, WeightState] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def vertices(self) -> FrozenSet[Vertex]:
         return frozenset(self.subgraph.vertices())
+
+    def iterate(self, iterations: int) -> WeightState:
+        """The held SEQ-kClist++ iterate for ``T = iterations`` (read-only)."""
+        return held_iterate(self.iterates, self.instances, iterations, self.subgraph.vertices())
 
 
 @dataclass
@@ -157,8 +170,9 @@ class PreprocessStats:
     #: is strictly dominated by >= k other components' guaranteed densities.
     num_skipped_components: int = 0
     #: Components the serial runtime never solved because the running k-th
-    #: best density already strictly exceeded their cap (serial runs only;
-    #: the parallel merge discards the same subgraphs, so output matches).
+    #: best density already strictly exceeded their cap (``c_max``, or the
+    #: held iterate's tighter cap for IPPV; serial runs only: the parallel
+    #: merge discards the same subgraphs, so output matches).
     num_early_stopped_components: int = 0
     enumeration_seconds: float = 0.0
     split_seconds: float = 0.0

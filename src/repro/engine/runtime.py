@@ -10,17 +10,28 @@ The runtime turns a :class:`SolveRequest` into a :class:`SolveReport`:
    top-1 density of at least ``k`` other components can contribute nothing
    to the global top-k, so it is never solved.  The decision depends only on
    the precomputed bounds — never on execution order — which keeps every
-   backend's output bit-identical.
+   backend's output bit-identical.  It keeps ``c_max``: on the 12-part
+   graphs measured, the others' guaranteed ``c_max / h`` was too low for
+   a tighter cap to skip anything (EXPERIMENTS.md, "Components stop on
+   IPPV's own cap").
 4. Solve the scheduled components on the resolved backend — ``serial`` or
    ``process`` (see :mod:`repro.engine.executors`), chosen by
    ``SolveRequest.executor``, the ``REPRO_EXECUTOR`` environment variable,
-   or automatically.  Results the caller already holds (an incremental
-   session's store) are passed in as data and never solved again.  If the
-   backend's infrastructure fails (the platform cannot spawn processes,
-   payloads will not pickle) the runtime falls back to the serial backend
-   and records why in ``SolveReport.fallback_reason`` — the output is
-   identical either way.  Solver exceptions are *not* infrastructure: they
-   re-raise as :class:`EngineError` on every backend.
+   or automatically.  The serial backend solves in cap order and stops
+   once the running k-th best density strictly exceeds the next cap.  For
+   a solver that declares ``load_cap`` (IPPV) at a finite ``k`` over two
+   or more components, :func:`rank_by_load_cap` first tightens each cap to
+   ``min(c_max, max W / D)`` of the component's held SEQ-kClist++ iterate,
+   the one the solver proposes from, and reorders by it; filling an
+   iterate is charged to the report's ``seq_kclist`` time.  The process
+   backend keeps ``c_max`` order and solves every component, so it runs
+   no Frank–Wolfe before it ships.  Results the caller already holds (an
+   incremental session's store) are passed in as data and never solved
+   again.  If the backend's infrastructure fails (the platform cannot
+   spawn processes, payloads will not pickle) the runtime falls back to
+   the serial backend and records why in ``SolveReport.fallback_reason``
+   — the output is identical either way.  Solver exceptions are *not*
+   infrastructure: they re-raise as :class:`EngineError` on every backend.
 5. Merge: concatenate the per-component subgraphs, sort with the same
    deterministic key the IPPV driver uses, truncate to ``k``.
 """
@@ -30,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..errors import EngineError
@@ -82,6 +94,29 @@ def select_components(
         if dominating < k:
             selected.append(comp)
     return selected, len(components) - len(selected)
+
+
+def rank_by_load_cap(
+    components: List[PreparedComponent], iterations: int
+) -> List[PreparedComponent]:
+    """Copies of ``components`` capped by their held iterates, in serial order.
+
+    Each copy's ``upper_bound`` becomes ``min(c_max, Fraction(max W, D))``
+    over the component's held SEQ-kClist++ iterate for ``T = iterations``
+    (filled here on first use).  The iterate is feasible for CP(G, h) on
+    the component, so by weak duality no subgraph inside is denser than its
+    largest load ``W / D``, and the cap is as sound as ``c_max``.  The copies
+    are sorted by ``(-cap, index)``, so the serial early stop's strict test
+    against each copy's ``upper_bound`` stops at the first cap the running
+    k-th best density exceeds.  The copies share the memo with the originals.
+    """
+    ranked = []
+    for component in components:
+        held = component.iterate(iterations)
+        cap = min(component.upper_bound, Fraction(max(held.loads), held.denominator))
+        ranked.append(dataclasses.replace(component, upper_bound=cap))
+    ranked.sort(key=lambda c: (-c.upper_bound, c.index))
+    return ranked
 
 
 def _resolve_executor(request: SolveRequest, jobs: int, num_tasks: int) -> str:
@@ -179,7 +214,12 @@ def solve_prepared(
             executor_used = "serial"
             fallback_reason = f"process backend unavailable, ran serial: {exc}"
     stopped = 0
+    ranking_seconds: float = 0.0
     if executor_used == "serial":
+        if spec.load_cap and early_stop_k is not None and len(components) > 1:
+            ranking = time.perf_counter()
+            components = rank_by_load_cap(components, request.iterations)
+            ranking_seconds = time.perf_counter() - ranking
         stopped = run_serial(components, request, known, early_stop_k)
     stats.num_early_stopped_components = stopped
     results = [known[comp.vertices] for comp in components[: len(components) - stopped]]
@@ -189,7 +229,10 @@ def solve_prepared(
     # deterministic merge
     # ------------------------------------------------------------------
     subgraphs: List[DenseSubgraph] = []
-    timings = StageTimings(enumeration=stats.enumeration_seconds)
+    # The ranking's time is Frank–Wolfe filling held iterates.
+    timings = StageTimings(
+        enumeration=stats.enumeration_seconds, seq_kclist=ranking_seconds
+    )
     verification = VerificationStats()
     candidates_examined = 0
     refinements = 0

@@ -10,7 +10,10 @@ the metadata the runtime needs to validate requests and schedule work:
 * ``requires_k`` — Greedy has no "all subgraphs" mode;
 * ``exact`` — exact top-k semantics make whole-component upper-bound
   skipping sound (an approximate solver like Greedy must see every
-  component).
+  component);
+* ``load_cap`` — the solver proposes from the component's held
+  SEQ-kClist++ iterate (IPPV only), so the serial early stop may rank and
+  stop components by that iterate's load cap at no extra Frank–Wolfe.
 
 The five solvers are one literal table, :data:`SOLVERS`, like the pattern
 table in :mod:`repro.patterns.registry`; the CLI, the service, the
@@ -49,6 +52,10 @@ class SolverSpec:
     fixed_h: Optional[int] = None
     #: Whether the solver needs a finite k.
     requires_k: bool = False
+    #: Whether the solver proposes from the component's held SEQ-kClist++
+    #: iterate (:meth:`PreparedComponent.iterate`), so the serial early
+    #: stop may rank components by its load cap at no extra Frank–Wolfe.
+    load_cap: bool = False
 
     def validate(self, request: SolveRequest) -> None:
         """Raise :class:`EngineError` when the request does not fit."""
@@ -75,6 +82,7 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
         config,
         instances=component.instances,
         bounds=component.bounds,
+        iterates=component.iterates,
     )
     return solver.run(request.k)
 
@@ -123,6 +131,7 @@ SOLVERS: Dict[str, SolverSpec] = {
             description="iterative propose-prune-and-verify (the paper's Algorithm 6/7)",
             solve=_solve_ippv,
             exact=True,
+            load_cap=True,
         ),
         SolverSpec(
             name="exact",

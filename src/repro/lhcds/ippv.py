@@ -41,6 +41,15 @@ candidate again.  The first proposal runs on the whole instance set,
 because the restriction to every vertex is the set itself; on a connected
 graph preprocessing hands IPPV the global set as the one component's
 (step 2 of :mod:`repro.engine.preprocess`).
+
+The engine also hands IPPV the component's write-once memo of SEQ-kClist++
+iterates (``iterates=``, keyed by ``T``).  The first proposal reads its
+iterate from there, filling the entry if it is missing, and runs
+TentativeGD and DeriveSG on a working copy of its ``alpha`` and ``r``,
+because TentativeGD rewrites both; the exact loads are read as they are.
+So a held component pays its first Frank–Wolfe once, and the engine's
+serial early stop ranks components by the same iterate's cap.
+Refinement proposals run their own SEQ-kClist++ on the candidate.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from ..patterns.clique import CliquePattern
 from .bounds import CompactBounds, initialize_bounds
 from .decomposition import tentative_decomposition
 from .prune import prune_candidates
-from .seq_kclist import WeightState, seq_kclist_plus_plus
+from .seq_kclist import WeightState, held_iterate, seq_kclist_plus_plus
 from .stable_groups import StableGroup, derive_stable_groups
 from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
@@ -185,6 +194,7 @@ class IPPV:
         *,
         instances: Optional[InstanceSet] = None,
         bounds: Optional[CompactBounds] = None,
+        iterates: Optional[Dict[int, WeightState]] = None,
     ) -> None:
         if isinstance(pattern, int):
             pattern = CliquePattern(pattern)
@@ -202,6 +212,9 @@ class IPPV:
         # skipped); when absent they are computed on the first run().
         self._precomputed_instances = instances
         self._precomputed_bounds = bounds
+        # The caller's write-once memo of first-proposal iterates keyed by
+        # T (a prepared component's): read, or filled once, never written.
+        self._held_iterates = iterates
         self._instances: Optional[InstanceSet] = None
         self._bounds: Optional[CompactBounds] = None
         # The first proposal's exact Frank–Wolfe loads by vertex and their
@@ -238,7 +251,9 @@ class IPPV:
             bounds, _core = initialize_bounds(instances, vertices)
         self._bounds = bounds
 
-        groups, weights = self._propose(instances, vertices, bounds, timings)
+        groups, weights = self._propose(
+            instances, vertices, bounds, timings, held=self._held_iterates
+        )
         self._loads = {
             instances.vertex_at(vid): load for vid, load in enumerate(weights.loads)
         }
@@ -411,15 +426,23 @@ class IPPV:
         vertices: Sequence[Vertex],
         bounds: CompactBounds,
         timings: StageTimings,
+        held: Optional[Dict[int, WeightState]] = None,
     ) -> Tuple[List[StableGroup], WeightState]:
         """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
         ``working`` holds the instances inside ``vertices``.  Returns the
         stable groups and the Frank–Wolfe state, whose exact loads
-        TentativeGD leaves as SEQ-kClist++ computed them.
+        TentativeGD leaves as SEQ-kClist++ computed them.  With ``held``,
+        the iterate comes from that memo (filled here on first use), and
+        TentativeGD and DeriveSG run on a working copy of its ``alpha``
+        and ``r``, because TentativeGD rewrites both in place.
         """
         tick = time.perf_counter()
-        state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
+        if held is None:
+            state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
+        else:
+            iterate = held_iterate(held, working, self.config.iterations, vertices)
+            state = iterate.working_copy()
         timings.seq_kclist += time.perf_counter() - tick
 
         tick = time.perf_counter()

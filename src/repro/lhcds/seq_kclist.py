@@ -8,6 +8,11 @@ of iterations yields a feasible approximation that the stable-group stage
 turns into valid lower/upper bounds (Theorem 4).  Its exact integer loads
 (:class:`WeightState`) also cap IPPV's heap priorities by weak duality.
 
+A caller that solves one instance set again and again (a prepared
+component of the engine) keeps its iterates in a write-once memo keyed by
+``T``, filled by :func:`held_iterate`.  A held iterate is read-only:
+TentativeGD works on :meth:`WeightState.working_copy`.
+
 The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`: the weights
 are laid out as one flat ``array('d')`` buffer indexed by the CSR instance
 offsets of :class:`~repro.instances.InstanceSet` (instance ``i``'s ``j``-th
@@ -59,6 +64,19 @@ class WeightState:
     r: Dict[Vertex, float]
     loads: List[int]
     denominator: int
+
+    def working_copy(self) -> "WeightState":
+        """A copy whose ``alpha`` and ``r`` TentativeGD may rewrite.
+
+        The instances and the exact loads are shared; nothing writes them.
+        """
+        return WeightState(
+            instances=self.instances,
+            alpha=self.alpha[:],
+            r=dict(self.r),
+            loads=self.loads,
+            denominator=self.denominator,
+        )
 
     def received(self, vertex: Vertex) -> float:
         """Return ``r(vertex)`` (0.0 for vertices in no instance)."""
@@ -138,3 +156,24 @@ def seq_kclist_plus_plus(
         loads=loads,
         denominator=h * (iterations + 1),
     )
+
+
+def held_iterate(
+    held: Dict[int, WeightState],
+    instances: InstanceSet,
+    iterations: int,
+    vertices: Sequence[Vertex],
+) -> WeightState:
+    """``held[iterations]``, running SEQ-kClist++ to fill it on first use.
+
+    ``held`` is a write-once memo of iterates on ``instances`` over the
+    universe ``vertices``: an entry is never replaced, and no caller may
+    change one (see :meth:`WeightState.working_copy`).
+    """
+    state = held.get(iterations)
+    if state is None:
+        # Set-if-absent: two fills racing store one of their equal iterates.
+        state = held.setdefault(
+            iterations, seq_kclist_plus_plus(instances, iterations, vertices)
+        )
+    return state

@@ -20,9 +20,11 @@ order's ``r`` values: the group is isolated exactly when its slack-widened
 range holds no more values than the group has members.  Only a group that
 passes condition 1 walks its incident instances, once, for conditions 2
 and 3; each slot is classified by its position in the order and by an
-``r`` threshold.  The cost is one sort of the ``n`` ``r`` values, one
-bisect pair per tentative subset, and one incident-instance walk per check
-that passes condition 1.
+``r`` threshold.  A group that is the whole order skips the walk: every
+slot is a member's, so neither condition can fail.  The cost is one sort
+of the ``n`` ``r`` values, one bisect pair per tentative subset, and one
+incident-instance walk per check that passes condition 1 on a proper
+part of the order.
 """
 
 from __future__ import annotations
@@ -160,7 +162,11 @@ def derive_stable_groups(
         inside = bisect_right(sorted_r, high) - bisect_left(sorted_r, r_min - FLOAT_SLACK)
         if inside != hi - lo:
             continue
-        if not _weights_respect_group(state, id_at[lo:hi], position, r_at, lo, hi, high):
+        # The whole order owns every slot the walk reads, so it cannot fail.
+        whole = lo == 0 and hi == len(order)
+        if not whole and not _weights_respect_group(
+            state, id_at[lo:hi], position, r_at, lo, hi, high
+        ):
             continue
         groups.append(StableGroup(vertices=order[lo:hi], r_min=r_min, r_max=r_max))
         lo = hi
@@ -172,7 +178,13 @@ def derive_stable_groups(
     for group in groups:
         if not group.stable:
             continue
+        upper = group.r_max + FLOAT_SLACK
+        lower = group.r_min - FLOAT_SLACK
         for v in group.vertices:
-            bounds.tighten_upper(v, group.r_max + FLOAT_SLACK)
-            bounds.tighten_lower(v, group.r_min - FLOAT_SLACK)
+            bounds.tighten_upper(v, upper)
+        # Lower bounds are never negative, so a non-positive one raises
+        # nothing; skipping it saves a float-to-Fraction compare per member.
+        if lower > 0:
+            for v in group.vertices:
+                bounds.tighten_lower(v, lower)
     return groups, bounds

@@ -485,7 +485,7 @@ class TestCacheCLI:
 
     def test_artifact_schema_constant_pinned(self):
         # The on-disk schema is a compatibility contract; bump deliberately.
-        assert ARTIFACT_SCHEMA == "repro-cache/5"
+        assert ARTIFACT_SCHEMA == "repro-cache/6"
 
 
 class TestDeltaPoisoningRegression:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from repro.cli import main as cli_main
+from repro.datasets.synthetic import hybrid_community_graph
 from repro.engine import (
     SolveRequest,
     available_solvers,
@@ -17,6 +18,7 @@ from repro.engine import (
     preprocess,
     solve,
 )
+from repro.engine.runtime import rank_by_load_cap
 from repro.errors import EngineError
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.datasets import load_dataset
@@ -220,6 +222,55 @@ class TestFiniteKDifferential:
                     if _signature(report) != full[:k]:
                         mismatches.append((name, h, k, solver))
         assert mismatches == []
+
+
+def _stream_shaped_graph(base_seed: int) -> Graph:
+    """12 disjoint ``hybrid_community_graph(10, 12)`` parts (perfbench's serve-stream)."""
+    return union_graph(
+        *(
+            _shifted(hybrid_community_graph(10, 12, seed=base_seed + i), 1000 * i)
+            for i in range(12)
+        )
+    )
+
+
+class TestLoadCapRanking:
+    """Serial ippv ranks and stops components by their held iterates' load caps.
+
+    Ranked by Algorithm 1's ``c_max`` alone (18–40 on these parts, far
+    above their densest LhCDSes), no part of either graph stops early, and
+    the top-10 examines 129 and 126 candidates.
+    """
+
+    @pytest.mark.parametrize(
+        "base_seed,min_stopped,max_candidates", [(2000, 4, 80), (1000, 2, 100)]
+    )
+    def test_stop_fires_on_the_serve_stream_shape(self, base_seed, min_stopped, max_candidates):
+        graph = _stream_shaped_graph(base_seed)
+        report = solve(graph=graph, pattern=3, k=10, solver="ippv", executor="serial")
+        assert report.preprocessing.num_early_stopped_components >= min_stopped
+        assert report.candidates_examined <= max_candidates
+        exact = solve(graph=graph, pattern=3, k=10, solver="exact", executor="serial")
+        pooled = solve(
+            graph=graph, pattern=3, k=10, solver="ippv", executor="process", jobs=2
+        )
+        assert pooled.executor == "process"
+        assert _signature(report) == _signature(exact) == _signature(pooled)
+
+    def test_caps_bound_each_component_and_fill_its_memo(self):
+        request = SolveRequest(graph=_stream_shaped_graph(2000), pattern=3, k=10)
+        components, _ = preprocess(request)
+        ranked = rank_by_load_cap(components, request.iterations)
+        assert [c.index for c in ranked] != [c.index for c in components]
+        by_index = {c.index: c for c in components}
+        for capped in ranked:
+            component = by_index[capped.index]
+            assert capped.iterates is component.iterates
+            assert set(component.iterates) == {request.iterations}
+            best = exact_top_k_lhcds(component.subgraph, component.instances, 1)[0][1]
+            assert best <= capped.upper_bound < component.upper_bound
+        caps = [c.upper_bound for c in ranked]
+        assert caps == sorted(caps, reverse=True)
 
 
 class TestSerialParallelIdentity:

@@ -354,6 +354,34 @@ class TestWarmBoundsStayCold:
         assert divergent == []
 
 
+class TestLoadCapStop:
+    """Serial ippv sessions rank components by their held iterates' load caps."""
+
+    def test_seeded_deltas_keep_the_stop_firing_and_match_cold(self):
+        # Six parts; each delta toggles one original edge of a random part,
+        # so the touched part is rebuilt with an empty memo while the rest
+        # keep theirs, and parts the stop skipped stay unsolved.
+        parts = [hybrid_community_graph(3, 10, seed=300 + i) for i in range(6)]
+        graph = union_graph(*(shifted(part, 100 * i) for i, part in enumerate(parts)))
+        edges = sorted(graph.edges())
+        options = dict(solver="ippv", k=3, executor="serial")
+        session = IncrementalSession(graph.copy(), 3)
+        rng = random.Random(27)
+        removed = set()
+        for step in range(12):
+            if step:
+                edge = rng.choice(edges)
+                if edge in removed:
+                    removed.discard(edge)
+                    session.apply_delta(GraphDelta(add_edges=(edge,)))
+                else:
+                    removed.add(edge)
+                    session.apply_delta(GraphDelta(remove_edges=(edge,)))
+            warm = session.solve(**options)
+            assert warm.preprocessing.num_early_stopped_components > 0, step
+            assert report_signature(warm) == cold_signature(session.graph, **options), step
+
+
 class TestSessionLock:
     """Each session carries its own reentrant lock; concurrent apply/solve
     calls serialize per session and stay bit-identical to the cold solve

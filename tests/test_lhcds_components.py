@@ -16,13 +16,14 @@ from helpers import (
     reference_prune_invalid_vertices,
     reference_stable_groups,
     reference_tentative_decomposition,
+    shifted,
 )
 from repro.cliques import clique_instances
 from repro.datasets.synthetic import hybrid_community_graph
 from repro.engine import IncrementalSession, solve
 from repro.engine.cache import cache_for
 from repro.errors import AlgorithmError
-from repro.graph import Graph, complete_graph, union_graph
+from repro.graph import Graph, GraphDelta, complete_graph, union_graph
 from repro.instances import InstanceSet
 from repro.lhcds import (
     CompactBounds,
@@ -41,6 +42,7 @@ from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.reference import brute_force_compact_numbers, compactness_of
 from repro.lhcds.seq_kclist import WeightState
+from repro.lhcds import stable_groups as stable_groups_module
 from repro.lhcds.stable_groups import FLOAT_SLACK
 from repro.patterns import get_pattern
 from repro.server import SolveService
@@ -354,6 +356,55 @@ class TestDeriveSGOracle:
         groups = _assert_matches_reference(decomposition, state, CompactBounds())
         assert (groups[0].vertices == ["m"]) == stable
 
+    def test_whole_order_group_skips_the_weight_walk(self, monkeypatch):
+        # One tentative subset, so DeriveSG's only group is the whole order.
+        # Every slot of the order is a member's, so conditions 2 and 3
+        # cannot fail, and the walk that checks them is not run.
+        g = random_graph(12, 0.6, 0)
+        inst = clique_instances(g, 3)
+        state = seq_kclist_plus_plus(inst, 20, g.vertices())
+        bounds, _ = initialize_bounds(inst, g.vertices())
+        decomposition = tentative_decomposition(state, g.vertices())
+        assert len(decomposition.subsets) == 1
+        expected, expected_bounds = reference_stable_groups(decomposition, state, bounds.copy())
+
+        def walk(*args):
+            raise AssertionError("the whole order's weights were walked")
+
+        monkeypatch.setattr(stable_groups_module, "_weights_respect_group", walk)
+        groups, tightened = derive_stable_groups(decomposition, state, bounds.copy())
+        assert groups == expected
+        assert [(group.vertices, group.stable) for group in groups] == [
+            (decomposition.order, True)
+        ]
+        assert tightened.lower == expected_bounds.lower
+        assert tightened.upper == expected_bounds.upper
+
+    def test_non_positive_lower_bound_is_not_compared(self, monkeypatch):
+        # Padded down by the slack, a group whose smallest r is 0 gives a
+        # negative lower bound, which raises no bound (they are never
+        # negative), so no member's lower bound is compared with it.
+        state, decomposition = _hand_built(
+            {"a": 0.0, "b": 1.0, "c": 3.0}, [["c"], ["a", "b"]]
+        )
+        expected, expected_bounds = reference_stable_groups(
+            decomposition, state, CompactBounds()
+        )
+        compared = []
+        tighten_lower = CompactBounds.tighten_lower
+
+        def spy(bounds, v, value):
+            compared.append(v)
+            tighten_lower(bounds, v, value)
+
+        monkeypatch.setattr(CompactBounds, "tighten_lower", spy)
+        groups, tightened = derive_stable_groups(decomposition, state, CompactBounds())
+        assert groups == expected
+        assert [group.stable for group in groups] == [True, True]
+        assert compared == ["c"]
+        assert tightened.lower == expected_bounds.lower
+        assert tightened.upper == expected_bounds.upper
+
 
 class TestPrune:
     def test_prune_keeps_lhcds_vertices(self, figure2):
@@ -629,13 +680,34 @@ class TestPruneOracle:
         # Every solve's bounds copy shares the held component's core
         # numbers with rule 2, and cached and session-held components are
         # handed to every later solve, so no solve may write what they
-        # hold.  The restriction LRU is a memo, not content.
-        graph = hybrid_community_graph(3, 8, seed=4)
+        # hold.  The restriction LRU is a memo, not content.  The held
+        # SEQ-kClist++ iterates are a write-once memo: a solve may add the
+        # entry for a new T, but no filled entry may change.  The graph has
+        # several components, so serial ippv solves rank them by those
+        # iterates.
+        graph = union_graph(
+            hybrid_community_graph(3, 8, seed=4), shifted(hybrid_community_graph(3, 8, seed=5), 100)
+        )
         options = ({"iterations": 1}, {"iterations": 20}, {"solver": "exact"},
-                   {"verification": "basic"})
+                   {"verification": "basic"}, {"executor": "process", "jobs": 2})
 
         def sorted_items(values):
             return sorted((repr(v), value) for v, value in values.items())
+
+        def iterates(components):
+            return {
+                (c.vertices, t): hashlib.sha256(
+                    repr(
+                        (held.alpha.tobytes(), sorted_items(held.r), held.loads, held.denominator)
+                    ).encode()
+                ).hexdigest()
+                for c in components
+                for t, held in c.iterates.items()
+            }
+
+        def assert_unwritten(before, after):
+            kept = [key for key in before if key in after]
+            assert kept and all(after[key] == before[key] for key in kept)
 
         def digest(components):
             rows = sorted(
@@ -656,19 +728,43 @@ class TestPruneOracle:
             return [c for components, _ in cache_for(root)._memory.values() for c in components]
 
         root = str(tmp_path / "cache")
-        solve(graph=graph, pattern=3, k=5, cache_dir=root)
+        first = solve(graph=graph, pattern=3, k=5, cache_dir=root, executor="serial")
+        assert first.preprocessing.num_active_components > 1
         before = digest(cached(root))
+        held_before = iterates(cached(root))
+        assert {t for _, t in held_before} == {20}
         for extra in options:
-            solve(graph=graph, pattern=3, k=5, cache_dir=root, **extra)
+            report = solve(graph=graph, pattern=3, k=5, cache_dir=root, **extra)
+            assert report.preprocessing.cache_state == "hit-memory"
         assert digest(cached(root)) == before
+        assert_unwritten(held_before, iterates(cached(root)))
 
         session = IncrementalSession(graph.copy(), 3)
-        session.solve(k=5)
+        session.solve(k=5, executor="serial")
         before = digest(session._states.values())
+        held_before = iterates(session._states.values())
+        # The solve ran on the session's ``dataclasses.replace`` copies.
+        assert {t for _, t in held_before} == {20}
         for extra in options:
             session.solve(k=5, **extra)
         session.solve(k=None)
         assert digest(session._states.values()) == before
+        assert_unwritten(held_before, iterates(session._states.values()))
+        # A delta rebuilds the component it touches, with an empty memo; the
+        # others keep their iterates, and solves after the delta leave them
+        # as they were.
+        edge = next(iter(graph.edges()))
+        held_before = {
+            key: value
+            for key, value in iterates(session._states.values()).items()
+            if key[0].isdisjoint(edge)
+        }
+        session.apply_delta(GraphDelta(remove_edges=(edge,)))
+        for extra in ({}, *options):
+            session.solve(k=5, **extra)
+        after = iterates(session._states.values())
+        assert_unwritten(held_before, after)
+        assert any(edge[0] in vertices for vertices, _ in after)
 
         service = SolveService(cache_dir=str(tmp_path / "service"))
         try:
@@ -683,10 +779,12 @@ class TestPruneOracle:
                 ]
 
             before = digest(held())
+            held_before = iterates(held())
             for extra in options:
                 service.solve({"graph": "g", "k": 5, **extra})
                 service.solve_incremental("g", {"k": 5, **extra})
             assert digest(held()) == before
+            assert_unwritten(held_before, iterates(held()))
         finally:
             service.close()
 
