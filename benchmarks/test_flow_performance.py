@@ -89,7 +89,9 @@ def test_frank_wolfe_kernel_timed(bench_metrics):
         lambda: seq_kclist_plus_plus(instances, FW_ITERATIONS),
         rounds=3,
     )
-    assert state.check_feasible()
+    # Exactly feasible: every instance's weight numerators sum to D.
+    alpha, h = state.alpha, instances.h
+    assert all(sum(alpha[i : i + h]) == state.denominator for i in range(0, len(alpha), h))
 
     bench_metrics["fw.seq_kclist_s"] = fw_s
     print()

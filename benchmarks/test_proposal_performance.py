@@ -20,7 +20,6 @@ the peel.
 from __future__ import annotations
 
 import time
-from array import array
 
 from repro.cliques.kclist import clique_instances
 from repro.cores import peel
@@ -33,7 +32,6 @@ from repro.lhcds import (
     seq_kclist_plus_plus,
     tentative_decomposition,
 )
-from repro.lhcds.seq_kclist import WeightState
 
 H = 3
 FW_ITERATIONS = 20
@@ -60,17 +58,11 @@ def _proposal_seconds(n_communities: int):
     instances = clique_instances(graph, H)
     bounds, _ = initialize_bounds(instances, vertices)
     state = seq_kclist_plus_plus(instances, FW_ITERATIONS, vertices)
-    alpha, r = array("d", state.alpha), dict(state.r)
+    pristine = state.working_copy()
 
     def decompose() -> float:
         # TentativeGD moves weight in place, so every run gets a fresh copy.
-        fresh = WeightState(
-            instances=instances,
-            alpha=array("d", alpha),
-            r=dict(r),
-            loads=state.loads,
-            denominator=state.denominator,
-        )
+        fresh = pristine.working_copy()
         start = time.perf_counter()
         tentative_decomposition(fresh, vertices)
         return time.perf_counter() - start

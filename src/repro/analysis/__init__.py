@@ -18,7 +18,7 @@ gate: a stdlib-only linter built on :mod:`ast` visitors, with
   summaries that back the CC/MU rule family and the ``--summaries`` dump,
 * per-line ``# repro: allow-<RULE>(<reason>)`` pragmas (reasons are
   mandatory) plus file-level ``allow-file-<RULE>`` for whole-module
-  boundaries such as the Frank–Wolfe float kernel, and the declarative
+  boundaries, and the declarative
   ``guarded-by(<lock>)`` / ``holds(<lock>)`` pragmas the effects engine
   reads,
 * a committed baseline file for grandfathered findings, and

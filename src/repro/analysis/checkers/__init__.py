@@ -4,8 +4,8 @@
 Rule   Invariant policed
 =====  =======================================================================
 EX01   Exactness: no ``float`` coercions, float literals, or epsilon
-       comparisons inside certified modules unless routed through
-       ``stable_groups.FLOAT_SLACK``.
+       comparisons inside certified modules; only declared ``float``
+       storage (timings, scheduling knobs) is exempt.
 DT01   Determinism: no unordered set iteration feeding ordered results, no
        ``hash()``/``id()`` sort keys, no module-level ``random`` in solver
        paths.

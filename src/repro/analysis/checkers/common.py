@@ -43,16 +43,6 @@ def call_name(node: ast.Call) -> str:
     return ""
 
 
-def references_name(node: ast.AST, name: str) -> bool:
-    """Whether the subtree mentions ``name`` as a Name or attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == name:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == name:
-            return True
-    return False
-
-
 #: Binary set operators that preserve "this expression is a set".
 _SET_OPS = (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
 

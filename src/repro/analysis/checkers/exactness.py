@@ -13,15 +13,13 @@ modules:
 * epsilon comparisons (a comparison whose expression mixes in a float
   literal, e.g. ``a >= b - 1e-12``).
 
-Inexact data is allowed to enter in exactly the ways the design documents:
-
-* any expression that routes through ``stable_groups.FLOAT_SLACK`` (the
-  repository's single slack constant) is exempt;
-* declared float *storage* is exempt — an ``x: float = 0.0`` assignment or
-  a function default whose parameter is annotated ``float`` (wall-clock
-  timings and scheduling knobs are floats by design and say so);
-* whole-module boundaries (the Frank–Wolfe kernel) use a file-level
-  ``# repro: allow-file-EX01(<reason>)`` pragma.
+The solve path has no float boundary: the Frank–Wolfe iterate is integer
+numerators over one denominator, and every bound and priority is an
+``int`` or a ``Fraction``.  So the rule has one exemption, declared float
+*storage*: an ``x: float = 0.0`` assignment, a function default whose
+parameter is annotated ``float``, or a ``return`` literal of a function
+annotated ``-> float`` (wall-clock timings and scheduling knobs are floats
+by design and say so).  Anything else takes a line pragma with a reason.
 """
 
 from __future__ import annotations
@@ -30,10 +28,7 @@ import ast
 from typing import ClassVar, Dict, Set, Tuple
 
 from ..base import CheckContext, Checker
-from .common import ancestors, build_parent_map, enclosing_statement, references_name
-
-#: The one sanctioned float boundary (see ``repro.lhcds.stable_groups``).
-SLACK_NAME = "FLOAT_SLACK"
+from .common import ancestors, build_parent_map, enclosing_statement
 
 
 class ExactnessChecker(Checker):
@@ -45,7 +40,7 @@ class ExactnessChecker(Checker):
     )
     description: ClassVar[str] = (
         "certified modules keep densities and certificates exact; floats may "
-        f"only enter through {SLACK_NAME} or a reasoned pragma"
+        "only enter as declared float storage or under a reasoned pragma"
     )
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/lhcds/",
@@ -122,29 +117,9 @@ class ExactnessChecker(Checker):
         if statement is None:
             return False
         # Declared float storage: `x: float = <literal>`.
-        if isinstance(statement, ast.AnnAssign) and self._is_float_annotation(
+        return isinstance(statement, ast.AnnAssign) and self._is_float_annotation(
             statement.annotation
-        ):
-            return True
-        # The sanctioned boundary: the enclosing *expression* (the subtree
-        # hanging off the statement, not the statement's nested blocks)
-        # routes through FLOAT_SLACK — or defines it.
-        root = node
-        for ancestor in ancestors(node, self._parents):
-            if isinstance(ancestor, ast.stmt):
-                break
-            root = ancestor
-        if references_name(root, SLACK_NAME):
-            return True
-        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                statement.targets
-                if isinstance(statement, ast.Assign)
-                else [statement.target]
-            )
-            if any(references_name(target, SLACK_NAME) for target in targets):
-                return True
-        return False
+        )
 
     def _inside_comparison(self, node: ast.AST) -> bool:
         for ancestor in ancestors(node, self._parents):
@@ -166,8 +141,7 @@ class ExactnessChecker(Checker):
             self.report(
                 node,
                 "float() coercion in a certified module voids exact "
-                f"certificates; keep Fraction, route through {SLACK_NAME}, "
-                "or pragma with a reason",
+                "certificates; keep int or Fraction, or pragma with a reason",
             )
         self.generic_visit(node)
 
@@ -177,9 +151,8 @@ class ExactnessChecker(Checker):
                 self.report(
                     node,
                     "epsilon comparison mixes a float literal into a "
-                    "certified comparison; Fraction-vs-float comparisons "
-                    "are already exact, so compare directly or pad via "
-                    f"{SLACK_NAME}",
+                    "certified comparison; compare the exact int or "
+                    "Fraction values directly",
                 )
             else:
                 self.report(

@@ -128,12 +128,14 @@ class PreparedComponent:
     subgraph, its restriction of the globally enumerated instance set, and the
     clique-core compact-number bounds — so no solver re-derives any of them.
 
-    ``iterates`` is a write-once memo of SEQ-kClist++ iterates on
-    ``instances``, keyed by ``T``.  Preprocessing leaves it empty; the first
-    IPPV solve or serial ranking that asks for ``T`` fills that entry
-    (:meth:`iterate`), and nothing writes it after.  Copies made with
+    ``iterates`` is a one-entry memo of the SEQ-kClist++ iterate on
+    ``instances``, keyed by ``T``.  Preprocessing leaves it empty; the
+    first IPPV solve or serial ranking that asks for ``T`` fills it
+    (:meth:`iterate`), evicting the iterate of any other ``T``, and
+    nothing writes an entry after.  Copies made with
     ``dataclasses.replace`` and the components the cache hands out share
-    the one memo, so a held component runs each ``T``'s Frank–Wolfe once.
+    the one memo, so repeated solves at one ``T`` run its Frank–Wolfe
+    once, and solves at many ``T`` hold one iterate, not one per ``T``.
     """
 
     index: int

@@ -1,15 +1,15 @@
 """Tentative graph decomposition (Algorithm 2, ``TentativeGD``).
 
-Given the approximate weights ``(alpha, r)`` from SEQ-kClist++, vertices are
-sorted by decreasing ``r`` and split at the prefix positions whose prefix
-density is not beaten by any longer prefix (line 16 of Algorithm 2).  The
-weight of every instance that straddles several of these tentative subsets is
+Given the weights ``(alpha, r)`` from SEQ-kClist++, vertices are sorted by
+decreasing ``r`` and split at the prefix positions whose prefix density is
+not beaten by any longer prefix (line 16 of Algorithm 2).  The weight of
+every instance that straddles several of these tentative subsets is
 re-assigned entirely to the subset with the largest index (the one with the
 smallest ``r`` values) — lines 18-22 — and ``r`` is recomputed.  This keeps
 ``(alpha, r)`` feasible for CP(G, h) while making the later stable-group
 conditions checkable per subset.
 
-Both steps run on the instance set's interned ids:
+Both steps run on the instance set's interned ids and on integers:
 
 * **Integer breakpoints.**  Prefix ``p`` holds ``counts[p]`` instances, so
   its density is ``counts[p] / p``.  Scanning from the longest prefix down,
@@ -23,9 +23,12 @@ Both steps run on the instance set's interned ids:
   straddling instances are found by walking ``flat_ids`` through it: an
   instance straddles when its members' largest and smallest subset indices
   differ and none is ``-1``.  No per-instance vertex tuple or set is built.
+  The weights are numerators over the iterate's denominator, and every
+  slot is a multiple of ``L = lcm(1, ..., h - 1)`` (see
+  :mod:`repro.lhcds.seq_kclist`).  A straddling instance moves the
+  weight of at least one slot onto at most ``h - 1`` receivers, so the
+  even split divides exactly.
 """
-
-# repro: allow-file-EX01(consumes the float Frank-Wolfe iterate; its outputs only become certified after FLOAT_SLACK padding in stable_groups)
 
 from __future__ import annotations
 
@@ -111,6 +114,8 @@ def _redistribute(state: WeightState, block_of: List[int]) -> None:
     ``block_of[vid]`` is the subset index of interned id ``vid`` (-1 outside
     the universe).  ``alpha`` is the flat per-slot buffer: instance ``i``'s
     ``j``-th slot sits at ``i * h + j``, the same offsets as ``flat_ids``.
+    Each instance moves once, from slots that still hold multiples of
+    ``L``, so every share is an integer.
     """
     instances = state.instances
     h = instances.h
@@ -120,16 +125,17 @@ def _redistribute(state: WeightState, block_of: List[int]) -> None:
     for base, (last, first) in zip(bases, _slot_extremes(blocks, h)):
         if first == last or first < 0:
             continue
-        moved = 0.0
+        moved = 0
         receivers = []
         for pos in range(base, base + h):
             if blocks[pos] != last:
                 moved += alpha[pos]
-                alpha[pos] = 0.0
+                alpha[pos] = 0
             else:
                 receivers.append(pos)
         if moved:
-            share = moved / len(receivers)
+            share, remainder = divmod(moved, len(receivers))
+            assert not remainder, "a moved weight must split evenly"
             for pos in receivers:
                 alpha[pos] += share
 

@@ -11,12 +11,12 @@ when the Frank–Wolfe approximation is coarse:
 
 * Candidates live in a priority queue keyed by a *sound upper bound* of the
   best LhCDS density they can contain: the smaller of two candidate-wide
-  maxima, the members' compact-number upper bounds and the members' exact
+  maxima, the members' compact-number upper bounds and the members'
   Frank–Wolfe loads.  The first proposal's SEQ-kClist++ iterate is a
   feasible solution of CP(G, h) in integers (each vertex receives
-  ``W / D``, see :class:`~repro.lhcds.seq_kclist.WeightState`), so by
+  ``loads / D``, see :class:`~repro.lhcds.seq_kclist.WeightState`), so by
   weak duality no subset of a candidate is denser than its members'
-  largest ``W / D``.  The run stops once the k-th best verified density
+  largest ``loads / D``.  The run stops once the k-th best verified density
   strictly exceeds every remaining key, which certifies the returned
   top-k set, ties included: an LhCDS whose density equals the k-th may
   sort before it, so it must be examined.
@@ -42,11 +42,11 @@ because the restriction to every vertex is the set itself; on a connected
 graph preprocessing hands IPPV the global set as the one component's
 (step 2 of :mod:`repro.engine.preprocess`).
 
-The engine also hands IPPV the component's write-once memo of SEQ-kClist++
+The engine also hands IPPV the component's one-entry memo of SEQ-kClist++
 iterates (``iterates=``, keyed by ``T``).  The first proposal reads its
 iterate from there, filling the entry if it is missing, and runs
 TentativeGD and DeriveSG on a working copy of its ``alpha`` and ``r``,
-because TentativeGD rewrites both; the exact loads are read as they are.
+because TentativeGD rewrites both; the loads are read as they are.
 So a held component pays its first Frank–Wolfe once, and the engine's
 serial early stop ranks components by the same iterate's cap.
 Refinement proposals run their own SEQ-kClist++ on the candidate.
@@ -75,13 +75,12 @@ from .stable_groups import StableGroup, derive_stable_groups
 from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
 #: Heap priorities are the candidates' *exact* density upper bounds —
-#: Algorithm 1's integer core numbers, slack-padded floats from the
-#: DeriveSG tightening, or the ``Fraction`` cap ``max W / D`` of the
-#: first proposal's exact Frank–Wolfe loads, whichever is smallest.
-#: Python orders ints, floats and ``Fraction`` densities exactly, so no
-#: ``float()`` coercion (which could conflate densities closer than one
-#: ulp) is ever applied on the priority / early-stop path.
-Priority = int | float | Fraction
+#: Algorithm 1's integer core numbers, Theorem 4's ``Fraction`` bounds
+#: from DeriveSG, or the ``Fraction`` cap ``max loads / D`` of the first
+#: proposal's Frank–Wolfe loads, whichever is smallest.  Python orders
+#: ints and ``Fraction`` densities exactly, so the priority / early-stop
+#: path never rounds.
+Priority = int | Fraction
 
 #: How many convex-programming refinement rounds a candidate may consume
 #: before the driver falls back to the exact densest-subgraph split.
@@ -212,12 +211,13 @@ class IPPV:
         # skipped); when absent they are computed on the first run().
         self._precomputed_instances = instances
         self._precomputed_bounds = bounds
-        # The caller's write-once memo of first-proposal iterates keyed by
-        # T (a prepared component's): read, or filled once, never written.
+        # The caller's one-entry memo of first-proposal iterates keyed by T
+        # (a prepared component's): read, or filled for a new T; an entry
+        # is never written.
         self._held_iterates = iterates
         self._instances: Optional[InstanceSet] = None
         self._bounds: Optional[CompactBounds] = None
-        # The first proposal's exact Frank–Wolfe loads by vertex and their
+        # The first proposal's Frank–Wolfe load numerators by vertex and their
         # denominator, which cap every heap priority (see ``_push``).
         self._loads: Optional[Dict[Vertex, int]] = None
         self._load_denominator = 1
@@ -390,8 +390,8 @@ class IPPV:
         """Push a candidate with a sound density upper bound as priority.
 
         The priority is the smaller of two candidate-wide maxima: the
-        members' compact-number upper bounds, and ``Fraction(max W, D)``
-        over the first proposal's exact Frank–Wolfe loads (0 for a member
+        members' compact-number upper bounds, and ``Fraction(max loads, D)``
+        over the first proposal's Frank–Wolfe loads (0 for a member
         in no instance).  Each maximum bounds the density of every subset
         of the candidate on its own.  A per-vertex minimum of the two would
         mix two different bounds and is not sound, so the minimum is taken
@@ -431,7 +431,7 @@ class IPPV:
         """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
         ``working`` holds the instances inside ``vertices``.  Returns the
-        stable groups and the Frank–Wolfe state, whose exact loads
+        stable groups and the Frank–Wolfe state, whose loads
         TentativeGD leaves as SEQ-kClist++ computed them.  With ``held``,
         the iterate comes from that memo (filled here on first use), and
         TentativeGD and DeriveSG run on a working copy of its ``alpha``

@@ -9,26 +9,28 @@ Proposition 5 gives two safe rules:
    in the pruned graph drops below its lower bound, it can no longer form an
    adequately compact subgraph without pruned vertices, so it is invalid too.
 
-Floating-point bounds are compared with a conservative slack so rounding can
-only make pruning *less* aggressive (exactness is never at risk).
+Every bound is an exact ``int`` or ``Fraction`` (see
+:mod:`repro.lhcds.bounds`), so both rules compare with no slack.
 
 Rule 1 makes one bound comparison per vertex, not one per edge endpoint.
-Each universe vertex's threshold ``lower(u) - FLOAT_SLACK`` is computed
-once, and ``v`` is tested against the largest threshold among its universe
-neighbours.  ``upper(v) < max_u t(u)`` holds exactly when ``upper(v) <
-t(u)`` for some ``u``, and Python compares ``int``, ``Fraction`` and
-``float`` values exactly, so this is the same predicate with no rounding.
-The thresholds are floats and the upper bounds are Algorithm 1's integer
-core numbers or DeriveSG's padded floats, so no comparison converts a
-float to a ``Fraction``.
+Each universe vertex's lower bound is written once as an integer numerator
+over one common denominator ``M`` (the lcm of the lower bounds'
+denominators), and ``v`` is tested against the largest numerator among its
+universe neighbours.  ``upper(v) < max_u lower(u)`` holds exactly when
+``upper(v) < lower(u)`` for some ``u``, so this is the same predicate, and
+the maximum is taken over ints instead of ``Fraction`` objects: rule 1
+with a ``Fraction`` maximum took 2.7–2.9x as long on a 3.1k-vertex
+community graph and a 3k-vertex Barabási–Albert graph.
 
 Rule 2 keeps the largest set of rule 1's survivors in which every vertex's
-core number, counted inside the set, meets its threshold.  Core numbers
-only grow with the universe, so a union of such sets is one, and
-re-peeling the survivors until nothing drops reaches exactly this set.
-This module reaches it without peeling, by the local h-index refinement
-of core numbers (Sariyüce, Seshadhri & Pinar, "Local Algorithms for
-Hierarchical Dense Subgraph Discovery", PVLDB 2018):
+core number, counted inside the set, meets its lower bound.  Core numbers
+are integers, so a vertex meets it exactly when its core number reaches
+the bound's ceiling, its threshold.  Core numbers only grow with the
+universe, so a union of such sets is one, and re-peeling the survivors
+until nothing drops reaches exactly this set.  This module reaches it
+without peeling, by the local h-index refinement of core numbers
+(Sariyüce, Seshadhri & Pinar, "Local Algorithms for Hierarchical Dense
+Subgraph Discovery", PVLDB 2018):
 
 * Every alive vertex ``x`` keeps an estimate ``tau(x)``, which starts at
   the core numbers Algorithm 1 computed (:attr:`CompactBounds.core`).  They
@@ -66,8 +68,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Set
 from ..cores.clique_core import peel
 from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
-from .bounds import CompactBounds, Number
-from .stable_groups import FLOAT_SLACK, StableGroup
+from .bounds import CompactBounds
+from .stable_groups import StableGroup
 
 
 def prune_invalid_vertices(
@@ -80,28 +82,33 @@ def prune_invalid_vertices(
     universe: Set[Vertex] = set(vertices) if vertices is not None else set(graph.vertices())
 
     # Rule 1: a neighbour with a strictly larger lower bound invalidates v.
-    # upper(v) < lower(u) - slack for some universe neighbour u exactly when
-    # upper(v) falls below the largest of those thresholds, so each vertex
-    # makes one bound comparison however many neighbours it has.
-    threshold = {u: bounds.lower_of(u) - FLOAT_SLACK for u in universe}
+    # upper(v) < lower(u) for some universe neighbour u exactly when upper(v)
+    # falls below the largest of those bounds, so each vertex makes one
+    # bound comparison however many neighbours it has.  The lower bounds
+    # become numerators over one denominator, so the maximum compares ints.
+    lowers = {u: bounds.lower_of(u) for u in universe}
+    scale = math.lcm(*{value.denominator for value in lowers.values()})
+    scaled = {u: value.numerator * (scale // value.denominator) for u, value in lowers.items()}
     invalid: Set[Vertex] = set()
     for v in universe:
         upper_v = bounds.upper_of(v)
-        # None means unbounded, which can never fall below a threshold.
+        # None means unbounded, which can never fall below a lower bound.
         if upper_v is None or not graph.has_vertex(v):
             continue
         highest = max(
-            (threshold[u] for u in graph.neighbors(v) if u in threshold),
+            (scaled[u] for u in graph.neighbors(v) if u in scaled),
             default=None,
         )
-        if highest is not None and upper_v < highest:
+        if highest is not None and upper_v.numerator * scale < highest * upper_v.denominator:
             invalid.add(v)
 
     # Rule 2: refine core numbers of a superset universe down to those of
-    # the survivors, dropping every vertex that falls below its threshold.
+    # the survivors, dropping every vertex that falls below its threshold,
+    # the ceiling of its lower bound.
     core: Mapping[Vertex, int] = bounds.core
     if not core.keys() >= universe:
         core = peel(instances, universe).core
+    threshold = {u: -(-numerator // scale) for u, numerator in scaled.items()}
     return _refine(instances, universe - invalid, core, threshold)
 
 
@@ -109,7 +116,7 @@ def _refine(
     instances: InstanceSet,
     survivors: Set[Vertex],
     start: Mapping[Vertex, int],
-    threshold: Dict[Vertex, Number],
+    threshold: Dict[Vertex, int],
 ) -> Set[Vertex]:
     """Rule 2's fixpoint of ``survivors``, refined from ``start`` (see above)."""
     h = instances.h
@@ -120,7 +127,6 @@ def _refine(
 
     # A vertex already below its threshold drops at once; one in no instance
     # has core number 0, so it survives exactly when it is not below.
-    # tau is an integer, so tau < threshold exactly when tau < ceil(threshold).
     tau = [0] * n
     need = [0] * n
     alive_vertex = bytearray(n)
@@ -133,7 +139,7 @@ def _refine(
         if vid is not None:
             alive_vertex[vid] = 1
             tau[vid] = start[v]
-            need[vid] = math.ceil(threshold[v])
+            need[vid] = threshold[v]
 
     # An instance is alive while all of its members are.
     alive = bytearray(b"\x01") * instances.num_instances

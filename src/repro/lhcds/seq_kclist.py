@@ -5,29 +5,37 @@ distributes it over its ``h`` vertices.  ``r(u)`` is the total weight received
 by ``u``.  At the optimum of the convex program CP(G, h) the value ``r*(u)``
 equals the h-clique compact number ``phi_h(u)`` (Theorem 2); a finite number
 of iterations yields a feasible approximation that the stable-group stage
-turns into valid lower/upper bounds (Theorem 4).  Its exact integer loads
+turns into valid lower/upper bounds (Theorem 4).  Its loads
 (:class:`WeightState`) also cap IPPV's heap priorities by weak duality.
 
+The iterate is exact: every weight is an integer numerator over one
+denominator ``D = h * (T + 1) * L`` with ``L = lcm(1, ..., h - 1)``.  The
+Frank–Wolfe rounds only count picks, so ``D / L = h * (T + 1)`` already
+makes every weight integral; ``L`` keeps TentativeGD's even split of a
+moved weight over at most ``h - 1`` receivers integral too (see
+:mod:`repro.lhcds.decomposition`).  No stage rounds, so every comparison
+from the kernel to the certified stop is between ``int`` or
+:class:`~fractions.Fraction` values.
+
 A caller that solves one instance set again and again (a prepared
-component of the engine) keeps its iterates in a write-once memo keyed by
-``T``, filled by :func:`held_iterate`.  A held iterate is read-only:
-TentativeGD works on :meth:`WeightState.working_copy`.
+component of the engine) keeps its latest iterate in a one-entry memo
+keyed by ``T``, filled by :func:`held_iterate`.  A held iterate is
+read-only: TentativeGD works on :meth:`WeightState.working_copy`.
 
-The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`: the weights
-are laid out as one flat ``array('d')`` buffer indexed by the CSR instance
-offsets of :class:`~repro.instances.InstanceSet` (instance ``i``'s ``j``-th
-slot is ``alpha[i * h + j]``), and
+The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`:
 :func:`~repro.kernels.fw_stdlib.fw_distribute` runs the per-round
-water-filling on it.  The pattern size picks the loop: triangles
-(``h = 3``) run an unrolled three-way poorest-vertex pick over strided
-columns of the flat ids, every other ``h`` the generic slot scan; both
-pick the same vertex, so ``alpha`` and ``r`` do not depend on the branch.
+water-filling on integer loads and returns the per-slot pick counts, laid
+out like the CSR instance ids of :class:`~repro.instances.InstanceSet`
+(instance ``i``'s ``j``-th slot is ``i * h + j``).  The pattern size
+picks the loop: triangles (``h = 3``) run an unrolled three-way
+poorest-vertex pick over strided columns of the flat ids, every other
+``h`` the generic slot scan; both pick the same vertex, so the iterate
+does not depend on the branch.
 """
-
-# repro: allow-file-EX01(Frank-Wolfe iterate: approximate float weights by design; stable_groups pads them with FLOAT_SLACK before any certified comparison)
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -40,35 +48,36 @@ from ..kernels.fw_stdlib import fw_distribute
 
 @dataclass
 class WeightState:
-    """The (alpha, r) pair produced by SEQ-kClist++, with its exact loads.
+    """The (alpha, r) pair produced by SEQ-kClist++, as numerators over ``denominator``.
 
-    ``alpha`` is a flat buffer of ``num_instances * h`` weights laid out in
-    the instance-set's CSR order: ``alpha[i * h + j]`` is the weight instance
-    ``i`` assigns to its ``j``-th vertex (positions follow
-    ``instances.instances[i]``, i.e. ``instances.flat_ids[i * h + j]``).
-    ``r[v]`` is the sum of weights received by vertex ``v``.  Feasibility
-    invariant: each instance's ``h`` slots are non-negative and sum to 1.
+    ``alpha`` is a flat ``array('q')`` (a list when ``D`` passes int64) of
+    ``num_instances * h`` weight numerators laid out in the instance-set's
+    CSR order: ``alpha[i * h + j]`` is the weight instance ``i`` assigns to
+    its ``j``-th vertex
+    (positions follow ``instances.instances[i]``, i.e.
+    ``instances.flat_ids[i * h + j]``).  ``r[v]`` is the numerator of the
+    weight received by vertex ``v``.  ``denominator`` is ``D = h * (T + 1)
+    * L`` with ``L = lcm(1, ..., h - 1)``.  Feasibility invariant: each
+    instance's ``h`` slots are non-negative and sum to ``D``.
 
-    ``loads[vid]`` is the exact Frank–Wolfe load ``W = deg + h * picks`` of
-    interned id ``vid``, and ``denominator`` is ``D = h * (T + 1)``: the
-    iterate gives ``vid`` exactly ``W / D``, and every instance's parts sum
-    to ``D``, so the loads are a feasible solution of CP(G, h) in integers.
-    By weak duality no subset ``S`` of a vertex set ``C`` is denser than
-    ``max W / D`` over ``C``.  They describe the iterate as the kernel
-    returned it: TentativeGD's redistribution moves ``alpha`` and ``r``
-    and leaves them alone.
+    ``loads[vid]`` is the numerator the kernel gave interned id ``vid``,
+    ``L * W`` with ``W = deg + h * picks``: the loads are a feasible
+    solution of CP(G, h), so by weak duality no subset ``S`` of a vertex
+    set ``C`` is denser than ``max loads / D`` over ``C``.  They describe
+    the iterate as the kernel returned it: TentativeGD's redistribution
+    moves ``alpha`` and ``r`` and leaves them alone.
     """
 
     instances: InstanceSet
-    alpha: array
-    r: Dict[Vertex, float]
+    alpha: Sequence[int]
+    r: Dict[Vertex, int]
     loads: List[int]
     denominator: int
 
     def working_copy(self) -> "WeightState":
         """A copy whose ``alpha`` and ``r`` TentativeGD may rewrite.
 
-        The instances and the exact loads are shared; nothing writes them.
+        The instances and the loads are shared; nothing writes them.
         """
         return WeightState(
             instances=self.instances,
@@ -78,36 +87,25 @@ class WeightState:
             denominator=self.denominator,
         )
 
-    def received(self, vertex: Vertex) -> float:
-        """Return ``r(vertex)`` (0.0 for vertices in no instance)."""
-        return self.r.get(vertex, 0.0)
+    def received(self, vertex: Vertex) -> int:
+        """Return the numerator of ``r(vertex)`` (0 for vertices in no instance)."""
+        return self.r.get(vertex, 0)
 
     def recompute_r(self, vertices: Optional[Sequence[Vertex]] = None) -> None:
         """Recompute ``r`` from ``alpha`` (used after redistribution)."""
         instances = self.instances
         universe = set(vertices) if vertices is not None else instances.vertices()
         n_vertices = instances.num_interned
-        r_of = [0.0] * n_vertices
+        r_of = [0] * n_vertices
         alpha = self.alpha
         for pos, vid in enumerate(instances.flat_ids):
             r_of[vid] += alpha[pos]
-        r = {v: 0.0 for v in universe}
+        r = {v: 0 for v in universe}
         for vid in range(n_vertices):
             v = instances.vertex_at(vid)
             if v in r:
                 r[v] = r_of[vid]
         self.r = r
-
-    def check_feasible(self, tolerance: float = 1e-6) -> bool:
-        """Return True when every instance's weights are a distribution."""
-        alpha = self.alpha
-        h = self.instances.h
-        if any(w < -tolerance for w in alpha):
-            return False
-        for base in range(0, len(alpha), h):
-            if abs(sum(alpha[base : base + h]) - 1.0) > tolerance:
-                return False
-        return True
 
 
 def seq_kclist_plus_plus(
@@ -133,9 +131,10 @@ def seq_kclist_plus_plus(
     flat = instances.flat_ids
     n_vertices = instances.num_interned
 
-    # Per-vertex incidence degrees seed r (every incident instance contributes
-    # 1/h), and the repr-sorted rank replaces per-comparison string tie-breaks
-    # in the poorest-vertex selection — same order, integer compares.
+    # Per-vertex incidence degrees seed the loads (every incident instance
+    # contributes 1/h, so h times that is the degree), and the repr-sorted
+    # rank replaces per-comparison string tie-breaks in the poorest-vertex
+    # selection — same order, integer compares.
     indptr = instances.incidence_indptr
     degrees = [indptr[vid + 1] - indptr[vid] for vid in range(n_vertices)]
     reprs = [repr(instances.vertex_at(vid)) for vid in range(n_vertices)]
@@ -143,18 +142,28 @@ def seq_kclist_plus_plus(
     for rank, vid in enumerate(sorted(range(n_vertices), key=reprs.__getitem__)):
         rank_of[vid] = rank
 
-    alpha, r_of, loads = fw_distribute(h, flat, degrees, rank_of, iterations)
+    picks, load = fw_distribute(h, flat, degrees, rank_of, iterations)
 
+    # A slot holds (picks + 1/h) / (T + 1) = L * (h * picks + 1) / D.
+    unit = math.lcm(*range(1, h))
+    denominator = h * (iterations + 1) * unit
+    step = h * unit
+    alpha: Sequence[int] = [step * p + unit for p in picks]
+    # No slot, and no share TentativeGD moves, exceeds D, so an int64 array
+    # holds the iterate unless D itself does not fit (from h = 42 at any T).
+    if denominator < 2**63:
+        alpha = array("q", alpha)
+    loads = [unit * w for w in load]
     universe = set(vertices) if vertices is not None else instances.vertices()
-    r: Dict[Vertex, float] = {v: 0.0 for v in universe}
-    for vid in range(n_vertices):
-        r[instances.vertex_at(vid)] = r_of[vid]
+    r: Dict[Vertex, int] = {v: 0 for v in universe}
+    for vid, w in enumerate(loads):
+        r[instances.vertex_at(vid)] = w
     return WeightState(
         instances=instances,
         alpha=alpha,
         r=r,
         loads=loads,
-        denominator=h * (iterations + 1),
+        denominator=denominator,
     )
 
 
@@ -166,14 +175,17 @@ def held_iterate(
 ) -> WeightState:
     """``held[iterations]``, running SEQ-kClist++ to fill it on first use.
 
-    ``held`` is a write-once memo of iterates on ``instances`` over the
-    universe ``vertices``: an entry is never replaced, and no caller may
-    change one (see :meth:`WeightState.working_copy`).
+    ``held`` is a memo of one iterate on ``instances`` over the universe
+    ``vertices``.  A fill for a new ``T`` replaces the entry with a new
+    iterate, so asking a held component for many ``T`` keeps one iterate,
+    not one per ``T``.  No caller may change an iterate (see
+    :meth:`WeightState.working_copy`); a reader keeps the one it got after
+    a later fill replaces it.  Fills racing on two threads each return
+    their own iterate and may leave one entry each.
     """
     state = held.get(iterations)
     if state is None:
-        # Set-if-absent: two fills racing store one of their equal iterates.
-        state = held.setdefault(
-            iterations, seq_kclist_plus_plus(instances, iterations, vertices)
-        )
+        state = seq_kclist_plus_plus(instances, iterations, vertices)
+        held.clear()
+        held[iterations] = state
     return state

@@ -12,25 +12,33 @@ Theorem 4 then sandwiches the true compact number of every member between
 groups are the LhCDS candidates that the pruning and verification stages
 consume.
 
+The iterate is exact (integer numerators over one denominator ``D``, see
+:mod:`repro.lhcds.seq_kclist`), so the checks are the definition as
+stated: condition 1's window is exactly ``[r_min, r_max]``, and
+conditions 2 and 3 ask whether a slot holds any weight at all.  A group's
+range and Theorem 4's bounds are stored as exact
+:class:`~fractions.Fraction` values.
+
 DeriveSG makes one pass over the tentative order.  The accumulated group is
 always a contiguous slice ``order[lo:hi]``, so its ``r`` range is a running
 min/max.  TentativeGD moved weight after it sorted the order, so ``r`` is
 not monotone along it.  Condition 1 therefore bisects a sorted copy of the
-order's ``r`` values: the group is isolated exactly when its slack-widened
-range holds no more values than the group has members.  Only a group that
-passes condition 1 walks its incident instances, once, for conditions 2
-and 3; each slot is classified by its position in the order and by an
-``r`` threshold.  A group that is the whole order skips the walk: every
-slot is a member's, so neither condition can fail.  The cost is one sort
-of the ``n`` ``r`` values, one bisect pair per tentative subset, and one
-incident-instance walk per check that passes condition 1 on a proper
-part of the order.
+order's ``r`` numerators: the group is isolated exactly when its range
+holds no more values than the group has members.  Only a group that passes
+condition 1 walks its incident instances, once, for conditions 2 and 3;
+each slot is classified by its position in the order and by an ``r``
+threshold.  A group that is the whole order skips the walk: every slot is
+a member's, so neither condition can fail.  The cost is one sort of the
+``n`` ``r`` values, one bisect pair per tentative subset, and one
+incident-instance walk per check that passes condition 1 on a proper part
+of the order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..graph.graph import Vertex
@@ -38,30 +46,14 @@ from .bounds import CompactBounds
 from .decomposition import TentativeDecomposition
 from .seq_kclist import WeightState
 
-#: The repository's single floating-point slack constant.
-#:
-#: Inexact data enters the exact pipeline in exactly one place: the
-#: Frank–Wolfe ``r`` values of SEQ-kClist++, consumed here by the
-#: Definition-6 stability checks and the Theorem-4 bound tightening.  The
-#: slack is applied *at that boundary only* — group ranges widen by it,
-#: upper bounds are padded up by it, lower bounds down — so that rounding
-#: noise can only make the algorithm more conservative (merge more, prune
-#: less, keep bounds sound).  Everything downstream of the boundary
-#: (closure membership and short-circuit tests in ``verify``, heap
-#: priorities and the certified early stop in ``ippv``) compares the
-#: resulting sound bounds against exact :class:`~fractions.Fraction`
-#: densities directly: Python's ``float``-vs-``Fraction`` comparison is
-#: exact, so no further epsilon may appear on those paths.
-FLOAT_SLACK = 1e-9
-
 
 @dataclass
 class StableGroup:
-    """One stable group: its vertices and the r-value range they span."""
+    """One stable group: its vertices and the exact r-value range they span."""
 
     vertices: List[Vertex]
-    r_min: float
-    r_max: float
+    r_min: Fraction
+    r_max: Fraction
     #: Whether Definition 6 was actually satisfied.  A trailing accumulation
     #: that never stabilised is still emitted as a candidate, but Theorem 4
     #: does not apply to it, so it must not be used to tighten bounds.
@@ -72,10 +64,10 @@ def _weights_respect_group(
     state: WeightState,
     member_ids: List[Optional[int]],
     position: List[int],
-    r_at: List[float],
+    r_at: List[int],
     lo: int,
     hi: int,
-    high: float,
+    high: int,
 ) -> bool:
     """Check Definition 6's conditions 2 and 3 for the group ``order[lo:hi]``.
 
@@ -106,10 +98,10 @@ def _weights_respect_group(
                 if pos < 0:
                     continue
                 if lo <= pos < hi:
-                    if alpha[slot] > FLOAT_SLACK:
+                    if alpha[slot]:
                         member_weighted = True
                 elif r_at[pos] > high:
-                    if alpha[slot] > FLOAT_SLACK:
+                    if alpha[slot]:
                         # Condition 2 violated.
                         return False
                 else:
@@ -118,6 +110,18 @@ def _weights_respect_group(
                 # Condition 3 violated.
                 return False
     return True
+
+
+def _group(
+    vertices: List[Vertex], r_min: int, r_max: int, denominator: int, stable: bool
+) -> StableGroup:
+    """A group whose ``r`` range runs from ``r_min`` to ``r_max`` over ``denominator``."""
+    return StableGroup(
+        vertices=vertices,
+        r_min=Fraction(r_min, denominator),
+        r_max=Fraction(r_max, denominator),
+        stable=stable,
+    )
 
 
 def derive_stable_groups(
@@ -143,10 +147,10 @@ def derive_stable_groups(
         if vid is not None:
             position[vid] = pos
 
+    denominator = state.denominator
     groups: List[StableGroup] = []
     lo = hi = 0
-    r_min: float = 0.0
-    r_max: float = 0.0
+    r_min = r_max = 0
     for subset in decomposition.subsets:
         block = r_at[hi : hi + len(subset)]
         if hi == lo:
@@ -155,36 +159,29 @@ def derive_stable_groups(
             r_min = min(r_min, min(block))
             r_max = max(r_max, max(block))
         hi += len(subset)
-        high = r_max + FLOAT_SLACK
-        # Condition 1: every member lies in [r_min - slack, high], so the
-        # group is isolated iff that window holds no other vertex; a
-        # non-member on the window's edge blocks it.
-        inside = bisect_right(sorted_r, high) - bisect_left(sorted_r, r_min - FLOAT_SLACK)
+        # Condition 1: every member lies in [r_min, r_max], so the group is
+        # isolated iff that window holds no other vertex; a non-member on
+        # the window's edge blocks it.
+        inside = bisect_right(sorted_r, r_max) - bisect_left(sorted_r, r_min)
         if inside != hi - lo:
             continue
         # The whole order owns every slot the walk reads, so it cannot fail.
         whole = lo == 0 and hi == len(order)
         if not whole and not _weights_respect_group(
-            state, id_at[lo:hi], position, r_at, lo, hi, high
+            state, id_at[lo:hi], position, r_at, lo, hi, r_max
         ):
             continue
-        groups.append(StableGroup(vertices=order[lo:hi], r_min=r_min, r_max=r_max))
+        groups.append(_group(order[lo:hi], r_min, r_max, denominator, True))
         lo = hi
     if hi > lo:
-        groups.append(
-            StableGroup(vertices=order[lo:hi], r_min=r_min, r_max=r_max, stable=False)
-        )
+        groups.append(_group(order[lo:hi], r_min, r_max, denominator, False))
 
     for group in groups:
         if not group.stable:
             continue
-        upper = group.r_max + FLOAT_SLACK
-        lower = group.r_min - FLOAT_SLACK
-        for v in group.vertices:
-            bounds.tighten_upper(v, upper)
-        # Lower bounds are never negative, so a non-positive one raises
-        # nothing; skipping it saves a float-to-Fraction compare per member.
-        if lower > 0:
-            for v in group.vertices:
-                bounds.tighten_lower(v, lower)
+        bounds.tighten_upper(group.vertices, group.r_max)
+        # Lower bounds are never negative, so a zero one raises nothing;
+        # skipping it saves a compare per member.
+        if group.r_min:
+            bounds.tighten_lower(group.vertices, group.r_min)
     return groups, bounds

@@ -155,12 +155,10 @@ def compact_closure(
     component of the maximal ``rho``-compact region that contains the
     candidate — which is all the basic verifier ever inspects.
 
-    The membership test is the *exact* comparison ``upper_of(u) >= rho``
-    (Python compares ``float`` and :class:`~fractions.Fraction` without
-    rounding).  Stored upper bounds are already sound real-number bounds:
-    the only inexact data that ever enters them — the Frank–Wolfe ``r``
-    values — is padded with :data:`~repro.lhcds.stable_groups.FLOAT_SLACK`
-    at the boundary (``DeriveSG``), so no additional epsilon is needed
+    The membership test is the *exact* comparison ``upper_of(u) >= rho``:
+    every stored upper bound is an ``int`` or a
+    :class:`~fractions.Fraction` (Algorithm 1's core numbers or Theorem 4's
+    bounds from the exact Frank–Wolfe iterate), so no epsilon is needed
     here; an earlier ad-hoc ``rho - 1e-9`` threshold merely inflated the
     closure.
     """
@@ -204,9 +202,8 @@ def verify_fast(
     # 5's hint of already-output vertices is not used as a rejection here,
     # because this driver does not guarantee strictly descending output
     # densities; the flow check below covers that case.)
-    # The comparison is exact: stored lower bounds are sound (float data is
-    # padded with FLOAT_SLACK where it enters, in DeriveSG), so any extra
-    # slack here would only miss valid rejections.
+    # The comparison is exact: stored lower bounds are sound ints or
+    # Fractions, so any slack here would only miss valid rejections.
     for v in subset:  # repro: allow-DT01(boolean any-neighbour scan; the result does not depend on visit order)
         for u in graph.neighbors(v):
             if u in subset:

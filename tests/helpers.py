@@ -27,7 +27,7 @@ from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.ippv import vertex_set_sort_key
 from repro.lhcds.seq_kclist import WeightState
-from repro.lhcds.stable_groups import FLOAT_SLACK, StableGroup
+from repro.lhcds.stable_groups import StableGroup
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -158,8 +158,8 @@ def reference_tentative_decomposition(
 
     Builds one ``Fraction`` per prefix and walks the instances as vertex
     tuples, with one set of subset indices per instance.  Like the real
-    stage, it redistributes ``state.alpha`` in place and recomputes
-    ``state.r``.
+    stage, it redistributes ``state.alpha`` in place, splitting a moved
+    weight evenly and exactly, and recomputes ``state.r``.
     """
     order = sorted(vertices, key=lambda v: (-state.received(v), repr(v)))
     instances = state.instances
@@ -202,18 +202,19 @@ def reference_tentative_decomposition(
             continue
         lowest = max(blocks)
         base = i * h
-        moved = 0.0
+        moved = 0
         receivers = []
         for j, v in enumerate(inst):
             if block_of[v] != lowest:
                 moved += alpha[base + j]
-                alpha[base + j] = 0.0
+                alpha[base + j] = 0
             else:
                 receivers.append(j)
         if receivers and moved:
-            share = moved / len(receivers)
+            share = Fraction(moved, len(receivers))
+            assert share.denominator == 1, "a moved weight must split evenly"
             for j in receivers:
-                alpha[base + j] += share
+                alpha[base + j] += share.numerator
 
     state.recompute_r(list(vertices))
     return TentativeDecomposition(
@@ -231,10 +232,10 @@ def reference_prune_invalid_vertices(
     """The pruning oracle for ``prune_invalid_vertices``.
 
     Rule 1 compares bounds once per edge endpoint: ``v`` is invalid when
-    ``upper(v) < lower(u) - FLOAT_SLACK`` for a universe neighbour ``u``
-    (``None`` uppers never are).  Rule 2 then peels the survivors afresh
-    until no core number falls below its threshold, ignoring the core
-    numbers the bounds keep.  ``rounds``, when given, receives the set
+    ``upper(v) < lower(u)`` for a universe neighbour ``u`` (``None``
+    uppers never are).  Rule 2 then peels the survivors afresh until no
+    core number falls below its lower bound, ignoring the core numbers the
+    bounds keep.  ``rounds``, when given, receives the set
     each of rule 2's peels removes.
     """
     universe = set(vertices)
@@ -242,7 +243,7 @@ def reference_prune_invalid_vertices(
     for u in universe:
         if not graph.has_vertex(u):
             continue
-        lower_u = bounds.lower_of(u) - FLOAT_SLACK
+        lower_u = bounds.lower_of(u)
         for v in graph.neighbors(u):
             if v not in universe:
                 continue
@@ -253,7 +254,7 @@ def reference_prune_invalid_vertices(
     while True:
         core = peel(instances, survivors).core
         newly_invalid = {
-            v for v in survivors if core.get(v, 0) < bounds.lower_of(v) - FLOAT_SLACK
+            v for v in survivors if core.get(v, 0) < bounds.lower_of(v)
         }
         if not newly_invalid:
             return survivors
@@ -283,9 +284,9 @@ def _reference_verdict(
         if v in members:
             continue
         rv = r(v)
-        if rv > r_max + FLOAT_SLACK:
+        if rv > r_max:
             above.add(v)
-        elif rv < r_min - FLOAT_SLACK:
+        elif rv < r_min:
             below.add(v)
         else:
             # r(v) falls inside the group's range.
@@ -314,11 +315,11 @@ def _reference_verdict(
             base = idx * h
             ids = flat[base : base + h]
             for j, vid in enumerate(ids):
-                if vid in above_ids and alpha[base + j] > FLOAT_SLACK:
+                if vid in above_ids and alpha[base + j] > 0:
                     return "conditions 2/3"
             if any(vid in below_ids for vid in ids):
                 for j, vid in enumerate(ids):
-                    if vid in member_ids and alpha[base + j] > FLOAT_SLACK:
+                    if vid in member_ids and alpha[base + j] > 0:
                         return "conditions 2/3"
     return "stable"
 
@@ -333,43 +334,42 @@ def reference_stable_groups(
 
     Accumulates the tentative subsets and rescans the whole universe for
     every accumulated group, then tightens the bounds of the stable groups
-    as Theorem 4 allows.  When ``verdicts`` is given, it counts the outcome
+    as Theorem 4 allows, one exact ``Fraction`` comparison per member.  When ``verdicts`` is given, it counts the outcome
     of every check (plus ``"unstable tail"`` for a trailing group), so a
     test can show that its cases reach every branch.
     """
     universe = list(decomposition.order)
     groups: List[StableGroup] = []
     current: List[Vertex] = []
+
+    def group_of(vertices: List[Vertex], stable: bool) -> StableGroup:
+        r_values = [Fraction(state.received(v), state.denominator) for v in vertices]
+        return StableGroup(
+            vertices=list(vertices), r_min=min(r_values), r_max=max(r_values), stable=stable
+        )
+
     for subset in decomposition.subsets:
         current.extend(subset)
         verdict = _reference_verdict(current, universe, state)
         if verdicts is not None:
             verdicts[verdict] += 1
         if verdict == "stable":
-            r_values = [state.received(v) for v in current]
-            groups.append(
-                StableGroup(vertices=list(current), r_min=min(r_values), r_max=max(r_values))
-            )
+            groups.append(group_of(current, True))
             current = []
     if current:
         if verdicts is not None:
             verdicts["unstable tail"] += 1
-        r_values = [state.received(v) for v in current]
-        groups.append(
-            StableGroup(
-                vertices=list(current),
-                r_min=min(r_values),
-                r_max=max(r_values),
-                stable=False,
-            )
-        )
+        groups.append(group_of(current, False))
 
     for group in groups:
         if not group.stable:
             continue
         for v in group.vertices:
-            bounds.tighten_upper(v, group.r_max + FLOAT_SLACK)
-            bounds.tighten_lower(v, group.r_min - FLOAT_SLACK)
+            upper = bounds.upper_of(v)
+            if upper is None or group.r_max < upper:
+                bounds.upper[v] = group.r_max
+            if group.r_min > bounds.lower_of(v):
+                bounds.lower[v] = group.r_min
     return groups, bounds
 
 

@@ -7,7 +7,6 @@ committed baseline exactly the way CI does.
 """
 
 import json
-import os
 import textwrap
 from pathlib import Path
 
@@ -70,15 +69,17 @@ class TestExactness:
     def test_flagged_only_in_certified_modules(self):
         assert active(lint("x = float(y)\n", path=OUTSIDE)) == []
 
-    def test_float_slack_expression_is_exempt(self):
+    def test_float_slack_expression_is_flagged(self):
+        # No name exempts a float: the slack constant's literal and a
+        # literal in an expression routed through it are findings.
         findings = lint(
             """
-            from repro.lhcds.stable_groups import FLOAT_SLACK
+            FLOAT_SLACK = 1e-9
             padded = value + FLOAT_SLACK + 0.0
             ok = a >= b - FLOAT_SLACK
             """
         )
-        assert active(findings, "EX01") == []
+        assert [f.line for f in active(findings, "EX01")] == [2, 3]
 
     def test_declared_float_storage_is_exempt(self):
         findings = lint(

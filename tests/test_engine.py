@@ -16,8 +16,10 @@ from repro.engine import (
     available_solvers,
     get_solver,
     preprocess,
+    report_signature,
     solve,
 )
+from repro.engine.cache import cache_for
 from repro.engine.runtime import rank_by_load_cap
 from repro.errors import EngineError
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
@@ -197,9 +199,11 @@ def _tie_shaped_graph(rng: random.Random, h: int) -> Graph:
 class TestFiniteKDifferential:
     """``ippv`` and ``exact`` at a finite k report the first k of ``exact``'s full list.
 
-    Seeded G(n, p) graphs (n 6–40, h 2–4) and tie-shaped graphs (h 3–4),
-    through :func:`repro.engine.solve`, so the component split, the
-    component skip, the early stop and the merge all take part.
+    Seeded G(n, p) graphs (n 6–40, h 2–4; denser ones at h = 5, where
+    deg/h has no exact float, so a rounding Frank–Wolfe kernel would
+    decide exact ties) and tie-shaped graphs (h 3–5), through
+    :func:`repro.engine.solve`, so the component split, the component
+    skip, the early stop and the merge all take part.
     """
 
     @staticmethod
@@ -211,11 +215,19 @@ class TestFiniteKDifferential:
         for case in range(20):
             h = 3 + case % 2
             yield f"ties-{case}", _tie_shaped_graph(rng, h), h
+        for case in range(12):
+            n = rng.randint(14, 24)
+            yield f"gnp-h5-{case}", random_graph(n, rng.uniform(0.6, 0.8), 2700 + case), 5
+        for case in range(4):
+            yield f"ties-h5-{case}", _tie_shaped_graph(rng, 5), 5
 
     def test_finite_k_is_a_prefix_of_the_full_list(self):
         mismatches = []
         for name, graph, h in self._cases():
-            full = _signature(solve(graph=graph, pattern=h, k=None, solver="exact"))
+            report = solve(graph=graph, pattern=h, k=None, solver="exact")
+            # Every h = 5 case holds 5-cliques, so ippv's proposal runs.
+            assert h < 5 or report.preprocessing.num_instances > 0, name
+            full = _signature(report)
             for k in (1, 2, 3, 5):
                 for solver in ("ippv", "exact"):
                     report = solve(graph=graph, pattern=h, k=k, solver=solver)
@@ -271,6 +283,25 @@ class TestLoadCapRanking:
             assert best <= capped.upper_bound < component.upper_bound
         caps = [c.upper_bound for c in ranked]
         assert caps == sorted(caps, reverse=True)
+
+    def test_memo_holds_one_iterate_per_component(self, tmp_path):
+        # A warm artifact asked for many T keeps each component's latest
+        # iterate, not one per T, and every warm report equals a cold one.
+        graph = union_graph(
+            *(_shifted(hybrid_community_graph(3, 8, seed=seed), 100 * seed) for seed in range(3))
+        )
+        root = str(tmp_path / "cache")
+        for iterations in (1, 2, 3, 5, 8, 13, 20, 1):
+            options = dict(graph=graph, pattern=3, k=5, iterations=iterations, executor="serial")
+            warm = solve(cache_dir=root, **options)
+            assert report_signature(warm) == report_signature(solve(**options))
+            memos = [
+                c.iterates for components, _ in cache_for(root)._memory.values()
+                for c in components
+            ]
+            assert len(memos) > 1
+            assert all(set(memo) <= {iterations} for memo in memos)
+            assert any(memo for memo in memos)
 
 
 class TestSerialParallelIdentity:

@@ -65,11 +65,14 @@ class TestExactness:
             actual = as_set(find_lhcds(g, h=h))
             assert actual == expected
 
-    @pytest.mark.parametrize("h", [3, 4])
+    @pytest.mark.parametrize("h", [3, 4, 5])
     def test_matches_exact_decomposition_on_larger_randoms(self, h):
+        # h = 5 gets denser graphs, so that every case holds 5-cliques.
+        p = 0.65 if h == 5 else 0.4
         for seed in range(4):
-            g = random_graph(16, 0.4, seed + 200)
+            g = random_graph(16, p, seed + 200)
             inst = clique_instances(g, h)
+            assert h < 5 or inst.num_instances > 0
             expected = reference_set(exact_top_k_lhcds(g, inst))
             actual = as_set(find_lhcds(g, h=h))
             assert actual == expected
@@ -279,13 +282,14 @@ class TestExactEarlyStop:
         # A K4 (density 1) beside a triangle (density 1/3).  The triangle's
         # core number is 1, so without the Frank–Wolfe cap its priority
         # would equal the K4's density and the strict stop could not fire.
-        # Its loads cap it at 22/63, so the run stops after the K4.
+        # Its loads cap it at 44/126 = 22/63 (D = h(T + 1)L = 3 * 21 * 2),
+        # so the run stops after the K4.
         graph = union_graph(complete_graph(4), Graph(edges=[(10, 11), (11, 12), (10, 12)]))
         self._without_pruning(monkeypatch)
         ippv = IPPV(graph, 3)
         result = ippv.run(1)
-        assert ippv._load_denominator == 63
-        assert [ippv._loads[v] for v in (0, 10, 11, 12)] == [63, 22, 22, 19]
+        assert ippv._load_denominator == 126
+        assert [ippv._loads[v] for v in (0, 10, 11, 12)] == [126, 44, 44, 38]
         assert result.candidates_examined == 1
         assert sorted(result.subgraphs[0].vertices) == [0, 1, 2, 3]
 

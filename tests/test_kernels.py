@@ -7,6 +7,7 @@ option on requests and reports."""
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from collections import Counter
@@ -19,6 +20,7 @@ from helpers import multi_component_graph, random_graph, shifted
 
 from repro.cliques import clique_instances
 from repro.cliques.kclist import clique_degrees, count_cliques, list_cliques
+from repro.datasets.synthetic import gnp_graph, hybrid_community_graph
 from repro.engine import SolveRequest, solve
 from repro.errors import EngineError, FlowError
 from repro.flow import (
@@ -86,28 +88,24 @@ def brute_force_cliques(graph, h):
 
 
 def reference_seq_kclist(instances, iterations):
-    """SEQ-kClist++ one instance tuple at a time, on dicts.
+    """SEQ-kClist++ one instance tuple at a time, on dicts: the integer rule.
 
-    The same scaled-space recurrence as the flat kernel: received weights
-    start at ``degree * (1/h)``, each round gives every instance's unit to
-    its poorest member (ties to the smaller repr rank), and the result is
-    scaled by ``1/(T+1)`` once.
+    Loads start at the instance degree, each round gives every instance's
+    unit to its poorest member (least load, ties to the smaller repr rank)
+    and adds ``h`` to that member's load.  Returns the per-slot picks, in
+    the instances' order, and the load of every vertex.
     """
     h = instances.h
     rows = instances.instances
-    degree = Counter(v for row in rows for v in row)
-    rank = {v: i for i, v in enumerate(sorted(degree, key=repr))}
-    inv_h = 1.0 / h
-    weight = {v: d * inv_h for v, d in degree.items()}
-    counts = [[0] * h for _ in rows]
+    load = Counter(v for row in rows for v in row)
+    rank = {v: i for i, v in enumerate(sorted(load, key=repr))}
+    picks = [[0] * h for _ in rows]
     for _ in range(iterations):
         for i, row in enumerate(rows):
-            j = min(range(h), key=lambda j: (weight[row[j]], rank[row[j]]))
-            counts[i][j] += 1
-            weight[row[j]] += 1.0
-    scale = 1.0 / (iterations + 1)
-    alpha = array("d", [(c + inv_h) * scale for row in counts for c in row])
-    return alpha, {v: w * scale for v, w in weight.items()}
+            j = min(range(h), key=lambda j: (load[row[j]], rank[row[j]]))
+            picks[i][j] += 1
+            load[row[j]] += h
+    return [p for row in picks for p in row], dict(load)
 
 
 class TestKernelOption:
@@ -358,8 +356,10 @@ def tie_heavy_graphs():
 
 class TestFrankWolfeBitIdentity:
     """The flat Frank–Wolfe kernel against the per-instance reference: the
-    same alpha bytes, slot for slot, and the same r.  h = 3 runs the
-    unrolled pick, every other h the generic slot scan."""
+    same picks, slot for slot, and the same load per vertex.  h = 3 runs
+    the unrolled pick, every other h the generic slot scan.  The iterate
+    holds both as numerators over ``D = h * (T + 1) * L``: a slot holds
+    ``L * (h * picks + 1)`` and a vertex ``L * load``."""
 
     @pytest.mark.parametrize("h", [2, 3, 4, 5])
     @pytest.mark.parametrize("iterations", [0, 1, 7, 25])
@@ -377,15 +377,36 @@ class TestFrankWolfeBitIdentity:
         # Only the union of K4s has no 5-cliques.
         assert checked >= 6
 
+    @pytest.mark.parametrize("h", [5, 6])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gnp_graph(60, 0.4, seed=1), lambda: hybrid_community_graph(40, 14, seed=0)],
+        ids=["gnp-60", "community-40"],
+    )
+    def test_exact_ties_at_larger_h(self, build, h):
+        # deg/h is not a float-exact fraction at h = 5 or 6, so a kernel
+        # that rounds it lets rounding decide exact ties on these graphs.
+        assert self._check(build(), h, 20)
+
+    def test_denominator_beyond_int64(self):
+        # lcm(1, ..., 41) alone passes 2**57, so at h = 42 the denominator
+        # does not fit an int64 array; the iterate and the solve stay exact.
+        assert self._check(complete_graph(43), 42, 3)
+        report = solve(graph=complete_graph(43), pattern=42, k=1)
+        assert [s.density for s in report.subgraphs] == [1]
+
     @staticmethod
     def _check(graph, h, iterations):
         inst = clique_instances(graph, h)
         if inst.num_instances == 0:
             return False
         state = seq_kclist_plus_plus(inst, iterations)
-        alpha, r = reference_seq_kclist(inst, iterations)
-        assert bytes(state.alpha) == bytes(alpha)
-        assert state.r == r
+        picks, load = reference_seq_kclist(inst, iterations)
+        unit = math.lcm(*range(1, h))
+        assert state.denominator == h * (iterations + 1) * unit
+        assert list(state.alpha) == [unit * (h * p + 1) for p in picks]
+        assert state.r == {v: unit * w for v, w in load.items()}
+        assert state.loads == [unit * load[inst.vertex_at(vid)] for vid in range(len(load))]
         return True
 
 

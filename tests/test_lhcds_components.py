@@ -43,7 +43,6 @@ from repro.lhcds.exact import exact_compact_numbers
 from repro.lhcds.reference import brute_force_compact_numbers, compactness_of
 from repro.lhcds.seq_kclist import WeightState
 from repro.lhcds import stable_groups as stable_groups_module
-from repro.lhcds.stable_groups import FLOAT_SLACK
 from repro.patterns import get_pattern
 from repro.server import SolveService
 
@@ -58,26 +57,30 @@ class TestCompactBounds:
 
     def test_tighten_from_unbounded(self):
         bounds = CompactBounds()
-        bounds.tighten_upper("v", 5)
+        bounds.tighten_upper(["v"], 5)
         assert bounds.upper_of("v") == 5
 
     def test_tighten_lower_only_improves(self):
         bounds = CompactBounds()
-        bounds.tighten_lower("v", 2)
-        bounds.tighten_lower("v", 1)
-        assert bounds.lower_of("v") == 2
+        bounds.tighten_lower(["v", "w"], 2)
+        bounds.tighten_lower(["v"], 1)
+        bounds.tighten_lower(["w"], Fraction(7, 3))
+        bounds.tighten_lower(["w"], Fraction(9, 4))
+        assert (bounds.lower_of("v"), bounds.lower_of("w")) == (2, Fraction(7, 3))
 
     def test_tighten_upper_only_improves(self):
         bounds = CompactBounds()
-        bounds.tighten_upper("v", 5)
-        bounds.tighten_upper("v", 7)
-        assert bounds.upper_of("v") == 5
+        bounds.tighten_upper(["v", "w"], 5)
+        bounds.tighten_upper(["v"], 7)
+        bounds.tighten_upper(["w"], Fraction(9, 2))
+        bounds.tighten_upper(["w"], Fraction(14, 3))
+        assert (bounds.upper_of("v"), bounds.upper_of("w")) == (5, Fraction(9, 2))
 
     def test_copy_is_independent(self):
         bounds = CompactBounds()
-        bounds.tighten_lower("v", 1)
+        bounds.tighten_lower(["v"], 1)
         clone = bounds.copy()
-        clone.tighten_lower("v", 9)
+        clone.tighten_lower(["v"], 9)
         assert bounds.lower_of("v") == 1
 
 
@@ -97,8 +100,8 @@ class TestInitializeBounds:
             assert bounds.lower_of(v) == Fraction(core[v], 3)
 
     def test_upper_bounds_are_integer_core_numbers(self, two_cliques):
-        # Prune rule 1 and DeriveSG compare the uppers with floats, which
-        # an int does natively and a Fraction only via Fraction.from_float.
+        # Prune rule 1 and DeriveSG compare an upper by its numerator and
+        # denominator, which an int carries as itself and 1.
         inst = clique_instances(two_cliques, 3)
         bounds, core = initialize_bounds(inst, two_cliques.vertices())
         assert bounds.upper == core
@@ -110,27 +113,37 @@ class TestInitializeBounds:
         assert bounds.core is core
         clone = bounds.copy()
         assert clone.core is core
-        clone.tighten_lower(0, 99)
+        clone.tighten_lower([0], 99)
         assert bounds.lower_of(0) != 99
+
+
+def assert_exactly_feasible(state):
+    """Every instance's slots are non-negative ints that sum to ``D``."""
+    alpha = state.alpha
+    h = state.instances.h
+    assert all(type(w) is int and w >= 0 for w in alpha)
+    assert all(
+        sum(alpha[base : base + h]) == state.denominator for base in range(0, len(alpha), h)
+    )
 
 
 class TestSeqKClist:
     def test_feasibility_preserved(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
         state = seq_kclist_plus_plus(inst, 10, two_cliques.vertices())
-        assert state.check_feasible()
+        assert_exactly_feasible(state)
 
     def test_total_weight_equals_instance_count(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
         state = seq_kclist_plus_plus(inst, 15, two_cliques.vertices())
-        assert sum(state.r.values()) == pytest.approx(inst.num_instances)
+        assert sum(state.r.values()) == inst.num_instances * state.denominator
 
     def test_zero_iterations_is_uniform(self, k5):
         inst = clique_instances(k5, 3)
         state = seq_kclist_plus_plus(inst, 0, k5.vertices())
         # Every vertex of K5 is in 6 triangles, each contributing 1/3.
         for v in k5.vertices():
-            assert state.received(v) == pytest.approx(2.0)
+            assert Fraction(state.received(v), state.denominator) == 2
 
     def test_converges_towards_compact_numbers(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
@@ -138,23 +151,28 @@ class TestSeqKClist:
         phi = exact_compact_numbers(inst, two_cliques.vertices())
         # K5 vertices should be near 2, K4 vertices near 3/4... (approximate).
         for v in range(5):
-            assert state.received(v) == pytest.approx(float(phi[v]), abs=0.3)
+            r = Fraction(state.received(v), state.denominator)
+            assert abs(r - phi[v]) <= Fraction(3, 10)
 
     @pytest.mark.parametrize("h", [3, 4, 5])
     def test_loads_are_an_exactly_feasible_iterate(self, h):
-        # W(v) = deg(v) + h * picks(v) over D = h(T + 1).  Every instance
-        # gives its slots 1 + h * picks parts, which sum to D, so the loads
-        # total |Psi| * D; each is the float r(v) made exact.
+        # W(v) = deg(v) + h * picks(v), and the iterate holds L * W over
+        # D = h(T + 1)L with L = lcm(1, ..., h - 1).  Every instance gives
+        # its slots L(1 + h * picks) parts, which sum to D, so the loads
+        # total |Psi| * D; each is the kernel's r(v).
         g = random_graph(24, 0.5, 60 + h)
         inst = clique_instances(g, h)
         degree = Counter(v for row in inst.instances for v in row)
         state = seq_kclist_plus_plus(inst, 20, g.vertices())
-        assert state.denominator == h * 21
+        unit = math.lcm(*range(1, h))
+        assert state.denominator == h * 21 * unit
         assert sum(state.loads) == inst.num_instances * state.denominator
+        assert_exactly_feasible(state)
         for vid, load in enumerate(state.loads):
             v = inst.vertex_at(vid)
-            assert load >= degree[v] and (load - degree[v]) % h == 0
-            assert load / state.denominator == pytest.approx(state.received(v), abs=1e-9)
+            assert load % unit == 0
+            assert load // unit >= degree[v] and (load // unit - degree[v]) % h == 0
+            assert load == state.received(v)
         # TentativeGD moves alpha and r; the loads stay the kernel's.
         loads = list(state.loads)
         tentative_decomposition(state, g.vertices())
@@ -178,7 +196,7 @@ class TestTentativeDecomposition:
         inst = clique_instances(figure2, 3)
         state = seq_kclist_plus_plus(inst, 20, figure2.vertices())
         tentative_decomposition(state, figure2.vertices())
-        assert state.check_feasible()
+        assert_exactly_feasible(state)
 
     def test_first_block_contains_densest_region(self, two_cliques):
         inst = clique_instances(two_cliques, 3)
@@ -219,13 +237,11 @@ class TestStableGroups:
         _, bounds = derive_stable_groups(decomposition, state, bounds)
         phi = exact_compact_numbers(inst, figure2.vertices())
         for v in figure2.vertices():
-            assert bounds.lower_of(v) <= float(phi[v]) + 1e-6
-            assert bounds.upper_of(v) >= float(phi[v]) - 1e-6
+            assert bounds.lower_of(v) <= phi[v] <= bounds.upper_of(v)
 
     @pytest.mark.parametrize("h", [3, 4])
     def test_bounds_sandwich_compact_numbers_on_random_graphs(self, h):
-        # Theorem 4, checked exactly: a Fraction against a slack-padded
-        # float bound compares without rounding.
+        # Theorem 4, checked exactly: every bound is an int or a Fraction.
         for seed in range(95):
             g = random_graph(4 + seed % 13, 0.3 + 0.1 * (seed % 5), seed)
             inst = clique_instances(g, h)
@@ -267,15 +283,21 @@ def _derive_sg_shapes(seed):
         yield working, vertices, iterations
 
 
-def _hand_built(r, subsets, weighted=()):
-    """A WeightState/TentativeDecomposition pair with the given r values.
+#: The denominator of the hand-built states: one unit of r is 1/6.
+HAND_D = 6
 
-    ``weighted`` lists triangle instances as ``(vertices, alpha)`` pairs.
+
+def _hand_built(r, subsets, weighted=()):
+    """A WeightState/TentativeDecomposition pair with the given r numerators.
+
+    ``r`` maps vertices to numerators over :data:`HAND_D`, and ``weighted``
+    lists triangle instances as ``(vertices, alpha)`` pairs, each alpha
+    three numerators that sum to it.
     """
     inst = InstanceSet.from_instances(3, [vertices for vertices, _ in weighted])
-    alpha = array("d", [w for _, weights in weighted for w in weights])
-    # TentativeGD and DeriveSG never read the exact loads.
-    state = WeightState(instances=inst, alpha=alpha, r=dict(r), loads=[], denominator=1)
+    alpha = array("q", [w for _, weights in weighted for w in weights])
+    # TentativeGD and DeriveSG never read the loads.
+    state = WeightState(instances=inst, alpha=alpha, r=dict(r), loads=[], denominator=HAND_D)
     order = [v for subset in subsets for v in subset]
     decomposition = TentativeDecomposition(
         subsets=[list(subset) for subset in subsets],
@@ -316,40 +338,43 @@ class TestDeriveSGOracle:
         assert multi_group > 0
 
     @pytest.mark.parametrize("side", ["above", "below"])
-    def test_non_member_on_the_slack_edge_blocks_the_group(self, side):
-        edge = 2.0 + FLOAT_SLACK if side == "above" else 1.0 - FLOAT_SLACK
-        state, decomposition = _hand_built({"a": 1.0, "b": 2.0, "c": edge}, [["a", "b"], ["c"]])
+    def test_non_member_on_the_edge_blocks_the_group(self, side):
+        # {a, b} spans r in [1, 2]; c sits on the window's edge.
+        edge = 2 * HAND_D if side == "above" else HAND_D
+        state, decomposition = _hand_built(
+            {"a": HAND_D, "b": 2 * HAND_D, "c": edge}, [["a", "b"], ["c"]]
+        )
         groups = _assert_matches_reference(decomposition, state, CompactBounds())
         assert [(g.vertices, g.stable) for g in groups] == [(["a", "b", "c"], True)]
 
     @pytest.mark.parametrize("side", ["above", "below"])
-    def test_non_member_one_ulp_past_the_edge_does_not_block(self, side):
-        if side == "above":
-            edge = math.nextafter(2.0 + FLOAT_SLACK, math.inf)
-        else:
-            edge = math.nextafter(1.0 - FLOAT_SLACK, -math.inf)
-        state, decomposition = _hand_built({"a": 1.0, "b": 2.0, "c": edge}, [["a", "b"], ["c"]])
+    def test_non_member_one_unit_past_the_edge_does_not_block(self, side):
+        # One unit, 1/D, outside [1, 2] leaves c outside the window.
+        edge = 2 * HAND_D + 1 if side == "above" else HAND_D - 1
+        state, decomposition = _hand_built(
+            {"a": HAND_D, "b": 2 * HAND_D, "c": edge}, [["a", "b"], ["c"]]
+        )
         groups = _assert_matches_reference(decomposition, state, CompactBounds())
         assert groups[0].vertices == ["a", "b"]
         assert groups[0].stable
-        assert (groups[0].r_min, groups[0].r_max) == (1.0, 2.0)
+        assert (groups[0].r_min, groups[0].r_max) == (Fraction(1), Fraction(2))
 
     @pytest.mark.parametrize(
         "weights, stable",
         [
             # Condition 2: the vertex above holds weight in a shared instance.
-            ((0.5, 0.0, 0.5), False),
+            ((3, 0, 3), False),
             # Condition 3: the instance reaches below and a member holds weight.
-            ((0.0, 0.5, 0.5), False),
+            ((0, 3, 3), False),
             # All the weight sits on the vertex below: the group is stable.
-            ((0.0, 0.0, 1.0), True),
+            ((0, 0, 6), True),
         ],
     )
     def test_weight_in_shared_instances(self, weights, stable):
         # The first check is the group {m}, with "up" above it and "down"
         # below; the instance's slots are in that order.
         state, decomposition = _hand_built(
-            {"up": 3.0, "m": 2.0, "down": 1.0},
+            {"up": 3 * HAND_D, "m": 2 * HAND_D, "down": HAND_D},
             [["m"], ["up", "down"]],
             weighted=[(("up", "m", "down"), weights)],
         )
@@ -381,11 +406,11 @@ class TestDeriveSGOracle:
         assert tightened.upper == expected_bounds.upper
 
     def test_non_positive_lower_bound_is_not_compared(self, monkeypatch):
-        # Padded down by the slack, a group whose smallest r is 0 gives a
-        # negative lower bound, which raises no bound (they are never
-        # negative), so no member's lower bound is compared with it.
+        # A group whose smallest r is 0 gives a zero lower bound, which
+        # raises no bound (they are never negative), so no member's lower
+        # bound is compared with it.
         state, decomposition = _hand_built(
-            {"a": 0.0, "b": 1.0, "c": 3.0}, [["c"], ["a", "b"]]
+            {"a": 0, "b": HAND_D, "c": 3 * HAND_D}, [["c"], ["a", "b"]]
         )
         expected, expected_bounds = reference_stable_groups(
             decomposition, state, CompactBounds()
@@ -393,9 +418,9 @@ class TestDeriveSGOracle:
         compared = []
         tighten_lower = CompactBounds.tighten_lower
 
-        def spy(bounds, v, value):
-            compared.append(v)
-            tighten_lower(bounds, v, value)
+        def spy(bounds, vertices, value):
+            compared.extend(vertices)
+            tighten_lower(bounds, vertices, value)
 
         monkeypatch.setattr(CompactBounds, "tighten_lower", spy)
         groups, tightened = derive_stable_groups(decomposition, state, CompactBounds())
@@ -433,7 +458,7 @@ def _weights_copy(state):
     """An independent copy of a Frank–Wolfe state (TentativeGD edits it)."""
     return WeightState(
         instances=state.instances,
-        alpha=array("d", state.alpha),
+        alpha=array("q", state.alpha),
         r=dict(state.r),
         loads=list(state.loads),
         denominator=state.denominator,
@@ -491,10 +516,11 @@ class TestTentativeGDOracle:
         # the shorter one is a breakpoint because no longer prefix beats it.
         triangles = [t for base in (0, 4) for t in combinations(range(base, base + 4), 3)]
         inst = InstanceSet.from_instances(3, triangles)
-        alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
-        # The T = 0 iterate: each vertex's load is its degree, over h.
+        # The T = 0 iterate at h = 3 (L = 2, D = 6): each slot holds 2/6,
+        # and each vertex's load is twice its degree.
+        alpha = array("q", [2] * (3 * len(triangles)))
         state = WeightState(
-            instances=inst, alpha=alpha, r={v: 1.0 for v in range(8)}, loads=[3] * 8, denominator=3
+            instances=inst, alpha=alpha, r={v: 6 for v in range(8)}, loads=[6] * 8, denominator=6
         )
         decomposition, _ = _assert_tentative_matches_reference(state, list(range(8)))
         assert decomposition.subsets == [[0, 1, 2, 3], [4, 5, 6, 7]]
@@ -505,14 +531,14 @@ class TestTentativeGDOracle:
         # shared triangle's weight on 3 moves to 4 and 5.
         triangles = list(combinations(range(4), 3)) + [(3, 4, 5)]
         inst = InstanceSet.from_instances(3, triangles)
-        alpha = array("d", [1.0 / 3] * (3 * len(triangles)))
+        alpha = array("q", [2] * (3 * len(triangles)))
         state = WeightState(
-            instances=inst, alpha=alpha, r={}, loads=[3, 3, 3, 4, 1, 1], denominator=3
+            instances=inst, alpha=alpha, r={}, loads=[6, 6, 6, 8, 2, 2], denominator=6
         )
         state.recompute_r(list(range(6)))
         decomposition, after = _assert_tentative_matches_reference(state, list(range(6)))
         assert [sorted(subset) for subset in decomposition.subsets] == [[0, 1, 2, 3], [4, 5]]
-        assert list(after.alpha[-3:]) == [0.0, 0.5, 0.5]
+        assert list(after.alpha[-3:]) == [0, 3, 3]
 
     def test_empty_universe_matches_reference(self, k5):
         state = seq_kclist_plus_plus(clique_instances(k5, 3), 5, [])
@@ -523,8 +549,8 @@ class TestTentativeGDOracle:
 def _mixed_bounds(g, inst, rng):
     """Clique-core bounds tightened by DeriveSG, with some uppers dropped.
 
-    Every upper is then an ``int`` core bound, a slack-padded DeriveSG
-    float or missing (``None``).
+    Every upper is then an ``int`` core bound, a DeriveSG ``Fraction`` or
+    missing (``None``).
     """
     vertices = g.vertices()
     bounds, _ = initialize_bounds(inst, vertices)
@@ -540,14 +566,15 @@ def _raised_lowers(bounds, core, vertices, rng):
     """Raise the lower bounds of a random share of ``vertices`` near their cores.
 
     Half-integer steps from one below to two above the core number, some
-    as floats, so rule 1 kills neighbours and rule 2 drops vertices whose
-    core numbers then fall short.
+    whole ones as ints, so rule 1 kills neighbours and rule 2 drops
+    vertices whose core numbers then fall short.
     """
     share = rng.choice((0.1, 0.2, 0.3))
     for v in sorted(vertices, key=repr):
         if rng.random() < share:
             raised = Fraction(2 * core.get(v, 0) + rng.randint(-2, 4), 2)
-            bounds.lower[v] = float(raised) if rng.random() < 0.3 else raised
+            whole = rng.random() < 0.3 and raised.denominator == 1
+            bounds.lower[v] = raised.numerator if whole else raised
 
 
 class TestPruneOracle:
@@ -572,26 +599,23 @@ class TestPruneOracle:
             survivors = prune_invalid_vertices(g, inst, bounds, universe)
             assert survivors == reference_prune_invalid_vertices(g, inst, bounds, universe)
             pruned += len(survivors) < len(universe)
-        assert kinds["int"] and kinds["float"] and kinds["none"]
+        assert kinds["int"] and kinds["Fraction"] and kinds["none"]
         assert pruned > 0
 
-    @pytest.mark.parametrize("lower_type", [Fraction, float])
+    @pytest.mark.parametrize("lower_u", [Fraction(7, 3), 2], ids=["fraction", "int"])
     @pytest.mark.parametrize("shift", [-1, 0, 1])
-    @pytest.mark.parametrize("upper_type", [Fraction, float])
-    def test_upper_on_the_slack_edge(self, lower_type, shift, upper_type):
+    def test_upper_on_the_edge(self, lower_u, shift):
         # v's neighbours u and w carry lower bounds; v's upper sits at the
-        # larger threshold lower(u) - FLOAT_SLACK or one ulp either side.
-        # Only an upper strictly below the threshold prunes v.
+        # larger one, lower(u), or one unit of 1/126 (D at h = 3, T = 20)
+        # either side, as an int where it is whole.  Only an upper strictly
+        # below lower(u) prunes v.
         g = Graph(edges=[("u", "v"), ("v", "w"), ("u", "w")])
         inst = clique_instances(g, 3)
         bounds = CompactBounds()
-        bounds.lower["u"] = lower_type(Fraction(7, 3))
+        bounds.lower["u"] = lower_u
         bounds.lower["w"] = Fraction(1, 3)
-        threshold = bounds.lower["u"] - FLOAT_SLACK
-        edge = threshold
-        if shift:
-            edge = math.nextafter(threshold, math.inf if shift > 0 else -math.inf)
-        bounds.upper["v"] = upper_type(edge)
+        edge = lower_u + Fraction(shift, 126)
+        bounds.upper["v"] = edge.numerator if edge.denominator == 1 else edge
         survivors = prune_invalid_vertices(g, inst, bounds, g.vertices())
         assert survivors == reference_prune_invalid_vertices(g, inst, bounds, g.vertices())
         assert ("v" in survivors) == (shift >= 0)
@@ -601,7 +625,7 @@ class TestPruneOracle:
         inst = clique_instances(g, 3)
         # "ghost" is in the universe but not in the graph.
         bounds = CompactBounds(
-            lower={"a": Fraction(5)}, upper={"d": 0.5, "lone": 0.0, "ghost": 0.0}
+            lower={"a": Fraction(5)}, upper={"d": Fraction(1, 2), "lone": 0, "ghost": 0}
         )
         universe = ["a", "b", "c", "d", "lone", "ghost"]
         survivors = prune_invalid_vertices(g, inst, bounds, universe)
@@ -681,9 +705,10 @@ class TestPruneOracle:
         # numbers with rule 2, and cached and session-held components are
         # handed to every later solve, so no solve may write what they
         # hold.  The restriction LRU is a memo, not content.  The held
-        # SEQ-kClist++ iterates are a write-once memo: a solve may add the
-        # entry for a new T, but no filled entry may change.  The graph has
-        # several components, so serial ippv solves rank them by those
+        # SEQ-kClist++ iterate is a one-entry memo: a solve for a new T
+        # replaces the entry, but no iterate may change, so an entry held
+        # under one key before and after a solve is the same.  The graph
+        # has several components, so serial ippv solves rank them by those
         # iterates.
         graph = union_graph(
             hybrid_community_graph(3, 8, seed=4), shifted(hybrid_community_graph(3, 8, seed=5), 100)
@@ -706,8 +731,9 @@ class TestPruneOracle:
             }
 
         def assert_unwritten(before, after):
-            kept = [key for key in before if key in after]
-            assert kept and all(after[key] == before[key] for key in kept)
+            assert all(after[key] == before[key] for key in before.keys() & after.keys())
+            held_per_component = Counter(vertices for vertices, _ in after)
+            assert set(held_per_component.values()) <= {1}
 
         def digest(components):
             rows = sorted(
