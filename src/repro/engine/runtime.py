@@ -21,7 +21,7 @@ The runtime turns a :class:`SolveRequest` into a :class:`SolveReport`:
    once the running k-th best density strictly exceeds the next cap.  For
    a solver that declares ``load_cap`` (IPPV) at a finite ``k`` over two
    or more components, :func:`rank_by_load_cap` first tightens each cap to
-   ``min(c_max, max loads / D)`` of the component's held SEQ-kClist++
+   ``min(c_max, max r / D)`` of the component's held SEQ-kClist++
    iterate, the one the solver proposes from, and reorders by it; filling an
    iterate is charged to the report's ``seq_kclist`` time.  The process
    backend keeps ``c_max`` order and solves every component, so it runs
@@ -101,11 +101,11 @@ def rank_by_load_cap(
 ) -> List[PreparedComponent]:
     """Copies of ``components`` capped by their held iterates, in serial order.
 
-    Each copy's ``upper_bound`` becomes ``min(c_max, Fraction(max loads, D))``
+    Each copy's ``upper_bound`` becomes ``min(c_max, Fraction(max r, D))``
     over the component's held SEQ-kClist++ iterate for ``T = iterations``
     (filled here on first use).  The iterate is feasible for CP(G, h) on
     the component, so by weak duality no subgraph inside is denser than its
-    largest ``loads / D``, and the cap is as sound as ``c_max``.  The copies
+    largest ``r / D``, and the cap is as sound as ``c_max``.  The copies
     are sorted by ``(-cap, index)``, so the serial early stop's strict test
     against each copy's ``upper_bound`` stops at the first cap the running
     k-th best density exceeds.  The copies share the memo with the originals.
@@ -113,7 +113,7 @@ def rank_by_load_cap(
     ranked = []
     for component in components:
         held = component.iterate(iterations)
-        cap = min(component.upper_bound, Fraction(max(held.loads), held.denominator))
+        cap = min(component.upper_bound, Fraction(max(held.r.values()), held.denominator))
         ranked.append(dataclasses.replace(component, upper_bound=cap))
     ranked.sort(key=lambda c: (-c.upper_bound, c.index))
     return ranked

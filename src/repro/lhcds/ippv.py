@@ -14,9 +14,9 @@ when the Frank–Wolfe approximation is coarse:
   maxima, the members' compact-number upper bounds and the members'
   Frank–Wolfe loads.  The first proposal's SEQ-kClist++ iterate is a
   feasible solution of CP(G, h) in integers (each vertex receives
-  ``loads / D``, see :class:`~repro.lhcds.seq_kclist.WeightState`), so by
+  ``r / D``, see :class:`~repro.lhcds.seq_kclist.WeightState`), so by
   weak duality no subset of a candidate is denser than its members'
-  largest ``loads / D``.  The run stops once the k-th best verified density
+  largest ``r / D``.  The run stops once the k-th best verified density
   strictly exceeds every remaining key, which certifies the returned
   top-k set, ties included: an LhCDS whose density equals the k-th may
   sort before it, so it must be examined.
@@ -46,7 +46,7 @@ The engine also hands IPPV the component's one-entry memo of SEQ-kClist++
 iterates (``iterates=``, keyed by ``T``).  The first proposal reads its
 iterate from there, filling the entry if it is missing, and runs
 TentativeGD and DeriveSG on a working copy of its ``alpha`` and ``r``,
-because TentativeGD rewrites both; the loads are read as they are.
+because TentativeGD rewrites both; the cap reads the iterate's own ``r``.
 So a held component pays its first Frank–Wolfe once, and the engine's
 serial early stop ranks components by the same iterate's cap.
 Refinement proposals run their own SEQ-kClist++ on the candidate.
@@ -76,8 +76,8 @@ from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
 #: Heap priorities are the candidates' *exact* density upper bounds —
 #: Algorithm 1's integer core numbers, Theorem 4's ``Fraction`` bounds
-#: from DeriveSG, or the ``Fraction`` cap ``max loads / D`` of the first
-#: proposal's Frank–Wolfe loads, whichever is smallest.  Python orders
+#: from DeriveSG, or the ``Fraction`` cap ``max r / D`` of the first
+#: proposal's Frank–Wolfe iterate, whichever is smallest.  Python orders
 #: ints and ``Fraction`` densities exactly, so the priority / early-stop
 #: path never rounds.
 Priority = int | Fraction
@@ -217,8 +217,9 @@ class IPPV:
         self._held_iterates = iterates
         self._instances: Optional[InstanceSet] = None
         self._bounds: Optional[CompactBounds] = None
-        # The first proposal's Frank–Wolfe load numerators by vertex and their
-        # denominator, which cap every heap priority (see ``_push``).
+        # The first proposal's Frank–Wolfe loads (the iterate's ``r``, read
+        # only) and their denominator, which cap every heap priority (see
+        # ``_push``).
         self._loads: Optional[Dict[Vertex, int]] = None
         self._load_denominator = 1
 
@@ -251,13 +252,11 @@ class IPPV:
             bounds, _core = initialize_bounds(instances, vertices)
         self._bounds = bounds
 
-        groups, weights = self._propose(
+        groups, iterate = self._propose(
             instances, vertices, bounds, timings, held=self._held_iterates
         )
-        self._loads = {
-            instances.vertex_at(vid): load for vid, load in enumerate(weights.loads)
-        }
-        self._load_denominator = weights.denominator
+        self._loads = iterate.r
+        self._load_denominator = iterate.denominator
         tick = time.perf_counter()
         groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
         timings.prune += time.perf_counter() - tick
@@ -390,8 +389,8 @@ class IPPV:
         """Push a candidate with a sound density upper bound as priority.
 
         The priority is the smaller of two candidate-wide maxima: the
-        members' compact-number upper bounds, and ``Fraction(max loads, D)``
-        over the first proposal's Frank–Wolfe loads (0 for a member
+        members' compact-number upper bounds, and ``Fraction(max r, D)``
+        over the first proposal's Frank–Wolfe iterate (0 for a member
         in no instance).  Each maximum bounds the density of every subset
         of the candidate on its own.  A per-vertex minimum of the two would
         mix two different bounds and is not sound, so the minimum is taken
@@ -431,25 +430,25 @@ class IPPV:
         """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
         ``working`` holds the instances inside ``vertices``.  Returns the
-        stable groups and the Frank–Wolfe state, whose loads
-        TentativeGD leaves as SEQ-kClist++ computed them.  With ``held``,
-        the iterate comes from that memo (filled here on first use), and
-        TentativeGD and DeriveSG run on a working copy of its ``alpha``
-        and ``r``, because TentativeGD rewrites both in place.
+        stable groups and the SEQ-kClist++ iterate as the kernel returned
+        it: TentativeGD and DeriveSG run on a working copy of its ``alpha``
+        and ``r``, because TentativeGD rewrites both in place.  With
+        ``held``, the iterate comes from that memo (filled here on first
+        use).
         """
         tick = time.perf_counter()
         if held is None:
-            state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
+            iterate = seq_kclist_plus_plus(working, self.config.iterations, vertices)
         else:
             iterate = held_iterate(held, working, self.config.iterations, vertices)
-            state = iterate.working_copy()
+        state = iterate.working_copy()
         timings.seq_kclist += time.perf_counter() - tick
 
         tick = time.perf_counter()
         decomposition = tentative_decomposition(state, vertices)
         groups, _ = derive_stable_groups(decomposition, state, bounds)
         timings.decomposition += time.perf_counter() - tick
-        return groups, state
+        return groups, iterate
 
     def _verify(
         self,

@@ -5,8 +5,8 @@ distributes it over its ``h`` vertices.  ``r(u)`` is the total weight received
 by ``u``.  At the optimum of the convex program CP(G, h) the value ``r*(u)``
 equals the h-clique compact number ``phi_h(u)`` (Theorem 2); a finite number
 of iterations yields a feasible approximation that the stable-group stage
-turns into valid lower/upper bounds (Theorem 4).  Its loads
-(:class:`WeightState`) also cap IPPV's heap priorities by weak duality.
+turns into valid lower/upper bounds (Theorem 4).  The iterate's ``r`` also
+caps IPPV's heap priorities by weak duality.
 
 The iterate is exact: every weight is an integer numerator over one
 denominator ``D = h * (T + 1) * L`` with ``L = lcm(1, ..., h - 1)``.  The
@@ -36,7 +36,6 @@ does not depend on the branch.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -50,40 +49,32 @@ from ..kernels.fw_stdlib import fw_distribute
 class WeightState:
     """The (alpha, r) pair produced by SEQ-kClist++, as numerators over ``denominator``.
 
-    ``alpha`` is a flat ``array('q')`` (a list when ``D`` passes int64) of
-    ``num_instances * h`` weight numerators laid out in the instance-set's
-    CSR order: ``alpha[i * h + j]`` is the weight instance ``i`` assigns to
-    its ``j``-th vertex
+    ``alpha`` is a flat list of ``num_instances * h`` weight numerators
+    laid out in the instance-set's CSR order: ``alpha[i * h + j]`` is the
+    weight instance ``i`` assigns to its ``j``-th vertex
     (positions follow ``instances.instances[i]``, i.e.
     ``instances.flat_ids[i * h + j]``).  ``r[v]`` is the numerator of the
     weight received by vertex ``v``.  ``denominator`` is ``D = h * (T + 1)
     * L`` with ``L = lcm(1, ..., h - 1)``.  Feasibility invariant: each
     instance's ``h`` slots are non-negative and sum to ``D``.
 
-    ``loads[vid]`` is the numerator the kernel gave interned id ``vid``,
-    ``L * W`` with ``W = deg + h * picks``: the loads are a feasible
-    solution of CP(G, h), so by weak duality no subset ``S`` of a vertex
-    set ``C`` is denser than ``max loads / D`` over ``C``.  They describe
-    the iterate as the kernel returned it: TentativeGD's redistribution
-    moves ``alpha`` and ``r`` and leaves them alone.
+    As SEQ-kClist++ returns it, ``r[v]`` is ``L * W`` with ``W = deg + h *
+    picks``.  Feasible slots make ``r / D`` a feasible point of CP(G, h), so
+    by weak duality no subset of a vertex set ``C`` is denser than ``max r /
+    D`` over ``C``.
     """
 
     instances: InstanceSet
-    alpha: Sequence[int]
+    alpha: List[int]
     r: Dict[Vertex, int]
-    loads: List[int]
     denominator: int
 
     def working_copy(self) -> "WeightState":
-        """A copy whose ``alpha`` and ``r`` TentativeGD may rewrite.
-
-        The instances and the loads are shared; nothing writes them.
-        """
+        """A copy whose ``alpha`` and ``r`` TentativeGD may rewrite."""
         return WeightState(
             instances=self.instances,
             alpha=self.alpha[:],
             r=dict(self.r),
-            loads=self.loads,
             denominator=self.denominator,
         )
 
@@ -148,23 +139,12 @@ def seq_kclist_plus_plus(
     unit = math.lcm(*range(1, h))
     denominator = h * (iterations + 1) * unit
     step = h * unit
-    alpha: Sequence[int] = [step * p + unit for p in picks]
-    # No slot, and no share TentativeGD moves, exceeds D, so an int64 array
-    # holds the iterate unless D itself does not fit (from h = 42 at any T).
-    if denominator < 2**63:
-        alpha = array("q", alpha)
-    loads = [unit * w for w in load]
+    alpha = [step * p + unit for p in picks]
     universe = set(vertices) if vertices is not None else instances.vertices()
     r: Dict[Vertex, int] = {v: 0 for v in universe}
-    for vid, w in enumerate(loads):
-        r[instances.vertex_at(vid)] = w
-    return WeightState(
-        instances=instances,
-        alpha=alpha,
-        r=r,
-        loads=loads,
-        denominator=denominator,
-    )
+    for vid, w in enumerate(load):
+        r[instances.vertex_at(vid)] = unit * w
+    return WeightState(instances=instances, alpha=alpha, r=r, denominator=denominator)
 
 
 def held_iterate(

@@ -4,7 +4,6 @@ stable groups, pruning, and the verification primitives."""
 import hashlib
 import math
 import random
-from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -156,27 +155,27 @@ class TestSeqKClist:
 
     @pytest.mark.parametrize("h", [3, 4, 5])
     def test_loads_are_an_exactly_feasible_iterate(self, h):
-        # W(v) = deg(v) + h * picks(v), and the iterate holds L * W over
+        # W(v) = deg(v) + h * picks(v), and the iterate holds r = L * W over
         # D = h(T + 1)L with L = lcm(1, ..., h - 1).  Every instance gives
         # its slots L(1 + h * picks) parts, which sum to D, so the loads
-        # total |Psi| * D; each is the kernel's r(v).
+        # total |Psi| * D.
         g = random_graph(24, 0.5, 60 + h)
         inst = clique_instances(g, h)
         degree = Counter(v for row in inst.instances for v in row)
         state = seq_kclist_plus_plus(inst, 20, g.vertices())
         unit = math.lcm(*range(1, h))
         assert state.denominator == h * 21 * unit
-        assert sum(state.loads) == inst.num_instances * state.denominator
+        assert sum(state.r.values()) == inst.num_instances * state.denominator
         assert_exactly_feasible(state)
-        for vid, load in enumerate(state.loads):
-            v = inst.vertex_at(vid)
+        for v, load in state.r.items():
             assert load % unit == 0
             assert load // unit >= degree[v] and (load // unit - degree[v]) % h == 0
-            assert load == state.received(v)
-        # TentativeGD moves alpha and r; the loads stay the kernel's.
-        loads = list(state.loads)
-        tentative_decomposition(state, g.vertices())
-        assert state.loads == loads
+        # TentativeGD rewrites a working copy; the iterate stays the kernel's.
+        pristine = (list(state.alpha), dict(state.r))
+        copy = state.working_copy()
+        tentative_decomposition(copy, g.vertices())
+        assert_exactly_feasible(copy)
+        assert (state.alpha, state.r) == pristine
 
     def test_negative_iterations_rejected(self, k5):
         inst = clique_instances(k5, 3)
@@ -295,9 +294,8 @@ def _hand_built(r, subsets, weighted=()):
     three numerators that sum to it.
     """
     inst = InstanceSet.from_instances(3, [vertices for vertices, _ in weighted])
-    alpha = array("q", [w for _, weights in weighted for w in weights])
-    # TentativeGD and DeriveSG never read the loads.
-    state = WeightState(instances=inst, alpha=alpha, r=dict(r), loads=[], denominator=HAND_D)
+    alpha = [w for _, weights in weighted for w in weights]
+    state = WeightState(instances=inst, alpha=alpha, r=dict(r), denominator=HAND_D)
     order = [v for subset in subsets for v in subset]
     decomposition = TentativeDecomposition(
         subsets=[list(subset) for subset in subsets],
@@ -454,27 +452,16 @@ class TestPrune:
                     assert v in survivors
 
 
-def _weights_copy(state):
-    """An independent copy of a Frank–Wolfe state (TentativeGD edits it)."""
-    return WeightState(
-        instances=state.instances,
-        alpha=array("q", state.alpha),
-        r=dict(state.r),
-        loads=list(state.loads),
-        denominator=state.denominator,
-    )
-
-
 def _assert_tentative_matches_reference(state, vertices):
     """Run TentativeGD and its oracle on copies of ``state``; return the result."""
-    ours, theirs = _weights_copy(state), _weights_copy(state)
+    ours, theirs = state.working_copy(), state.working_copy()
     decomposition = tentative_decomposition(ours, vertices)
     expected = reference_tentative_decomposition(theirs, vertices)
     assert decomposition.subsets == expected.subsets
     assert decomposition.order == expected.order
     assert decomposition.prefix_densities == expected.prefix_densities
     assert all(type(d) is Fraction for d in decomposition.prefix_densities)
-    assert bytes(ours.alpha) == bytes(theirs.alpha)
+    assert ours.alpha == theirs.alpha
     assert ours.r == theirs.r
     return decomposition, ours
 
@@ -505,7 +492,7 @@ class TestTentativeGDOracle:
                 decomposition, after = _assert_tentative_matches_reference(state, vertices)
                 densities = decomposition.prefix_densities
                 tied_breakpoints += any(a == b for a, b in zip(densities, densities[1:]))
-                moved += bytes(after.alpha) != bytes(state.alpha)
+                moved += after.alpha != state.alpha
         # The cases reach equal prefix densities and straddling instances.
         assert restricted == 170
         assert tied_breakpoints > 0
@@ -518,10 +505,8 @@ class TestTentativeGDOracle:
         inst = InstanceSet.from_instances(3, triangles)
         # The T = 0 iterate at h = 3 (L = 2, D = 6): each slot holds 2/6,
         # and each vertex's load is twice its degree.
-        alpha = array("q", [2] * (3 * len(triangles)))
-        state = WeightState(
-            instances=inst, alpha=alpha, r={v: 6 for v in range(8)}, loads=[6] * 8, denominator=6
-        )
+        alpha = [2] * (3 * len(triangles))
+        state = WeightState(instances=inst, alpha=alpha, r={v: 6 for v in range(8)}, denominator=6)
         decomposition, _ = _assert_tentative_matches_reference(state, list(range(8)))
         assert decomposition.subsets == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert decomposition.prefix_densities == [Fraction(1), Fraction(1)]
@@ -531,10 +516,8 @@ class TestTentativeGDOracle:
         # shared triangle's weight on 3 moves to 4 and 5.
         triangles = list(combinations(range(4), 3)) + [(3, 4, 5)]
         inst = InstanceSet.from_instances(3, triangles)
-        alpha = array("q", [2] * (3 * len(triangles)))
-        state = WeightState(
-            instances=inst, alpha=alpha, r={}, loads=[6, 6, 6, 8, 2, 2], denominator=6
-        )
+        alpha = [2] * (3 * len(triangles))
+        state = WeightState(instances=inst, alpha=alpha, r={}, denominator=6)
         state.recompute_r(list(range(6)))
         decomposition, after = _assert_tentative_matches_reference(state, list(range(6)))
         assert [sorted(subset) for subset in decomposition.subsets] == [[0, 1, 2, 3], [4, 5]]
@@ -722,15 +705,14 @@ class TestPruneOracle:
         def iterates(components):
             return {
                 (c.vertices, t): hashlib.sha256(
-                    repr(
-                        (held.alpha.tobytes(), sorted_items(held.r), held.loads, held.denominator)
-                    ).encode()
+                    repr((held.alpha, sorted_items(held.r), held.denominator)).encode()
                 ).hexdigest()
                 for c in components
                 for t, held in c.iterates.items()
             }
 
         def assert_unwritten(before, after):
+            assert before.keys() & after.keys()
             assert all(after[key] == before[key] for key in before.keys() & after.keys())
             held_per_component = Counter(vertices for vertices, _ in after)
             assert set(held_per_component.values()) <= {1}
