@@ -8,7 +8,8 @@ multi-component benchmark graph and records the resident service's warm
 end-to-end solve time, so the BENCH trajectory tracks all three:
 
 * ``cache.preprocess_cold_s``  — full cold pipeline,
-* ``cache.preprocess_warm_s``  — cache-aware front door, artifact resident,
+* ``cache.preprocess_warm_s``  — cache-aware front door, artifact resident
+  (the median of 200 calls),
 * ``server.solve_warm_s``      — whole ``/solve`` round-trip through
   :class:`~repro.server.service.SolveService` with a warm cache.
 
@@ -18,6 +19,7 @@ least 5x faster than the cold pipeline.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from test_engine_performance import _multi_component_graph, _shifted, _signature
@@ -58,6 +60,16 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
+def _median_of(fn, rounds: int) -> float:
+    """Median per-call time: one sub-millisecond call is mostly host noise."""
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def test_warm_preprocess_beats_cold(bench_metrics, tmp_path):
     graph = _enumeration_heavy_graph()
     root = str(tmp_path / "cache")
@@ -67,7 +79,7 @@ def test_warm_preprocess_beats_cold(bench_metrics, tmp_path):
 
     cold = _best_of(lambda: preprocess(cold_request))
     preprocess(warm_request)  # prime the cache
-    warm = _best_of(lambda: preprocess(warm_request))
+    warm = _median_of(lambda: preprocess(warm_request), rounds=200)
 
     # Disk path (fresh-process shape): drop the memory layer each round.
     cache = cache_for(root)

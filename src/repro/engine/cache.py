@@ -75,9 +75,11 @@ from .request import PreparedComponent, PreprocessStats
 #: prune-stats fields; ``/4``: the bounds keep Algorithm 1's core numbers
 #: for prune rule 2; ``/5``: Algorithm 1's upper bounds are the ``int``
 #: core numbers, not ``Fraction`` objects; ``/6``: each component carries
-#: its memo of held SEQ-kClist++ iterates, stored empty).  An artifact
-#: under an older tag is a cache miss.
-ARTIFACT_SCHEMA = "repro-cache/6"
+#: its memo of held SEQ-kClist++ iterates, stored empty; ``/7``: the memo is
+#: ``memo``, whose entry holds IPPV's first proposal next to the iterate,
+#: still stored empty because an artifact is stored before any solve).  An
+#: artifact under an older tag is a cache miss.
+ARTIFACT_SCHEMA = "repro-cache/7"
 #: Ledger (``index.json``) schema tag.
 INDEX_SCHEMA = "repro-cache-index/1"
 

@@ -23,7 +23,7 @@ from ..graph.graph import Graph, Vertex
 from ..instances import InstanceSet
 from ..lhcds.bounds import CompactBounds
 from ..lhcds.ippv import LhCDSResult, subgraph_sort_key
-from ..lhcds.seq_kclist import WeightState, held_iterate
+from ..lhcds.seq_kclist import HeldIterate, WeightState, held_iterate
 from ..patterns.base import Pattern
 from ..patterns.clique import CliquePattern
 
@@ -128,14 +128,20 @@ class PreparedComponent:
     subgraph, its restriction of the globally enumerated instance set, and the
     clique-core compact-number bounds — so no solver re-derives any of them.
 
-    ``iterates`` is a one-entry memo of the SEQ-kClist++ iterate on
-    ``instances``, keyed by ``T``.  Preprocessing leaves it empty; the
-    first IPPV solve or serial ranking that asks for ``T`` fills it
-    (:meth:`iterate`), evicting the iterate of any other ``T``, and
-    nothing writes an entry after.  Copies made with
-    ``dataclasses.replace`` and the components the cache hands out share
-    the one memo, so repeated solves at one ``T`` run its Frank–Wolfe
-    once, and solves at many ``T`` hold one iterate, not one per ``T``.
+    ``memo`` is a one-entry memo of IPPV's first proposal on
+    ``instances``, keyed by ``T`` (a
+    :class:`~repro.lhcds.seq_kclist.HeldIterate`).  Preprocessing leaves
+    it empty.  The first serial ranking or IPPV solve that asks for ``T``
+    fills the entry's SEQ-kClist++ iterate (:meth:`iterate`), evicting the
+    entry of any other ``T``; the first IPPV solve fills its proposal, the
+    pruned candidate groups and the bounds DeriveSG tightened
+    (:func:`~repro.lhcds.ippv.held_proposal`).  Nothing writes either
+    after its fill.  Copies made with ``dataclasses.replace`` and the
+    components the cache hands out share the one memo, so repeated IPPV
+    solves at one ``T`` run Frank–Wolfe, TentativeGD, DeriveSG and the
+    prune once, and solves at many ``T`` hold one entry, not one per
+    ``T``.  Artifacts are stored before any solve, so disk holds the memo
+    empty.
     """
 
     index: int
@@ -146,7 +152,7 @@ class PreparedComponent:
     lower_bound: Fraction
     #: Sound cap on the density of any subgraph inside (``c_max``).
     upper_bound: Fraction
-    iterates: Dict[int, WeightState] = field(default_factory=dict, compare=False, repr=False)
+    memo: Dict[int, HeldIterate] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def vertices(self) -> FrozenSet[Vertex]:
@@ -154,7 +160,8 @@ class PreparedComponent:
 
     def iterate(self, iterations: int) -> WeightState:
         """The held SEQ-kClist++ iterate for ``T = iterations`` (read-only)."""
-        return held_iterate(self.iterates, self.instances, iterations, self.subgraph.vertices())
+        vertices = self.subgraph.vertices()
+        return held_iterate(self.memo, self.instances, iterations, vertices).iterate
 
 
 @dataclass

@@ -23,14 +23,18 @@ The runtime turns a :class:`SolveRequest` into a :class:`SolveReport`:
    or more components, :func:`rank_by_load_cap` first tightens each cap to
    ``min(c_max, max r / D)`` of the component's held SEQ-kClist++
    iterate, the one the solver proposes from, and reorders by it; filling an
-   iterate is charged to the report's ``seq_kclist`` time.  The process
-   backend keeps ``c_max`` order and solves every component, so it runs
-   no Frank–Wolfe before it ships.  Results the caller already holds (an
-   incremental session's store) are passed in as data and never solved
-   again.  If the backend's infrastructure fails (the platform cannot
-   spawn processes, payloads will not pickle) the runtime falls back to
-   the serial backend and records why in ``SolveReport.fallback_reason``
-   — the output is identical either way.  Solver exceptions are *not*
+   iterate is charged to the report's ``seq_kclist`` time.  The ranking
+   fills only the iterate: IPPV's first solve of a component fills the
+   rest of its first proposal (TentativeGD, DeriveSG and the prune) next
+   to it, and later solves read it, so a component the stop never solves
+   pays for none of that.  The process backend keeps ``c_max`` order and
+   solves every component, so it runs no Frank–Wolfe before it ships.
+   Results the caller already holds (an incremental session's store) are
+   passed in as data and never solved again.  If the backend's
+   infrastructure fails (the platform cannot spawn processes, payloads
+   will not pickle) the runtime falls back to the serial backend and
+   records why in ``SolveReport.fallback_reason`` — the output is
+   identical either way.  Solver exceptions are *not*
    infrastructure: they re-raise as :class:`EngineError` on every backend.
 5. Merge: concatenate the per-component subgraphs, sort with the same
    deterministic key the IPPV driver uses, truncate to ``k``.
@@ -108,7 +112,8 @@ def rank_by_load_cap(
     largest ``r / D``, and the cap is as sound as ``c_max``.  The copies
     are sorted by ``(-cap, index)``, so the serial early stop's strict test
     against each copy's ``upper_bound`` stops at the first cap the running
-    k-th best density exceeds.  The copies share the memo with the originals.
+    k-th best density exceeds.  The copies share the memo with the originals;
+    the ranking fills each entry's iterate and no proposal.
     """
     ranked = []
     for component in components:

@@ -13,7 +13,8 @@ the metadata the runtime needs to validate requests and schedule work:
   component);
 * ``load_cap`` — the solver proposes from the component's held
   SEQ-kClist++ iterate (IPPV only), so the serial early stop may rank and
-  stop components by that iterate's load cap at no extra Frank–Wolfe.
+  stop components by that iterate's load cap at no extra Frank–Wolfe;
+  a component it stops pays for no TentativeGD, DeriveSG or prune.
 
 The five solvers are one literal table, :data:`SOLVERS`, like the pattern
 table in :mod:`repro.patterns.registry`; the CLI, the service, the
@@ -82,7 +83,7 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
         config,
         instances=component.instances,
         bounds=component.bounds,
-        iterates=component.iterates,
+        memo=component.memo,
     )
     return solver.run(request.k)
 

@@ -42,14 +42,22 @@ because the restriction to every vertex is the set itself; on a connected
 graph preprocessing hands IPPV the global set as the one component's
 (step 2 of :mod:`repro.engine.preprocess`).
 
-The engine also hands IPPV the component's one-entry memo of SEQ-kClist++
-iterates (``iterates=``, keyed by ``T``).  The first proposal reads its
-iterate from there, filling the entry if it is missing, and runs
-TentativeGD and DeriveSG on a working copy of its ``alpha`` and ``r``,
-because TentativeGD rewrites both; the cap reads the iterate's own ``r``.
-So a held component pays its first Frank–Wolfe once, and the engine's
-serial early stop ranks components by the same iterate's cap.
-Refinement proposals run their own SEQ-kClist++ on the candidate.
+The first proposal (SEQ-kClist++, TentativeGD, DeriveSG, then
+Algorithm 3's prune) depends only on the instance set, its bounds and
+``T``.  The engine hands IPPV a prepared component's one-entry memo
+(``memo=``, keyed by ``T``; see :class:`~repro.lhcds.seq_kclist.HeldIterate`),
+and :func:`held_proposal` reads the proposal from it, filling what is
+missing: the iterate, then the pruned groups and the bounds DeriveSG
+tightened, which are the one copy of the caller's bounds a run makes.
+TentativeGD runs on a working copy of the iterate, because it rewrites
+``alpha`` and ``r``; the cap reads the iterate's own ``r``.  After the
+fill, the heap loop, ``_push`` and the verifier only read the proposal.
+So a held component pays for its first proposal once, and the engine's
+serial early stop ranks components by the same iterate's cap without
+paying for the rest.  IPPV without a caller's memo (:func:`find_lhcds`)
+fills a private empty one, so every run takes the same path.
+Refinement proposals run their own SEQ-kClist++ on the candidate and
+tighten a scratch copy of the bounds.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from ..patterns.clique import CliquePattern
 from .bounds import CompactBounds, initialize_bounds
 from .decomposition import tentative_decomposition
 from .prune import prune_candidates
-from .seq_kclist import WeightState, held_iterate, seq_kclist_plus_plus
+from .seq_kclist import HeldIterate, WeightState, held_iterate, seq_kclist_plus_plus
 from .stable_groups import StableGroup, derive_stable_groups
 from .verify import VerificationStats, is_densest, verify_basic, verify_fast
 
@@ -104,6 +112,20 @@ class DenseSubgraph:
     def as_sorted_list(self) -> List[Vertex]:
         """Vertices sorted by their representation (deterministic output)."""
         return sorted(self.vertices, key=repr)
+
+
+@dataclass(frozen=True)
+class FirstProposal:
+    """IPPV's first proposal on one instance set at one ``T`` (read-only).
+
+    ``groups`` are DeriveSG's stable groups after Algorithm 3's prune, and
+    ``bounds`` the compact-number bounds DeriveSG tightened, which the
+    prune, the heap priorities, the verifier and every refinement's
+    scratch copy read.
+    """
+
+    groups: Tuple[StableGroup, ...]
+    bounds: CompactBounds
 
 
 def vertex_set_sort_key(vertices: AbstractSet[Vertex]) -> Tuple[int, str]:
@@ -193,7 +215,7 @@ class IPPV:
         *,
         instances: Optional[InstanceSet] = None,
         bounds: Optional[CompactBounds] = None,
-        iterates: Optional[Dict[int, WeightState]] = None,
+        memo: Optional[Dict[int, HeldIterate]] = None,
     ) -> None:
         if isinstance(pattern, int):
             pattern = CliquePattern(pattern)
@@ -211,10 +233,10 @@ class IPPV:
         # skipped); when absent they are computed on the first run().
         self._precomputed_instances = instances
         self._precomputed_bounds = bounds
-        # The caller's one-entry memo of first-proposal iterates keyed by T
-        # (a prepared component's): read, or filled for a new T; an entry
-        # is never written.
-        self._held_iterates = iterates
+        # The one-entry memo of first proposals keyed by T: the caller's (a
+        # prepared component's), or a private one.  ``held_proposal`` fills
+        # what is missing; nothing else writes it.
+        self._memo: Dict[int, HeldIterate] = {} if memo is None else memo
         self._instances: Optional[InstanceSet] = None
         self._bounds: Optional[CompactBounds] = None
         # The first proposal's Frank–Wolfe loads (the iterate's ``r``, read
@@ -242,28 +264,20 @@ class IPPV:
             timings.enumeration += time.perf_counter() - tick
         self._instances = instances
 
-        vertices = self.graph.vertices()
-        if self._precomputed_bounds is not None:
-            # DeriveSG tightens the bounds in place, and the caller's object
-            # outlives this run (a cached or session-held component), so a
-            # later solve must not start from this run's tightened bounds.
-            bounds = self._precomputed_bounds.copy()
-        else:
-            bounds, _core = initialize_bounds(instances, vertices)
-        self._bounds = bounds
-
-        groups, iterate = self._propose(
-            instances, vertices, bounds, timings, held=self._held_iterates
+        bounds = self._precomputed_bounds
+        if bounds is None:
+            bounds, _core = initialize_bounds(instances, self.graph.vertices())
+        iterate, proposal = held_proposal(
+            self._memo, self.graph, instances, bounds, self.config.iterations, timings
         )
+        bounds = proposal.bounds
+        self._bounds = bounds
         self._loads = iterate.r
         self._load_denominator = iterate.denominator
-        tick = time.perf_counter()
-        groups = prune_candidates(self.graph, instances, groups, bounds, vertices)
-        timings.prune += time.perf_counter() - tick
 
         heap: List[Tuple[Priority, int, FrozenSet[Vertex], int]] = []
         counter = 0
-        for group in groups:
+        for group in proposal.groups:
             counter = self._push(heap, counter, frozenset(group.vertices), 0)
 
         found: List[DenseSubgraph] = []
@@ -337,9 +351,8 @@ class IPPV:
             # The candidate is not self-densest: refine it.
             if depth < MAX_REFINEMENT_ROUNDS:
                 refinements += 1
-                scratch_bounds = bounds.copy()
-                subgroups, _ = self._propose(
-                    local, sorted(candidate, key=repr), scratch_bounds, timings
+                subgroups = self._propose(
+                    local, sorted(candidate, key=repr), bounds.copy(), timings
                 )
                 subsets = {frozenset(g.vertices) for g in subgroups}
                 if subsets and subsets != {candidate}:
@@ -425,30 +438,16 @@ class IPPV:
         vertices: Sequence[Vertex],
         bounds: CompactBounds,
         timings: StageTimings,
-        held: Optional[Dict[int, WeightState]] = None,
-    ) -> Tuple[List[StableGroup], WeightState]:
-        """Run SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
+    ) -> List[StableGroup]:
+        """A refinement's proposal: SEQ-kClist++ + TentativeGD + DeriveSG on ``vertices``.
 
-        ``working`` holds the instances inside ``vertices``.  Returns the
-        stable groups and the SEQ-kClist++ iterate as the kernel returned
-        it: TentativeGD and DeriveSG run on a working copy of its ``alpha``
-        and ``r``, because TentativeGD rewrites both in place.  With
-        ``held``, the iterate comes from that memo (filled here on first
-        use).
+        ``working`` holds the instances inside ``vertices``; DeriveSG
+        tightens ``bounds``, the caller's scratch copy.
         """
         tick = time.perf_counter()
-        if held is None:
-            iterate = seq_kclist_plus_plus(working, self.config.iterations, vertices)
-        else:
-            iterate = held_iterate(held, working, self.config.iterations, vertices)
-        state = iterate.working_copy()
+        state = seq_kclist_plus_plus(working, self.config.iterations, vertices)
         timings.seq_kclist += time.perf_counter() - tick
-
-        tick = time.perf_counter()
-        decomposition = tentative_decomposition(state, vertices)
-        groups, _ = derive_stable_groups(decomposition, state, bounds)
-        timings.decomposition += time.perf_counter() - tick
-        return groups, iterate
+        return _stable_groups(state, vertices, bounds, timings)
 
     def _verify(
         self,
@@ -462,6 +461,59 @@ class IPPV:
         if self.config.verification == "basic":
             return verify_basic(self.graph, self._instances, candidate, rho, stats=stats)
         return verify_fast(self.graph, self._instances, candidate, rho, bounds, stats=stats)
+
+
+def _stable_groups(
+    state: WeightState,
+    vertices: Sequence[Vertex],
+    bounds: CompactBounds,
+    timings: StageTimings,
+) -> List[StableGroup]:
+    """TentativeGD and DeriveSG on ``state``, which TentativeGD rewrites in place.
+
+    DeriveSG tightens ``bounds`` with Theorem 4.
+    """
+    tick = time.perf_counter()
+    decomposition = tentative_decomposition(state, vertices)
+    groups, _ = derive_stable_groups(decomposition, state, bounds)
+    timings.decomposition += time.perf_counter() - tick
+    return groups
+
+
+def held_proposal(
+    memo: Dict[int, HeldIterate],
+    graph: Graph,
+    instances: InstanceSet,
+    bounds: CompactBounds,
+    iterations: int,
+    timings: StageTimings,
+) -> Tuple[WeightState, FirstProposal]:
+    """IPPV's first proposal on ``graph`` at ``T = iterations``, held in ``memo``.
+
+    ``instances`` are ``graph``'s and ``bounds`` its untightened
+    compact-number bounds; ``memo`` holds at most one
+    :class:`~repro.lhcds.seq_kclist.HeldIterate` for them.  The entry's
+    iterate is filled first (:func:`~repro.lhcds.seq_kclist.held_iterate`,
+    charged to ``timings.seq_kclist``).  If the entry holds no proposal
+    yet, this fills it: TentativeGD and DeriveSG on a working copy of the
+    iterate, tightening one copy of ``bounds``, then the prune.  Returns
+    the iterate and the proposal, both read-only.  Two threads filling at
+    once each return their own equal proposal, and the entry keeps one.
+    """
+    vertices = graph.vertices()
+    tick = time.perf_counter()
+    held = held_iterate(memo, instances, iterations, vertices)
+    timings.seq_kclist += time.perf_counter() - tick
+    proposal = held.proposal
+    if proposal is None:
+        tightened = bounds.copy()
+        groups = _stable_groups(held.iterate.working_copy(), vertices, tightened, timings)
+        tick = time.perf_counter()
+        groups = prune_candidates(graph, instances, groups, tightened, vertices)
+        timings.prune += time.perf_counter() - tick
+        proposal = FirstProposal(groups=tuple(groups), bounds=tightened)
+        held.proposal = proposal
+    return held.iterate, proposal
 
 
 def find_lhcds(

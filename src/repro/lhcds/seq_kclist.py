@@ -19,8 +19,11 @@ from the kernel to the certified stop is between ``int`` or
 
 A caller that solves one instance set again and again (a prepared
 component of the engine) keeps its latest iterate in a one-entry memo
-keyed by ``T``, filled by :func:`held_iterate`.  A held iterate is
-read-only: TentativeGD works on :meth:`WeightState.working_copy`.
+keyed by ``T``, filled by :func:`held_iterate`.  The entry, a
+:class:`HeldIterate`, also holds IPPV's first proposal from the iterate
+once IPPV fills it (:func:`repro.lhcds.ippv.held_proposal`).  An entry is
+read-only after each fill: TentativeGD works on
+:meth:`WeightState.working_copy`.
 
 The numeric inner loop lives in :mod:`repro.kernels.fw_stdlib`:
 :func:`~repro.kernels.fw_stdlib.fw_distribute` runs the per-round
@@ -37,12 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..errors import AlgorithmError
 from ..graph.graph import Vertex
 from ..instances import InstanceSet
 from ..kernels.fw_stdlib import fw_distribute
+
+if TYPE_CHECKING:
+    from .ippv import FirstProposal
 
 
 @dataclass
@@ -147,25 +153,40 @@ def seq_kclist_plus_plus(
     return WeightState(instances=instances, alpha=alpha, r=r, denominator=denominator)
 
 
+@dataclass
+class HeldIterate:
+    """One entry of a held memo: the SEQ-kClist++ iterate for one ``T``.
+
+    ``proposal`` is IPPV's first proposal from ``iterate`` (the pruned
+    candidate groups and the bounds DeriveSG tightened), or ``None`` until
+    the first IPPV run at this ``T`` fills it.  Each field is set once and
+    only read after: the serial ranking reads ``iterate`` alone, so a
+    component it ranks but never solves pays for no proposal.
+    """
+
+    iterate: WeightState
+    proposal: Optional["FirstProposal"] = None
+
+
 def held_iterate(
-    held: Dict[int, WeightState],
+    held: Dict[int, HeldIterate],
     instances: InstanceSet,
     iterations: int,
     vertices: Sequence[Vertex],
-) -> WeightState:
+) -> HeldIterate:
     """``held[iterations]``, running SEQ-kClist++ to fill it on first use.
 
-    ``held`` is a memo of one iterate on ``instances`` over the universe
-    ``vertices``.  A fill for a new ``T`` replaces the entry with a new
-    iterate, so asking a held component for many ``T`` keeps one iterate,
-    not one per ``T``.  No caller may change an iterate (see
-    :meth:`WeightState.working_copy`); a reader keeps the one it got after
-    a later fill replaces it.  Fills racing on two threads each return
-    their own iterate and may leave one entry each.
+    ``held`` is a memo of one entry on ``instances`` over the universe
+    ``vertices``.  A fill for a new ``T`` replaces the entry, proposal
+    included, with a new iterate, so asking a held component for many
+    ``T`` keeps one entry, not one per ``T``.  No caller may change an
+    iterate (see :meth:`WeightState.working_copy`); a reader keeps the
+    entry it got after a later fill replaces it.  Fills racing on two
+    threads each return their own entry and may leave one entry each.
     """
-    state = held.get(iterations)
-    if state is None:
-        state = seq_kclist_plus_plus(instances, iterations, vertices)
+    entry = held.get(iterations)
+    if entry is None:
+        entry = HeldIterate(seq_kclist_plus_plus(instances, iterations, vertices))
         held.clear()
-        held[iterations] = state
-    return state
+        held[iterations] = entry
+    return entry

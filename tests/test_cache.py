@@ -254,6 +254,31 @@ class TestBitIdentityColdVsWarm:
         assert signature(warm) == signature(cold)
 
 
+    def test_disk_reload_holds_an_empty_memo(self, tmp_path):
+        """The artifact is stored before any solve, so the held iterates and
+        first proposals that warm solves fill live in memory only."""
+        root = str(tmp_path / "cache")
+        options = dict(
+            graph=multi_component_graph(), pattern=3, k=3, solver="ippv",
+            executor="serial", cache_dir=root,
+        )
+        cold = solve(**options)
+        warm = solve(**options)
+        assert warm.preprocessing.cache_state == STATE_HIT_MEMORY
+        held = [
+            entry
+            for components, _ in cache_for(root)._memory.values()
+            for c in components
+            for entry in c.memo.values()
+        ]
+        assert any(entry.proposal is not None for entry in held)
+        cache_for(root)._memory.clear()
+        components, stats = preprocess(SolveRequest(**options))
+        assert stats.cache_state == STATE_HIT
+        assert components and all(c.memo == {} for c in components)
+        reloaded = solve(**options)
+        assert report_signature(reloaded) == report_signature(warm) == report_signature(cold)
+
     def test_memory_hit_after_other_iterations_identical(self, tmp_path):
         """Regression: IPPV tightened the cached component's bounds in place,
         so a memory hit after a solve with another ``iterations`` started
@@ -485,7 +510,7 @@ class TestCacheCLI:
 
     def test_artifact_schema_constant_pinned(self):
         # The on-disk schema is a compatibility contract; bump deliberately.
-        assert ARTIFACT_SCHEMA == "repro-cache/6"
+        assert ARTIFACT_SCHEMA == "repro-cache/7"
 
 
 class TestDeltaPoisoningRegression:

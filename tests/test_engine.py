@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,8 @@ from repro.errors import EngineError
 from repro.graph import Graph, complete_graph, cycle_graph, union_graph
 from repro.datasets import load_dataset
 from repro.lhcds import exact_top_k_lhcds, find_lhcds
+from repro.lhcds import ippv as ippv_module
+from repro.lhcds.ippv import StageTimings, held_proposal
 from repro.cliques import clique_instances
 from repro.patterns import get_pattern
 
@@ -277,8 +282,8 @@ class TestLoadCapRanking:
         by_index = {c.index: c for c in components}
         for capped in ranked:
             component = by_index[capped.index]
-            assert capped.iterates is component.iterates
-            assert set(component.iterates) == {request.iterations}
+            assert capped.memo is component.memo
+            assert set(component.memo) == {request.iterations}
             best = exact_top_k_lhcds(component.subgraph, component.instances, 1)[0][1]
             assert best <= capped.upper_bound < component.upper_bound
         caps = [c.upper_bound for c in ranked]
@@ -296,12 +301,100 @@ class TestLoadCapRanking:
             warm = solve(cache_dir=root, **options)
             assert report_signature(warm) == report_signature(solve(**options))
             memos = [
-                c.iterates for components, _ in cache_for(root)._memory.values()
+                c.memo for components, _ in cache_for(root)._memory.values()
                 for c in components
             ]
             assert len(memos) > 1
             assert all(set(memo) <= {iterations} for memo in memos)
             assert any(memo for memo in memos)
+
+
+def _held_digest(iterate, proposal):
+    """Everything a held memo entry holds, as a comparable value."""
+    return repr((
+        iterate.alpha,
+        sorted((repr(v), r) for v, r in iterate.r.items()),
+        iterate.denominator,
+        [(sorted(map(repr, g.vertices)), g.r_min, g.r_max, g.stable) for g in proposal.groups],
+        sorted((repr(v), value) for v, value in proposal.bounds.lower.items()),
+        sorted((repr(v), value) for v, value in proposal.bounds.upper.items()),
+    ))
+
+
+class TestHeldProposal:
+    """Each component holds IPPV's first proposal next to its iterate."""
+
+    def test_warm_solve_runs_no_first_proposal(self, monkeypatch, tmp_path):
+        # A cache hit reads each solved component's first proposal, so
+        # TentativeGD and DeriveSG run only for refinements and the prune
+        # never runs.
+        options = dict(
+            graph=_stream_shaped_graph(2000), pattern=3, k=10, solver="ippv",
+            executor="serial", cache_dir=str(tmp_path / "cache"),
+        )
+        cold = solve(**options)
+        calls = Counter()
+        for name in ("tentative_decomposition", "derive_stable_groups", "prune_candidates"):
+            def counted(*args, _stage=getattr(ippv_module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(ippv_module, name, counted)
+        warm = solve(**options)
+        assert warm.preprocessing.cache_state == "hit-memory"
+        assert report_signature(warm) == report_signature(cold)
+        assert warm.refinements > 0
+        assert calls["tentative_decomposition"] == warm.refinements
+        assert calls["derive_stable_groups"] == warm.refinements
+        assert calls["prune_candidates"] == 0
+
+    def test_ranking_fills_no_proposal(self, tmp_path):
+        request = SolveRequest(
+            graph=_stream_shaped_graph(2000), pattern=3, k=10, cache_dir=str(tmp_path / "cache")
+        )
+        components, stats = preprocess(request)
+        assert stats.cache_state == "miss"
+        rank_by_load_cap(components, request.iterations)
+        assert all(list(c.memo) == [request.iterations] for c in components)
+        assert all(c.memo[request.iterations].proposal is None for c in components)
+
+    def test_concurrent_fills_return_the_serial_proposal(self):
+        # Threads filling one entry at once each build their own proposal;
+        # every one must equal a serial fill, the memo must keep one entry,
+        # and the component's own bounds must stay untightened.
+        graph = union_graph(
+            hybrid_community_graph(3, 8, seed=4), _shifted(hybrid_community_graph(3, 8, seed=5), 100)
+        )
+        request = SolveRequest(graph=graph, pattern=3, k=5)
+        component = preprocess(request)[0][0]
+        iterations = request.iterations
+        args = (component.subgraph, component.instances, component.bounds, iterations)
+        serial = _held_digest(*held_proposal({}, *args, StageTimings()))
+        bounds_before = repr((component.bounds.lower, component.bounds.upper))
+        workers = 8
+        results = [None] * workers
+        barrier = threading.Barrier(workers, timeout=60)
+
+        def fill(slot):
+            barrier.wait()
+            results[slot] = held_proposal(component.memo, *args, StageTimings())
+
+        threads = [threading.Thread(target=fill, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is not None and _held_digest(*result) == serial for result in results)
+        assert list(component.memo) == [iterations]
+        entry = component.memo[iterations]
+        assert _held_digest(entry.iterate, entry.proposal) == serial
+        assert repr((component.bounds.lower, component.bounds.upper)) == bounds_before
 
 
 class TestSerialParallelIdentity:

@@ -39,6 +39,7 @@ from repro.lhcds import (
 )
 from repro.lhcds.decomposition import TentativeDecomposition
 from repro.lhcds.exact import exact_compact_numbers
+from repro.lhcds.ippv import StageTimings, held_proposal
 from repro.lhcds.reference import brute_force_compact_numbers, compactness_of
 from repro.lhcds.seq_kclist import WeightState
 from repro.lhcds import stable_groups as stable_groups_module
@@ -687,12 +688,15 @@ class TestPruneOracle:
         # Every solve's bounds copy shares the held component's core
         # numbers with rule 2, and cached and session-held components are
         # handed to every later solve, so no solve may write what they
-        # hold.  The restriction LRU is a memo, not content.  The held
-        # SEQ-kClist++ iterate is a one-entry memo: a solve for a new T
-        # replaces the entry, but no iterate may change, so an entry held
-        # under one key before and after a solve is the same.  The graph
-        # has several components, so serial ippv solves rank them by those
-        # iterates.
+        # hold.  The restriction LRU is a memo, not content.  The memo
+        # holds one entry: the SEQ-kClist++ iterate for one T and, once an
+        # ippv solve fills it, IPPV's first proposal (pruned groups and
+        # tightened bounds).  A solve for a new T replaces the entry, but
+        # nothing may change an iterate or a proposal after its fill, so
+        # an entry held under one key before and after a solve is the
+        # same, and every held proposal equals a fresh fill.  The graph
+        # has several components, so serial ippv solves rank them by the
+        # iterates and stop some before filling their proposals.
         graph = union_graph(
             hybrid_community_graph(3, 8, seed=4), shifted(hybrid_community_graph(3, 8, seed=5), 100)
         )
@@ -702,20 +706,53 @@ class TestPruneOracle:
         def sorted_items(values):
             return sorted((repr(v), value) for v, value in values.items())
 
+        def sha(value):
+            return hashlib.sha256(repr(value).encode()).hexdigest()
+
+        def proposal_digest(proposal):
+            return sha((
+                [(sorted(map(repr, g.vertices)), g.r_min, g.r_max, g.stable)
+                 for g in proposal.groups],
+                sorted_items(proposal.bounds.lower),
+                sorted_items(proposal.bounds.upper),
+            ))
+
+        def iterate_digest(iterate):
+            return sha((iterate.alpha, sorted_items(iterate.r), iterate.denominator))
+
         def iterates(components):
-            return {
-                (c.vertices, t): hashlib.sha256(
-                    repr((held.alpha, sorted_items(held.r), held.denominator)).encode()
-                ).hexdigest()
-                for c in components
-                for t, held in c.iterates.items()
-            }
+            # (iterate digest, proposal digest or None) per held entry.  A
+            # held iterate must equal a fresh SEQ-kClist++ run and a held
+            # proposal a fresh fill: a fill that ran TentativeGD on the held
+            # iterate, or a refinement that tightened the held bounds, would
+            # fail this even where every solve writes them alike.
+            entries = {}
+            for c in components:
+                for t, held in c.memo.items():
+                    iterate = iterate_digest(held.iterate)
+                    fresh_iterate = seq_kclist_plus_plus(c.instances, t, c.subgraph.vertices())
+                    assert iterate == iterate_digest(fresh_iterate)
+                    proposal = None
+                    if held.proposal is not None:
+                        proposal = proposal_digest(held.proposal)
+                        _, fresh = held_proposal(
+                            {}, c.subgraph, c.instances, c.bounds, t, StageTimings()
+                        )
+                        assert proposal == proposal_digest(fresh)
+                    entries[(c.vertices, t)] = (iterate, proposal)
+            return entries
 
         def assert_unwritten(before, after):
+            # Returns how many held proposals it compared.
             assert before.keys() & after.keys()
-            assert all(after[key] == before[key] for key in before.keys() & after.keys())
+            shared = before.keys() & after.keys()
+            assert all(after[key][0] == before[key][0] for key in shared)
+            # A proposal is filled once: equal where both sides hold one.
+            both = [key for key in shared if None not in (before[key][1], after[key][1])]
+            assert all(after[key][1] == before[key][1] for key in both)
             held_per_component = Counter(vertices for vertices, _ in after)
             assert set(held_per_component.values()) <= {1}
+            return len(both)
 
         def digest(components):
             rows = sorted(
@@ -745,7 +782,7 @@ class TestPruneOracle:
             report = solve(graph=graph, pattern=3, k=5, cache_dir=root, **extra)
             assert report.preprocessing.cache_state == "hit-memory"
         assert digest(cached(root)) == before
-        assert_unwritten(held_before, iterates(cached(root)))
+        assert assert_unwritten(held_before, iterates(cached(root)))
 
         session = IncrementalSession(graph.copy(), 3)
         session.solve(k=5, executor="serial")
@@ -757,10 +794,12 @@ class TestPruneOracle:
             session.solve(k=5, **extra)
         session.solve(k=None)
         assert digest(session._states.values()) == before
-        assert_unwritten(held_before, iterates(session._states.values()))
+        assert assert_unwritten(held_before, iterates(session._states.values()))
         # A delta rebuilds the component it touches, with an empty memo; the
         # others keep their iterates, and solves after the delta leave them
-        # as they were.
+        # as they were.  The session serves the untouched part from its
+        # stored results, so after the T = 1 ranking its entry holds no
+        # proposal to compare.
         edge = next(iter(graph.edges()))
         held_before = {
             key: value
@@ -792,7 +831,7 @@ class TestPruneOracle:
                 service.solve({"graph": "g", "k": 5, **extra})
                 service.solve_incremental("g", {"k": 5, **extra})
             assert digest(held()) == before
-            assert_unwritten(held_before, iterates(held()))
+            assert assert_unwritten(held_before, iterates(held()))
         finally:
             service.close()
 
