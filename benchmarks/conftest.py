@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import time
 
 import pytest
@@ -73,6 +74,16 @@ def _alternating_rounds(fns, repeats: int = 1):
     return times
 
 
+def _median_ratio(first, second) -> float:
+    """Median over the rounds of ``second``'s time over ``first``'s in the same round.
+
+    The paired statistic of two paths timed by :func:`_alternating_rounds`:
+    a host slow phase slows both paths of a round alike, so it cancels in
+    the round's ratio instead of landing in one path's best time.
+    """
+    return statistics.median(b / a for a, b in zip(first, second))
+
+
 def _best_alternating(fns, repeats: int = 1):
     """Best time of each function over :func:`_alternating_rounds`."""
     return [min(times) for times in _alternating_rounds(fns, repeats)]
@@ -88,6 +99,12 @@ def best_alternating():
 def alternating_rounds():
     """The per-round timer of compared paths (see :func:`_alternating_rounds`)."""
     return _alternating_rounds
+
+
+@pytest.fixture(scope="session")
+def median_ratio():
+    """The paired statistic of two timed paths (see :func:`_median_ratio`)."""
+    return _median_ratio
 
 
 def pytest_sessionfinish(session, exitstatus):

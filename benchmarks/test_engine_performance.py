@@ -17,7 +17,6 @@ printed table.
 
 from __future__ import annotations
 
-import statistics
 import time
 
 from repro.cliques.kclist import clique_instances
@@ -69,13 +68,7 @@ def _signature(subgraphs):
     return [(frozenset(s.vertices), s.density) for s in subgraphs]
 
 
-def _median_ratio(rounds) -> float:
-    """Median over rounds of the second path's time over the first's."""
-    first, second = rounds
-    return statistics.median(b / a for a, b in zip(first, second))
-
-
-def test_engine_not_slower_than_direct_calls(bench_metrics, alternating_rounds):
+def test_engine_not_slower_than_direct_calls(bench_metrics, alternating_rounds, median_ratio):
     graph = _multi_component_graph()
 
     # -- exact: the direct call decomposes the whole graph until k LhCDSes
@@ -93,8 +86,8 @@ def test_engine_not_slower_than_direct_calls(bench_metrics, alternating_rounds):
     ])
     direct_exact, engine_exact = map(min, exact_rounds)
     direct_ippv, engine_ippv = map(min, ippv_rounds)
-    exact_ratio = _median_ratio(exact_rounds)
-    ippv_ratio = _median_ratio(ippv_rounds)
+    exact_ratio = median_ratio(*exact_rounds)
+    ippv_ratio = median_ratio(*ippv_rounds)
 
     # -- serial vs parallel engine runs (recorded; process spawn overhead
     # dominates at this graph size, so no assertion on the parallel time).

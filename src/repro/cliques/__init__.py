@@ -6,22 +6,16 @@ from .counting import (
     triangle_count,
 )
 from .kclist import (
-    clique_degrees,
-    clique_density,
     clique_instances,
     count_cliques,
     enumerate_cliques,
-    list_cliques,
 )
 
 __all__ = [
     "clique_count_profile",
     "subgraph_clique_count",
     "triangle_count",
-    "clique_degrees",
-    "clique_density",
     "clique_instances",
     "count_cliques",
     "enumerate_cliques",
-    "list_cliques",
 ]

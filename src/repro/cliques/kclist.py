@@ -26,7 +26,7 @@ the one component as is.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from ..errors import AlgorithmError
 from ..graph.graph import Graph, Vertex
@@ -94,11 +94,6 @@ def enumerate_cliques(graph: Graph, h: int) -> Iterator[Tuple[Vertex, ...]]:
         yield tuple(order[r] for r in flat[base : base + h])
 
 
-def list_cliques(graph: Graph, h: int) -> List[Tuple[Vertex, ...]]:
-    """Return all h-cliques as a list (see :func:`enumerate_cliques`)."""
-    return list(enumerate_cliques(graph, h))
-
-
 def clique_instances(graph: Graph, h: int) -> InstanceSet:
     """Return the h-cliques of ``graph`` packaged as an :class:`InstanceSet`.
 
@@ -122,35 +117,3 @@ def count_cliques(graph: Graph, h: int) -> int:
         _, flat = _flat_cliques(graph, h)
         return len(flat) // h
     return sum(1 for _ in enumerate_cliques(graph, h))
-
-
-def clique_degrees(graph: Graph, h: int) -> Dict[Vertex, int]:
-    """Return ``deg_G(v, psi_h)`` for every vertex of the graph.
-
-    Vertices contained in no h-clique get degree 0 (they still matter for
-    density denominators and pruning).
-    """
-    degrees: Dict[Vertex, int] = {v: 0 for v in graph}
-    if h >= 3 and graph.num_vertices > 0:
-        # Count straight off the flat rank-id buffer — no tuple building.
-        order, flat = _flat_cliques(graph, h)
-        by_rank = [0] * len(order)
-        for r in flat:
-            by_rank[r] += 1
-        for rv, v in enumerate(order):
-            degrees[v] = by_rank[rv]
-        return degrees
-    for clique in enumerate_cliques(graph, h):
-        for v in clique:
-            degrees[v] += 1
-    return degrees
-
-
-def clique_density(graph: Graph, h: int):
-    """Return the exact h-clique density ``|Psi_h(G)| / |V|`` as a Fraction."""
-    from fractions import Fraction
-
-    n = graph.num_vertices
-    if n == 0:
-        raise AlgorithmError("clique density of an empty graph is undefined")
-    return Fraction(count_cliques(graph, h), n)

@@ -27,7 +27,7 @@ from .metrics import (
     local_clustering_coefficient,
     subgraph_diameter,
 )
-from .ordering import degeneracy, degeneracy_ordering
+from .ordering import degeneracy_ordering
 
 __all__ = [
     "Graph",
@@ -54,6 +54,5 @@ __all__ = [
     "edge_density",
     "local_clustering_coefficient",
     "subgraph_diameter",
-    "degeneracy",
     "degeneracy_ordering",
 ]

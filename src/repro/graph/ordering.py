@@ -8,7 +8,6 @@ the component-purity contract described below.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Tuple
 
 from .graph import Graph, Vertex
@@ -25,51 +24,65 @@ def degeneracy_ordering(graph: Graph) -> Tuple[List[Vertex], Dict[Vertex, int], 
     neighbours appearing later in the order, which bounds the branching of
     the clique enumerator.
 
-    Ties (equal remaining degree) are broken by heap insertion counters, and
-    every counter assignment walks vertices in the graph's *insertion order*
-    — the initial heap fill directly, and each removal's neighbour updates
-    through a canonically sorted adjacency.  That makes the ordering a pure
-    function of the graph's structure and construction history, never of
-    per-process set layout; in particular, the order restricted to one
-    connected component is identical whether the ordering is computed on the
-    full graph or on that component's induced subgraph (non-component events
-    interleave without reordering a component's own heap entries).  The
-    incremental engine's artifact reuse rests on this purity.
-    """
-    degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph}
-    index_of: Dict[Vertex, int] = {v: i for i, v in enumerate(graph)}
-    neighbour_order: Dict[Vertex, List[Vertex]] = {
-        v: sorted(graph.neighbors(v), key=index_of.__getitem__) for v in graph
-    }
-    # A lazy-deletion heap keyed by current degree keeps the loop O(m log n).
-    heap: List[Tuple[int, int, Vertex]] = []
-    counter = 0
-    for v, d in degrees.items():
-        heap.append((d, counter, v))
-        counter += 1
-    heapq.heapify(heap)
+    The queue is one FIFO bucket per degree (Batagelj and Zaveršnik's
+    bucket core decomposition), holding insertion indices.  A vertex enters
+    the bucket of its degree when it is filled in and again each time a
+    removal lowers its degree; its older entries go stale and are skipped.
+    The next removal is the first live entry of the lowest non-empty
+    bucket, so ties (equal remaining degree) go to the vertex that entered
+    that bucket first.  Every entry is appended walking vertices in the
+    graph's *insertion order* — the initial fill directly, and each
+    removal's neighbour updates through adjacency sorted by insertion
+    index.  That makes the ordering a pure function of the graph's
+    structure and construction history, never of per-process set layout;
+    in particular, the order restricted to one connected component is
+    identical whether the ordering is computed on the full graph or on that
+    component's induced subgraph (other components' entries interleave in
+    the buckets without reordering a component's own entries within any
+    bucket).  The incremental engine's artifact reuse rests on this purity.
 
-    removed: Dict[Vertex, bool] = {v: False for v in graph}
+    A removal lowers each remaining neighbour's degree by exactly one, so
+    the lowest live degree drops by at most one per removal and the bucket
+    scan steps back at most one bucket: the loop is O(n + m), with at most
+    max degree + 1 buckets.
+    """
+    vertices = graph.vertices()
+    index_of = graph.insertion_rank()
+    neighbours = [sorted(map(index_of.__getitem__, graph.neighbors(v))) for v in vertices]
+    degree = [len(nbrs) for nbrs in neighbours]
+    buckets: List[List[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for i, d in enumerate(degree):
+        buckets[d].append(i)
+    # heads[d] is the position of the first unread entry of buckets[d].
+    heads = [0] * len(buckets)
+    removed = bytearray(len(vertices))
     order: List[Vertex] = []
     degeneracy = 0
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if removed[v] or d != degrees[v]:
-            continue
-        removed[v] = True
-        degeneracy = max(degeneracy, d)
-        order.append(v)
-        for u in neighbour_order[v]:
+    d = 0
+    for _ in vertices:
+        # Each (vertex, degree) pair is queued once and degrees only fall,
+        # so an entry is live exactly when it matches the current degree.
+        while True:
+            bucket = buckets[d]
+            head = heads[d]
+            while head < len(bucket) and degree[bucket[head]] != d:
+                head += 1
+            if head < len(bucket):
+                break
+            heads[d] = head
+            d += 1
+        i = bucket[head]
+        heads[d] = head + 1
+        removed[i] = 1
+        if d > degeneracy:
+            degeneracy = d
+        order.append(vertices[i])
+        for u in neighbours[i]:
             if not removed[u]:
-                degrees[u] -= 1
-                counter += 1
-                heapq.heappush(heap, (degrees[u], counter, u))
+                du = degree[u] - 1
+                degree[u] = du
+                buckets[du].append(u)
+        if d:
+            d -= 1
     rank = {v: i for i, v in enumerate(order)}
     return order, rank, degeneracy
-
-
-def degeneracy(graph: Graph) -> int:
-    """Return the degeneracy of the graph (0 for an empty graph)."""
-    if graph.num_vertices == 0:
-        return 0
-    return degeneracy_ordering(graph)[2]

@@ -14,12 +14,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.cliques.kclist import enumerate_cliques
+from repro.cliques.kclist import count_cliques, enumerate_cliques
 from repro.datasets.synthetic import gnp_graph
+from repro.errors import AlgorithmError
 from repro.flow.network import solve_compact_network
 from repro.graph import Graph, GraphDelta, complete_graph, cycle_graph, union_graph
 from repro.graph.components import bfs_order
 from repro.graph.graph import Vertex
+from repro.graph.ordering import degeneracy_ordering
 from repro.instances import InstanceSet, InstanceSetBuilder
 from repro.cores.clique_core import peel
 from repro.lhcds.bounds import CompactBounds
@@ -110,6 +112,81 @@ def reference_clique_instances(graph: Graph, h: int) -> InstanceSet:
     builder = InstanceSetBuilder(h)
     builder.extend(enumerate_cliques(graph, h))
     return builder.build()
+
+
+def list_cliques(graph: Graph, h: int) -> List[Tuple[Vertex, ...]]:
+    """Every h-clique as a list, in ``enumerate_cliques`` order."""
+    return list(enumerate_cliques(graph, h))
+
+
+def clique_degrees(graph: Graph, h: int) -> Dict[Vertex, int]:
+    """``deg_G(v, psi_h)`` of every vertex of the graph (0 if in no h-clique)."""
+    degrees: Dict[Vertex, int] = {v: 0 for v in graph}
+    for clique in enumerate_cliques(graph, h):
+        for v in clique:
+            degrees[v] += 1
+    return degrees
+
+
+def clique_density(graph: Graph, h: int) -> Fraction:
+    """The exact h-clique density ``|Psi_h(G)| / |V|``."""
+    if graph.num_vertices == 0:
+        raise AlgorithmError("clique density of an empty graph is undefined")
+    return Fraction(count_cliques(graph, h), graph.num_vertices)
+
+
+def degeneracy(graph: Graph) -> int:
+    """The degeneracy of the graph (0 for an empty graph)."""
+    return degeneracy_ordering(graph)[2]
+
+
+def reference_degeneracy_ordering(
+    graph: Graph,
+) -> Tuple[List[Vertex], Dict[Vertex, int], int]:
+    """The degeneracy-ordering oracle: the lazy-deletion heap the buckets replaced.
+
+    Oracle for :func:`repro.graph.ordering.degeneracy_ordering`, which must
+    return the same order, rank and degeneracy.
+
+    Repeatedly removes a vertex of minimum remaining degree.  Returns the
+    removal order, the position (rank) of each vertex in that order, and the
+    graph degeneracy (the maximum degree seen at removal time).
+
+    Ties (equal remaining degree) are broken by heap insertion counters, and
+    every counter assignment walks vertices in the graph's *insertion order*
+    — the initial heap fill directly, and each removal's neighbour updates
+    through a canonically sorted adjacency.
+    """
+    degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph}
+    index_of: Dict[Vertex, int] = {v: i for i, v in enumerate(graph)}
+    neighbour_order: Dict[Vertex, List[Vertex]] = {
+        v: sorted(graph.neighbors(v), key=index_of.__getitem__) for v in graph
+    }
+    # A lazy-deletion heap keyed by current degree keeps the loop O(m log n).
+    heap: List[Tuple[int, int, Vertex]] = []
+    counter = 0
+    for v, d in degrees.items():
+        heap.append((d, counter, v))
+        counter += 1
+    heapq.heapify(heap)
+
+    removed: Dict[Vertex, bool] = {v: False for v in graph}
+    order: List[Vertex] = []
+    degeneracy = 0
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if removed[v] or d != degrees[v]:
+            continue
+        removed[v] = True
+        degeneracy = max(degeneracy, d)
+        order.append(v)
+        for u in neighbour_order[v]:
+            if not removed[u]:
+                degrees[u] -= 1
+                counter += 1
+                heapq.heappush(heap, (degrees[u], counter, u))
+    rank = {v: i for i, v in enumerate(order)}
+    return order, rank, degeneracy
 
 
 def reference_delta_stats(

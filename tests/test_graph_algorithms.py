@@ -1,8 +1,11 @@
 """Tests for components, orderings, metrics and edge-list IO."""
 
 import math
+import random
 
 import pytest
+
+from helpers import degeneracy, random_graph, reference_degeneracy_ordering, shifted
 
 from repro.cliques import clique_instances
 from repro.cores import peel
@@ -15,7 +18,6 @@ from repro.graph import (
     complete_graph,
     connected_components,
     cycle_graph,
-    degeneracy,
     degeneracy_ordering,
     degree_density,
     diameter,
@@ -116,6 +118,78 @@ class TestOrdering:
 
     def test_empty_graph_degeneracy(self):
         assert degeneracy(Graph()) == 0
+
+
+def _mutated(graph, rng):
+    """The graph after a seeded add-edge/remove-edge/remove-vertex history."""
+    for _ in range(rng.randint(1, 40)):
+        vertices = graph.vertices()
+        op = rng.random()
+        if op < 0.5 or len(vertices) < 2:
+            graph.add_edge(rng.randint(0, 70), rng.randint(0, 70))
+        elif op < 0.8:
+            graph.remove_edge(*rng.sample(vertices, 2))
+        else:
+            graph.remove_vertex(rng.choice(vertices))
+    return graph
+
+
+def _string_labelled(graph, rng):
+    """The same structure over string labels, inserted in a shuffled order."""
+    label = {v: f"v{v}" for v in graph}
+    vertices = list(label.values())
+    rng.shuffle(vertices)
+    return Graph(vertices=vertices, edges=[(label[u], label[v]) for u, v in graph.edges()])
+
+
+def _interleaved_union(rng, case):
+    """Two or three disjoint random parts whose vertices interleave in insertion order."""
+    parts = [
+        shifted(random_graph(rng.randint(0, 30), rng.uniform(0.02, 0.6), 7 * case + i), 100 * i)
+        for i in range(rng.randint(2, 3))
+    ]
+    vertices = [v for part in parts for v in part]
+    rng.shuffle(vertices)
+    return Graph(vertices=vertices, edges=[e for part in parts for e in part.edges()]), parts
+
+
+class TestDegeneracyOrderingOracle:
+    """The bucket queue against the heap it replaced: the same order, rank
+    and degeneracy, which kClist's emission order, the interning and the
+    session's component purity rest on."""
+
+    def test_seeded_graphs_match_oracle(self):
+        kinds = {"plain": 0, "history": 0, "strings": 0, "union": 0}
+        for case in range(400):
+            rng = random.Random(case)
+            graph = random_graph(rng.randint(0, 60), rng.uniform(0.02, 0.6), case)
+            if case % 4 == 1:
+                # Order once first, so the history must refresh the
+                # insertion-rank memo the ordering reads.
+                degeneracy_ordering(graph)
+                graph, kind = _mutated(graph, rng), "history"
+            elif case % 4 == 2:
+                graph, kind = _string_labelled(graph, rng), "strings"
+            elif case % 4 == 3:
+                graph, parts = _interleaved_union(rng, case)
+                kind = "union"
+            else:
+                kind = "plain"
+            kinds[kind] += 1
+            result = degeneracy_ordering(graph)
+            assert result == reference_degeneracy_ordering(graph), (case, kind)
+            if kind == "union":
+                # Purity: each part keeps its own order inside the union.
+                order = result[0]
+                for part in parts:
+                    members = set(part)
+                    local = degeneracy_ordering(graph.induced_subgraph(members))[0]
+                    assert [v for v in order if v in members] == local
+        assert kinds == {"plain": 100, "history": 100, "strings": 100, "union": 100}
+
+    def test_empty_and_edgeless_graphs(self):
+        assert degeneracy_ordering(Graph()) == ([], {}, 0)
+        assert degeneracy_ordering(Graph(vertices=[3, 1, 2])) == ([3, 1, 2], {3: 0, 1: 1, 2: 2}, 0)
 
 
 class TestMetrics:

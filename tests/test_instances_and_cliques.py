@@ -7,12 +7,9 @@ import pytest
 
 from repro.cliques import (
     clique_count_profile,
-    clique_degrees,
-    clique_density,
     clique_instances,
     count_cliques,
     enumerate_cliques,
-    list_cliques,
     subgraph_clique_count,
     triangle_count,
 )
@@ -21,7 +18,7 @@ from repro.errors import AlgorithmError
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph, union_graph
 from repro.instances import InstanceSet
 
-from helpers import random_graph
+from helpers import clique_degrees, clique_density, list_cliques, random_graph
 
 
 class TestInstanceSet:

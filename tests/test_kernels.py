@@ -16,10 +16,16 @@ from itertools import combinations
 
 import pytest
 
-from helpers import multi_component_graph, random_graph, shifted
+from helpers import (
+    clique_degrees,
+    list_cliques,
+    multi_component_graph,
+    random_graph,
+    shifted,
+)
 
 from repro.cliques import clique_instances
-from repro.cliques.kclist import clique_degrees, count_cliques, list_cliques
+from repro.cliques.kclist import count_cliques
 from repro.datasets.synthetic import gnp_graph, hybrid_community_graph
 from repro.engine import SolveRequest, solve
 from repro.errors import EngineError, FlowError
@@ -387,6 +393,12 @@ class TestFrankWolfeBitIdentity:
         # deg/h is not a float-exact fraction at h = 5 or 6, so a kernel
         # that rounds it lets rounding decide exact ties on these graphs.
         assert self._check(build(), h, 20)
+
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_community_graph_identical(self, h):
+        # The unrolled h = 3 pick and the generic scan at the paper's T = 20
+        # on a graph with thousands of instances, not only on small ones.
+        assert self._check(hybrid_community_graph(40, 14, seed=0), h, 20)
 
     def test_denominator_beyond_int64(self):
         # At h = 42 and T = 3, D = 168 * lcm(1, ..., 41) passes 2**63; the
